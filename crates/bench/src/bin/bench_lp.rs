@@ -1,14 +1,17 @@
-//! LP engine A/B benchmark: backends × pricing × ratio test.
+//! LP engine A/B benchmark: the sparse LU engine against the dense
+//! reference.
 //!
-//! Solves deterministic LPs of growing size under three engine
-//! configurations, certificate-verifying every solve:
+//! Solves deterministic LPs of growing size under both basis backends,
+//! certificate-verifying every solve:
 //!
-//! * `dense`        — dense inverse backend, full Dantzig pricing
-//!   (the reference; only run for m ≤ 1000, where it is tractable);
-//! * `sparse_lu`    — sparse LU backend, full Dantzig pricing,
-//!   product-form updates (isolates the factorization win);
-//! * `sparse_devex` — sparse LU + devex pricing + Harris ratio test +
-//!   Forrest–Tomlin updates (the full engine).
+//! * `dense`     — dense explicit-inverse backend (the reference; only
+//!   run for m ≤ 1000, where it is tractable);
+//! * `sparse_lu` — sparse LU backend with product-form updates, the
+//!   solver's one engine.
+//!
+//! Both use the same Dantzig pricing and textbook ratio test, so they
+//! follow the same pivot sequence up to rounding and the per-pivot
+//! ratio isolates the factorization.
 //!
 //! Row counts are `m ∈ {100, 300, 1000, 5000, 20000}` (`--quick`:
 //! `{100, 300}`): transportation-style LPs up to m = 300, a seeded
@@ -24,14 +27,16 @@
 //!
 //! Usage: `bench_lp [--quick] [--out PATH] [--trend-check BASELINE]
 //! [--sizes M1,M2,...]` (the last overrides the ladder, for probing
-//! a single size)
+//! a single size). A malformed `--sizes` prints the usage line and
+//! exits 2.
 
 use std::time::Instant;
 
-use metis_bench::json::{obj, Json};
-use metis_lp::{
-    BasisBackend, FactorUpdate, Pricing, Problem, RatioTest, Relation, Sense, SolveOptions,
-};
+use metis_lp::{BasisBackend, Problem, Relation, Sense, SolveOptions};
+use metis_workload::json::{obj, Json};
+
+const USAGE: &str =
+    "usage: bench_lp [--quick] [--out PATH] [--trend-check BASELINE] [--sizes M1,M2,...]";
 
 /// Full and `--quick` row-count ladders. The committed `BENCH_lp.json`
 /// is produced by the full ladder; CI's quick leg runs the prefix.
@@ -133,7 +138,6 @@ fn configs() -> Vec<Config> {
             key: "dense",
             opts: SolveOptions {
                 basis: BasisBackend::Dense,
-                pricing: Pricing::Full,
                 ..base
             },
         },
@@ -141,17 +145,6 @@ fn configs() -> Vec<Config> {
             key: "sparse_lu",
             opts: SolveOptions {
                 basis: BasisBackend::SparseLu,
-                pricing: Pricing::Full,
-                ..base
-            },
-        },
-        Config {
-            key: "sparse_devex",
-            opts: SolveOptions {
-                basis: BasisBackend::SparseLu,
-                pricing: Pricing::Devex,
-                ratio: RatioTest::Harris,
-                factor_update: FactorUpdate::ForrestTomlin,
                 ..base
             },
         },
@@ -166,15 +159,10 @@ struct Measured {
     phase1_iterations: usize,
     dual_iterations: usize,
     bound_flips: usize,
-    scaling_passes: usize,
     refactorizations: usize,
     eta_updates: usize,
-    ft_spikes: usize,
-    devex_resets: usize,
-    harris_expansions: usize,
     lu_l_nnz: usize,
     lu_u_nnz: usize,
-    pricing_block_scans: usize,
 }
 
 fn measure(p: &Problem, opts: &SolveOptions, trials: usize) -> Measured {
@@ -199,15 +187,10 @@ fn measure(p: &Problem, opts: &SolveOptions, trials: usize) -> Measured {
         phase1_iterations: st.phase1_iterations,
         dual_iterations: st.dual_iterations,
         bound_flips: st.bound_flips,
-        scaling_passes: st.scaling_passes,
         refactorizations: st.refreshes,
         eta_updates: st.eta_updates,
-        ft_spikes: st.ft_spikes,
-        devex_resets: st.devex_resets,
-        harris_expansions: st.harris_expansions,
         lu_l_nnz: st.lu_l_nnz,
         lu_u_nnz: st.lu_u_nnz,
-        pricing_block_scans: st.pricing_block_scans,
     }
 }
 
@@ -220,26 +203,18 @@ fn config_json(m: &Measured) -> Json {
         ("phase1_iterations", Json::Num(m.phase1_iterations as f64)),
         ("dual_iterations", Json::Num(m.dual_iterations as f64)),
         ("bound_flips", Json::Num(m.bound_flips as f64)),
-        ("scaling_passes", Json::Num(m.scaling_passes as f64)),
         ("refactorizations", Json::Num(m.refactorizations as f64)),
         ("eta_updates", Json::Num(m.eta_updates as f64)),
-        ("ft_spikes", Json::Num(m.ft_spikes as f64)),
-        ("devex_resets", Json::Num(m.devex_resets as f64)),
-        ("harris_expansions", Json::Num(m.harris_expansions as f64)),
         ("lu_l_nnz", Json::Num(m.lu_l_nnz as f64)),
         ("lu_u_nnz", Json::Num(m.lu_u_nnz as f64)),
-        (
-            "pricing_block_scans",
-            Json::Num(m.pricing_block_scans as f64),
-        ),
     ])
 }
 
-/// Per-pivot ratio of `config` to same-document `dense` at every size
+/// Per-pivot ratio of `sparse_lu` to same-document `dense` at every size
 /// where both were measured: `(m, ratio)`. Ratios compare work per
 /// pivot within one run, so they are hardware-independent and safe to
 /// trend across machines.
-fn pivot_ratios(doc: &Json, config: &str) -> Vec<(usize, f64)> {
+fn pivot_ratios(doc: &Json) -> Vec<(usize, f64)> {
     let mut out = Vec::new();
     let Some(entries) = doc.get("entries").and_then(Json::as_arr) else {
         return out;
@@ -253,7 +228,7 @@ fn pivot_ratios(doc: &Json, config: &str) -> Vec<(usize, f64)> {
                 .and_then(|c| c.get("median_pivot_ns"))
                 .and_then(Json::as_f64)
         };
-        if let (Some(dense), Some(other)) = (pivot("dense"), pivot(config)) {
+        if let (Some(dense), Some(other)) = (pivot("dense"), pivot("sparse_lu")) {
             if dense > 0.0 {
                 out.push((m, other / dense));
             }
@@ -279,28 +254,26 @@ fn trend_check(current: &Json, baseline_path: &str) -> bool {
             return false;
         }
     };
+    let base = pivot_ratios(&baseline);
     let mut ok = true;
     let mut compared = 0usize;
-    for config in ["sparse_lu", "sparse_devex"] {
-        let base = pivot_ratios(&baseline, config);
-        for (m, cur) in pivot_ratios(current, config) {
-            let Some(&(_, bas)) = base.iter().find(|&&(bm, _)| bm == m) else {
-                continue;
-            };
-            compared += 1;
-            if cur > bas * 1.30 {
-                eprintln!(
-                    "trend-check: {config} per-pivot ratio regressed at m={m}: \
-                     {cur:.3} vs baseline {bas:.3} (>30%)"
-                );
-                ok = false;
-            } else {
-                println!("trend-check: {config} m={m} ratio {cur:.3} (baseline {bas:.3}) ok");
-            }
+    for (m, cur) in pivot_ratios(current) {
+        let Some(&(_, bas)) = base.iter().find(|&&(bm, _)| bm == m) else {
+            continue;
+        };
+        compared += 1;
+        if cur > bas * 1.30 {
+            eprintln!(
+                "trend-check: sparse_lu per-pivot ratio regressed at m={m}: \
+                 {cur:.3} vs baseline {bas:.3} (>30%)"
+            );
+            ok = false;
+        } else {
+            println!("trend-check: sparse_lu m={m} ratio {cur:.3} (baseline {bas:.3}) ok");
         }
     }
     if compared == 0 {
-        eprintln!("trend-check: no overlapping (size, config) pairs with {baseline_path}");
+        eprintln!("trend-check: no overlapping sizes with {baseline_path}");
         return false;
     }
     ok
@@ -318,10 +291,13 @@ fn main() {
     let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_lp.json".to_string());
     let trend_baseline = flag_value("--trend-check");
 
-    let size_override: Option<Vec<usize>> = flag_value("--sizes").map(|s| {
-        s.split(',')
-            .map(|t| t.trim().parse().expect("--sizes takes M1,M2,..."))
-            .collect()
+    let size_override: Option<Vec<usize>> = args.iter().any(|a| a == "--sizes").then(|| {
+        flag_value("--sizes")
+            .and_then(|s| s.split(',').map(|t| t.trim().parse().ok()).collect())
+            .unwrap_or_else(|| {
+                eprintln!("bench_lp: --sizes takes M1,M2,...\n{USAGE}");
+                std::process::exit(2)
+            })
     });
     let sizes: &[usize] = match &size_override {
         Some(v) => v,
@@ -375,7 +351,7 @@ fn main() {
                 r.median_pivot_ns,
                 r.iterations,
                 r.refactorizations,
-                r.eta_updates + r.ft_spikes,
+                r.eta_updates,
             );
             cfg_fields.push((c.key, config_json(&r)));
             if c.key == "dense" {

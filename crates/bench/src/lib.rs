@@ -24,7 +24,6 @@ pub mod experiments {
     pub mod fig5;
     pub mod robustness;
 }
-pub mod json;
 pub mod report;
 pub mod runner;
 

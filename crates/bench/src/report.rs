@@ -120,24 +120,19 @@ pub fn phase_timing_table(snapshot: &Snapshot) -> Table {
 }
 
 /// Builds the LP-engine work table from a telemetry snapshot: pivot
-/// counts, basis-factorization activity (refactorizations, eta updates,
-/// factor nonzeros), and pricing effort, as recorded by the `lp.*`
-/// counters and gauges.
+/// counts and basis-factorization activity (refactorizations, eta
+/// updates, factor nonzeros), as recorded by the `lp.*` counters and
+/// gauges.
 pub fn lp_stats_table(snapshot: &Snapshot) -> Table {
     use metis_telemetry::names;
     let mut t = Table::new("LP engine (telemetry counters)", &["metric", "value"]);
-    let counters: [(&str, &str); 11] = [
+    let counters: [(&str, &str); 6] = [
         ("simplex pivots", names::LP_SIMPLEX_ITERATIONS),
         ("phase-1 pivots", names::LP_SIMPLEX_PHASE1),
         ("dual pivots", names::LP_SIMPLEX_DUAL),
         ("bound flips", names::LP_SIMPLEX_BOUND_FLIPS),
         ("refactorizations", names::LP_SIMPLEX_REFRESHES),
         ("eta updates", names::LP_LU_ETA_UPDATES),
-        ("FT spikes", names::LP_LU_FT_SPIKES),
-        ("pricing block scans", names::LP_PRICING_BLOCK_SCANS),
-        ("devex resets", names::LP_PRICING_DEVEX_RESETS),
-        ("Harris expansions", names::LP_RATIO_HARRIS_EXPANSIONS),
-        ("scaling passes", names::LP_PRESOLVE_SCALING_PASSES),
     ];
     for (label, name) in counters {
         t.push_row(vec![label.to_string(), snapshot.counter(name).to_string()]);

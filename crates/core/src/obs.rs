@@ -16,20 +16,6 @@ pub(crate) fn record_lp_stats(tele: &Telemetry, stats: &SolveStats) {
     tele.add(names::LP_SIMPLEX_BOUND_FLIPS, stats.bound_flips as u64);
     tele.add(names::LP_SIMPLEX_REFRESHES, stats.refreshes as u64);
     tele.add(names::LP_LU_ETA_UPDATES, stats.eta_updates as u64);
-    tele.add(
-        names::LP_PRICING_BLOCK_SCANS,
-        stats.pricing_block_scans as u64,
-    );
-    tele.add(names::LP_PRICING_DEVEX_RESETS, stats.devex_resets as u64);
-    tele.add(names::LP_LU_FT_SPIKES, stats.ft_spikes as u64);
-    tele.add(
-        names::LP_RATIO_HARRIS_EXPANSIONS,
-        stats.harris_expansions as u64,
-    );
-    tele.add(
-        names::LP_PRESOLVE_SCALING_PASSES,
-        stats.scaling_passes as u64,
-    );
     // nnz of the factors is a size, not a flow: keep the latest value.
     if stats.lu_l_nnz > 0 || stats.lu_u_nnz > 0 {
         tele.gauge(names::LP_LU_L_NNZ, stats.lu_l_nnz as f64);

@@ -22,27 +22,15 @@
 //! identical factors, bit for bit, independent of thread count or
 //! allocation history.
 //!
-//! Between refactorizations the basis changes one column per pivot.
-//! Two update strategies keep the factorization usable without a
-//! rebuild:
-//!
-//! * **Product form** ([`EtaFile`]): each pivot appends an eta
-//!   transform — with entering direction `w = B⁻¹ a_q` replacing slot
-//!   `r`, the new basis is `B' = B·E` where `E` is the identity with
-//!   column `r` replaced by `w`. FTRAN applies `E⁻¹` oldest-to-newest
-//!   after the LU solve; BTRAN applies `E⁻ᵀ` newest-to-oldest before
-//!   it. The `w` vectors are FTRAN outputs and tend to fill in, so the
-//!   file grows by up to `m` nonzeros per pivot until the cadence
-//!   refresh clears it.
-//! * **Forrest–Tomlin** ([`FtFactors`]): the `U` factor is modified
-//!   *in place*. The entering column's partial FTRAN (the *spike*
-//!   `L⁻¹ a_q`) replaces the leaving column of `U`, a symmetric cyclic
-//!   permutation moves it to the last position, and the displaced row
-//!   is eliminated against the (still triangular) rows above it. The
-//!   elimination multipliers form one sparse **row eta** per pivot —
-//!   storage grows with the eliminated row's nonzeros, not with `m` —
-//!   which makes [`SolveOptions::refresh_every`] a numerical-stability
-//!   cadence rather than a memory bound.
+//! Between refactorizations the basis changes one column per pivot, and
+//! a **product-form** eta file ([`EtaFile`]) absorbs each change: with
+//! entering direction `w = B⁻¹ a_q` replacing slot `r`, the new basis is
+//! `B' = B·E` where `E` is the identity with column `r` replaced by `w`.
+//! FTRAN applies `E⁻¹` oldest-to-newest after the LU solve; BTRAN
+//! applies `E⁻ᵀ` newest-to-oldest before it. The `w` vectors are FTRAN
+//! outputs and tend to fill in, so the file grows by up to `m` nonzeros
+//! per pivot until the [`SolveOptions::refresh_every`] cadence
+//! refactorizes and clears it.
 //!
 //! [`SolveOptions::refresh_every`]: crate::SolveOptions::refresh_every
 
@@ -429,321 +417,6 @@ impl EtaFile {
     }
 }
 
-/// One Forrest–Tomlin row eta: the multipliers that eliminated the
-/// displaced row `target` against the rows still above it.
-#[derive(Clone, Debug)]
-struct FtEta {
-    /// Constraint-row id of the displaced (eliminated) row.
-    target: u32,
-    /// `(source row id, multiplier)` pairs in elimination order.
-    entries: Vec<(u32, f64)>,
-}
-
-/// A sparse LU factorization maintained **in place** across basis
-/// changes with Forrest–Tomlin updates.
-///
-/// The `L` factor and row permutation from the initial factorization
-/// stay fixed; each [`FtFactors::update`] rewrites one column of `U`
-/// with the entering column's partial FTRAN (the *spike* `L⁻¹ a_q`),
-/// cyclically permutes that column's diagonal to the last triangular
-/// position, and eliminates the displaced row against the rows above
-/// it, appending the multipliers as one sparse row eta. Unlike the
-/// product-form [`EtaFile`], storage grows with the eliminated rows'
-/// nonzeros rather than with one (dense-ish) FTRAN output per pivot.
-///
-/// Internally `U` is held row-wise in *stable id space*: rows keyed by
-/// constraint-row id, columns by basis slot, with `order` tracking the
-/// current triangular position of each `(row, slot)` diagonal pair.
-/// The cyclic permutation therefore only splices `order` — it never
-/// renumbers stored entries. Invariant: every off-diagonal entry of a
-/// row sits in a slot whose position is strictly after the row's own.
-#[derive(Clone, Debug)]
-pub(crate) struct FtFactors {
-    m: usize,
-    /// `perm_row[k]` = constraint row at `L` position `k` (static).
-    perm_row: Vec<u32>,
-    /// Unit lower factor from the initial factorization (static).
-    l: SparseTriangular,
-    /// Off-diagonal entries of row `rid` of `U`, sorted by slot.
-    urows: Vec<Vec<(u32, f64)>>,
-    /// Diagonal (pivot) of row `rid`.
-    udiag: Vec<f64>,
-    /// `(row id, slot)` diagonal pairs in triangular order.
-    order: Vec<(u32, u32)>,
-    /// Current position of each slot's diagonal within `order`.
-    pos_of_slot: Vec<u32>,
-    /// Rows holding an off-diagonal entry in each slot (lazy: may hold
-    /// stale ids that are filtered by a lookup before use).
-    col_rows: Vec<Vec<u32>>,
-    /// Row etas appended by updates, applied chronologically in FTRAN.
-    etas: Vec<FtEta>,
-    /// Scratch, constraint-row-id space.
-    wid: Vec<f64>,
-    /// Scratch, basis-slot space.
-    acc: Vec<f64>,
-}
-
-impl FtFactors {
-    /// Factors the basis `B` whose slot `i` is column `basis[i]` of `a`
-    /// and converts `U` into the row-wise stable-id form that updates
-    /// mutate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Singular`] exactly when
-    /// [`LuFactors::factor`] does.
-    pub(crate) fn factor(a: &CscMatrix, basis: &[u32], abs_tol: f64) -> Result<Self, SolveError> {
-        let lu = LuFactors::factor(a, basis, abs_tol)?;
-        let m = lu.m;
-        let mut urows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
-        let mut udiag = vec![0.0; m];
-        let mut order: Vec<(u32, u32)> = Vec::with_capacity(m);
-        let mut pos_of_slot = vec![0u32; m];
-        let mut col_rows: Vec<Vec<u32>> = vec![Vec::new(); m];
-        for k in 0..m {
-            let rid = lu.perm_row[k];
-            let slot = lu.perm_col[k];
-            udiag[rid as usize] = lu.u_diag[k];
-            order.push((rid, slot));
-            pos_of_slot[slot as usize] = k as u32;
-            // U group `k` is row `k` in elimination-position space;
-            // re-key its entries by basis slot.
-            let mut row: Vec<(u32, f64)> =
-                lu.u.group(k)
-                    .map(|(pos, v)| (lu.perm_col[pos as usize], v))
-                    .collect();
-            row.sort_unstable_by_key(|&(s, _)| s);
-            for &(s, _) in &row {
-                col_rows[s as usize].push(rid);
-            }
-            urows[rid as usize] = row;
-        }
-        Ok(FtFactors {
-            m,
-            perm_row: lu.perm_row,
-            l: lu.l,
-            urows,
-            udiag,
-            order,
-            pos_of_slot,
-            col_rows,
-            etas: Vec::new(),
-            wid: vec![0.0; m],
-            acc: vec![0.0; m],
-        })
-    }
-
-    /// Factors of the `m×m` identity: a placeholder for a solver whose
-    /// basis has not been factorized yet.
-    pub(crate) fn identity(m: usize) -> Self {
-        FtFactors {
-            m,
-            perm_row: (0..m as u32).collect(),
-            l: SparseTriangular::from_groups(vec![Vec::new(); m]),
-            urows: vec![Vec::new(); m],
-            udiag: vec![1.0; m],
-            order: (0..m as u32).map(|k| (k, k)).collect(),
-            pos_of_slot: (0..m as u32).collect(),
-            col_rows: vec![Vec::new(); m],
-            etas: Vec::new(),
-            wid: vec![0.0; m],
-            acc: vec![0.0; m],
-        }
-    }
-
-    /// Nonzeros stored in the `L` factor (off-diagonal).
-    pub(crate) fn l_nnz(&self) -> usize {
-        self.l.nnz()
-    }
-
-    /// Nonzeros stored in the `U` factor (including the diagonal).
-    pub(crate) fn u_nnz(&self) -> usize {
-        self.m + self.urows.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Forrest–Tomlin updates absorbed since the last factorization.
-    #[cfg(test)]
-    pub(crate) fn updates(&self) -> usize {
-        self.etas.len()
-    }
-
-    /// Computes the spike `s = Mₖ ⋯ M₁ L⁻¹ b` into `self.wid`
-    /// (constraint-row-id space) — an FTRAN stopped before the `U`
-    /// back-substitution. `work` is position-space scratch.
-    fn spike(&mut self, b: &[f64], work: &mut [f64]) {
-        for (w, &rid) in work.iter_mut().zip(&self.perm_row) {
-            *w = b[rid as usize];
-        }
-        self.l.solve_forward(None, work);
-        for (w, &rid) in work.iter().zip(&self.perm_row) {
-            self.wid[rid as usize] = *w;
-        }
-        for eta in &self.etas {
-            let mut acc = 0.0;
-            for &(src, mu) in &eta.entries {
-                acc += mu * self.wid[src as usize];
-            }
-            self.wid[eta.target as usize] -= acc;
-        }
-    }
-
-    /// FTRAN: solves `B x = b`, reading `b` in constraint-row space and
-    /// writing `x` in basis-slot space. `work` is caller-owned scratch
-    /// of length `m`; `&mut self` only touches internal scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any argument is shorter than the basis dimension.
-    pub(crate) fn ftran(&mut self, b: &[f64], x: &mut [f64], work: &mut [f64]) {
-        self.spike(b, work);
-        // U back-substitution in triangular order: every off-diagonal
-        // entry references a later position, already solved.
-        for t in (0..self.m).rev() {
-            let (rid, slot) = self.order[t];
-            let mut val = self.wid[rid as usize];
-            for &(s2, v) in &self.urows[rid as usize] {
-                val -= v * x[s2 as usize];
-            }
-            x[slot as usize] = val / self.udiag[rid as usize];
-        }
-    }
-
-    /// BTRAN: solves `Bᵀ y = c`, reading `c` in basis-slot space and
-    /// writing `y` in constraint-row space. `work` is caller-owned
-    /// scratch of length `m`; `&mut self` only touches internal
-    /// scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any argument is shorter than the basis dimension.
-    pub(crate) fn btran(&mut self, c: &[f64], y: &mut [f64], work: &mut [f64]) {
-        // Uᵀ forward substitution with scatter: when position `t` is
-        // reached, `acc[slot]` holds the column-`slot` contributions of
-        // every earlier row.
-        self.acc[..self.m].fill(0.0);
-        for t in 0..self.m {
-            let (rid, slot) = self.order[t];
-            let val = (c[slot as usize] - self.acc[slot as usize]) / self.udiag[rid as usize];
-            self.wid[rid as usize] = val;
-            if val != 0.0 {
-                for &(s2, v) in &self.urows[rid as usize] {
-                    self.acc[s2 as usize] += v * val;
-                }
-            }
-        }
-        // Transposed row etas, newest first.
-        for eta in self.etas.iter().rev() {
-            let t = self.wid[eta.target as usize];
-            if t != 0.0 {
-                for &(src, mu) in &eta.entries {
-                    self.wid[src as usize] -= mu * t;
-                }
-            }
-        }
-        for (w, &rid) in work.iter_mut().zip(&self.perm_row) {
-            *w = self.wid[rid as usize];
-        }
-        self.l.solve_backward(None, work);
-        for (w, &rid) in work.iter().zip(&self.perm_row) {
-            y[rid as usize] = *w;
-        }
-    }
-
-    /// Replaces basis slot `slot` with the column whose dense
-    /// constraint-row-space image is `b`, updating `U` in place.
-    /// `work` is caller-owned scratch of length `m`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Singular`] when the post-elimination pivot
-    /// falls below `tol`. The factors are then partially mutated and
-    /// must not be used again — the caller refactorizes from scratch,
-    /// which rebuilds every field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot ≥ m` or any slice is shorter than `m`.
-    pub(crate) fn update(
-        &mut self,
-        slot: usize,
-        b: &[f64],
-        tol: f64,
-        work: &mut [f64],
-    ) -> Result<(), SolveError> {
-        self.spike(b, work);
-        let t = self.pos_of_slot[slot] as usize;
-        let rho = self.order[t].0 as usize;
-
-        // Drop the replaced column's stored entries.
-        let cands = std::mem::take(&mut self.col_rows[slot]);
-        for rid in cands {
-            let row = &mut self.urows[rid as usize];
-            if let Ok(pos) = row.binary_search_by_key(&(slot as u32), |&(s, _)| s) {
-                row.remove(pos);
-            }
-        }
-        // The displaced row's off-diagonals await elimination; its new
-        // contents are written after the pivot is known.
-        let tail = std::mem::take(&mut self.urows[rho]);
-        // The spike becomes the new column `slot`. Once the diagonal
-        // pair moves to the last position every other row precedes it,
-        // so each insertion respects the triangular invariant.
-        for rid in 0..self.m {
-            if rid == rho {
-                continue;
-            }
-            let v = self.wid[rid];
-            if v != 0.0 {
-                let row = &mut self.urows[rid];
-                let pos = row.partition_point(|&(s, _)| (s as usize) < slot);
-                row.insert(pos, (slot as u32, v));
-                self.col_rows[slot].push(rid as u32);
-            }
-        }
-        // Symmetric cyclic permutation: splice the diagonal pair to the
-        // end and reindex the shifted positions.
-        self.order.remove(t);
-        self.order.push((rho as u32, slot as u32));
-        for p in t..self.m {
-            self.pos_of_slot[self.order[p].1 as usize] = p as u32;
-        }
-        // Eliminate the displaced row (tail + its spike entry) against
-        // the rows at positions t..m-1, ascending so each multiplier is
-        // final before its row scatters fill into later columns.
-        self.acc[..self.m].fill(0.0);
-        self.acc[slot] = self.wid[rho];
-        for &(s, v) in &tail {
-            self.acc[s as usize] = v;
-        }
-        let mut entries: Vec<(u32, f64)> = Vec::new();
-        for c in t..self.m.saturating_sub(1) {
-            let (rid_c, slot_c) = self.order[c];
-            let val = self.acc[slot_c as usize];
-            if val == 0.0 {
-                continue;
-            }
-            let mu = val / self.udiag[rid_c as usize];
-            entries.push((rid_c, mu));
-            for &(s2, v2) in &self.urows[rid_c as usize] {
-                self.acc[s2 as usize] -= mu * v2;
-            }
-        }
-        let pivot = self.acc[slot];
-        if pivot.abs() < tol || pivot.is_nan() {
-            // The NaN check catches upstream overflow.
-            return Err(SolveError::Singular);
-        }
-        self.udiag[rho] = pivot;
-        if !entries.is_empty() {
-            self.etas.push(FtEta {
-                target: rho as u32,
-                entries,
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,101 +594,5 @@ mod tests {
         for (e, d) in via_eta_y.iter().zip(&direct_y) {
             assert!((e - d).abs() < 1e-9, "eta BTRAN {e} vs fresh {d}");
         }
-    }
-
-    /// Asserts FT FTRAN/BTRAN agree with a fresh factorization of the
-    /// same basis on a couple of dense probes.
-    fn check_ft_against_fresh(a: &CscMatrix, ft: &mut FtFactors, basis: &[u32]) {
-        let m = basis.len();
-        let fresh = LuFactors::factor(a, basis, 1e-12).expect("nonsingular");
-        let mut work = vec![0.0; m];
-        let rhs: Vec<f64> = (0..m).map(|i| (i as f64) * 0.9 - 1.7).collect();
-        let mut via_ft = vec![0.0; m];
-        ft.ftran(&rhs, &mut via_ft, &mut work);
-        let mut direct = vec![0.0; m];
-        fresh.ftran(&rhs, &mut direct, &mut work);
-        for (e, d) in via_ft.iter().zip(&direct) {
-            assert!((e - d).abs() < 1e-8, "FT FTRAN {e} vs fresh {d}");
-        }
-        let cost: Vec<f64> = (0..m).map(|i| 0.6 * (i as f64) + 0.4).collect();
-        let mut via_ft_y = vec![0.0; m];
-        ft.btran(&cost, &mut via_ft_y, &mut work);
-        let mut direct_y = vec![0.0; m];
-        fresh.btran(&cost, &mut direct_y, &mut work);
-        for (e, d) in via_ft_y.iter().zip(&direct_y) {
-            assert!((e - d).abs() < 1e-8, "FT BTRAN {e} vs fresh {d}");
-        }
-    }
-
-    /// Dense image of column `j` in constraint-row space.
-    fn dense_col(a: &CscMatrix, j: usize, m: usize) -> Vec<f64> {
-        let mut out = vec![0.0; m];
-        for (r, v) in a.col(j).iter() {
-            out[r] = v;
-        }
-        out
-    }
-
-    #[test]
-    fn ft_update_matches_refactorization() {
-        // Same setup as the eta-file test: replace slot 1 with column 4.
-        let m = 4;
-        let mut b = CscBuilder::new(m);
-        b.add_col([(0, 2.0), (1, 1.0)]);
-        b.add_col([(1, 3.0), (2, -1.0)]);
-        b.add_col([(2, 1.5), (3, 0.5)]);
-        b.add_col([(0, 1.0), (3, 2.0)]);
-        b.add_col([(0, 1.0), (2, 2.0), (3, -1.0)]);
-        let a = b.build();
-        let mut ft = FtFactors::factor(&a, &[0, 1, 2, 3], 1e-12).expect("nonsingular");
-        assert_eq!(ft.updates(), 0);
-        let mut work = vec![0.0; m];
-        ft.update(1, &dense_col(&a, 4, m), 1e-12, &mut work)
-            .expect("update accepted");
-        check_ft_against_fresh(&a, &mut ft, &[0, 4, 2, 3]);
-    }
-
-    #[test]
-    fn ft_sequential_updates_match_refactorization() {
-        // Start from the all-slack basis and pivot structural columns
-        // in one at a time, checking against a fresh factorization
-        // after every update.
-        let m = 6;
-        let mut b = CscBuilder::new(m);
-        b.add_col([(0, 1.0), (3, 2.0), (5, -1.0)]);
-        b.add_col([(1, 4.0), (2, 1.0)]);
-        b.add_col([(0, 3.0), (1, -2.0), (4, 1.0)]);
-        for i in 0..m {
-            b.add_col([(i, 1.0)]);
-        }
-        let a = b.build();
-        let mut basis: Vec<u32> = (3..3 + m as u32).collect(); // slacks e₀..e₅
-        let mut ft = FtFactors::factor(&a, &basis, 1e-12).expect("nonsingular");
-        let mut work = vec![0.0; m];
-        for (slot, col) in [(0usize, 0u32), (1, 1), (2, 2)] {
-            ft.update(slot, &dense_col(&a, col as usize, m), 1e-12, &mut work)
-                .expect("update accepted");
-            basis[slot] = col;
-            check_ft_against_fresh(&a, &mut ft, &basis);
-        }
-        assert!(ft.u_nnz() >= m);
-    }
-
-    #[test]
-    fn ft_update_rejects_singular_replacement() {
-        // Replacing slot 1 with a copy of slot 0's column makes the
-        // basis singular; the post-elimination pivot is exactly zero.
-        let mut b = CscBuilder::new(2);
-        b.add_col([(0, 1.0)]);
-        b.add_col([(1, 1.0)]);
-        b.add_col([(0, 1.0)]);
-        let a = b.build();
-        let mut ft = FtFactors::factor(&a, &[0, 1], 1e-12).expect("nonsingular");
-        let mut work = vec![0.0; 2];
-        assert_eq!(
-            ft.update(1, &dense_col(&a, 2, 2), 1e-12, &mut work)
-                .unwrap_err(),
-            SolveError::Singular
-        );
     }
 }

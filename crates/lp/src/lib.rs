@@ -47,9 +47,7 @@ pub mod verify;
 pub use error::SolveError;
 pub use ilp::{solve_ilp, solve_ilp_with_start, IlpOptions, IlpSolution, IlpStatus};
 pub use model::{Problem, Relation, RowId, Sense, VarId};
-pub use presolve::{
-    equilibrate, presolve, presolve_and_solve, PresolveReport, Restoration, Scaling,
-};
-pub use simplex::{Basis, BasisBackend, FactorUpdate, Pricing, RatioTest, SolveOptions};
+pub use presolve::{presolve, presolve_and_solve, PresolveReport, Restoration};
+pub use simplex::{Basis, BasisBackend, SolveOptions};
 pub use solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
 pub use verify::{certify, Certificate};

@@ -163,19 +163,6 @@ impl SparseTriangular {
         self.idx.len()
     }
 
-    /// Iterates group `k`'s `(position, value)` entries in stored order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k ≥ dim()`.
-    pub fn group(&self, k: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
-        // INDEX: ptr has dim()+1 entries (CSR invariant), so k+1 is in range for k < dim().
-        self.idx[self.ptr[k]..self.ptr[k + 1]]
-            .iter()
-            .zip(&self.val[self.ptr[k]..self.ptr[k + 1]])
-            .map(|(&p, &v)| (p, v))
-    }
-
     /// Number of elimination steps (the factor is `m × m`).
     pub fn dim(&self) -> usize {
         self.ptr.len() - 1

@@ -15,11 +15,6 @@
 //!
 //! [`presolve`] returns the reduced problem plus a [`Restoration`] that
 //! maps reduced solutions back to the original variable space.
-//!
-//! Separately, [`equilibrate`] rescales rows and columns toward unit
-//! magnitude (geometric-mean scaling rounded to powers of two) — a
-//! conditioning transform rather than a reduction — returning a
-//! [`Scaling`] that maps solutions and duals back exactly.
 
 use crate::error::SolveError;
 use crate::model::{Problem, Relation, Sense, VarId};
@@ -335,196 +330,12 @@ pub fn presolve_and_solve(problem: &Problem) -> Result<Solution, SolveError> {
     if cfg!(debug_assertions) {
         crate::verify::verify(problem, &restored, 1e-6)?;
     }
-    let stats = crate::solution::SolveStats {
+    let stats = SolveStats {
         presolve_removed_rows: report.removed_rows,
         presolve_removed_vars: report.removed_vars,
         ..*restored.stats()
     };
     Ok(restored.with_stats(stats))
-}
-
-/// Upper bound on equilibration sweeps; geometric-mean scaling with
-/// power-of-two rounding converges in a handful of passes in practice.
-const MAX_SCALING_PASSES: usize = 8;
-
-/// Row/column scale factors produced by [`equilibrate`], mapping
-/// solutions of the scaled problem back to the original space.
-///
-/// Every factor is a power of two, so the unscaling in
-/// [`Scaling::restore`] is exact (an exponent shift, no rounding).
-#[derive(Clone, Debug)]
-pub struct Scaling {
-    /// Multiplier applied to each row (constraint and rhs).
-    row: Vec<f64>,
-    /// Multiplier applied to each column (coefficients and objective);
-    /// the scaled variable is `x'_j = x_j / col[j]`.
-    col: Vec<f64>,
-    /// Sweeps performed before reaching a fixed point (or the cap).
-    passes: usize,
-}
-
-impl Scaling {
-    /// Equilibration sweeps performed (each sweep scales all rows, then
-    /// all columns).
-    pub fn passes(&self) -> usize {
-        self.passes
-    }
-
-    /// Scale factor of one row (a power of two).
-    pub fn row_factor(&self, i: usize) -> f64 {
-        self.row[i]
-    }
-
-    /// Scale factor of one column (a power of two; 1 for integer
-    /// variables, which are never scaled).
-    pub fn col_factor(&self, j: usize) -> f64 {
-        self.col[j]
-    }
-
-    /// Maps a solution of the scaled problem back to the original:
-    /// `x_j = col_j · x'_j`, `y_i = row_i · y'_i`. The objective value
-    /// is identical by construction (`c'·x' = c·x`), so it passes
-    /// through untouched. Records [`SolveStats::scaling_passes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scaled` does not match the scaled problem's width.
-    pub fn restore(&self, scaled: &Solution) -> Solution {
-        let values: Vec<f64> = scaled
-            .values()
-            .iter()
-            .zip(&self.col)
-            .map(|(x, c)| x * c)
-            .collect();
-        let stats = SolveStats {
-            scaling_passes: self.passes,
-            ..*scaled.stats()
-        };
-        let out = Solution::new(scaled.objective(), values, scaled.iterations())
-            .with_stats(stats)
-            .with_trace(scaled.trace().clone());
-        match scaled.duals() {
-            Some(d) => {
-                let duals: Vec<f64> = d.iter().zip(&self.row).map(|(y, r)| y * r).collect();
-                out.with_duals(duals)
-            }
-            None => out,
-        }
-    }
-}
-
-/// Geometric-mean equilibration: iteratively rescales rows and columns
-/// so the (log-space) mean magnitude of each row's and column's nonzeros
-/// approaches 1, with every factor rounded to the nearest power of two.
-///
-/// Power-of-two factors keep the transform exact in floating point: the
-/// scaled problem's simplex trajectory may differ, but unscaling a
-/// solution reintroduces no rounding error. Integer columns are never
-/// scaled (their scale stays 1) so integrality of `x_j = col_j · x'_j`
-/// is preserved trivially.
-///
-/// Returns the scaled problem and the [`Scaling`] that maps its
-/// solutions back. Used by the solver when
-/// [`crate::SolveOptions::scale`] is set; callable directly for
-/// inspection or custom pipelines.
-pub fn equilibrate(problem: &Problem) -> (Problem, Scaling) {
-    let n = problem.num_vars();
-    let m = problem.num_constraints();
-    let by_col = problem.entries_by_column();
-    let is_int: Vec<bool> = (0..n).map(|j| problem.is_integer(problem.var(j))).collect();
-
-    let mut row_scale = vec![1.0f64; m];
-    let mut col_scale = vec![1.0f64; n];
-    let mut passes = 0;
-    for _ in 0..MAX_SCALING_PASSES {
-        passes += 1;
-        let mut changed = false;
-
-        // Rows: geometric mean of the currently-scaled magnitudes,
-        // accumulated in log2 space (deterministic fixed-order sums).
-        let mut logsum = vec![0.0f64; m];
-        let mut count = vec![0usize; m];
-        for (j, col) in by_col.iter().enumerate() {
-            for &(r, v) in col {
-                if v != 0.0 {
-                    logsum[r] += (v * row_scale[r] * col_scale[j]).abs().log2();
-                    count[r] += 1;
-                }
-            }
-        }
-        for i in 0..m {
-            if count[i] == 0 {
-                continue;
-            }
-            let adj = (-(logsum[i] / count[i] as f64)).round();
-            if adj != 0.0 {
-                row_scale[i] *= adj.exp2();
-                changed = true;
-            }
-        }
-
-        // Columns, against the just-updated row scales.
-        for (j, col) in by_col.iter().enumerate() {
-            if is_int[j] {
-                continue;
-            }
-            let mut ls = 0.0f64;
-            let mut c = 0usize;
-            for &(r, v) in col {
-                if v != 0.0 {
-                    ls += (v * row_scale[r] * col_scale[j]).abs().log2();
-                    c += 1;
-                }
-            }
-            if c == 0 {
-                continue;
-            }
-            let adj = (-(ls / c as f64)).round();
-            if adj != 0.0 {
-                col_scale[j] *= adj.exp2();
-                changed = true;
-            }
-        }
-
-        if !changed {
-            break;
-        }
-    }
-
-    // Assemble the scaled problem: column j carries objective c_j·col_j
-    // and bounds divided by col_j (col_j > 0, so no bound flips); row i
-    // carries coefficients a_ij·row_i·col_j and rhs b_i·row_i.
-    let mut scaled = Problem::new(problem.sense());
-    for j in 0..n {
-        let (lo, up) = problem.bounds(problem.var(j));
-        let c = col_scale[j];
-        let id = scaled.add_var(problem.objective_coeff(problem.var(j)) * c, lo / c, up / c);
-        scaled.set_integer(id, is_int[j]);
-    }
-    let relations = problem.row_relations();
-    let rhs = problem.row_rhs();
-    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-    for (j, col) in by_col.iter().enumerate() {
-        for &(r, v) in col {
-            rows[r].push((j, v));
-        }
-    }
-    for r in 0..m {
-        let terms: Vec<(VarId, f64)> = rows[r]
-            .iter()
-            .map(|&(j, v)| (scaled.var(j), v * row_scale[r] * col_scale[j]))
-            .collect();
-        scaled.add_constraint(terms, relations[r], rhs[r] * row_scale[r]);
-    }
-
-    (
-        scaled,
-        Scaling {
-            row: row_scale,
-            col: col_scale,
-            passes,
-        },
-    )
 }
 
 #[cfg(test)]
@@ -658,83 +469,6 @@ mod tests {
         assert_eq!(r.num_vars(), 2);
         assert!(r.is_integer(r.var(0)));
         assert!(!r.is_integer(r.var(1)));
-    }
-
-    /// A deliberately ill-scaled LP: coefficients spanning ~9 orders of
-    /// magnitude across rows and columns.
-    fn ill_scaled_problem() -> Problem {
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var(1e4, 0.0, 1e6);
-        let y = p.add_var(3e-3, 0.0, 1e6);
-        let z = p.add_var(7.0, 0.0, 1e6);
-        p.add_constraint([(x, 2e5), (y, 4e-4), (z, 1.0)], Relation::Ge, 3e2);
-        p.add_constraint([(x, 5e4), (y, 8e-5)], Relation::Ge, 1e1);
-        p.add_constraint([(y, 1e-3), (z, 6e3)], Relation::Ge, 2.0);
-        p
-    }
-
-    #[test]
-    fn equilibrate_factors_are_powers_of_two() {
-        let p = ill_scaled_problem();
-        let (_, scaling) = equilibrate(&p);
-        for i in 0..p.num_constraints() {
-            let f = scaling.row_factor(i);
-            assert!(f > 0.0 && f.log2().fract() == 0.0, "row factor {f}");
-        }
-        for j in 0..p.num_vars() {
-            let f = scaling.col_factor(j);
-            assert!(f > 0.0 && f.log2().fract() == 0.0, "col factor {f}");
-        }
-        assert!(scaling.passes() >= 1);
-    }
-
-    #[test]
-    fn equilibrate_shrinks_coefficient_range() {
-        let p = ill_scaled_problem();
-        let (scaled, _) = equilibrate(&p);
-        let spread = |q: &Problem| {
-            let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
-            for col in q.entries_by_column() {
-                for &(_, v) in &col {
-                    if v != 0.0 {
-                        lo = lo.min(v.abs());
-                        hi = hi.max(v.abs());
-                    }
-                }
-            }
-            hi / lo
-        };
-        assert!(
-            spread(&scaled) < spread(&p) / 100.0,
-            "scaled spread {} vs original {}",
-            spread(&scaled),
-            spread(&p)
-        );
-    }
-
-    #[test]
-    fn equilibrate_restore_matches_direct_solve() {
-        let p = ill_scaled_problem();
-        let direct = p.solve().unwrap();
-        let (scaled, scaling) = equilibrate(&p);
-        let restored = scaling.restore(&scaled.solve().unwrap());
-        assert!(
-            (restored.objective() - direct.objective()).abs()
-                < 1e-6 * (1.0 + direct.objective().abs())
-        );
-        assert!(p.max_violation(restored.values()) < 1e-5);
-        assert_eq!(restored.stats().scaling_passes, scaling.passes());
-    }
-
-    #[test]
-    fn equilibrate_keeps_integer_columns_unscaled() {
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_int_var(1e4, 0.0, 9.0);
-        let y = p.add_var(1.0, 0.0, 1e6);
-        p.add_constraint([(x, 3e4), (y, 2e-3)], Relation::Ge, 6e4);
-        let (scaled, scaling) = equilibrate(&p);
-        assert_eq!(scaling.col_factor(0), 1.0);
-        assert!(scaled.is_integer(scaled.var(0)));
     }
 
     #[test]

@@ -11,39 +11,28 @@
 //! variable per initially-infeasible row. Maximization is handled by
 //! negating the objective.
 //!
-//! Design choices sized for this workspace's LPs (up to ≈10³–10⁴ rows and
+//! The engine has one configuration, the one that is fastest on the
+//! RL-SPM/BL-SPM LPs this workspace builds (up to ≈10³–10⁴ rows and
 //! columns, very sparse):
 //!
 //! * The basis is held as a **sparse LU factorization** with Markowitz
 //!   fill-in control ([`crate::factor`]), so FTRAN (`B⁻¹aⱼ`) and BTRAN
 //!   (`cᵦᵀB⁻¹`) cost time proportional to the factor nonzeros rather
-//!   than `O(m²)`. Between the periodic refactorizations
-//!   ([`SolveOptions::refresh_every`]) each pivot either appends a
-//!   **product-form eta** or, under
-//!   [`FactorUpdate::ForrestTomlin`], rewrites one column of `U` in
-//!   place — the latter keeps update storage proportional to the
-//!   eliminated rows' nonzeros, so the refresh cadence is a numerical
-//!   cadence, not a memory bound. The historical dense explicit `B⁻¹`
-//!   (elementary row updates per pivot, Gauss-Jordan refresh) remains
-//!   available behind [`SolveOptions::basis`]`=
-//!   `[`BasisBackend::Dense`] for A/B validation of results and
-//!   performance.
-//! * Pricing ([`Pricing`]) is Dantzig (most violating reduced cost) on
-//!   small problems — full sweeps or rotating candidate blocks — and
-//!   **devex reference-weight pricing** by default on large ones, which
-//!   approximates steepest edge and typically cuts the pivot count on
-//!   the degenerate LPs the SPM pipeline produces. An automatic switch
+//!   than `O(m²)`. Each pivot appends a **product-form eta**; the
+//!   factorization is rebuilt every [`SolveOptions::refresh_every`]
+//!   pivots. The historical dense explicit `B⁻¹` (elementary row
+//!   updates per pivot, Gauss-Jordan refresh) remains available behind
+//!   [`SolveOptions::basis`]`=`[`BasisBackend::Dense`] as the reference
+//!   implementation the sparse backend is tested against.
+//! * Pricing is **Dantzig** over a full sweep: the most violating
+//!   reduced cost enters, earliest index on ties. An automatic switch
 //!   to Bland's rule after a run of degenerate pivots guarantees
-//!   termination. Block rotation and devex weights are index-ordered
-//!   solver state, so results stay deterministic.
-//! * The ratio test is the textbook smallest-ratio rule or, under
-//!   [`RatioTest::Harris`], the Harris two-pass variant that relaxes
-//!   bounds by the feasibility tolerance and then picks the largest
-//!   admissible pivot, trading microscopic bound shifts for far better
-//!   numerical behavior on degenerate bases.
+//!   termination.
+//! * The ratio test is the textbook smallest-ratio rule, ties broken by
+//!   lowest row index.
 
 use crate::error::SolveError;
-use crate::factor::{EtaFile, FtFactors, LuFactors};
+use crate::factor::{EtaFile, LuFactors};
 use crate::matrix::{CscBuilder, CscMatrix};
 use crate::model::{Problem, Relation, Sense};
 use crate::solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
@@ -58,86 +47,9 @@ pub enum BasisBackend {
     SparseLu,
     /// Dense explicit `m×m` inverse, updated by elementary row
     /// operations (`O(m²)` per pivot) and recomputed by Gauss-Jordan
-    /// (`O(m³)`). Kept for A/B validation against the sparse backend.
+    /// (`O(m³)`). Kept as the reference the sparse backend is checked
+    /// against.
     Dense,
-}
-
-/// Entering-variable pricing strategy (primal simplex).
-///
-/// Every strategy declares optimality only after the full column set has
-/// been examined against the current duals, so they all return the same
-/// optima — just with different pivot sequences. Block rotation starts
-/// at block 0 and advances deterministically; devex weights are plain
-/// solver state updated in index order — results stay deterministic
-/// under every variant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Pricing {
-    /// Dantzig full sweeps on small problems, switching to [`Pricing::Devex`]
-    /// once the column count reaches an internal threshold. The default.
-    #[default]
-    Auto,
-    /// Dantzig: scan every nonbasic column on every iteration, most
-    /// violating reduced cost enters.
-    Full,
-    /// Dantzig over rotating candidate blocks of the given size (`0`
-    /// picks `max(256, ⌈√n⌉)`); the scan falls back to the remaining
-    /// blocks — a full sweep — before declaring optimality.
-    Partial(usize),
-    /// Devex (Forrest–Goldfarb) pricing: each column carries a reference
-    /// weight `γⱼ` approximating the squared steepest-edge norm, the
-    /// column maximizing `dⱼ²/γⱼ` enters, and the weights are updated
-    /// from the pivot row at `O(nnz)` per pivot. Weights reset to 1
-    /// (counted in [`crate::SolveStats::devex_resets`]) when they grow
-    /// past an internal guard.
-    Devex,
-}
-
-/// Column-count threshold at which [`Pricing::Auto`] switches from
-/// Dantzig full sweeps to devex. Below this, a plain sweep is cheap
-/// enough that the per-pivot weight maintenance only adds overhead.
-const AUTO_DEVEX_MIN_COLS: usize = 3000;
-
-/// Devex weights past this guard trigger a reference-framework reset:
-/// the approximation error compounds multiplicatively per pivot, so
-/// runaway weights mean the steepest-edge estimate has degraded.
-const DEVEX_RESET_THRESHOLD: f64 = 1e8;
-
-/// Primal ratio-test rule; see [`SolveOptions::ratio`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RatioTest {
-    /// Textbook smallest-ratio rule: the first basic variable to hit a
-    /// bound blocks, ties broken by lowest row index. The default.
-    #[default]
-    Textbook,
-    /// Harris two-pass rule: pass one computes the largest step
-    /// admissible with bounds relaxed by the feasibility tolerance, pass
-    /// two picks the largest-magnitude pivot among rows whose exact
-    /// ratio fits under it. Degenerate steps clamp at zero and count in
-    /// [`crate::SolveStats::harris_expansions`].
-    Harris,
-}
-
-/// How pivots update the sparse basis factorization between periodic
-/// refactorizations; see [`SolveOptions::factor_update`]. Ignored by
-/// [`BasisBackend::Dense`], which updates `B⁻¹` in place.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FactorUpdate {
-    /// Product-form eta file: each pivot appends its (dense-ish) FTRAN
-    /// direction, growing by up to `m` nonzeros per pivot until the next
-    /// refresh. The default.
-    #[default]
-    ProductForm,
-    /// Forrest–Tomlin: rewrite one column of `U` in place per pivot,
-    /// storing only the sparse row eta of the displaced row's
-    /// elimination ([`crate::SolveStats::ft_spikes`] counts them).
-    ForrestTomlin,
-}
-
-/// Default partial-pricing block size for `n` columns: `max(256, ⌈√n⌉)`.
-/// (IEEE-754 `sqrt` is correctly rounded, so this is deterministic.)
-fn auto_block(n: usize) -> usize {
-    let r = (n as f64).sqrt().ceil() as usize;
-    r.max(256)
 }
 
 /// Tuning knobs for the simplex solver.
@@ -161,19 +73,6 @@ pub struct SolveOptions {
     /// Basis representation; see [`BasisBackend`]. Both backends accept
     /// and produce the same warm-start [`Basis`] snapshots.
     pub basis: BasisBackend,
-    /// Entering-variable pricing strategy; see [`Pricing`].
-    pub pricing: Pricing,
-    /// Primal ratio-test rule; see [`RatioTest`].
-    pub ratio: RatioTest,
-    /// Pivot update strategy for the sparse factorization; see
-    /// [`FactorUpdate`].
-    pub factor_update: FactorUpdate,
-    /// Equilibrate the problem (geometric-mean row/column scaling,
-    /// powers of two) before solving and unscale the solution after;
-    /// see [`crate::equilibrate`]. Off by default: scaling
-    /// changes pivot sequences, and the workspace's generated LPs are
-    /// already well-scaled.
-    pub scale: bool,
     /// Independently certify every returned solution via
     /// [`crate::verify`] (recomputed residuals, bounds, objective) and
     /// fail the solve with [`SolveError::CertificateRejected`] on
@@ -198,10 +97,6 @@ impl Default for SolveOptions {
             refresh_every: 300,
             bland_after: 200,
             basis: BasisBackend::SparseLu,
-            pricing: Pricing::Auto,
-            ratio: RatioTest::Textbook,
-            factor_update: FactorUpdate::ProductForm,
-            scale: false,
             verify: false,
             trace: false,
         }
@@ -238,22 +133,6 @@ impl Problem {
     ///
     /// See [`Problem::solve`].
     pub fn solve_with(&self, options: &SolveOptions) -> Result<Solution, SolveError> {
-        if options.scale {
-            // Solve the equilibrated problem, unscale, and certify the
-            // *unscaled* point against the *original* problem — the
-            // scaled solve's own certificate says nothing about the
-            // restoration step. `scale: false` on the inner options
-            // prevents recursion.
-            let (scaled, scaling) = crate::presolve::equilibrate(self);
-            let inner = SolveOptions {
-                scale: false,
-                verify: false,
-                ..*options
-            };
-            let solution = scaling.restore(&scaled.solve_with(&inner)?);
-            self.certify_if_requested(options, &solution)?;
-            return Ok(solution);
-        }
         let mut s = Simplex::new(self, options);
         let solution = s.run()?;
         self.certify_if_requested(options, &solution)?;
@@ -279,22 +158,6 @@ impl Problem {
         options: &SolveOptions,
         warm: Option<&Basis>,
     ) -> Result<(Solution, Basis), SolveError> {
-        if options.scale {
-            // Basis snapshots carry variable *statuses*, not values, and
-            // column scales are positive, so a basis for the original
-            // problem is valid verbatim for the equilibrated one (and
-            // vice versa for the returned snapshot).
-            let (scaled, scaling) = crate::presolve::equilibrate(self);
-            let inner = SolveOptions {
-                scale: false,
-                verify: false,
-                ..*options
-            };
-            let (sol, basis) = scaled.solve_with_basis(&inner, warm)?;
-            let solution = scaling.restore(&sol);
-            self.certify_if_requested(options, &solution)?;
-            return Ok((solution, basis));
-        }
         if let Some(basis) = warm {
             let mut s = Simplex::new(self, options);
             match s.run_from_basis(basis) {
@@ -363,14 +226,6 @@ struct Simplex {
     max_iterations: usize,
     degenerate_streak: usize,
     pivots_since_refresh: usize,
-    /// Partial-pricing block size; `0` means full sweeps.
-    price_block: usize,
-    /// Block the last entering column came from; rotation resumes here.
-    price_cursor: usize,
-    /// Whether devex pricing is active (overrides `price_block`).
-    devex: bool,
-    /// Devex reference weights `γⱼ`, one per standard-form column.
-    devex_w: Vec<f64>,
 
     // Work counters reported through `Solution::stats`.
     phase1_iterations: usize,
@@ -381,10 +236,6 @@ struct Simplex {
     eta_updates: usize,
     lu_l_nnz: usize,
     lu_u_nnz: usize,
-    pricing_block_scans: usize,
-    devex_resets: usize,
-    ft_spikes: usize,
-    harris_expansions: usize,
 
     /// Per-iteration ring buffer, filled only when `opts.trace` is set.
     /// `trace[trace_start..]` then `trace[..trace_start]` is the
@@ -412,8 +263,6 @@ enum BasisRepr {
     /// Sparse LU factors of `B` plus the eta file of pivots applied
     /// since the last refactorization.
     Sparse { lu: LuFactors, etas: EtaFile },
-    /// Sparse LU factors updated in place per pivot (Forrest–Tomlin).
-    SparseFt { ft: FtFactors },
 }
 
 /// Outcome of one pricing step.
@@ -482,27 +331,12 @@ impl Simplex {
             opts.max_iterations
         };
 
-        let repr = match (opts.basis, opts.factor_update) {
-            (BasisBackend::Dense, _) => BasisRepr::Dense { binv: Vec::new() },
-            (BasisBackend::SparseLu, FactorUpdate::ProductForm) => BasisRepr::Sparse {
+        let repr = match opts.basis {
+            BasisBackend::Dense => BasisRepr::Dense { binv: Vec::new() },
+            BasisBackend::SparseLu => BasisRepr::Sparse {
                 lu: LuFactors::identity(m),
                 etas: EtaFile::default(),
             },
-            (BasisBackend::SparseLu, FactorUpdate::ForrestTomlin) => BasisRepr::SparseFt {
-                ft: FtFactors::identity(m),
-            },
-        };
-        // Resolve the pricing strategy against the column count
-        // (structural + slack; phase-1 artificials are few and ride in
-        // the last block).
-        let ncols = n + m;
-        let (price_block, devex) = match opts.pricing {
-            Pricing::Full => (0, false),
-            Pricing::Devex => (0, true),
-            Pricing::Partial(0) => (auto_block(ncols), false),
-            Pricing::Partial(b) => (b, false),
-            Pricing::Auto if ncols >= AUTO_DEVEX_MIN_COLS => (0, true),
-            Pricing::Auto => (0, false),
         };
 
         Simplex {
@@ -523,10 +357,6 @@ impl Simplex {
             max_iterations,
             degenerate_streak: 0,
             pivots_since_refresh: 0,
-            price_block,
-            price_cursor: 0,
-            devex,
-            devex_w: Vec::new(),
             phase1_iterations: 0,
             dual_iterations: 0,
             bound_flips: 0,
@@ -535,10 +365,6 @@ impl Simplex {
             eta_updates: 0,
             lu_l_nnz: 0,
             lu_u_nnz: 0,
-            pricing_block_scans: 0,
-            devex_resets: 0,
-            ft_spikes: 0,
-            harris_expansions: 0,
             trace: Vec::new(),
             trace_start: 0,
             trace_dropped: 0,
@@ -955,32 +781,14 @@ impl Simplex {
             eta_updates: self.eta_updates,
             lu_l_nnz: self.lu_l_nnz,
             lu_u_nnz: self.lu_u_nnz,
-            pricing_block_scans: self.pricing_block_scans,
-            devex_resets: self.devex_resets,
-            ft_spikes: self.ft_spikes,
-            harris_expansions: self.harris_expansions,
             presolve_removed_rows: 0,
             presolve_removed_vars: 0,
-            scaling_passes: 0,
         };
         let trace = self.take_trace();
         Ok(Solution::new(obj, x, self.iterations)
             .with_stats(stats)
             .with_duals(duals)
             .with_trace(trace))
-    }
-
-    /// Which rule is choosing entering columns for the primal right now.
-    fn primal_pricing(&self, bland: bool) -> TracePricing {
-        if bland {
-            TracePricing::Bland
-        } else if self.devex {
-            TracePricing::Devex
-        } else if self.price_block > 0 {
-            TracePricing::Partial
-        } else {
-            TracePricing::Dantzig
-        }
     }
 
     /// Appends one step to the bounded trace ring. No-op unless
@@ -1046,34 +854,27 @@ impl Simplex {
 
     /// Runs primal simplex iterations until optimal for the current costs.
     fn optimize(&mut self) -> Result<(), SolveError> {
-        if self.devex {
-            // Fresh reference framework: the current basis defines the
-            // approximation, so every weight restarts at 1. (The dual
-            // simplex does not maintain weights; re-entering here after
-            // a warm start resets them too.)
-            self.devex_w.clear();
-            self.devex_w.resize(self.state.len(), 1.0);
-        }
         loop {
             if self.iterations >= self.max_iterations {
                 return Err(SolveError::IterationLimit);
             }
             let bland = self.degenerate_streak >= self.opts.bland_after;
+            let rule = if bland {
+                TracePricing::Bland
+            } else {
+                TracePricing::Dantzig
+            };
             match self.price(bland) {
                 PriceStep::Optimal => return Ok(()),
                 PriceStep::Enter { col, dir } => {
                     self.iterations += 1;
                     self.compute_direction(col);
-                    let ratio = match self.opts.ratio {
-                        RatioTest::Textbook => self.ratio_test(col, dir),
-                        RatioTest::Harris => self.ratio_test_harris(col, dir),
-                    };
-                    match ratio {
+                    match self.ratio_test(col, dir) {
                         Ratio::Unbounded => return Err(SolveError::Unbounded),
                         Ratio::BoundFlip { step } => {
                             self.apply_bound_flip(col, dir, step);
                             self.degenerate_streak = 0;
-                            self.trace_step(col, None, 0.0, self.primal_pricing(bland));
+                            self.trace_step(col, None, 0.0, rule);
                         }
                         Ratio::Pivot {
                             row,
@@ -1085,21 +886,10 @@ impl Simplex {
                             } else {
                                 self.degenerate_streak = 0;
                             }
-                            // Weight maintenance continues through Bland
-                            // episodes so the framework is current when
-                            // devex pricing resumes.
-                            if self.devex {
-                                self.update_devex_weights(col, row);
-                            }
                             let leaving = self.basis[row] as usize;
                             let pivot_mag = self.w[row].abs();
                             self.apply_pivot(col, dir, row, step, to_upper)?;
-                            self.trace_step(
-                                col,
-                                Some(leaving),
-                                pivot_mag,
-                                self.primal_pricing(bland),
-                            );
+                            self.trace_step(col, Some(leaving), pivot_mag, rule);
                         }
                     }
                 }
@@ -1109,120 +899,29 @@ impl Simplex {
 
     /// Computes duals `y = c_Bᵀ B⁻¹` and picks an entering column.
     ///
-    /// Under Bland's rule every column is scanned and the first improving
-    /// index enters (the anti-cycling guarantee needs the global minimum
-    /// index). Devex scans every column and weighs reduced costs by the
-    /// reference weights. Otherwise Dantzig pricing runs over the
-    /// configured blocks: a full sweep when `price_block == 0`, else
-    /// rotating blocks starting at the block that produced the last
-    /// entering column, wrapping through all of them — a full scan —
-    /// before optimality is declared. `pricing_block_scans` counts only
-    /// genuine partial-pricing block examinations: full sweeps (Dantzig,
-    /// devex, or Bland) contribute zero.
+    /// Dantzig pricing sweeps every column: the most violating reduced
+    /// cost wins, earliest index on ties. Under Bland's rule the first
+    /// improving index enters instead (the anti-cycling guarantee needs
+    /// the global minimum index).
     fn price(&mut self, bland: bool) -> PriceStep {
         self.compute_duals();
         let tol = self.opts.tol;
-        let ncols = self.state.len();
-        if bland {
-            for j in 0..ncols {
-                if let Some(dir) = self.price_candidate(j, tol) {
-                    return PriceStep::Enter { col: j, dir: dir.0 };
-                }
-            }
-            return PriceStep::Optimal;
-        }
-        if self.devex {
-            return self.price_devex(tol);
-        }
-        if self.price_block == 0 || self.price_block >= ncols {
-            return self.price_range(0, ncols, tol);
-        }
-        let nblocks = ncols.div_ceil(self.price_block);
-        for offset in 0..nblocks {
-            let blk = (self.price_cursor + offset) % nblocks;
-            let lo = blk * self.price_block;
-            let hi = (lo + self.price_block).min(ncols);
-            self.pricing_block_scans += 1;
-            if let PriceStep::Enter { col, dir } = self.price_range(lo, hi, tol) {
-                self.price_cursor = blk;
-                return PriceStep::Enter { col, dir };
-            }
-        }
-        PriceStep::Optimal
-    }
-
-    /// Devex pricing: the nonbasic column maximizing `dⱼ²/γⱼ` enters,
-    /// earliest index on ties.
-    fn price_devex(&mut self, tol: f64) -> PriceStep {
-        let ncols = self.state.len();
-        // Phase-1 artificials may have grown the column set since the
-        // weights were initialized; new columns start at the reference
-        // weight 1.
-        if self.devex_w.len() < ncols {
-            self.devex_w.resize(ncols, 1.0);
-        }
-        let mut best: Option<(usize, f64, f64)> = None; // (col, dir, merit)
-        for j in 0..ncols {
+        let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
+        for j in 0..self.state.len() {
             let Some((dir, score)) = self.price_candidate(j, tol) else {
                 continue;
             };
-            let merit = score * score / self.devex_w[j];
+            if bland {
+                return PriceStep::Enter { col: j, dir };
+            }
             match best {
-                Some((_, _, m)) if m >= merit => {}
-                _ => best = Some((j, dir, merit)),
+                Some((_, _, s)) if s >= score => {}
+                _ => best = Some((j, dir, score)),
             }
         }
         match best {
             Some((col, dir, _)) => PriceStep::Enter { col, dir },
             None => PriceStep::Optimal,
-        }
-    }
-
-    /// Devex weight maintenance for the pivot `(col enters, row
-    /// leaves)`. Must run *before* [`Simplex::apply_pivot`]: the update
-    /// reads the pivot row of the **outgoing** basis inverse and the
-    /// entering direction still held in `self.w`.
-    ///
-    /// Following Forrest–Goldfarb: with pivot row `αⱼ = ρᵀ aⱼ`
-    /// (`ρ` = row `row` of `B⁻¹`) and entering pivot `α_q = w[row]`,
-    ///
-    /// ```text
-    /// γⱼ ← max(γⱼ, (αⱼ/α_q)²·γ_q)        (nonbasic j)
-    /// γ_p ← max(γ_q/α_q², 1)              (leaving variable p)
-    /// ```
-    fn update_devex_weights(&mut self, col: usize, row: usize) {
-        let alpha_q = self.w[row];
-        if alpha_q == 0.0 {
-            return; // apply_pivot will reject this pivot anyway
-        }
-        if self.devex_w.len() < self.state.len() {
-            self.devex_w.resize(self.state.len(), 1.0);
-        }
-        let gamma_q = self.devex_w[col];
-        let rho = self.btran_unit(row);
-        let mut max_w: f64 = 1.0;
-        for j in 0..self.state.len() {
-            if j == col || matches!(self.state[j], VarState::Basic(_)) {
-                continue;
-            }
-            let alpha_j = self.a.dot_col(j, &rho);
-            if alpha_j != 0.0 {
-                let ratio = alpha_j / alpha_q;
-                let cand = ratio * ratio * gamma_q;
-                if cand > self.devex_w[j] {
-                    self.devex_w[j] = cand;
-                }
-            }
-            max_w = max_w.max(self.devex_w[j]);
-        }
-        let leaving = self.basis[row] as usize;
-        self.devex_w[leaving] = (gamma_q / (alpha_q * alpha_q)).max(1.0);
-        max_w = max_w.max(self.devex_w[leaving]);
-        if max_w > DEVEX_RESET_THRESHOLD {
-            // The reference framework has degraded; restart it from the
-            // current basis.
-            self.devex_w.fill(1.0);
-            self.devex_resets += 1;
         }
     }
 
@@ -1267,25 +966,6 @@ impl Simplex {
         }
     }
 
-    /// Dantzig pricing over columns `lo..hi`: the most violating reduced
-    /// cost wins, earliest index on ties.
-    fn price_range(&self, lo: usize, hi: usize, tol: f64) -> PriceStep {
-        let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
-        for j in lo..hi {
-            let Some((dir, score)) = self.price_candidate(j, tol) else {
-                continue;
-            };
-            match best {
-                Some((_, _, s)) if s >= score => {}
-                _ => best = Some((j, dir, score)),
-            }
-        }
-        match best {
-            Some((col, dir, _)) => PriceStep::Enter { col, dir },
-            None => PriceStep::Optimal,
-        }
-    }
-
     /// Computes the duals `y = c_Bᵀ B⁻¹` into `self.y` (row space).
     fn compute_duals(&mut self) {
         let m = self.rhs.len();
@@ -1322,12 +1002,6 @@ impl Simplex {
                 etas.btran(rowbuf);
                 lu.btran(rowbuf, y, lubuf);
             }
-            BasisRepr::SparseFt { ft } => {
-                for (ci, &bj) in rowbuf.iter_mut().zip(basis.iter()) {
-                    *ci = cost[bj as usize];
-                }
-                ft.btran(rowbuf, y, lubuf);
-            }
         }
     }
 
@@ -1351,13 +1025,6 @@ impl Simplex {
                 lu.btran(rowbuf, &mut rho, lubuf);
                 rho
             }
-            BasisRepr::SparseFt { ft } => {
-                let mut rho = vec![0.0; m];
-                rowbuf.fill(0.0);
-                rowbuf[row] = 1.0;
-                ft.btran(rowbuf, &mut rho, lubuf);
-                rho
-            }
         }
     }
 
@@ -1378,11 +1045,6 @@ impl Simplex {
                 etas.clear();
                 *lu_l_nnz = lu.l_nnz();
                 *lu_u_nnz = lu.u_nnz();
-            }
-            BasisRepr::SparseFt { ft } => {
-                *ft = FtFactors::factor(a, basis, 1e-12)?;
-                *lu_l_nnz = ft.l_nnz();
-                *lu_u_nnz = ft.u_nnz();
             }
             BasisRepr::Dense { .. } => {}
         }
@@ -1419,13 +1081,6 @@ impl Simplex {
                 }
                 lu.ftran(rowbuf, w, lubuf);
                 etas.ftran(w);
-            }
-            BasisRepr::SparseFt { ft } => {
-                rowbuf.fill(0.0);
-                for (r, v) in a.col(col).iter() {
-                    rowbuf[r] = v;
-                }
-                ft.ftran(rowbuf, w, lubuf);
             }
         }
     }
@@ -1475,108 +1130,6 @@ impl Simplex {
                 step: t_best,
                 to_upper,
             },
-        }
-    }
-
-    /// Harris two-pass ratio test.
-    ///
-    /// Pass one computes the largest step `t_max` admissible when every
-    /// basic bound is relaxed by the feasibility tolerance; pass two
-    /// picks the largest-magnitude pivot among the rows whose **exact**
-    /// ratio fits under `t_max` (ties by lowest row index). On
-    /// degenerate bases this trades a bound shift of at most `tol` for
-    /// much better pivots than the textbook smallest-ratio rule, which
-    /// is forced onto whatever tiny pivot reaches the minimum first.
-    /// A chosen exact ratio can be slightly negative (the basic
-    /// variable sat just outside its bound); the step clamps to zero
-    /// and `harris_expansions` counts the event.
-    fn ratio_test_harris(&mut self, col: usize, dir: f64) -> Ratio {
-        let ptol = self.opts.pivot_tol;
-        let relax = self.opts.tol;
-        let range = self.upper[col] - self.lower[col];
-        let flip_cap = if range.is_finite() {
-            range
-        } else {
-            f64::INFINITY
-        };
-
-        // Pass 1: relaxed maximum step.
-        let mut t_max = flip_cap;
-        for i in 0..self.m() {
-            let delta = -dir * self.w[i];
-            let bj = self.basis[i] as usize;
-            if delta > ptol {
-                let ub = self.upper[bj];
-                if ub.is_finite() {
-                    let t = (ub - self.xb[i] + relax) / delta;
-                    if t < t_max {
-                        t_max = t;
-                    }
-                }
-            } else if delta < -ptol {
-                let lb = self.lower[bj];
-                if lb.is_finite() {
-                    let t = (lb - self.xb[i] - relax) / delta;
-                    if t < t_max {
-                        t_max = t;
-                    }
-                }
-            }
-        }
-        if t_max.is_infinite() {
-            return Ratio::Unbounded;
-        }
-
-        // Pass 2: best pivot among rows whose exact ratio fits. The row
-        // that set `t_max` always qualifies (its exact ratio is below
-        // its relaxed one), so this is empty only when the entering
-        // variable's own range binds first.
-        let mut blocking: Option<(usize, bool, f64, f64)> = None; // (row, to_upper, t, |w|)
-        for i in 0..self.m() {
-            let delta = -dir * self.w[i];
-            let bj = self.basis[i] as usize;
-            let (bound, to_upper) = if delta > ptol {
-                let ub = self.upper[bj];
-                if !ub.is_finite() {
-                    continue;
-                }
-                (ub, true)
-            } else if delta < -ptol {
-                let lb = self.lower[bj];
-                if !lb.is_finite() {
-                    continue;
-                }
-                (lb, false)
-            } else {
-                continue;
-            };
-            let t = (bound - self.xb[i]) / delta;
-            if t <= t_max {
-                let mag = self.w[i].abs();
-                let better = match blocking {
-                    None => true,
-                    Some((_, _, _, bm)) => mag > bm,
-                };
-                if better {
-                    blocking = Some((i, to_upper, t, mag));
-                }
-            }
-        }
-        match blocking {
-            None => Ratio::BoundFlip { step: flip_cap },
-            Some((row, to_upper, t, _)) => {
-                let step = if t < 0.0 {
-                    self.harris_expansions += 1;
-                    0.0
-                } else {
-                    t
-                };
-                Ratio::Pivot {
-                    row,
-                    step,
-                    to_upper,
-                }
-            }
         }
     }
 
@@ -1642,7 +1195,6 @@ impl Simplex {
         self.state[col] = VarState::Basic(row as u32);
         self.xb[row] = entering_value;
 
-        let mut ft_failed = false;
         match &mut self.repr {
             BasisRepr::Dense { binv } => {
                 // Elementary row update of B^{-1}: pivot row divided by
@@ -1673,26 +1225,10 @@ impl Simplex {
                 etas.push(row, &self.w);
                 self.eta_updates += 1;
             }
-            BasisRepr::SparseFt { ft } => {
-                // Forrest–Tomlin: rewrite column `row` of U in place from
-                // the entering column's spike. A rejected (numerically
-                // unstable) pivot falls back to an immediate
-                // refactorization below — the basis arrays already
-                // describe the post-pivot basis. The tolerance matches
-                // the refactorization's absolute pivot floor.
-                self.rowbuf.fill(0.0);
-                for (r, v) in self.a.col(col).iter() {
-                    self.rowbuf[r] = v;
-                }
-                match ft.update(row, &self.rowbuf, 1e-12, &mut self.lubuf) {
-                    Ok(()) => self.ft_spikes += 1,
-                    Err(_) => ft_failed = true,
-                }
-            }
         }
 
         self.pivots_since_refresh += 1;
-        if ft_failed || self.pivots_since_refresh >= self.opts.refresh_every {
+        if self.pivots_since_refresh >= self.opts.refresh_every {
             self.refresh()?;
         }
         Ok(())
@@ -1736,9 +1272,6 @@ impl Simplex {
             BasisRepr::Sparse { lu, .. } => {
                 // The eta file was just cleared; the factors alone are B.
                 lu.ftran(&resid, xb, lubuf);
-            }
-            BasisRepr::SparseFt { ft } => {
-                ft.ftran(&resid, xb, lubuf);
             }
         }
         Ok(())
@@ -2344,326 +1877,5 @@ mod tests {
         };
         let s_refresh = build().solve_with(&opts).unwrap();
         assert_close(s_default.objective(), s_refresh.objective());
-    }
-
-    /// A moderately sized, non-degenerate LP used by the engine A/B
-    /// tests below (same construction as
-    /// `random_dense_lp_feasible_and_stable`).
-    fn medium_lp() -> Problem {
-        let n = 30;
-        let mut p = Problem::new(Sense::Minimize);
-        let vars: Vec<_> = (0..n)
-            .map(|j| p.add_var(((j * 7) % 11) as f64 - 3.0, 0.0, 4.0))
-            .collect();
-        for i in 0..n {
-            let terms: Vec<_> = (0..n)
-                .filter(|j| (i + j) % 3 == 0)
-                .map(|j| (vars[j], 1.0 + ((i * j) % 5) as f64))
-                .collect();
-            if !terms.is_empty() {
-                p.add_constraint(terms, Relation::Ge, 2.0 + (i % 4) as f64);
-            }
-        }
-        p
-    }
-
-    #[test]
-    fn full_pricing_reports_zero_block_scans() {
-        // Regression: full Dantzig sweeps used to be miscounted as
-        // partial-pricing block scans. The counter is strictly a
-        // partial-pricing counter now.
-        let p = medium_lp();
-        for pricing in [Pricing::Full, Pricing::Devex] {
-            let opts = SolveOptions {
-                pricing,
-                ..SolveOptions::default()
-            };
-            let s = p.solve_with(&opts).unwrap();
-            assert!(s.iterations() > 0);
-            assert_eq!(
-                s.stats().pricing_block_scans,
-                0,
-                "{pricing:?} pricing must not count block scans"
-            );
-        }
-        // Sanity: partial pricing still counts its scans.
-        let opts = SolveOptions {
-            pricing: Pricing::Partial(4),
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        assert!(s.stats().pricing_block_scans > 0);
-    }
-
-    #[test]
-    fn devex_pricing_matches_dantzig() {
-        let p = medium_lp();
-        let reference = p.solve().unwrap();
-        for basis in [BasisBackend::SparseLu, BasisBackend::Dense] {
-            let opts = SolveOptions {
-                pricing: Pricing::Devex,
-                basis,
-                verify: true,
-                ..SolveOptions::default()
-            };
-            let s = p.solve_with(&opts).unwrap();
-            assert_close(s.objective(), reference.objective());
-            assert!(p.max_violation(s.values()) < 1e-6);
-        }
-    }
-
-    #[test]
-    fn devex_survives_degenerate_and_worst_case_lps() {
-        // Beale's cycling example and the Klee–Minty cube under devex:
-        // the Bland fallback and weight maintenance must coexist.
-        let mut beale = Problem::new(Sense::Minimize);
-        let x1 = beale.add_var(-0.75, 0.0, f64::INFINITY);
-        let x2 = beale.add_var(150.0, 0.0, f64::INFINITY);
-        let x3 = beale.add_var(-0.02, 0.0, f64::INFINITY);
-        let x4 = beale.add_var(6.0, 0.0, f64::INFINITY);
-        beale.add_constraint(
-            [(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-            Relation::Le,
-            0.0,
-        );
-        beale.add_constraint(
-            [(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-            Relation::Le,
-            0.0,
-        );
-        beale.add_constraint([(x3, 1.0)], Relation::Le, 1.0);
-        let opts = SolveOptions {
-            pricing: Pricing::Devex,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        assert_close(beale.solve_with(&opts).unwrap().objective(), -0.05);
-    }
-
-    #[test]
-    fn harris_ratio_matches_textbook() {
-        let p = medium_lp();
-        let reference = p.solve().unwrap();
-        let opts = SolveOptions {
-            ratio: RatioTest::Harris,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        assert_close(s.objective(), reference.objective());
-        assert!(p.max_violation(s.values()) < 1e-6);
-    }
-
-    #[test]
-    fn harris_handles_degenerate_bases() {
-        // Beale again: heavily degenerate, so the Harris second pass
-        // repeatedly faces zero-length steps.
-        let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_var(-0.75, 0.0, f64::INFINITY);
-        let x2 = p.add_var(150.0, 0.0, f64::INFINITY);
-        let x3 = p.add_var(-0.02, 0.0, f64::INFINITY);
-        let x4 = p.add_var(6.0, 0.0, f64::INFINITY);
-        p.add_constraint(
-            [(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-            Relation::Le,
-            0.0,
-        );
-        p.add_constraint(
-            [(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-            Relation::Le,
-            0.0,
-        );
-        p.add_constraint([(x3, 1.0)], Relation::Le, 1.0);
-        let opts = SolveOptions {
-            ratio: RatioTest::Harris,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        assert_close(p.solve_with(&opts).unwrap().objective(), -0.05);
-    }
-
-    #[test]
-    fn forrest_tomlin_matches_product_form() {
-        let p = medium_lp();
-        let reference = p.solve().unwrap();
-        // A long refresh cadence forces many in-place FT updates between
-        // refactorizations.
-        let opts = SolveOptions {
-            factor_update: FactorUpdate::ForrestTomlin,
-            refresh_every: 1000,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        assert_close(s.objective(), reference.objective());
-        let st = s.stats();
-        assert!(st.ft_spikes > 0, "expected FT updates, got {st:?}");
-        assert_eq!(st.eta_updates, 0, "FT backend must not grow an eta file");
-    }
-
-    #[test]
-    fn forrest_tomlin_with_frequent_refresh() {
-        let p = medium_lp();
-        let reference = p.solve().unwrap();
-        let opts = SolveOptions {
-            factor_update: FactorUpdate::ForrestTomlin,
-            refresh_every: 2,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        assert_close(s.objective(), reference.objective());
-    }
-
-    #[test]
-    fn scaling_recovers_ill_conditioned_lp() {
-        // Coefficients spanning nine orders of magnitude; equilibration
-        // must leave the optimum (and its duals) unchanged.
-        let build = || {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var(1e4, 0.0, 1e6);
-            let y = p.add_var(3e-3, 0.0, 1e6);
-            let z = p.add_var(7.0, 0.0, 1e6);
-            p.add_constraint([(x, 2e5), (y, 4e-4), (z, 1.0)], Relation::Ge, 3e2);
-            p.add_constraint([(x, 5e4), (y, 8e-5)], Relation::Ge, 1e1);
-            p.add_constraint([(y, 1e-3), (z, 6e3)], Relation::Ge, 2.0);
-            p
-        };
-        let p = build();
-        let reference = p.solve().unwrap();
-        let opts = SolveOptions {
-            scale: true,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        let rel = 1.0 + reference.objective().abs();
-        assert!((s.objective() - reference.objective()).abs() < 1e-6 * rel);
-        assert!(s.stats().scaling_passes >= 1);
-        assert_eq!(
-            s.duals().map(<[f64]>::len),
-            reference.duals().map(<[f64]>::len)
-        );
-    }
-
-    #[test]
-    fn scaling_composes_with_warm_start() {
-        // Basis snapshots are status-only, so they transfer between the
-        // original and equilibrated problems unchanged.
-        let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var(3e3, 0.0, f64::INFINITY);
-        let y = p.add_var(5e3, 0.0, f64::INFINITY);
-        p.add_constraint([(x, 1e-2)], Relation::Le, 4e-2);
-        p.add_constraint([(y, 2e2)], Relation::Le, 12e2);
-        p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
-        let opts = SolveOptions {
-            scale: true,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let (s0, basis) = p.solve_with_basis(&opts, None).unwrap();
-        assert_close(s0.objective(), 36e3);
-        let mut q = p.clone();
-        q.set_bounds(y, 0.0, 4.0);
-        let (warm, _) = q.solve_with_basis(&opts, Some(&basis)).unwrap();
-        let cold = q.solve().unwrap();
-        assert_close(warm.objective(), cold.objective());
-    }
-
-    #[test]
-    fn engine_combination_agrees_across_warm_start_chain() {
-        // Devex + Harris + Forrest–Tomlin together, through the
-        // branch-and-bound-style tighten/re-solve pattern.
-        let build = || {
-            let mut p = Problem::new(Sense::Minimize);
-            let vars: Vec<_> = (0..6)
-                .map(|i| p.add_var(1.0 + i as f64 * 0.5, 0.0, 10.0))
-                .collect();
-            for i in 0..6 {
-                let j = (i + 1) % 6;
-                p.add_constraint([(vars[i], 1.0), (vars[j], 1.0)], Relation::Ge, 4.0);
-            }
-            (p, vars)
-        };
-        let (mut p, vars) = build();
-        let opts = SolveOptions {
-            pricing: Pricing::Devex,
-            ratio: RatioTest::Harris,
-            factor_update: FactorUpdate::ForrestTomlin,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let (_, mut basis) = p.solve_with_basis(&opts, None).unwrap();
-        for step in 0..4 {
-            let v = vars[step % vars.len()];
-            let (lo, up) = p.bounds(v);
-            p.set_bounds(v, (lo + 1.0).min(up), up);
-            let (warm, b) = p.solve_with_basis(&opts, Some(&basis)).unwrap();
-            basis = b;
-            let cold = p.solve().unwrap();
-            assert_close(warm.objective(), cold.objective());
-        }
-    }
-
-    #[test]
-    fn partial_pricing_cursor_survives_bland_episode() {
-        // Tiny blocks on Beale's example: the rotating cursor passes
-        // through a degenerate streak (Bland fallback) and must resume
-        // cleanly — correct optimum, block scans actually counted.
-        let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_var(-0.75, 0.0, f64::INFINITY);
-        let x2 = p.add_var(150.0, 0.0, f64::INFINITY);
-        let x3 = p.add_var(-0.02, 0.0, f64::INFINITY);
-        let x4 = p.add_var(6.0, 0.0, f64::INFINITY);
-        p.add_constraint(
-            [(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-            Relation::Le,
-            0.0,
-        );
-        p.add_constraint(
-            [(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-            Relation::Le,
-            0.0,
-        );
-        p.add_constraint([(x3, 1.0)], Relation::Le, 1.0);
-        let opts = SolveOptions {
-            pricing: Pricing::Partial(2),
-            bland_after: 3,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        assert_close(s.objective(), -0.05);
-        assert!(s.stats().pricing_block_scans > 0);
-    }
-
-    #[test]
-    fn partial_pricing_cursor_survives_warm_start_resolves() {
-        let build = || {
-            let mut p = Problem::new(Sense::Minimize);
-            let vars: Vec<_> = (0..8)
-                .map(|i| p.add_var(1.0 + i as f64 * 0.25, 0.0, 10.0))
-                .collect();
-            for i in 0..8 {
-                let j = (i + 1) % 8;
-                p.add_constraint([(vars[i], 1.0), (vars[j], 1.0)], Relation::Ge, 4.0);
-            }
-            (p, vars)
-        };
-        let (mut p, vars) = build();
-        let opts = SolveOptions {
-            pricing: Pricing::Partial(3),
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let (_, mut basis) = p.solve_with_basis(&opts, None).unwrap();
-        for step in 0..3 {
-            let v = vars[step % vars.len()];
-            let (lo, up) = p.bounds(v);
-            p.set_bounds(v, (lo + 1.0).min(up), up);
-            let (warm, b) = p.solve_with_basis(&opts, Some(&basis)).unwrap();
-            basis = b;
-            assert_close(warm.objective(), p.solve().unwrap().objective());
-        }
     }
 }

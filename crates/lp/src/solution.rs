@@ -33,27 +33,10 @@ pub struct SolveStats {
     /// Nonzeros in the `U` factor (diagonal included) of the last sparse
     /// refactorization (0 on the dense backend).
     pub lu_u_nnz: usize,
-    /// Candidate blocks examined by partial pricing. Strictly a
-    /// partial-pricing counter: full sweeps — Dantzig, devex, or
-    /// Bland — contribute zero, so this reads 0 whenever partial
-    /// pricing is inactive.
-    pub pricing_block_scans: usize,
-    /// Devex reference-framework resets (weights grew past the guard
-    /// and restarted at 1; 0 unless devex pricing ran).
-    pub devex_resets: usize,
-    /// Forrest–Tomlin column updates applied in place to the `U` factor
-    /// (0 unless [`crate::FactorUpdate::ForrestTomlin`] is selected).
-    pub ft_spikes: usize,
-    /// Harris ratio tests whose chosen exact ratio was negative and
-    /// clamped to a zero-length step (0 under the textbook rule).
-    pub harris_expansions: usize,
     /// Rows removed by presolve (0 unless the presolve path ran).
     pub presolve_removed_rows: usize,
     /// Variables removed by presolve (0 unless the presolve path ran).
     pub presolve_removed_vars: usize,
-    /// Equilibration passes performed before the solve (0 unless
-    /// [`crate::SolveOptions::scale`] is set).
-    pub scaling_passes: usize,
 }
 
 /// Which rule chose the entering column of a traced pivot.
@@ -61,10 +44,6 @@ pub struct SolveStats {
 pub enum TracePricing {
     /// Full Dantzig sweep over all reduced costs.
     Dantzig,
-    /// Partial pricing (rotating candidate blocks).
-    Partial,
-    /// Devex reference-framework pricing.
-    Devex,
     /// Bland's anti-cycling rule (degeneracy fallback).
     Bland,
     /// Dual simplex (the *row* was priced; the column came from the
@@ -77,8 +56,6 @@ impl TracePricing {
     pub fn as_str(self) -> &'static str {
         match self {
             TracePricing::Dantzig => "dantzig",
-            TracePricing::Partial => "partial",
-            TracePricing::Devex => "devex",
             TracePricing::Bland => "bland",
             TracePricing::Dual => "dual",
         }

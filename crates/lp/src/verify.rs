@@ -14,15 +14,7 @@
 //! `debug_assertions` or when [`SolveOptions::verify`] is set (which
 //! `MetisConfig::audit` turns on for every LP the alternation issues).
 //!
-//! When [`SolveOptions::scale`] is on, the solver equilibrates the
-//! problem, solves the scaled copy, and unscales the answer *before*
-//! this module ever sees it: the certificate is always taken against
-//! the original problem's coefficients, so a bug in the scaling
-//! round-trip is caught here rather than masked by certifying the
-//! scaled system against itself.
-//!
 //! [`SolveOptions::verify`]: crate::SolveOptions::verify
-//! [`SolveOptions::scale`]: crate::SolveOptions::scale
 
 use crate::error::SolveError;
 use crate::model::{Problem, Relation};
@@ -196,24 +188,6 @@ mod tests {
         assert!(!cert.accepted());
         assert!(cert.max_row_residual <= 1e-9, "point itself is feasible");
         assert!((cert.objective_gap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaled_solve_certifies_against_the_original_problem() {
-        // The solution returned by a scaled solve must already be in the
-        // original problem's units; certifying it here against the
-        // untouched `Problem` pins that the unscaling round-trip is
-        // applied before any caller-visible artifact.
-        let p = toy();
-        let opts = SolveOptions {
-            scale: true,
-            verify: true,
-            ..SolveOptions::default()
-        };
-        let s = p.solve_with(&opts).unwrap();
-        let cert = certify(&p, &s, 1e-6);
-        assert!(cert.accepted(), "{cert}");
-        assert!((s.objective() - 36.0).abs() < 1e-6);
     }
 
     #[test]

@@ -87,22 +87,6 @@ pub mod names {
     /// Gauge: nonzeros in the `U` factor (diagonal included) of the most
     /// recent sparse refactorization.
     pub const LP_LU_U_NNZ: &str = "lp.lu.u_nnz";
-    /// Counter: candidate blocks examined by partial pricing. Strictly
-    /// a partial-pricing counter — full Dantzig, devex, and Bland
-    /// sweeps contribute zero.
-    pub const LP_PRICING_BLOCK_SCANS: &str = "lp.pricing.block_scans";
-    /// Counter: devex reference-framework resets (weights grew past the
-    /// guard and restarted at 1).
-    pub const LP_PRICING_DEVEX_RESETS: &str = "lp.pricing.devex_resets";
-    /// Counter: Forrest–Tomlin column updates applied in place to the
-    /// `U` factor (sparse LU backend with the FT update strategy).
-    pub const LP_LU_FT_SPIKES: &str = "lp.lu.ft_spikes";
-    /// Counter: Harris ratio tests whose chosen exact ratio was negative
-    /// and clamped to a zero-length step.
-    pub const LP_RATIO_HARRIS_EXPANSIONS: &str = "lp.ratio.harris_expansions";
-    /// Counter: equilibration sweeps performed before solves (scaling
-    /// enabled via `SolveOptions::scale`).
-    pub const LP_PRESOLVE_SCALING_PASSES: &str = "lp.presolve.scaling_passes";
     /// Counter: LP solves that reused a previous basis (warm starts).
     pub const LP_WARM_BASIS_REUSE: &str = "lp.warm.basis_reuse";
     /// Counter: LP solves started from scratch.

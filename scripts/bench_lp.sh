@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # LP engine A/B benchmark: builds the workspace in release mode, runs
-# the `bench_lp` harness (backends × pricing × ratio test), and leaves
-# its canonical-JSON results (median solve and per-pivot times,
-# refactorization/update counters, per-pivot ratios) in BENCH_lp.json
-# — or the path given via --out — for CI trend tracking.
+# the `bench_lp` harness (the sparse LU engine against the dense
+# reference backend), and leaves its canonical-JSON results (median
+# solve and per-pivot times, refactorization/update counters,
+# per-pivot ratios) in BENCH_lp.json — or the path given via --out —
+# for CI trend tracking.
 #
 # BENCH_lp.json is version-controlled: the checked-in numbers are the
 # trend baseline. To keep a rerun from silently clobbering results that
