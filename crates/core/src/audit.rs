@@ -114,7 +114,7 @@ impl std::fmt::Display for AuditReport {
 /// Audits a schedule and its reported [`Evaluation`] against `instance`.
 ///
 /// Re-derives, independently of [`Schedule::load`] and the
-/// [`LoadMatrix`] peak cache:
+/// [`metis_netsim::LoadMatrix`] peak cache:
 ///
 /// * **structure** — assignment length matches the instance;
 /// * **paths** — every accepted request uses a valid candidate-path

@@ -19,9 +19,7 @@
 //! taken, so the returned schedule always satisfies BL-SPM's constraints
 //! (the estimator then only steers revenue).
 
-use metis_lp::{
-    Basis, LpTrace, Problem, Relation, RowId, Sense, SolveError, SolveOptions, SolveStats,
-};
+use metis_lp::{LpTrace, Problem, Relation, RowId, Sense, SolveError, SolveOptions, SolveStats};
 use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
 
@@ -29,6 +27,7 @@ use crate::chernoff::{chernoff_delta, select_mu};
 use crate::instance::SpmInstance;
 use crate::parallel::{self, ParallelConfig};
 use crate::schedule::{Evaluation, Schedule};
+use crate::warm::WarmBasis;
 
 /// Fan the per-request decision-tree candidate evaluation across workers
 /// only when the request touches at least this many (cell, S) terms; below
@@ -95,51 +94,7 @@ pub fn solve_blspm_relaxation(
     capacities: &[f64],
     lp_options: &SolveOptions,
 ) -> Result<BlspmRelaxation, SolveError> {
-    let topo = instance.topology();
-    assert_eq!(capacities.len(), topo.num_edges(), "capacity vector length");
-    let slots = instance.num_slots();
-
-    let mut p = Problem::new(Sense::Maximize);
-    let mut xvars: Vec<Vec<metis_lp::VarId>> = Vec::with_capacity(instance.num_requests());
-    for (r, paths) in instance.iter() {
-        xvars.push(paths.iter().map(|_| p.add_var(r.value, 0.0, 1.0)).collect());
-    }
-    for vars in &xvars {
-        p.add_constraint(vars.iter().map(|&v| (v, 1.0)), Relation::Le, 1.0);
-    }
-    let mut cell_terms: Vec<Vec<(metis_lp::VarId, f64)>> =
-        vec![Vec::new(); topo.num_edges() * slots];
-    for (i, (r, paths)) in instance.iter().enumerate() {
-        for (j, path) in paths.iter().enumerate() {
-            for &e in path.edges() {
-                for t in r.start..=r.end {
-                    // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
-                    cell_terms[e.index() * slots + t].push((xvars[i][j], r.rate));
-                }
-            }
-        }
-    }
-    for e in 0..topo.num_edges() {
-        for t in 0..slots {
-            // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
-            let terms = &cell_terms[e * slots + t];
-            if !terms.is_empty() {
-                p.add_constraint(terms.iter().copied(), Relation::Le, capacities[e]);
-            }
-        }
-    }
-
-    let sol = p.solve_with(lp_options)?;
-    let x: Vec<Vec<f64>> = xvars
-        .iter()
-        .map(|vars| vars.iter().map(|&v| sol.value(v).clamp(0.0, 1.0)).collect())
-        .collect();
-    Ok(BlspmRelaxation {
-        x,
-        revenue: sol.objective(),
-        stats: *sol.stats(),
-        lp_trace: sol.trace().clone(),
-    })
+    BlspmWarmSolver::new(instance).solve(capacities, lp_options)
 }
 
 /// Identifies the `(edge, slot)` cells reachable by candidate paths and
@@ -215,10 +170,16 @@ pub fn taa(
     taa_instrumented(instance, capacities, options, None, &Telemetry::disabled())
 }
 
-/// Runs TAA like [`taa`], but solves the relaxation through a reusable
-/// [`BlspmWarmSolver`] so consecutive calls with drifting capacity vectors
-/// (the Metis alternation rounds) warm-start the simplex from the previous
-/// round's basis.
+/// Runs TAA like [`taa`], recording telemetry into `tele`; with `Some`
+/// solver the relaxation warm-starts from that [`BlspmWarmSolver`]'s
+/// previous basis (the Metis alternation rounds).
+///
+/// The relaxation solve runs under the `taa.relax` span, the derandomized
+/// walk under `taa.walk`, LP work counters land in the `lp.*` metrics,
+/// and the chosen `μ` and initial estimator value `u_root` are pushed to
+/// the `taa.mu` / `taa.u_root` series. Recording is write-only — passing
+/// [`Telemetry::disabled`] (what [`taa`] does) yields bit-identical
+/// results.
 ///
 /// # Errors
 ///
@@ -228,41 +189,7 @@ pub fn taa(
 ///
 /// Panics if `capacities.len()` differs from the edge count or `solver`
 /// was built from a different instance.
-pub fn taa_with_solver(
-    instance: &SpmInstance,
-    capacities: &[f64],
-    options: &TaaOptions,
-    solver: &mut BlspmWarmSolver,
-) -> Result<TaaResult, SolveError> {
-    taa_instrumented(
-        instance,
-        capacities,
-        options,
-        Some(solver),
-        &Telemetry::disabled(),
-    )
-}
-
-/// Runs TAA with optional warm starts, recording telemetry into `tele`.
-///
-/// This is the instrumented superset of [`taa`] (pass `None` for
-/// `solver`) and [`taa_with_solver`] (pass `Some`): the relaxation solve
-/// runs under the `taa.relax` span, the derandomized walk under
-/// `taa.walk`, LP work counters land in the `lp.*` metrics, and the
-/// chosen `μ` and initial estimator value `u_root` are pushed to the
-/// `taa.mu` / `taa.u_root` series. Recording is write-only — passing
-/// [`Telemetry::disabled`] (what the plain entry points do) yields
-/// bit-identical results.
-///
-/// # Errors
-///
-/// Propagates LP failures from the relaxation stage.
-///
-/// # Panics
-///
-/// Panics if `capacities.len()` differs from the edge count or `solver`
-/// was built from a different instance.
-pub fn taa_instrumented(
+pub(crate) fn taa_instrumented(
     instance: &SpmInstance,
     capacities: &[f64],
     options: &TaaOptions,
@@ -586,10 +513,12 @@ fn taa_from_relaxation(
 /// once, records the [`RowId`] of every load row, and on each
 /// [`BlspmWarmSolver::solve`] call overwrites the right-hand sides with
 /// [`Problem::set_rhs`] and restarts the simplex from the previous
-/// optimum's [`Basis`]. Between Metis rounds the capacities only tighten
-/// a little, so the old basis is usually a few dual pivots from the new
-/// optimum. The optimum **value** always equals the cold rebuild's; the
-/// optimal **vertex** may be a different one of the tied optima.
+/// optimum's [`metis_lp::Basis`]. Between Metis rounds the capacities
+/// only tighten a little, so the old basis is usually a few dual pivots
+/// from the new optimum. The optimum **value** always equals the cold
+/// rebuild's; the optimal **vertex** may be a different one of the tied
+/// optima. [`solve_blspm_relaxation`] is one cold solve of a fresh
+/// solver.
 ///
 /// # Examples
 ///
@@ -618,9 +547,7 @@ pub struct BlspmWarmSolver {
     /// `(edge index, load row)` for every (edge, slot) cell with a row.
     cell_rows: Vec<(usize, RowId)>,
     num_edges: usize,
-    basis: Option<Basis>,
-    warm_solves: usize,
-    cold_solves: usize,
+    warm: WarmBasis,
 }
 
 impl BlspmWarmSolver {
@@ -667,9 +594,7 @@ impl BlspmWarmSolver {
             xvars,
             cell_rows,
             num_edges: topo.num_edges(),
-            basis: None,
-            warm_solves: 0,
-            cold_solves: 0,
+            warm: WarmBasis::default(),
         }
     }
 
@@ -693,28 +618,7 @@ impl BlspmWarmSolver {
         for &(e, row) in &self.cell_rows {
             self.problem.set_rhs(row, capacities[e]);
         }
-        let had_basis = self.basis.is_some();
-        let attempt = self
-            .problem
-            .solve_with_basis(lp_options, self.basis.as_ref());
-        let (sol, basis) = match attempt {
-            Ok(pair) => {
-                if had_basis {
-                    self.warm_solves += 1;
-                } else {
-                    self.cold_solves += 1;
-                }
-                pair
-            }
-            Err(_) if had_basis => {
-                self.basis = None;
-                self.cold_solves += 1;
-                self.problem.solve_with_basis(lp_options, None)?
-            }
-            Err(e) => return Err(e),
-        };
-        self.basis = Some(basis);
-
+        let sol = self.warm.solve(&self.problem, lp_options)?;
         let x: Vec<Vec<f64>> = self
             .xvars
             .iter()
@@ -730,17 +634,17 @@ impl BlspmWarmSolver {
 
     /// Solves that started from a previous basis.
     pub fn warm_solves(&self) -> usize {
-        self.warm_solves
+        self.warm.warm_solves
     }
 
     /// Solves that built a basis from scratch.
     pub fn cold_solves(&self) -> usize {
-        self.cold_solves
+        self.warm.cold_solves
     }
 
     /// Drops the stored basis, forcing the next solve to start cold.
     pub fn reset_basis(&mut self) {
-        self.basis = None;
+        self.warm.reset();
     }
 }
 
@@ -891,12 +795,19 @@ mod tests {
     }
 
     #[test]
-    fn taa_with_solver_stays_feasible_and_bounded() {
+    fn warm_taa_stays_feasible_and_bounded() {
         let inst = instance(50, 10);
         let mut solver = BlspmWarmSolver::new(&inst);
         for cap in [4.0, 2.0, 1.0] {
             let caps = vec![cap; inst.topology().num_edges()];
-            let res = taa_with_solver(&inst, &caps, &TaaOptions::default(), &mut solver).unwrap();
+            let res = taa_instrumented(
+                &inst,
+                &caps,
+                &TaaOptions::default(),
+                Some(&mut solver),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             res.schedule
                 .check_capacities(&inst, &caps)
                 .unwrap_or_else(|v| panic!("cap {cap}: {v}"));

@@ -3,11 +3,14 @@
 //! A [`FaultPlan`] forces [`SolveError`]s at chosen points of a run:
 //!
 //! * **solver points** — the `n`-th attempted MAA or TAA solve of a
-//!   [`crate::metis_with_faults`] run fails before the LP is even built,
-//!   exactly as if the simplex had broken at that point;
+//!   [`crate::metis_instrumented`] run fails before the LP is even
+//!   built, exactly as if the simplex had broken at that point;
 //! * **epoch points** — a whole epoch of
-//!   [`crate::online_metis_with_faults`] fails wholesale, as if the
+//!   [`crate::online_metis_instrumented`] fails wholesale, as if the
 //!   per-epoch run had crashed or timed out.
+//!
+//! Pass [`metis_telemetry::Telemetry::disabled`] to those entry points
+//! to inject faults without recording telemetry.
 //!
 //! Plans are plain data (no interior mutability, no clocks, no global
 //! RNG), so a run under a given plan is exactly as deterministic as a

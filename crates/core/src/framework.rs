@@ -12,9 +12,11 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use metis_lp::SolveError;
+use metis_lp::{SolveError, SolveStats};
 use metis_telemetry::{names, Telemetry};
+use metis_workload::RequestId;
 
+use crate::audit::{audit_capacities, audit_schedule, AuditReport};
 use crate::blspm::{taa_instrumented, BlspmWarmSolver, TaaOptions};
 use crate::error::MetisError;
 use crate::faults::FaultPlan;
@@ -86,26 +88,15 @@ impl fmt::Display for Phase {
     }
 }
 
-/// One entry of the profit trace.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct IterationRecord {
-    /// Which solver ran.
-    pub phase: Phase,
-    /// Profit of the schedule it produced.
-    pub profit: f64,
-    /// Number of accepted requests in that schedule.
-    pub accepted: usize,
-}
-
 /// One entry of the solver convergence trace: an *attempted* solver
 /// invocation, whether it produced a schedule or failed.
 ///
-/// Unlike [`IterationRecord`] (which only exists for successful solves),
-/// the convergence trace records one entry per attempt, so a run's shape
-/// — which rounds converged, which degraded, how hard the LP worked —
-/// can be reconstructed after the fact. Captured unconditionally (it is
-/// pure bookkeeping on values the framework already computes), so
-/// results stay bit-identical with telemetry on or off.
+/// The trace records one entry per attempt, so a run's shape — which
+/// rounds converged, which degraded, how hard the LP worked — can be
+/// reconstructed after the fact; its completed entries are the run's
+/// profit history. Captured unconditionally (it is pure bookkeeping on
+/// values the framework already computes), so results stay bit-identical
+/// with telemetry on or off.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RoundTrace {
     /// Alternation round: 0 for the initialization MAA, `1..=θ` after.
@@ -141,16 +132,6 @@ impl RoundTrace {
     /// the `alternation.trace.dropped` metric) so adversarially large
     /// `θ` cannot balloon the result.
     pub const CAPACITY: usize = 4_096;
-}
-
-/// Appends a convergence-trace entry, enforcing [`RoundTrace::CAPACITY`].
-fn push_round_trace(tele: &Telemetry, trace: &mut Vec<RoundTrace>, entry: RoundTrace) {
-    if trace.len() >= RoundTrace::CAPACITY {
-        tele.incr(names::TRACE_ROUNDS_DROPPED);
-        return;
-    }
-    crate::obs::record_round_trace(tele, &entry);
-    trace.push(entry);
 }
 
 /// One contained failure observed during a run.
@@ -242,8 +223,6 @@ pub struct MetisResult {
     pub schedule: Schedule,
     /// Its evaluation.
     pub evaluation: Evaluation,
-    /// Per-solver-invocation profit trace, in execution order.
-    pub history: Vec<IterationRecord>,
     /// Number of completed alternation rounds (≤ `θ`).
     pub rounds: usize,
     /// Contained failures, in the order they were observed. Empty on a
@@ -275,75 +254,6 @@ impl MetisResult {
             .iter()
             .filter(|i| matches!(i, Incident::WarmRetry { .. }))
             .count()
-    }
-}
-
-/// Runs one phase solve under a fault plan, containing failures.
-///
-/// Counts every attempt (including the cold retry) against `attempts` so
-/// fault plans can target retries. With `retry_cold`, a failed first
-/// attempt is retried once with `solve(true)` (the caller drops its warm
-/// basis); a failure with no retry left becomes a
-/// [`Incident::SolveFailed`] and `None` is returned.
-#[allow(clippy::too_many_arguments)]
-fn contained_solve<R>(
-    phase: Phase,
-    round: usize,
-    attempts: &mut usize,
-    faults: &FaultPlan,
-    incidents: &mut Vec<Incident>,
-    retry_cold: bool,
-    tele: &Telemetry,
-    mut solve: impl FnMut(bool) -> Result<R, SolveError>,
-) -> Option<R> {
-    let mut attempt = |attempts: &mut usize, cold: bool| -> Result<R, SolveError> {
-        let a = *attempts;
-        *attempts += 1;
-        match faults.solver_fault(phase, a) {
-            Some(e) => Err(e),
-            None => solve(cold),
-        }
-    };
-    match attempt(attempts, false) {
-        Ok(r) => Some(r),
-        Err(error) if retry_cold => {
-            note_incident(
-                tele,
-                incidents,
-                Incident::WarmRetry {
-                    phase,
-                    round,
-                    error,
-                },
-            );
-            match attempt(attempts, true) {
-                Ok(r) => Some(r),
-                Err(error) => {
-                    note_incident(
-                        tele,
-                        incidents,
-                        Incident::SolveFailed {
-                            phase,
-                            round,
-                            error,
-                        },
-                    );
-                    None
-                }
-            }
-        }
-        Err(error) => {
-            note_incident(
-                tele,
-                incidents,
-                Incident::SolveFailed {
-                    phase,
-                    round,
-                    error,
-                },
-            );
-            None
-        }
     }
 }
 
@@ -380,28 +290,14 @@ fn contained_solve<R>(
 /// # Ok::<(), metis_core::MetisError>(())
 /// ```
 pub fn metis(instance: &SpmInstance, config: &MetisConfig) -> Result<MetisResult, MetisError> {
-    metis_with_faults(instance, config, &FaultPlan::none())
-}
-
-/// Runs Metis under a [`FaultPlan`].
-///
-/// With [`FaultPlan::none`] this is exactly [`metis`] — the plan is
-/// consulted before each solve and an empty plan changes nothing, so
-/// failure-free runs stay bit-identical across thread counts and to runs
-/// through the plain entry point.
-///
-/// # Errors
-///
-/// Same as [`metis`].
-pub fn metis_with_faults(
-    instance: &SpmInstance,
-    config: &MetisConfig,
-    faults: &FaultPlan,
-) -> Result<MetisResult, MetisError> {
-    metis_instrumented(instance, config, faults, &Telemetry::disabled())
+    metis_instrumented(instance, config, &FaultPlan::none(), &Telemetry::disabled())
 }
 
 /// Runs Metis under a [`FaultPlan`], recording telemetry into `tele`.
+///
+/// The plan is consulted before each solve, so with [`FaultPlan::none`]
+/// and [`Telemetry::disabled`] this is exactly [`metis`]; see
+/// [`FaultPlan`] for how solver attempts are counted.
 ///
 /// The whole run executes under the `metis` span; each round (including
 /// the round-0 initialization MAA) gets an `alternation.round` child span
@@ -414,7 +310,7 @@ pub fn metis_with_faults(
 /// Telemetry is write-only: nothing in the pipeline reads it, all series
 /// and histograms are recorded on the calling thread after each parallel
 /// region's index-ordered reduction, and [`Telemetry::disabled`] (what
-/// [`metis_with_faults`] passes) skips every recording — so the returned
+/// [`metis`] passes) skips every recording — so the returned
 /// [`MetisResult`] is bit-identical whether telemetry is on or off, at
 /// any thread count.
 ///
@@ -429,16 +325,6 @@ pub fn metis_instrumented(
 ) -> Result<MetisResult, MetisError> {
     let _metis_span = tele.span(names::SPAN_METIS);
     let k = instance.num_requests();
-    let mut history = Vec::new();
-    let mut incidents: Vec<Incident> = Vec::new();
-    let mut round_trace: Vec<RoundTrace> = Vec::new();
-    let mut maa_attempts = 0usize;
-    let mut taa_attempts = 0usize;
-
-    // Auditing is always on in debug builds; `config.audit` forces it in
-    // release builds and additionally certifies every LP solution.
-    let auditing = config.audit || cfg!(debug_assertions);
-    let mut audit_acc = auditing.then(crate::audit::AuditReport::default);
 
     let mut maa_opts = MaaOptions {
         parallel: config.parallel,
@@ -450,23 +336,20 @@ pub fn metis_instrumented(
         ..config.taa
     };
     taa_opts.lp.verify = taa_opts.lp.verify || config.audit;
-    let mut rl_solver = if config.warm_start {
-        Some(RlspmWarmSolver::new(instance))
-    } else {
-        None
-    };
-    let mut bl_solver = if config.warm_start {
-        Some(BlspmWarmSolver::new(instance))
-    } else {
-        None
-    };
+    let mut rl_solver = config.warm_start.then(|| RlspmWarmSolver::new(instance));
+    let mut bl_solver = config.warm_start.then(|| BlspmWarmSolver::new(instance));
     let mut run_maa = |accepted: &[bool], cold: bool| {
         if cold {
             if let Some(solver) = rl_solver.as_mut() {
                 solver.reset_basis();
             }
         }
-        maa_instrumented(instance, accepted, &maa_opts, rl_solver.as_mut(), tele)
+        maa_instrumented(instance, accepted, &maa_opts, rl_solver.as_mut(), tele).map(|m| Step {
+            schedule: m.schedule,
+            evaluation: m.evaluation,
+            stats: m.relaxation.stats,
+            mu: None,
+        })
     };
     let mut run_taa = |caps: &[f64], cold: bool| {
         if cold {
@@ -474,303 +357,255 @@ pub fn metis_instrumented(
                 solver.reset_basis();
             }
         }
-        taa_instrumented(instance, caps, &taa_opts, bl_solver.as_mut(), tele)
+        taa_instrumented(instance, caps, &taa_opts, bl_solver.as_mut(), tele).map(|t| Step {
+            schedule: t.schedule,
+            evaluation: t.evaluation,
+            stats: t.relaxation.stats,
+            mu: t.mu,
+        })
     };
 
-    // SP Updater: profit starts at zero with everything declined.
-    let mut best_schedule = Schedule::decline_all(k);
-    let mut best_eval = best_schedule.evaluate(instance);
-
-    let record = |phase: Phase,
-                  schedule: Schedule,
-                  eval: Evaluation,
-                  best_s: &mut Schedule,
-                  best_e: &mut Evaluation,
-                  history: &mut Vec<IterationRecord>,
-                  audit_acc: &mut Option<crate::audit::AuditReport>| {
-        if let Some(acc) = audit_acc.as_mut() {
-            acc.merge(crate::audit::audit_schedule(instance, &schedule, &eval));
-        }
-        history.push(IterationRecord {
-            phase,
-            profit: eval.profit,
-            accepted: eval.accepted,
-        });
-        if eval.profit > best_e.profit {
-            *best_s = schedule;
-            *best_e = eval;
-        }
+    let best_schedule = Schedule::decline_all(k);
+    let best_eval = best_schedule.evaluate(instance);
+    let mut run = Alternation {
+        instance,
+        faults,
+        tele,
+        retry_cold: config.warm_start,
+        incidents: Vec::new(),
+        maa_attempts: 0,
+        taa_attempts: 0,
+        trace: Vec::new(),
+        best_schedule,
+        best_eval,
+        audit: (config.audit || cfg!(debug_assertions)).then(AuditReport::default),
     };
 
-    // Initialization: accept every request and minimize its cost.
-    // Running capacity budget: what the provider would purchase for the
-    // current accepted set. Kept element-wise monotone so the limiter
-    // makes progress even when the accepted set stalls. If the
+    // Round 0 is the initialization: accept every request and minimize
+    // its cost. Running capacity budget: what the provider would purchase
+    // for the current accepted set. Kept element-wise monotone so the
+    // limiter makes progress even when the accepted set stalls. If the
     // initialization solve fails, the budget stays all-zero and the loop
     // exits immediately with the decline-all record — degraded, not dead.
     let mut accepted = vec![true; k];
     let mut caps = vec![0.0; instance.topology().num_edges()];
-    // metis-lint: allow(DET-02): gated behind tele.is_enabled(); never read in deterministic runs
-    let round_start = tele.is_enabled().then(Instant::now);
-    {
-        let _round = tele.span(names::SPAN_ROUND);
-        let incidents_before = incidents.len();
-        if let Some(first) = contained_solve(
-            Phase::Maa,
-            0,
-            &mut maa_attempts,
-            faults,
-            &mut incidents,
-            config.warm_start,
-            tele,
-            |cold| run_maa(&accepted, cold),
-        ) {
-            caps = first.evaluation.charged.clone();
-            let profit = first.evaluation.profit;
-            let accepted_count = first.evaluation.accepted;
-            let stats = first.relaxation.stats;
-            record(
-                Phase::Maa,
-                first.schedule,
-                first.evaluation,
-                &mut best_schedule,
-                &mut best_eval,
-                &mut history,
-                &mut audit_acc,
-            );
-            push_round_trace(
-                tele,
-                &mut round_trace,
-                RoundTrace {
-                    round: 0,
-                    phase: Phase::Maa,
-                    completed: true,
-                    profit,
-                    best_profit: best_eval.profit,
-                    accepted: accepted_count,
-                    mu: None,
-                    lp_iterations: stats.iterations,
-                    warm_started: stats.warm_started,
-                    incidents: incidents.len() - incidents_before,
-                },
-            );
-        } else {
-            push_round_trace(
-                tele,
-                &mut round_trace,
-                RoundTrace {
-                    round: 0,
-                    phase: Phase::Maa,
-                    completed: false,
-                    profit: 0.0,
-                    best_profit: best_eval.profit,
-                    accepted: 0,
-                    mu: None,
-                    lp_iterations: 0,
-                    warm_started: false,
-                    incidents: incidents.len() - incidents_before,
-                },
-            );
-        }
-    }
-    if let Some(start) = round_start {
-        tele.observe(names::ROUND_DURATION_US, start.elapsed().as_micros() as f64);
-    }
-    tele.incr(names::ROUNDS);
-    tele.push(names::ROUND_PROFIT, best_eval.profit);
-
     let mut rounds = 0;
-    for round in 0..config.theta {
-        if caps.iter().all(|&c| c <= 0.0) {
+    for round in 0..=config.theta {
+        if round > 0 && caps.iter().all(|&c| c <= 0.0) {
             break;
         }
         // metis-lint: allow(DET-02): gated behind tele.is_enabled(); never read in deterministic runs
         let round_start = tele.is_enabled().then(Instant::now);
         let round_span = tele.span(names::SPAN_ROUND);
-        let mut stop = false;
-        'round: {
-            // BW Limiter: tighten by rule τ, based on the best load seen.
-            {
-                let _limiter = tele.span(names::SPAN_LIMITER);
-                caps = config
-                    .limiter
-                    .apply(instance.topology(), &best_eval.load, &caps);
+        let stop = 'round: {
+            if round > 0 {
+                rounds = round;
+                // BW Limiter: tighten by rule τ, based on the best load seen.
+                {
+                    let _limiter = tele.span(names::SPAN_LIMITER);
+                    caps = config
+                        .limiter
+                        .apply(instance.topology(), &run.best_eval.load, &caps);
+                }
+
+                // BL-SPM Solver: re-select requests under the tightened
+                // budget. On failure the accepted set and the SP Updater's
+                // record stand; the tightened budget carries over so the
+                // limiter still makes progress next round.
+                let Some(t) = run.step(Phase::Taa, round, Some(&caps), |cold| run_taa(&caps, cold))
+                else {
+                    break 'round false;
+                };
+                accepted = (0..k)
+                    .map(|i| t.schedule.is_accepted(RequestId(i as u32)))
+                    .collect();
+                if accepted.iter().all(|&a| !a) {
+                    break 'round true;
+                }
             }
 
-            // BL-SPM Solver: re-select requests under the tightened budget.
-            let incidents_before = incidents.len();
-            let t = contained_solve(
-                Phase::Taa,
-                round + 1,
-                &mut taa_attempts,
-                faults,
-                &mut incidents,
-                config.warm_start,
-                tele,
-                |cold| run_taa(&caps, cold),
-            );
-            rounds = round + 1;
-            let Some(t) = t else {
-                // Skip the round's update: the accepted set and the SP
-                // Updater's record stand; the tightened budget carries over
-                // so the limiter still makes progress next round.
-                push_round_trace(
-                    tele,
-                    &mut round_trace,
-                    RoundTrace {
-                        round: round + 1,
-                        phase: Phase::Taa,
-                        completed: false,
-                        profit: 0.0,
-                        best_profit: best_eval.profit,
-                        accepted: 0,
-                        mu: None,
-                        lp_iterations: 0,
-                        warm_started: false,
-                        incidents: incidents.len() - incidents_before,
-                    },
-                );
-                break 'round;
-            };
-            accepted = (0..k)
-                .map(|i| t.schedule.is_accepted(metis_workload::RequestId(i as u32)))
-                .collect();
-            if let Some(acc) = audit_acc.as_mut() {
-                // TAA must respect the budget the limiter just set.
-                acc.merge(crate::audit::audit_capacities(instance, &t.schedule, &caps));
+            // RL-SPM Solver: minimize cost for the accepted set. On failure
+            // only the budget refinement is skipped.
+            if let Some(m) = run.step(Phase::Maa, round, None, |cold| run_maa(&accepted, cold)) {
+                if round == 0 {
+                    caps = m.evaluation.charged;
+                } else {
+                    for (c, &m_c) in caps.iter_mut().zip(&m.evaluation.charged) {
+                        *c = c.min(m_c);
+                    }
+                }
             }
-            let profit = t.evaluation.profit;
-            let accepted_count = t.evaluation.accepted;
-            let stats = t.relaxation.stats;
-            let mu = t.mu;
-            record(
-                Phase::Taa,
-                t.schedule,
-                t.evaluation,
-                &mut best_schedule,
-                &mut best_eval,
-                &mut history,
-                &mut audit_acc,
-            );
-            push_round_trace(
-                tele,
-                &mut round_trace,
-                RoundTrace {
-                    round: round + 1,
-                    phase: Phase::Taa,
-                    completed: true,
-                    profit,
-                    best_profit: best_eval.profit,
-                    accepted: accepted_count,
-                    mu,
-                    lp_iterations: stats.iterations,
-                    warm_started: stats.warm_started,
-                    incidents: incidents.len() - incidents_before,
-                },
-            );
-
-            if accepted.iter().all(|&a| !a) {
-                stop = true;
-                break 'round;
-            }
-
-            // RL-SPM Solver: re-minimize cost for the surviving set.
-            let incidents_before = incidents.len();
-            let m = contained_solve(
-                Phase::Maa,
-                round + 1,
-                &mut maa_attempts,
-                faults,
-                &mut incidents,
-                config.warm_start,
-                tele,
-                |cold| run_maa(&accepted, cold),
-            );
-            let Some(m) = m else {
-                // Skip only the budget refinement; the TAA schedule above is
-                // already recorded.
-                push_round_trace(
-                    tele,
-                    &mut round_trace,
-                    RoundTrace {
-                        round: round + 1,
-                        phase: Phase::Maa,
-                        completed: false,
-                        profit: 0.0,
-                        best_profit: best_eval.profit,
-                        accepted: 0,
-                        mu: None,
-                        lp_iterations: 0,
-                        warm_started: false,
-                        incidents: incidents.len() - incidents_before,
-                    },
-                );
-                break 'round;
-            };
-            for (c, &m_c) in caps.iter_mut().zip(&m.evaluation.charged) {
-                *c = c.min(m_c);
-            }
-            let profit = m.evaluation.profit;
-            let accepted_count = m.evaluation.accepted;
-            let stats = m.relaxation.stats;
-            record(
-                Phase::Maa,
-                m.schedule,
-                m.evaluation,
-                &mut best_schedule,
-                &mut best_eval,
-                &mut history,
-                &mut audit_acc,
-            );
-            push_round_trace(
-                tele,
-                &mut round_trace,
-                RoundTrace {
-                    round: round + 1,
-                    phase: Phase::Maa,
-                    completed: true,
-                    profit,
-                    best_profit: best_eval.profit,
-                    accepted: accepted_count,
-                    mu: None,
-                    lp_iterations: stats.iterations,
-                    warm_started: stats.warm_started,
-                    incidents: incidents.len() - incidents_before,
-                },
-            );
-        }
+            false
+        };
         drop(round_span);
         if let Some(start) = round_start {
             tele.observe(names::ROUND_DURATION_US, start.elapsed().as_micros() as f64);
         }
         tele.incr(names::ROUNDS);
-        tele.push(names::ROUND_PROFIT, best_eval.profit);
+        tele.push(names::ROUND_PROFIT, run.best_eval.profit);
         if stop {
             break;
         }
     }
 
-    if let Some(acc) = audit_acc.as_mut() {
+    let Alternation {
+        incidents,
+        trace,
+        best_schedule,
+        best_eval,
+        mut audit,
+        ..
+    } = run;
+    if let Some(acc) = audit.as_mut() {
         // Audit the returned record too: the SP Updater's best pair is
         // what callers act on, so its (schedule, evaluation) agreement is
         // certified even when it was the untouched decline-all baseline.
-        acc.merge(crate::audit::audit_schedule(
-            instance,
-            &best_schedule,
-            &best_eval,
-        ));
+        acc.merge(audit_schedule(instance, &best_schedule, &best_eval));
         acc.record(tele);
     }
 
     Ok(MetisResult {
         schedule: best_schedule,
         evaluation: best_eval,
-        history,
         rounds,
         incidents,
-        round_trace,
-        audit: audit_acc,
+        round_trace: trace,
+        audit,
     })
+}
+
+/// One solver invocation's output, common to both phases.
+struct Step {
+    schedule: Schedule,
+    evaluation: Evaluation,
+    stats: SolveStats,
+    /// TAA's scaling factor; always `None` for MAA.
+    mu: Option<f64>,
+}
+
+/// Per-run state of the alternation: what every phase solve reads or
+/// records.
+struct Alternation<'a> {
+    instance: &'a SpmInstance,
+    faults: &'a FaultPlan,
+    tele: &'a Telemetry,
+    /// Retry a failed solve once from a cold basis (warm-started runs).
+    retry_cold: bool,
+    incidents: Vec<Incident>,
+    /// Solve attempts so far per phase, cold retries included.
+    maa_attempts: usize,
+    taa_attempts: usize,
+    trace: Vec<RoundTrace>,
+    /// SP Updater: the most profitable schedule seen. Profit starts at
+    /// zero with everything declined.
+    best_schedule: Schedule,
+    best_eval: Evaluation,
+    /// `Some` while auditing: always in debug builds; `config.audit`
+    /// forces it in release builds and additionally certifies every LP
+    /// solution.
+    audit: Option<AuditReport>,
+}
+
+impl Alternation<'_> {
+    /// Runs one phase solve under the fault plan and records it: audits
+    /// the schedule (TAA's also against the limiter's `budget`), folds it
+    /// into the SP Updater's record, and pushes exactly one [`RoundTrace`]
+    /// entry, completed or failed (past [`RoundTrace::CAPACITY`] the entry
+    /// is dropped and counted instead).
+    ///
+    /// Every attempt, the cold retry included, counts against the phase's
+    /// attempt index, so fault plans can target retries. With
+    /// `retry_cold`, a failed first attempt is retried once with
+    /// `solve(true)` (the caller drops its warm basis); a failure with no
+    /// retry left becomes an [`Incident::SolveFailed`] and `None` is
+    /// returned.
+    fn step(
+        &mut self,
+        phase: Phase,
+        round: usize,
+        budget: Option<&[f64]>,
+        mut solve: impl FnMut(bool) -> Result<Step, SolveError>,
+    ) -> Option<Step> {
+        let incidents_before = self.incidents.len();
+        let faults = self.faults;
+        let attempts = match phase {
+            Phase::Maa => &mut self.maa_attempts,
+            Phase::Taa => &mut self.taa_attempts,
+        };
+        let mut attempt = |cold: bool| {
+            let a = *attempts;
+            *attempts += 1;
+            match faults.solver_fault(phase, a) {
+                Some(e) => Err(e),
+                None => solve(cold),
+            }
+        };
+        let outcome = match attempt(false) {
+            Err(error) if self.retry_cold => {
+                note_incident(
+                    self.tele,
+                    &mut self.incidents,
+                    Incident::WarmRetry {
+                        phase,
+                        round,
+                        error,
+                    },
+                );
+                attempt(true)
+            }
+            first => first,
+        };
+        let step = match outcome {
+            Ok(step) => Some(step),
+            Err(error) => {
+                note_incident(
+                    self.tele,
+                    &mut self.incidents,
+                    Incident::SolveFailed {
+                        phase,
+                        round,
+                        error,
+                    },
+                );
+                None
+            }
+        };
+
+        if let Some(s) = &step {
+            if let Some(acc) = self.audit.as_mut() {
+                if let Some(caps) = budget {
+                    // TAA must respect the budget the limiter just set.
+                    acc.merge(audit_capacities(self.instance, &s.schedule, caps));
+                }
+                acc.merge(audit_schedule(self.instance, &s.schedule, &s.evaluation));
+            }
+            if s.evaluation.profit > self.best_eval.profit {
+                self.best_schedule = s.schedule.clone();
+                self.best_eval = s.evaluation.clone();
+            }
+        }
+
+        if self.trace.len() >= RoundTrace::CAPACITY {
+            self.tele.incr(names::TRACE_ROUNDS_DROPPED);
+        } else {
+            let done = step.as_ref();
+            let entry = RoundTrace {
+                round,
+                phase,
+                completed: done.is_some(),
+                profit: done.map_or(0.0, |s| s.evaluation.profit),
+                best_profit: self.best_eval.profit,
+                accepted: done.map_or(0, |s| s.evaluation.accepted),
+                mu: done.and_then(|s| s.mu),
+                lp_iterations: done.map_or(0, |s| s.stats.iterations),
+                warm_started: done.is_some_and(|s| s.stats.warm_started),
+                incidents: self.incidents.len() - incidents_before,
+            };
+            crate::obs::record_round_trace(self.tele, &entry);
+            self.trace.push(entry);
+        }
+        step
+    }
 }
 
 #[cfg(test)]
@@ -810,16 +645,17 @@ mod tests {
         let inst = instance(15, 2);
         let res = metis(&inst, &MetisConfig::with_theta(0)).unwrap();
         assert_eq!(res.rounds, 0);
-        assert_eq!(res.history.len(), 1);
-        assert_eq!(res.history[0].phase, Phase::Maa);
+        assert_eq!(res.round_trace.len(), 1);
+        assert_eq!(res.round_trace[0].phase, Phase::Maa);
+        assert!(res.round_trace[0].completed);
     }
 
     #[test]
-    fn history_interleaves_phases() {
+    fn round_trace_interleaves_phases() {
         let inst = instance(25, 3);
         let res = metis(&inst, &MetisConfig::with_theta(3)).unwrap();
-        assert_eq!(res.history[0].phase, Phase::Maa);
-        for pair in res.history[1..].chunks(2) {
+        assert_eq!(res.round_trace[0].phase, Phase::Maa);
+        for pair in res.round_trace[1..].chunks(2) {
             assert_eq!(pair[0].phase, Phase::Taa);
             if pair.len() > 1 {
                 assert_eq!(pair[1].phase, Phase::Maa);
@@ -828,13 +664,14 @@ mod tests {
     }
 
     #[test]
-    fn best_profit_dominates_history() {
+    fn best_profit_dominates_round_trace() {
         let inst = instance(30, 4);
         let res = metis(&inst, &MetisConfig::with_theta(6)).unwrap();
         let max_hist = res
-            .history
+            .round_trace
             .iter()
-            .map(|r| r.profit)
+            .filter(|t| t.completed)
+            .map(|t| t.profit)
             .fold(f64::NEG_INFINITY, f64::max);
         assert!((res.evaluation.profit - max_hist.max(0.0)).abs() < 1e-9);
     }
@@ -881,7 +718,6 @@ mod tests {
                     run.schedule, reference.schedule,
                     "warm_start = {warm_start}, threads = {threads}"
                 );
-                assert_eq!(run.history, reference.history);
                 assert_eq!(run.evaluation, reference.evaluation);
                 assert_eq!(run.round_trace, reference.round_trace);
             }
@@ -899,11 +735,11 @@ mod tests {
         let a = metis(&inst, &cfg).unwrap();
         let b = metis(&inst, &cfg).unwrap();
         assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.history, b.history);
+        assert_eq!(a.round_trace, b.round_trace);
         assert!(a.evaluation.profit >= 0.0);
         // The SP Updater keeps the best record, so the final profit
         // dominates the warm run's own accept-all initialization.
-        assert!(a.evaluation.profit >= a.history[0].profit - 1e-9);
+        assert!(a.evaluation.profit >= a.round_trace[0].profit - 1e-9);
     }
 
     #[test]
@@ -919,7 +755,6 @@ mod tests {
             let tele = Telemetry::enabled();
             let run = metis_instrumented(&inst, &cfg, &FaultPlan::none(), &tele).unwrap();
             assert_eq!(run.schedule, plain.schedule, "warm_start = {warm_start}");
-            assert_eq!(run.history, plain.history);
             assert_eq!(run.evaluation, plain.evaluation);
             assert_eq!(run.round_trace, plain.round_trace);
             if let Some(s) = tele.snapshot() {
@@ -978,13 +813,13 @@ mod tests {
                 ..MetisConfig::default()
             };
             let res = metis(&inst, &cfg).unwrap();
-            // Completed entries mirror the profit history one-to-one.
-            let completed: Vec<_> = res.round_trace.iter().filter(|t| t.completed).collect();
-            assert_eq!(completed.len(), res.history.len());
-            for (t, h) in completed.iter().zip(&res.history) {
-                assert_eq!(t.phase, h.phase, "warm_start = {warm_start}");
-                assert_eq!(t.profit, h.profit);
-                assert_eq!(t.accepted, h.accepted);
+            // Each entry's record is the best completed profit so far.
+            let mut best = 0.0_f64;
+            for t in &res.round_trace {
+                if t.completed {
+                    best = best.max(t.profit);
+                }
+                assert_eq!(t.best_profit, best, "warm_start = {warm_start}");
             }
             // Every contained failure is attributed to exactly one entry.
             let attributed: usize = res.round_trace.iter().map(|t| t.incidents).sum();
@@ -1014,7 +849,7 @@ mod tests {
         };
         // No cold retry without warm_start: attempt 0 of TAA fails for good.
         let faults = FaultPlan::none().fail_at_with(Phase::Taa, 0, SolveError::Singular);
-        let res = metis_with_faults(&inst, &cfg, &faults).unwrap();
+        let res = metis_instrumented(&inst, &cfg, &faults, &Telemetry::disabled()).unwrap();
         let failed: Vec<_> = res.round_trace.iter().filter(|t| !t.completed).collect();
         assert_eq!(failed.len(), 1);
         assert_eq!(failed[0].phase, Phase::Taa);

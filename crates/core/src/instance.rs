@@ -77,21 +77,6 @@ impl SpmInstance {
     /// Builds an instance reusing a prebuilt [`PathCatalog`] (useful when
     /// many instances share a topology).
     ///
-    /// # Panics
-    ///
-    /// Same conditions as [`SpmInstance::new`].
-    pub fn with_catalog(
-        topo: Topology,
-        requests: Vec<Request>,
-        num_slots: usize,
-        catalog: &PathCatalog,
-    ) -> Self {
-        // metis-lint: allow(PANIC-01): documented panicking convenience wrapper over try_with_catalog
-        Self::try_with_catalog(topo, requests, num_slots, catalog).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`SpmInstance::with_catalog`].
-    ///
     /// # Errors
     ///
     /// Same conditions as [`SpmInstance::try_new`].
@@ -182,16 +167,6 @@ impl SpmInstance {
     /// A new instance over a subset of this one's requests (re-indexed
     /// densely in the given order), sharing the topology and path sets.
     ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range or repeated.
-    pub fn subset(&self, indices: &[usize]) -> SpmInstance {
-        // metis-lint: allow(PANIC-01): documented panicking convenience wrapper over try_subset
-        self.try_subset(indices).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`SpmInstance::subset`].
-    ///
     /// # Errors
     ///
     /// [`InstanceError::IndexOutOfRange`] or
@@ -260,12 +235,12 @@ mod tests {
     }
 
     #[test]
-    fn with_catalog_matches_new() {
+    fn try_with_catalog_matches_new() {
         let topo = topologies::sub_b4();
         let reqs = generate(&topo, &WorkloadConfig::paper(10, 4));
         let cat = PathCatalog::build(&topo, 3, PathMetric::Price);
         let a = SpmInstance::new(topo.clone(), reqs.clone(), 12, 3);
-        let b = SpmInstance::with_catalog(topo, reqs, 12, &cat);
+        let b = SpmInstance::try_with_catalog(topo, reqs, 12, &cat).unwrap();
         for id in 0..10 {
             let id = RequestId(id);
             assert_eq!(a.paths(id), b.paths(id));

@@ -18,8 +18,13 @@
 //! Failures are *contained*, not fatal: solver breakage inside the
 //! alternation degrades the run (retry cold, skip the round or epoch,
 //! record an [`Incident`]) while malformed instances are rejected up
-//! front by the `try_*` constructors with an [`InstanceError`]. The
-//! [`FaultPlan`] type injects deterministic failures for testing.
+//! front by the `try_*` constructors with an [`InstanceError`].
+//!
+//! Each algorithm has one plain entry point; the two runs also have an
+//! instrumented one ([`metis_instrumented`], [`online_metis_instrumented`])
+//! that injects the deterministic failures of a [`FaultPlan`] and records
+//! spans and metrics into a `metis_telemetry::Telemetry` handle. Their
+//! [`MetisResult::round_trace`] is the run's one convergence trace.
 //!
 //! # Quick start
 //!
@@ -60,30 +65,28 @@ mod online;
 mod parallel;
 mod rlspm;
 mod schedule;
+mod warm;
 
 pub use analysis::{analyze, LinkOutcome, RequestOutcome, ScheduleAnalysis};
 pub use audit::{
     audit_capacities, audit_schedule, check_incident_agreement, AuditReport, AuditViolation,
 };
 pub use blspm::{
-    solve_blspm_relaxation, taa, taa_instrumented, taa_with_solver, BlspmRelaxation,
-    BlspmWarmSolver, TaaOptions, TaaResult,
+    solve_blspm_relaxation, taa, BlspmRelaxation, BlspmWarmSolver, TaaOptions, TaaResult,
 };
 pub use error::{InstanceError, MetisError};
 pub use faults::FaultPlan;
 pub use framework::{
-    metis, metis_instrumented, metis_with_faults, Incident, IterationRecord, MetisConfig,
-    MetisResult, Phase, RoundTrace,
+    metis, metis_instrumented, Incident, MetisConfig, MetisResult, Phase, RoundTrace,
 };
 pub use instance::{SpmInstance, DEFAULT_PATHS_PER_PAIR};
 pub use limiter::LimiterRule;
 pub use online::{
-    online_metis, online_metis_instrumented, online_metis_with_faults, EpochRecord, OnlineOptions,
-    OnlineResult,
+    online_metis, online_metis_instrumented, EpochRecord, OnlineOptions, OnlineResult,
 };
 pub use parallel::ParallelConfig;
 pub use rlspm::{
-    maa, maa_instrumented, maa_with_solver, round_schedule, solve_rlspm_relaxation, MaaOptions,
-    MaaResult, RlspmRelaxation, RlspmWarmSolver,
+    maa, round_schedule, solve_rlspm_relaxation, MaaOptions, MaaResult, RlspmRelaxation,
+    RlspmWarmSolver,
 };
 pub use schedule::{CapacityViolation, Evaluation, Schedule};

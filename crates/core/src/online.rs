@@ -94,7 +94,7 @@ impl OnlineResult {
 ///
 /// Returns [`MetisError`] only for malformed instances; solver failures
 /// are contained. An epoch whose whole run fails (see
-/// [`online_metis_with_faults`]) is skipped — its requests are declined,
+/// [`online_metis_instrumented`]) is skipped — its requests are declined,
 /// the remaining epochs proceed — and recorded as
 /// [`Incident::EpochSkipped`] in [`OnlineResult::incidents`].
 ///
@@ -123,10 +123,16 @@ pub fn online_metis(
     instance: &SpmInstance,
     options: &OnlineOptions,
 ) -> Result<OnlineResult, MetisError> {
-    online_metis_with_faults(instance, options, &FaultPlan::none())
+    online_metis_instrumented(
+        instance,
+        options,
+        &FaultPlan::none(),
+        &Telemetry::disabled(),
+    )
 }
 
-/// Runs online Metis under a [`FaultPlan`].
+/// Runs online Metis under a [`FaultPlan`], recording telemetry into
+/// `tele`.
 ///
 /// Epoch faults ([`FaultPlan::fail_epoch`]) kill the matching epoch's
 /// whole run, simulating a per-epoch crash or timeout: that epoch's
@@ -134,27 +140,9 @@ pub fn online_metis(
 /// and every other epoch is unaffected. Solver points of the plan are
 /// *not* forwarded to the inner per-epoch runs (attempt indices would be
 /// ambiguous across epochs); inner runs still contain their own organic
-/// solver failures and surface those incidents here.
-///
-/// With [`FaultPlan::none`] this is exactly [`online_metis`].
-///
-/// # Errors
-///
-/// Same as [`online_metis`].
-///
-/// # Panics
-///
-/// Panics if `options.epochs == 0`.
-pub fn online_metis_with_faults(
-    instance: &SpmInstance,
-    options: &OnlineOptions,
-    faults: &FaultPlan,
-) -> Result<OnlineResult, MetisError> {
-    online_metis_instrumented(instance, options, faults, &Telemetry::disabled())
-}
-
-/// Runs online Metis under a [`FaultPlan`], recording telemetry into
-/// `tele`.
+/// solver failures and surface those incidents here. With
+/// [`FaultPlan::none`] and [`Telemetry::disabled`] this is exactly
+/// [`online_metis`].
 ///
 /// The whole run executes under the `online` span; each epoch gets an
 /// `online.epoch` child span (the inner Metis run's spans nest below
@@ -162,8 +150,8 @@ pub fn online_metis_with_faults(
 /// the `online.epoch.accepted` / `online.epoch.profit` series, and every
 /// skipped epoch is counted in `incident.epoch_skipped` and emitted on
 /// the event stream as well as recorded in [`OnlineResult::incidents`].
-/// Recording is write-only — passing [`Telemetry::disabled`] (what
-/// [`online_metis_with_faults`] does) yields bit-identical results.
+/// Recording is write-only: the result is bit-identical whether
+/// telemetry is on or off.
 ///
 /// # Errors
 ///
@@ -202,7 +190,7 @@ pub fn online_metis_instrumented(
             let epoch_run = match faults.epoch_fault(e) {
                 Some(error) => Err(MetisError::Solve(error)),
                 None => metis_instrumented(
-                    &instance.subset(members),
+                    &instance.try_subset(members)?,
                     &options.metis,
                     &FaultPlan::none(),
                     tele,

@@ -17,13 +17,14 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use metis_lp::{Basis, LpTrace, Problem, Relation, Sense, SolveError, SolveOptions, SolveStats};
+use metis_lp::{LpTrace, Problem, Relation, Sense, SolveError, SolveOptions, SolveStats};
 use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
 
 use crate::instance::SpmInstance;
 use crate::parallel::{self, ParallelConfig};
 use crate::schedule::{Evaluation, Schedule};
+use crate::warm::WarmBasis;
 
 /// Options for [`maa`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -216,7 +217,7 @@ pub fn solve_rlspm_relaxation(
 /// Changing the mask only toggles the `y_i` bounds between `[0, 0]`
 /// (declined: all of `i`'s path variables are forced to zero) and `[1, 1]`
 /// (accepted: exactly one unit of flow), which keeps the previous round's
-/// [`Basis`] structurally valid — each re-solve starts from it and
+/// [`metis_lp::Basis`] structurally valid — each re-solve starts from it and
 /// typically finishes in a handful of pivots. The optimum **value** always
 /// equals the per-mask LP's; the optimal **vertex** may be a different one
 /// of the tied optima than the cold rebuild finds.
@@ -247,9 +248,7 @@ pub struct RlspmWarmSolver {
     xvars: Vec<Vec<metis_lp::VarId>>,
     cvars: Vec<metis_lp::VarId>,
     yvars: Vec<metis_lp::VarId>,
-    basis: Option<Basis>,
-    warm_solves: usize,
-    cold_solves: usize,
+    warm: WarmBasis,
 }
 
 impl RlspmWarmSolver {
@@ -316,9 +315,7 @@ impl RlspmWarmSolver {
             xvars,
             cvars,
             yvars,
-            basis: None,
-            warm_solves: 0,
-            cold_solves: 0,
+            warm: WarmBasis::default(),
         }
     }
 
@@ -345,28 +342,7 @@ impl RlspmWarmSolver {
             let b = if on { 1.0 } else { 0.0 };
             self.problem.set_bounds(self.yvars[i], b, b);
         }
-        let had_basis = self.basis.is_some();
-        let attempt = self
-            .problem
-            .solve_with_basis(lp_options, self.basis.as_ref());
-        let (sol, basis) = match attempt {
-            Ok(pair) => {
-                if had_basis {
-                    self.warm_solves += 1;
-                } else {
-                    self.cold_solves += 1;
-                }
-                pair
-            }
-            Err(_) if had_basis => {
-                self.basis = None;
-                self.cold_solves += 1;
-                self.problem.solve_with_basis(lp_options, None)?
-            }
-            Err(e) => return Err(e),
-        };
-        self.basis = Some(basis);
-
+        let sol = self.warm.solve(&self.problem, lp_options)?;
         let x: Vec<Vec<f64>> = self
             .xvars
             .iter()
@@ -392,24 +368,30 @@ impl RlspmWarmSolver {
     /// Solves that started from a previous basis (including ones the
     /// simplex internally restarted cold after a numerical failure).
     pub fn warm_solves(&self) -> usize {
-        self.warm_solves
+        self.warm.warm_solves
     }
 
     /// Solves that built a basis from scratch.
     pub fn cold_solves(&self) -> usize {
-        self.cold_solves
+        self.warm.cold_solves
     }
 
     /// Drops the stored basis, forcing the next solve to start cold.
     pub fn reset_basis(&mut self) {
-        self.basis = None;
+        self.warm.reset();
     }
 }
 
-/// Runs MAA like [`maa`], but solves the relaxation through a reusable
-/// [`RlspmWarmSolver`] so consecutive calls (e.g. the Metis alternation
-/// rounds) warm-start the simplex from the previous acceptance mask's
-/// basis.
+/// Runs MAA like [`maa`], recording telemetry into `tele`; with `Some`
+/// solver the relaxation warm-starts from that [`RlspmWarmSolver`]'s
+/// previous basis (the Metis alternation rounds).
+///
+/// The relaxation solve runs under the `maa.relax` span, the rounding
+/// trials under `maa.rounding`, LP work counters land in the `lp.*`
+/// metrics, and each trial's profit is observed into the
+/// `maa.trials.profit` histogram. Recording is write-only — passing
+/// [`Telemetry::disabled`] (what [`maa`] does) yields bit-identical
+/// results.
 ///
 /// # Errors
 ///
@@ -419,40 +401,7 @@ impl RlspmWarmSolver {
 ///
 /// Panics as [`maa`] does, or if `solver` was built from a different
 /// instance.
-pub fn maa_with_solver(
-    instance: &SpmInstance,
-    accepted: &[bool],
-    options: &MaaOptions,
-    solver: &mut RlspmWarmSolver,
-) -> Result<MaaResult, SolveError> {
-    maa_instrumented(
-        instance,
-        accepted,
-        options,
-        Some(solver),
-        &Telemetry::disabled(),
-    )
-}
-
-/// Runs MAA with optional warm starts, recording telemetry into `tele`.
-///
-/// This is the instrumented superset of [`maa`] (pass `None` for
-/// `solver`) and [`maa_with_solver`] (pass `Some`): the relaxation solve
-/// runs under the `maa.relax` span, the rounding trials under
-/// `maa.rounding`, LP work counters land in the `lp.*` metrics, and each
-/// trial's profit is observed into the `maa.trials.profit` histogram.
-/// Recording is write-only — passing [`Telemetry::disabled`] (what the
-/// plain entry points do) yields bit-identical results.
-///
-/// # Errors
-///
-/// Propagates LP failures from the relaxation stage.
-///
-/// # Panics
-///
-/// Panics as [`maa`] does, or if `solver` was built from a different
-/// instance.
-pub fn maa_instrumented(
+pub(crate) fn maa_instrumented(
     instance: &SpmInstance,
     accepted: &[bool],
     options: &MaaOptions,
@@ -922,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn maa_with_solver_matches_maa_economics() {
+    fn warm_maa_matches_maa_economics() {
         let inst = instance(15, 13);
         let accepted = vec![true; 15];
         let options = MaaOptions {
@@ -931,7 +880,14 @@ mod tests {
             ..MaaOptions::default()
         };
         let mut solver = RlspmWarmSolver::new(&inst);
-        let warm = maa_with_solver(&inst, &accepted, &options, &mut solver).unwrap();
+        let warm = maa_instrumented(
+            &inst,
+            &accepted,
+            &options,
+            Some(&mut solver),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let cold = maa(&inst, &accepted, &options).unwrap();
         // Degenerate LP optima may differ vertex-wise, but the relaxation
         // value is unique and both pipelines must respect the LP bound.

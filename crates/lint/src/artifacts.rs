@@ -15,6 +15,7 @@
 //! | `ART-02` | DESIGN.md §7 metric catalog | bidirectional with metric + event constants |
 //! | `ART-03` | README.md | every `spm`/`zoo` CLI flag must be documented |
 //! | `ART-04` | DESIGN.md §5b | every `crates/workload/src/families/` module must be described |
+//! | `ART-05` | README.md, DESIGN.md | every backticked snake_case identifier must occur in workspace Rust source |
 //!
 //! The fixture check is deliberately one-directional: the schema
 //! fixture pins the snapshot of one golden offline run, which touches
@@ -26,6 +27,7 @@
 //! All checks are pure functions over artifact text so tests can inject
 //! synthetic drift; [`run_artifacts`] wires them to the real files.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
@@ -326,6 +328,75 @@ fn section_5b(design: &str) -> &str {
     }
 }
 
+/// `ART-05`: every backticked snake_case identifier in a prose document
+/// (inline code spans; fenced code blocks are skipped) must occur as a
+/// word of the workspace's Rust source — a deleted or renamed function,
+/// field, or crate must not live on in the docs. `code` holds those
+/// words (see [`code_words`]).
+pub fn check_doc_identifiers(file: &str, doc: &str, code: &BTreeSet<String>) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let mut in_fence = false;
+    for (idx, line) in doc.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+            continue;
+        }
+        if in_fence {
+            continue;
+        }
+        // Odd segments between backticks are inline code spans.
+        for span in line.split('`').skip(1).step_by(2) {
+            if is_snake_case(span) && !code.contains(span) {
+                out.push(finding(
+                    file,
+                    (idx + 1) as u32,
+                    "ART-05",
+                    format!(
+                        "identifiers.{span}: `{span}` is backticked in {file} but occurs in no \
+workspace Rust source — rename or remove it"
+                    ),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// A lowercase identifier with at least one underscore (`try_subset`),
+/// which plain backticked words and dotted metric names are not.
+fn is_snake_case(s: &str) -> bool {
+    s.contains('_')
+        && s.starts_with(|c: char| c.is_ascii_lowercase())
+        && s.chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+}
+
+/// The words of one Rust source file that docs may cite: identifier
+/// tokens, plus the identifier-shaped words inside string literals (span
+/// and family names like `taa.u_root`) and rustdoc comments (math
+/// symbols like `y_i`). Plain `//` comments do not count: they document
+/// nothing a reader of README.md or DESIGN.md can look up.
+pub fn code_words(src: &str) -> BTreeSet<String> {
+    let lexed = lexer::lex(src);
+    let mut words = BTreeSet::new();
+    let mut add_words = |text: &str| {
+        words.extend(
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .map(String::from),
+        );
+    };
+    for t in &lexed.tokens {
+        if matches!(t.kind, TokenKind::Ident | TokenKind::Literal) {
+            add_words(&t.text);
+        }
+    }
+    for c in lexed.comments.iter().filter(|c| c.doc) {
+        add_words(&c.text);
+    }
+    words
+}
+
 /// Runs every artifact check against the real workspace checkout.
 ///
 /// # Errors
@@ -364,6 +435,14 @@ pub fn run_artifacts(root: &Path) -> Result<Vec<Diagnostic>, String> {
     }
     stems.sort();
     out.extend(check_family_docs(&design, &stems));
+    let mut code = BTreeSet::new();
+    for path in crate::engine::collect_files(root) {
+        let src = fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        code.extend(code_words(&src));
+    }
+    out.extend(check_doc_identifiers("README.md", &readme, &code));
+    out.extend(check_doc_identifiers("DESIGN.md", &design, &code));
     out.sort();
     Ok(out)
 }
@@ -639,6 +718,44 @@ mod tests {
         let out = check_family_docs(design, &stems);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("§5b.families.hose"), "{}", out[0]);
+    }
+
+    #[test]
+    fn doc_identifier_check_flags_unknown_snake_case_names() {
+        let code: BTreeSet<String> = ["try_subset", "metis"].map(String::from).into();
+        let doc = "Call `try_subset` from `metis`, see `lp.solves` and `Foo_Bar`.\n\
+                   Then `ghost_helper` explains it.\n\
+                   ```text\nfenced_only_name\n```\n";
+        let out = check_doc_identifiers("README.md", doc, &code);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "ART-05");
+        assert_eq!(out[0].line, 2);
+        assert!(
+            out[0].message.contains("identifiers.ghost_helper"),
+            "{}",
+            out[0]
+        );
+    }
+
+    #[test]
+    fn doc_identifier_check_accepts_known_names_and_skips_fences() {
+        let code: BTreeSet<String> = ["try_subset", "round_trace"].map(String::from).into();
+        let doc = "Use `try_subset` and `round_trace`; `metis.round` is a span.\n\
+                   ```rust\nlet x = `not_a_span`;\n```\n";
+        assert!(check_doc_identifiers("DESIGN.md", doc, &code).is_empty());
+    }
+
+    #[test]
+    fn code_words_skip_plain_comments_only() {
+        let src = "/// Bound `y_i` per request.\n\
+                   // plain_note stays private\n\
+                   const SPAN: &str = \"taa.u_root\";\n\
+                   fn try_subset() {}\n";
+        let words = code_words(src);
+        for w in ["y_i", "u_root", "try_subset", "SPAN"] {
+            assert!(words.contains(w), "{w} missing from {words:?}");
+        }
+        assert!(!words.contains("plain_note"));
     }
 
     #[test]

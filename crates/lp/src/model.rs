@@ -147,7 +147,7 @@ impl Problem {
     }
 
     /// Adds an integer-constrained variable (for use with
-    /// [`crate::IlpSolver`]; the plain LP solver relaxes integrality).
+    /// [`crate::solve_ilp`]; the plain LP solver relaxes integrality).
     ///
     /// # Panics
     ///

@@ -45,10 +45,13 @@ fn main() -> Result<(), MetisError> {
         ev.utilization.links
     );
 
-    // The SP Updater's trace: how profit evolved over the alternation.
-    println!("\nprofit trace (solver, profit, accepted):");
-    for rec in &result.history {
-        println!("  {:?}\t{:>8.2}\t{}", rec.phase, rec.profit, rec.accepted);
+    // The convergence trace: how profit evolved over the alternation.
+    println!("\nprofit trace (round, solver, profit, accepted, best so far):");
+    for t in result.round_trace.iter().filter(|t| t.completed) {
+        println!(
+            "  {}\t{:?}\t{:>8.2}\t{}\t{:>8.2}",
+            t.round, t.phase, t.profit, t.accepted, t.best_profit
+        );
     }
     Ok(())
 }

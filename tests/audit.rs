@@ -55,7 +55,7 @@ fn audit_does_not_perturb_the_solution() {
     let audited = metis(&inst, &audited_config(4, 1)).unwrap();
     assert_eq!(plain.schedule, audited.schedule);
     assert_eq!(plain.evaluation, audited.evaluation);
-    assert_eq!(plain.history, audited.history);
+    assert_eq!(plain.round_trace, audited.round_trace);
 }
 
 #[test]

@@ -72,8 +72,8 @@ fn metis_identical_across_thread_counts() {
                 "evaluation differs: warm_start = {warm_start}, threads = {threads}"
             );
             assert_eq!(
-                run.history, reference.history,
-                "history differs: warm_start = {warm_start}, threads = {threads}"
+                run.round_trace, reference.round_trace,
+                "round trace differs: warm_start = {warm_start}, threads = {threads}"
             );
             assert_eq!(run.rounds, reference.rounds);
         }
@@ -88,7 +88,7 @@ fn metis_identical_across_repeated_runs() {
         let b = metis(&inst, &config(2, warm_start)).unwrap();
         assert_eq!(a.schedule, b.schedule, "warm_start = {warm_start}");
         assert_eq!(a.evaluation, b.evaluation);
-        assert_eq!(a.history, b.history);
+        assert_eq!(a.round_trace, b.round_trace);
     }
 }
 
@@ -156,5 +156,5 @@ fn auto_thread_count_changes_nothing() {
     let serial = metis(&inst, &config(1, false)).unwrap();
     let auto = metis(&inst, &config(0, false)).unwrap();
     assert_eq!(auto.schedule, serial.schedule);
-    assert_eq!(auto.history, serial.history);
+    assert_eq!(auto.round_trace, serial.round_trace);
 }

@@ -5,9 +5,9 @@
 //! injection in a θ=4 run, `metis` must still return `Ok` with profit ≥ 0
 //! and a well-formed schedule, record the incident, and — when the
 //! injected point is never reached — remain bit-identical to the
-//! failure-free baseline. Failure-free runs through the fault-injecting
-//! entry points must match the plain entry points exactly, across thread
-//! counts {1, 2, 8}, warm and cold.
+//! failure-free baseline. Failure-free runs under an empty plan must
+//! match the plain entry points exactly, across thread counts {1, 2, 8},
+//! warm and cold.
 //!
 //! Set `METIS_FAULTS_WARM_START=0` or `=1` to restrict the warm-start
 //! modes exercised (the CI matrix does); anything else runs both. Set
@@ -15,11 +15,12 @@
 //! unset, the solver default (sparse LU) applies.
 
 use metis_suite::core::{
-    metis, metis_with_faults, online_metis, online_metis_with_faults, FaultPlan, Incident,
+    metis, metis_instrumented, online_metis, online_metis_instrumented, FaultPlan, Incident,
     MaaOptions, MetisConfig, MetisResult, OnlineOptions, ParallelConfig, Phase, SpmInstance,
 };
 use metis_suite::lp::{BasisBackend, SolveError};
 use metis_suite::netsim::topologies;
+use metis_suite::telemetry::Telemetry;
 use metis_suite::workload::{generate, RequestId, WorkloadConfig};
 
 const THETA: usize = 4;
@@ -109,14 +110,19 @@ fn empty_plan_is_bit_identical_to_plain_entry_point() {
         let plain = metis(&inst, &config(1, warm_start)).unwrap();
         assert!(plain.incidents.is_empty());
         for threads in [1, 2, 8] {
-            let run =
-                metis_with_faults(&inst, &config(threads, warm_start), &FaultPlan::none()).unwrap();
+            let run = metis_instrumented(
+                &inst,
+                &config(threads, warm_start),
+                &FaultPlan::none(),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             assert!(run.incidents.is_empty());
             assert_eq!(
                 run.schedule, plain.schedule,
                 "warm_start = {warm_start}, threads = {threads}"
             );
-            assert_eq!(run.history, plain.history);
+            assert_eq!(run.round_trace, plain.round_trace);
             assert_eq!(run.evaluation, plain.evaluation);
             assert_eq!(run.rounds, plain.rounds);
         }
@@ -135,7 +141,7 @@ fn every_single_point_injection_degrades_gracefully() {
         for phase in [Phase::Maa, Phase::Taa] {
             for invocation in 0..=(2 * THETA + 1) {
                 let plan = FaultPlan::none().fail_at(phase, invocation);
-                let run = metis_with_faults(&inst, &cfg, &plan)
+                let run = metis_instrumented(&inst, &cfg, &plan, &Telemetry::disabled())
                     .unwrap_or_else(|e| panic!("{phase:?}@{invocation}: {e}"));
                 let label = format!("warm={warm_start} {phase:?}@{invocation}");
                 assert_well_formed(&inst, &run, &label);
@@ -143,7 +149,7 @@ fn every_single_point_injection_degrades_gracefully() {
                     // The injected attempt was never made; the run must be
                     // indistinguishable from the baseline.
                     assert_eq!(run.schedule, baseline.schedule, "{label}");
-                    assert_eq!(run.history, baseline.history, "{label}");
+                    assert_eq!(run.round_trace, baseline.round_trace, "{label}");
                     assert_eq!(run.evaluation, baseline.evaluation, "{label}");
                 } else {
                     // The incident trace names the injected phase.
@@ -181,7 +187,7 @@ fn warm_retry_exhaustion_skips_the_round() {
         let plan = FaultPlan::none()
             .fail_at_with(phase, first, SolveError::IterationLimit)
             .fail_at_with(phase, first + 1, SolveError::Singular);
-        let run = metis_with_faults(&inst, &cfg, &plan).unwrap();
+        let run = metis_instrumented(&inst, &cfg, &plan, &Telemetry::disabled()).unwrap();
         assert_well_formed(&inst, &run, &format!("{phase:?} double"));
         assert_eq!(run.warm_retries(), 1, "{phase:?}");
         assert_eq!(run.failed_rounds(), 1, "{phase:?}");
@@ -209,11 +215,11 @@ fn killed_initialization_degrades_to_decline_all() {
     // schedule — profit 0, not an error.
     let inst = instance(24, 4);
     let plan = FaultPlan::none().fail_at(Phase::Maa, 0);
-    let run = metis_with_faults(&inst, &config(1, false), &plan).unwrap();
+    let run = metis_instrumented(&inst, &config(1, false), &plan, &Telemetry::disabled()).unwrap();
     assert_eq!(run.evaluation.profit, 0.0);
     assert_eq!(run.evaluation.accepted, 0);
     assert_eq!(run.rounds, 0);
-    assert!(run.history.is_empty());
+    assert!(run.round_trace.iter().all(|t| !t.completed));
     assert_eq!(run.failed_rounds(), 1);
 }
 
@@ -227,7 +233,8 @@ fn everything_failing_still_returns_ok() {
                 plan = plan.fail_at(phase, invocation);
             }
         }
-        let run = metis_with_faults(&inst, &config(1, warm_start), &plan).unwrap();
+        let run = metis_instrumented(&inst, &config(1, warm_start), &plan, &Telemetry::disabled())
+            .unwrap();
         assert_eq!(run.evaluation.profit, 0.0, "warm = {warm_start}");
         assert_eq!(run.evaluation.accepted, 0);
         assert!(!run.incidents.is_empty());
@@ -241,11 +248,19 @@ fn injected_runs_are_deterministic_across_threads() {
     let inst = instance(24, 6);
     for warm_start in warm_modes() {
         let plan = FaultPlan::none().fail_at(Phase::Taa, 1);
-        let reference = metis_with_faults(&inst, &config(1, warm_start), &plan).unwrap();
+        let reference =
+            metis_instrumented(&inst, &config(1, warm_start), &plan, &Telemetry::disabled())
+                .unwrap();
         for threads in [2, 8] {
-            let run = metis_with_faults(&inst, &config(threads, warm_start), &plan).unwrap();
+            let run = metis_instrumented(
+                &inst,
+                &config(threads, warm_start),
+                &plan,
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             assert_eq!(run.schedule, reference.schedule, "threads = {threads}");
-            assert_eq!(run.history, reference.history);
+            assert_eq!(run.round_trace, reference.round_trace);
             assert_eq!(run.incidents, reference.incidents);
         }
     }
@@ -257,8 +272,9 @@ fn random_plans_never_break_the_run() {
     for warm_start in warm_modes() {
         for seed in 0..6 {
             let plan = FaultPlan::random(seed, 0.35, 2 * THETA + 2);
-            let run = metis_with_faults(&inst, &config(1, warm_start), &plan)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let run =
+                metis_instrumented(&inst, &config(1, warm_start), &plan, &Telemetry::disabled())
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_well_formed(&inst, &run, &format!("warm={warm_start} seed={seed}"));
             assert_eq!(
                 run.incidents.len(),
@@ -288,7 +304,7 @@ fn online_skips_only_the_failed_epoch() {
         .expect("some epoch has arrivals")
         .epoch;
     let plan = FaultPlan::none().fail_epoch_with(target, SolveError::IterationLimit);
-    let run = online_metis_with_faults(&inst, &options, &plan).unwrap();
+    let run = online_metis_instrumented(&inst, &options, &plan, &Telemetry::disabled()).unwrap();
 
     assert_eq!(run.skipped_epochs(), 1);
     assert!(run.evaluation.profit >= 0.0);
@@ -326,7 +342,9 @@ fn online_with_empty_plan_matches_plain_entry_point() {
         metis: config(1, false),
     };
     let plain = online_metis(&inst, &options).unwrap();
-    let faulted = online_metis_with_faults(&inst, &options, &FaultPlan::none()).unwrap();
+    let faulted =
+        online_metis_instrumented(&inst, &options, &FaultPlan::none(), &Telemetry::disabled())
+            .unwrap();
     assert_eq!(plain.schedule, faulted.schedule);
     assert_eq!(plain.evaluation, faulted.evaluation);
     assert_eq!(plain.epochs, faulted.epochs);
@@ -344,7 +362,7 @@ fn all_epochs_failing_declines_the_whole_cycle() {
     for e in 0..3 {
         plan = plan.fail_epoch(e);
     }
-    let run = online_metis_with_faults(&inst, &options, &plan).unwrap();
+    let run = online_metis_instrumented(&inst, &options, &plan, &Telemetry::disabled()).unwrap();
     assert_eq!(run.evaluation.profit, 0.0);
     assert_eq!(run.schedule.num_accepted(), 0);
     // Empty epochs are not "skipped" — only ones with arrivals to lose.

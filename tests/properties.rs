@@ -142,9 +142,9 @@ proptest! {
     fn metis_profit_nonnegative_and_recorded(inst in arb_instance()) {
         let m = metis(&inst, &MetisConfig::with_theta(3)).unwrap();
         prop_assert!(m.evaluation.profit >= 0.0);
-        // The recorded best dominates every history entry.
-        for rec in &m.history {
-            prop_assert!(m.evaluation.profit >= rec.profit - 1e-9);
+        // The recorded best dominates every completed solve.
+        for t in m.round_trace.iter().filter(|t| t.completed) {
+            prop_assert!(m.evaluation.profit >= t.profit - 1e-9);
         }
     }
 

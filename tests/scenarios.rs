@@ -34,11 +34,12 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use metis_suite::core::{
-    metis, metis_with_faults, FaultPlan, MaaOptions, MetisConfig, MetisResult, ParallelConfig,
+    metis, metis_instrumented, FaultPlan, MaaOptions, MetisConfig, MetisResult, ParallelConfig,
     Phase, SpmInstance,
 };
 use metis_suite::lp::BasisBackend;
 use metis_suite::netsim::units_to_gbps;
+use metis_suite::telemetry::Telemetry;
 use metis_suite::workload::json::Json;
 use metis_suite::workload::{RequestId, Scenario};
 
@@ -207,7 +208,7 @@ fn every_scenario_is_deterministic_across_threads_and_backends() {
                         run.schedule, reference.schedule,
                         "{label}: {backend:?} warm={warm_start} threads={threads}"
                     );
-                    assert_eq!(run.history, reference.history, "{label}");
+                    assert_eq!(run.round_trace, reference.round_trace, "{label}");
                     assert_eq!(run.evaluation, reference.evaluation, "{label}");
                 }
                 profits.push((backend, reference.evaluation.profit));
@@ -246,7 +247,7 @@ fn every_scenario_survives_fault_injection() {
                 ));
             }
             for (name, plan) in plans {
-                let run = metis_with_faults(&inst, &cfg, &plan)
+                let run = metis_instrumented(&inst, &cfg, &plan, &Telemetry::disabled())
                     .unwrap_or_else(|e| panic!("{label} warm={warm_start} {name}: {e}"));
                 assert_degraded_but_well_formed(
                     &inst,

@@ -70,10 +70,10 @@ fn telemetry_on_off_bit_identical_across_thread_counts() {
             let on = metis_instrumented(&inst, &cfg, &FaultPlan::none(), &tele).unwrap();
             let ctx = format!("threads = {threads}, warm_start = {warm_start}");
             assert_eq!(on.schedule, plain.schedule, "{ctx}");
-            assert_eq!(on.history, plain.history, "{ctx}");
+            assert_eq!(on.round_trace, plain.round_trace, "{ctx}");
             assert_eq!(on.evaluation, plain.evaluation, "{ctx}");
             assert_eq!(off.schedule, plain.schedule, "{ctx}");
-            assert_eq!(off.history, plain.history, "{ctx}");
+            assert_eq!(off.round_trace, plain.round_trace, "{ctx}");
             assert_eq!(off.evaluation, plain.evaluation, "{ctx}");
         }
     }
