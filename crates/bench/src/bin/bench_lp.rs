@@ -20,10 +20,15 @@
 //! canonical JSON for CI trend tracking; the emitted document records
 //! the size list actually run.
 //!
+//! The configurations run interleaved, one solve of each per trial, and
+//! each size records `pivot_ratio`: the median over its trials of the
+//! per-trial ratio of `sparse_lu` to `dense` time per pivot. Drift in
+//! machine speed hits both solves of a trial alike, so the ratio is
+//! hardware-independent and steady from run to run.
+//!
 //! `--trend-check BASELINE.json` additionally compares this run's
-//! hardware-independent per-pivot ratios (config vs same-run dense) at
-//! overlapping sizes against a committed baseline and exits nonzero on
-//! a >30% regression.
+//! `pivot_ratio`s at overlapping sizes against a committed baseline and
+//! exits nonzero on a >30% regression.
 //!
 //! Usage: `bench_lp [--quick] [--out PATH] [--trend-check BASELINE]
 //! [--sizes M1,M2,...]` (the last overrides the ladder, for probing
@@ -165,19 +170,47 @@ struct Measured {
     lu_u_nnz: usize,
 }
 
-fn measure(p: &Problem, opts: &SolveOptions, trials: usize) -> Measured {
-    let mut times: Vec<u128> = Vec::with_capacity(trials);
-    let mut last = None;
+/// Solves `p` under every configuration, `trials` times each, running
+/// the configurations in turn within each trial. Returns one measurement
+/// per configuration plus the per-trial solve times.
+fn measure(p: &Problem, configs: &[Config], trials: usize) -> (Vec<Measured>, Vec<Vec<u128>>) {
+    let mut times: Vec<Vec<u128>> = vec![Vec::with_capacity(trials); configs.len()];
+    let mut last = vec![None; configs.len()];
     for _ in 0..trials {
-        // metis-lint: allow(DET-02): wall-clock benchmark harness; timings are the output
-        let t = Instant::now();
-        let s = p.solve_with(opts).expect("benchmark LP must be feasible");
-        times.push(t.elapsed().as_nanos());
-        last = Some(s);
+        for (k, c) in configs.iter().enumerate() {
+            // metis-lint: allow(DET-02): wall-clock benchmark harness; timings are the output
+            let t = Instant::now();
+            let s = p
+                .solve_with(&c.opts)
+                .expect("benchmark LP must be feasible");
+            times[k].push(t.elapsed().as_nanos());
+            last[k] = Some(s);
+        }
     }
-    times.sort_unstable();
-    let median_solve_ns = times[times.len() / 2];
-    let s = last.expect("at least one trial");
+    let measured = times
+        .iter()
+        .zip(last)
+        .map(|(t, s)| summarize(t, &s.expect("at least one trial")))
+        .collect();
+    (measured, times)
+}
+
+/// Median over trials of the per-trial ratio of `num`'s to `den`'s time
+/// per pivot. Each side is (per-trial solve times, pivots per solve).
+fn median_pivot_ratio(num: (&[u128], usize), den: (&[u128], usize)) -> f64 {
+    let per_pivot =
+        |(times, pivots): (&[u128], usize), k: usize| times[k] as f64 / pivots.max(1) as f64;
+    let mut ratios: Vec<f64> = (0..num.0.len())
+        .map(|k| per_pivot(num, k) / per_pivot(den, k))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
+fn summarize(times: &[u128], s: &metis_lp::Solution) -> Measured {
+    let mut sorted = times.to_vec();
+    sorted.sort_unstable();
+    let median_solve_ns = sorted[sorted.len() / 2];
     let st = *s.stats();
     Measured {
         median_solve_ns,
@@ -210,31 +243,19 @@ fn config_json(m: &Measured) -> Json {
     ])
 }
 
-/// Per-pivot ratio of `sparse_lu` to same-document `dense` at every size
-/// where both were measured: `(m, ratio)`. Ratios compare work per
-/// pivot within one run, so they are hardware-independent and safe to
-/// trend across machines.
+/// The recorded `pivot_ratio` at every size where both configurations
+/// ran: `(m, ratio)`.
 fn pivot_ratios(doc: &Json) -> Vec<(usize, f64)> {
-    let mut out = Vec::new();
     let Some(entries) = doc.get("entries").and_then(Json::as_arr) else {
-        return out;
+        return Vec::new();
     };
-    for e in entries {
-        let (Some(m), Some(cfgs)) = (e.get("m").and_then(Json::as_usize), e.get("configs")) else {
-            continue;
-        };
-        let pivot = |key: &str| {
-            cfgs.get(key)
-                .and_then(|c| c.get("median_pivot_ns"))
-                .and_then(Json::as_f64)
-        };
-        if let (Some(dense), Some(other)) = (pivot("dense"), pivot("sparse_lu")) {
-            if dense > 0.0 {
-                out.push((m, other / dense));
-            }
-        }
-    }
-    out
+    entries
+        .iter()
+        .filter_map(|e| {
+            let m = e.get("m").and_then(Json::as_usize)?;
+            Some((m, e.get("pivot_ratio").and_then(Json::as_f64)?))
+        })
+        .collect()
 }
 
 /// Fails (exit 1) when any per-pivot ratio worsened by more than 30%
@@ -316,32 +337,23 @@ fn main() {
         } else {
             ("sparse_packing", sparse_packing_lp(m, 0x5eed))
         };
-        // One trial suffices at the sizes where a solve takes seconds.
-        let trials = match m {
-            _ if m >= 5000 => 1,
-            _ if m >= 1000 => 2,
-            _ if quick => 3,
-            _ => 5,
-        };
+        // One trial suffices at the sizes where a solve takes seconds and
+        // only the sparse engine runs; the ratio sizes take five.
+        let trials = if m > DENSE_MAX_M { 1 } else { 5 };
+        let cfgs: Vec<Config> = configs()
+            .into_iter()
+            .filter(|c| c.key != "dense" || m <= DENSE_MAX_M)
+            .collect();
+        let (measured, times) = measure(&p, &cfgs, trials);
         let mut cfg_fields: Vec<(&'static str, Json)> = Vec::new();
-        let mut dense_ref: Option<Measured> = None;
-        let mut reference_obj: Option<f64> = None;
-        for c in configs() {
-            if c.key == "dense" && m > DENSE_MAX_M {
-                continue;
-            }
-            let r = measure(&p, &c.opts, trials);
-            if let Some(obj0) = reference_obj {
-                assert!(
-                    (r.objective - obj0).abs() <= 1e-6 * (1.0 + obj0.abs()),
-                    "objectives diverged at m={m}: {} vs {} ({})",
-                    r.objective,
-                    obj0,
-                    c.key
-                );
-            } else {
-                reference_obj = Some(r.objective);
-            }
+        let obj0 = measured[0].objective;
+        for (c, r) in cfgs.iter().zip(&measured) {
+            assert!(
+                (r.objective - obj0).abs() <= 1e-6 * (1.0 + obj0.abs()),
+                "objectives diverged at m={m}: {} vs {obj0} ({})",
+                r.objective,
+                c.key
+            );
             println!(
                 "{:>7} {:>8} {:>13} {:>12.3}ms {:>12}ns {:>8} {:>8} {:>8}",
                 m,
@@ -353,21 +365,28 @@ fn main() {
                 r.refactorizations,
                 r.eta_updates,
             );
-            cfg_fields.push((c.key, config_json(&r)));
-            if c.key == "dense" {
-                dense_ref = Some(r);
-            } else if let Some(d) = &dense_ref {
-                let ratio = d.median_pivot_ns as f64 / r.median_pivot_ns.max(1) as f64;
-                println!("{:>54}", format!("(per-pivot {ratio:.2}x vs dense)"));
-            }
+            cfg_fields.push((c.key, config_json(r)));
         }
-        entries.push(obj([
+        let mut entry = vec![
             ("m", Json::Num(m as f64)),
             ("n_vars", Json::Num(p.num_vars() as f64)),
             ("family", Json::Str(family.to_string())),
             ("trials", Json::Num(trials as f64)),
             ("configs", obj(cfg_fields)),
-        ]));
+        ];
+        // `configs()` lists dense first: both ran when there are two.
+        if let [dense, sparse] = &measured[..] {
+            let ratio = median_pivot_ratio(
+                (&times[1], sparse.iterations),
+                (&times[0], dense.iterations),
+            );
+            println!(
+                "{:>54}",
+                format!("(per-pivot {:.2}x vs dense)", 1.0 / ratio)
+            );
+            entry.push(("pivot_ratio", Json::Num(ratio)));
+        }
+        entries.push(obj(entry));
     }
 
     let doc = obj([

@@ -106,7 +106,7 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
     let mut obj_coef: BTreeMap<String, f64> = BTreeMap::new();
     let mut entries: BTreeMap<(String, String), f64> = BTreeMap::new(); // (row, col)
     let mut rhs: BTreeMap<String, f64> = BTreeMap::new();
-    let mut ranges: BTreeMap<String, f64> = BTreeMap::new();
+    let mut ranges: BTreeMap<String, (f64, usize)> = BTreeMap::new();
     let mut bounds: Vec<(String, String, Option<f64>, usize)> = Vec::new(); // (type, col, value)
     let mut integer_cols: Vec<String> = Vec::new();
 
@@ -218,9 +218,8 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
                 }
                 for pair in fields[1..].chunks(2) {
                     let row = pair[0].to_string();
-                    let value: f64 = pair[1]
-                        .parse()
-                        .map_err(|_| err(lineno, &format!("bad number {}", pair[1])))?;
+                    let value = number(pair[1])
+                        .ok_or_else(|| err(lineno, &format!("bad number {}", pair[1])))?;
                     if Some(&row) == obj_row.as_ref() {
                         *obj_coef.entry(col.clone()).or_insert(0.0) += value;
                     } else if row_rel.contains_key(&row) {
@@ -236,9 +235,8 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
                 }
                 for pair in fields[1..].chunks(2) {
                     let row = pair[0].to_string();
-                    let value: f64 = pair[1]
-                        .parse()
-                        .map_err(|_| err(lineno, &format!("bad number {}", pair[1])))?;
+                    let value = number(pair[1])
+                        .ok_or_else(|| err(lineno, &format!("bad number {}", pair[1])))?;
                     if Some(&row) == obj_row.as_ref() {
                         // Objective constant; ignored (common convention).
                         continue;
@@ -255,13 +253,12 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
                 }
                 for pair in fields[1..].chunks(2) {
                     let row = pair[0].to_string();
-                    let value: f64 = pair[1]
-                        .parse()
-                        .map_err(|_| err(lineno, &format!("bad number {}", pair[1])))?;
+                    let value = number(pair[1])
+                        .ok_or_else(|| err(lineno, &format!("bad number {}", pair[1])))?;
                     if !row_rel.contains_key(&row) {
                         return Err(err(lineno, &format!("unknown row {row}")));
                     }
-                    ranges.insert(row, value);
+                    ranges.insert(row, (value, lineno));
                 }
             }
             Section::Bounds => {
@@ -270,15 +267,10 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
                 }
                 let btype = fields[0].to_ascii_uppercase();
                 let col = fields[2].to_string();
-                let value = fields.get(3).map(|v| {
-                    v.parse::<f64>()
-                        .map_err(|_| err(lineno, &format!("bad number {v}")))
-                });
-                let value = match value {
-                    Some(Ok(v)) => Some(v),
-                    Some(Err(e)) => return Err(e),
-                    None => None,
-                };
+                let value = fields
+                    .get(3)
+                    .map(|v| number(v).ok_or_else(|| err(lineno, &format!("bad number {v}"))))
+                    .transpose()?;
                 bounds.push((btype, col, value, lineno));
             }
         }
@@ -349,7 +341,7 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
             .collect();
         p.add_constraint(terms.iter().copied(), rel, b);
         // RANGES: add the mirrored side.
-        if let Some(&r) = ranges.get(row) {
+        if let Some(&(r, lineno)) = ranges.get(row) {
             let (rel2, b2) = match rel {
                 Relation::Le => (Relation::Ge, b - r.abs()),
                 Relation::Ge => (Relation::Le, b + r.abs()),
@@ -362,11 +354,22 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
                     }
                 }
             };
+            if b2.is_nan() {
+                return Err(err(
+                    lineno,
+                    &format!("range {r} on row {row} leaves no bound"),
+                ));
+            }
             p.add_constraint(terms.iter().copied(), rel2, b2);
         }
     }
 
     Ok(p)
+}
+
+/// A numeric field; NaN is not a number a problem can hold.
+fn number(field: &str) -> Option<f64> {
+    field.parse::<f64>().ok().filter(|v| !v.is_nan())
 }
 
 fn parse_objsense(word: &str) -> Option<Sense> {

@@ -30,6 +30,18 @@
 //!   termination.
 //! * The ratio test is the textbook smallest-ratio rule, ties broken by
 //!   lowest row index.
+//! * A cold solve starts from the slack basis. When some slack cannot
+//!   absorb its row's residual, a **feasibility crash** first tries to
+//!   build a primal-feasible basis from the row structure: each such row
+//!   makes basic a structural column that zeroes its residual within the
+//!   column's bounds, then each row this overdraws is repaired by an
+//!   unbounded column moved to the largest amount any of its rows needs.
+//!   If the result factorizes and every basic value is within bounds,
+//!   phase 2 starts from it and phase 1 is skipped; otherwise the solver
+//!   restores the slack basis and runs phase 1 with artificials. On the
+//!   RL-SPM relaxation the crash routes every request on its first path
+//!   and sets each charge column to its peak load; BL-SPM starts feasible
+//!   from the slack basis, and transportation-style LPs fall back.
 
 use crate::error::SolveError;
 use crate::factor::{EtaFile, LuFactors};
@@ -416,13 +428,6 @@ impl Simplex {
             })
             .collect();
         self.basis = (0..m).map(|i| (self.n_struct + i) as u32).collect();
-        // B = I for the slack basis.
-        if let BasisRepr::Dense { binv } = &mut self.repr {
-            *binv = vec![0.0; m * m];
-            for i in 0..m {
-                binv[i * m + i] = 1.0;
-            }
-        }
 
         // Row residuals with all structural vars at their resting values.
         let mut resid = self.rhs.clone();
@@ -430,6 +435,34 @@ impl Simplex {
             let v = self.nonbasic_value(j, self.state[j]);
             if v != 0.0 {
                 self.a.axpy_col(j, -v, &mut resid);
+            }
+        }
+
+        // A primal-feasible crash basis makes phase 1 unnecessary.
+        if !self.crash(&resid) {
+            self.phase1(&resid)?;
+        }
+
+        // --- Phase 2. ---
+        self.degenerate_streak = 0;
+        self.optimize()?;
+
+        self.extract_solution()
+    }
+
+    /// Phase 1 from the slack basis: adds one artificial per row whose
+    /// slack cannot absorb its residual `resid` (none: the slack basis
+    /// is feasible) and minimizes their sum, leaving a feasible basis
+    /// for phase 2.
+    fn phase1(&mut self, resid: &[f64]) -> Result<(), SolveError> {
+        let m = self.m();
+        let n_total = self.n_struct + self.n_slack;
+
+        // B = I for the slack basis.
+        if let BasisRepr::Dense { binv } = &mut self.repr {
+            *binv = vec![0.0; m * m];
+            for i in 0..m {
+                binv[i * m + i] = 1.0;
             }
         }
 
@@ -513,12 +546,151 @@ impl Simplex {
         } else {
             self.factorize_sparse()?;
         }
+        Ok(())
+    }
 
-        // --- Phase 2. ---
-        self.degenerate_streak = 0;
-        self.optimize()?;
+    /// Feasibility crash: tries to replace phase 1 by a primal-feasible
+    /// basis read off the row structure, given the slack basis's row
+    /// residuals `resid`. Returns `true` with the basis factorized and
+    /// `xb` set; returns `false` with `state` and `basis` as they were
+    /// (the slack basis) when the slack basis is already feasible or no
+    /// feasible crash basis was found.
+    ///
+    /// * Pass 1: each row whose slack cannot absorb its residual makes
+    ///   basic the lowest-index nonbasic structural column with a nonzero
+    ///   in the row that stays within its bounds when moved to zero the
+    ///   residual; the row's slack goes nonbasic at the bound it hit.
+    /// * Pass 2: each row whose still-basic slack pass 1 pushed out of
+    ///   range makes basic the lowest-index column at a finite lower
+    ///   bound, with an infinite upper bound and an entry of the repairing
+    ///   sign, all of whose rows still have a basic slack. The column
+    ///   moves by the largest amount any of its rows needs and becomes
+    ///   basic in that row.
+    ///
+    /// The crash is kept only if the basis factorizes and every basic
+    /// value lies within its bounds. On RL-SPM (assignment rows plus load
+    /// rows sharing a charge column) it routes every request on its first
+    /// path and makes each charge column basic at its peak load.
+    fn crash(&mut self, resid: &[f64]) -> bool {
+        let m = self.m();
+        let ns = self.n_struct;
+        let tol = self.opts.tol;
+        let slack_range = |s: &Self, i: usize| (s.lower[ns + i], s.upper[ns + i]);
+        if (0..m).all(|i| self.slack_absorbs(i, resid[i])) {
+            return false;
+        }
+        // Structural entries by row (columns in increasing order).
+        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        for j in 0..ns {
+            for (i, v) in self.a.col(j).iter() {
+                rows[i].push((j, v));
+            }
+        }
+        let saved_state = self.state.clone();
+        let mut r = resid.to_vec();
 
-        self.extract_solution()
+        // Pass 1.
+        for i in 0..m {
+            if self.slack_absorbs(i, resid[i]) || self.slack_absorbs(i, r[i]) {
+                continue;
+            }
+            let (sl, su) = slack_range(self, i);
+            let to_upper = r[i] > su;
+            let excess = r[i] - if to_upper { su } else { sl };
+            let pick = rows[i].iter().find(|&&(j, v)| {
+                if v.abs() < self.opts.pivot_tol || matches!(self.state[j], VarState::Basic(_)) {
+                    return false;
+                }
+                let x = self.nonbasic_value(j, self.state[j]) + excess / v;
+                x >= self.lower[j] - tol && x <= self.upper[j] + tol
+            });
+            let Some(&(j, v)) = pick else {
+                return self.crash_fallback(saved_state);
+            };
+            self.make_crash_basic(j, i, to_upper);
+            self.a.axpy_col(j, -excess / v, &mut r);
+        }
+
+        // Pass 2.
+        for i in 0..m {
+            if self.basis[i] as usize != ns + i || self.slack_absorbs(i, r[i]) {
+                continue;
+            }
+            let sign = if r[i] < self.lower[ns + i] { -1.0 } else { 1.0 };
+            let pick = rows[i].iter().find(|&&(j, v)| {
+                v * sign > self.opts.pivot_tol
+                    && self.state[j] == VarState::AtLower
+                    && self.upper[j] == f64::INFINITY
+                    && self
+                        .a
+                        .col(j)
+                        .iter()
+                        .all(|(k, _)| self.basis[k] as usize == ns + k)
+            });
+            let Some(&(j, _)) = pick else {
+                return self.crash_fallback(saved_state);
+            };
+            // The step each of the column's rows needs; the largest wins.
+            let mut best: Option<(usize, f64, bool)> = None; // (row, step, to_upper)
+            for (k, v) in self.a.col(j).iter() {
+                let (kl, ku) = slack_range(self, k);
+                let need = if v < 0.0 && r[k] < kl {
+                    Some(((kl - r[k]) / -v, false))
+                } else if v > 0.0 && r[k] > ku {
+                    Some(((r[k] - ku) / v, true))
+                } else {
+                    None
+                };
+                if let Some((t, up)) = need {
+                    if best.is_none_or(|(_, bt, _)| t > bt) {
+                        best = Some((k, t, up));
+                    }
+                }
+            }
+            let Some((row, t, to_upper)) = best else {
+                return self.crash_fallback(saved_state);
+            };
+            self.make_crash_basic(j, row, to_upper);
+            self.a.axpy_col(j, -t, &mut r);
+        }
+
+        // Accept only a factorizable, primal-feasible basis.
+        self.xb = vec![0.0; m];
+        if self.refactor().is_err() {
+            return self.crash_fallback(saved_state);
+        }
+        let feasible = self.basis.iter().zip(&self.xb).all(|(&bj, &x)| {
+            let bj = bj as usize;
+            x >= self.lower[bj] - tol && x <= self.upper[bj] + tol
+        });
+        feasible || self.crash_fallback(saved_state)
+    }
+
+    /// Whether row `i`'s slack can take the value `x` within its bounds.
+    fn slack_absorbs(&self, i: usize, x: f64) -> bool {
+        let s = self.n_struct + i;
+        x <= self.upper[s] + self.opts.tol && x >= self.lower[s] - self.opts.tol
+    }
+
+    /// Makes structural column `j` basic in `row`, retiring the row's
+    /// slack to the bound it hit.
+    fn make_crash_basic(&mut self, j: usize, row: usize, slack_to_upper: bool) {
+        self.state[j] = VarState::Basic(row as u32);
+        self.state[self.n_struct + row] = if slack_to_upper {
+            VarState::AtUpper
+        } else {
+            VarState::AtLower
+        };
+        self.basis[row] = j as u32;
+    }
+
+    /// Undoes a rejected crash: restores the slack basis and the saved
+    /// `state`. Phase 1 rebuilds `xb` and the basis representation (the
+    /// dense inverse included) from those two.
+    fn crash_fallback(&mut self, state: Vec<VarState>) -> bool {
+        self.state = state;
+        self.basis = (0..self.m()).map(|i| (self.n_struct + i) as u32).collect();
+        false
     }
 
     /// Snapshots the current basis over structural + slack columns.
@@ -1239,6 +1411,11 @@ impl Simplex {
     fn refresh(&mut self) -> Result<(), SolveError> {
         self.refreshes += 1;
         self.pivots_since_refresh = 0;
+        self.refactor()
+    }
+
+    /// Factorizes the current basis and recomputes the basic values.
+    fn refactor(&mut self) -> Result<(), SolveError> {
         match self.opts.basis {
             BasisBackend::Dense => self.refresh_dense()?,
             BasisBackend::SparseLu => self.factorize_sparse()?,
@@ -1475,6 +1652,97 @@ mod tests {
         }
     }
 
+    /// Both basis backends.
+    fn backends() -> [SolveOptions; 2] {
+        [BasisBackend::SparseLu, BasisBackend::Dense].map(|basis| SolveOptions {
+            basis,
+            ..SolveOptions::default()
+        })
+    }
+
+    /// A small RL-SPM relaxation: three requests with two candidate paths
+    /// each (`Σ x = 1`), load rows `Σ r·x − c_e ≤ 0` per (edge, slot), and
+    /// one charge column per edge with upper bound `charge_cap`.
+    fn rlspm_shaped(charge_cap: f64) -> Problem {
+        // (rate, first slot, last slot, paths as edge lists) per request.
+        let requests: [(f64, usize, usize, [&[usize]; 2]); 3] = [
+            (2.0, 0, 1, [&[0], &[1, 2]]),
+            (1.0, 1, 2, [&[0, 1], &[2]]),
+            (3.0, 0, 2, [&[1], &[0, 2]]),
+        ];
+        let prices = [1.0, 2.5, 1.5];
+        let mut p = Problem::new(Sense::Minimize);
+        let x: Vec<Vec<_>> = requests
+            .iter()
+            .map(|_| (0..2).map(|_| p.add_var(0.0, 0.0, 1.0)).collect())
+            .collect();
+        let c: Vec<_> = prices
+            .iter()
+            .map(|&price| p.add_var(price, 0.0, charge_cap))
+            .collect();
+        for xi in &x {
+            p.add_constraint(xi.iter().map(|&v| (v, 1.0)), Relation::Eq, 1.0);
+        }
+        for (e, &ce) in c.iter().enumerate() {
+            for t in 0..3 {
+                let mut row = vec![(ce, -1.0)];
+                for (i, &(rate, start, end, paths)) in requests.iter().enumerate() {
+                    for (j, path) in paths.iter().enumerate() {
+                        if (start..=end).contains(&t) && path.contains(&e) {
+                            row.push((x[i][j], rate));
+                        }
+                    }
+                }
+                if row.len() > 1 {
+                    p.add_constraint(row, Relation::Le, 0.0);
+                }
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn crash_skips_phase1_on_rlspm_shape() {
+        // A finite charge cap keeps pass 2 from using the charge column,
+        // so that copy of the LP runs phase 1 and gives the reference.
+        let reference = rlspm_shaped(1e3).solve().unwrap();
+        assert!(reference.stats().phase1_iterations > 0);
+        for opts in backends() {
+            let s = rlspm_shaped(f64::INFINITY).solve_with(&opts).unwrap();
+            assert_eq!(s.stats().phase1_iterations, 0, "{:?}", opts.basis);
+            assert_close(s.objective(), reference.objective());
+        }
+    }
+
+    #[test]
+    fn rejected_crash_falls_back_to_phase1() {
+        // Pass 2 raises c to 2 for row 2, which overdraws the row before
+        // it (c ≤ 1): the crash basis factorizes but is infeasible, so
+        // phase 1 must run from an intact slack basis. Optimum
+        // x0 = x1 = 0.5, c = 1.
+        let mut p = Problem::new(Sense::Minimize);
+        let x0 = p.add_var(0.0, 0.0, 1.0);
+        let x1 = p.add_var(1.0, 0.0, 1.0);
+        let c = p.add_var(0.1, 0.0, f64::INFINITY);
+        p.add_constraint([(x0, 1.0), (x1, 1.0)], Relation::Eq, 1.0);
+        p.add_constraint([(c, 1.0)], Relation::Le, 1.0);
+        p.add_constraint([(x0, 2.0), (c, -1.0)], Relation::Le, 0.0);
+        // No column can absorb the equality row within its bounds.
+        let mut q = Problem::new(Sense::Minimize);
+        let y0 = q.add_var(1.0, 0.0, 2.0);
+        let y1 = q.add_var(2.0, 0.0, 2.0);
+        q.add_constraint([(y0, 1.0), (y1, 1.0)], Relation::Eq, 3.0);
+        for opts in backends() {
+            let s = p.solve_with(&opts).unwrap();
+            assert!(s.stats().phase1_iterations > 0, "{:?}", opts.basis);
+            assert_close(s.objective(), 0.6);
+            assert_close(s.value(c), 1.0);
+            let s = q.solve_with(&opts).unwrap();
+            assert!(s.stats().phase1_iterations > 0, "{:?}", opts.basis);
+            assert_close(s.objective(), 4.0);
+        }
+    }
+
     #[test]
     fn infeasible_conflicting_rows() {
         let mut p = Problem::new(Sense::Minimize);
@@ -1583,10 +1851,15 @@ mod tests {
                 demand[j],
             );
         }
-        let s = p.solve().unwrap();
-        // Optimal: x11=8, x13=2, x22=7, x23=8 → 32+18+21+64 = 135.
-        assert_close(s.objective(), 135.0);
-        assert!(p.max_violation(s.values()) < 1e-6);
+        // Optimal: x11=8, x13=2, x22=7, x23=8 → 32+18+21+64 = 135. The
+        // crash has no negative column to repair the overdrawn supply
+        // rows, so both backends fall back to phase 1.
+        for opts in backends() {
+            let s = p.solve_with(&opts).unwrap();
+            assert_close(s.objective(), 135.0);
+            assert!(p.max_violation(s.values()) < 1e-6);
+            assert!(s.stats().phase1_iterations > 0, "{:?}", opts.basis);
+        }
     }
 
     #[test]

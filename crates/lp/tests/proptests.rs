@@ -334,3 +334,136 @@ fn warm_start_bases_are_backend_portable() {
         "too few cross-backend warm starts exercised ({cross_checked})"
     );
 }
+
+/// Seeded RL-SPM-shaped relaxation: requests with 1–3 candidate paths
+/// over a few edges, each either routed (`Σ x = 1`) or, in the
+/// warm-solver form, routed through a fixed acceptance column
+/// (`Σ x − y = 0`, `y ∈ [1, 1]`), plus one load row `Σ r·x − c_e ≤ 0` per
+/// touched (edge, slot) and a priced, unbounded charge column per edge.
+fn seeded_rlspm_lp(seed: u64) -> Problem {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % n
+    };
+    let edges = 3 + next(6);
+    let slots = 1 + next(4);
+    let requests = 2 + next(12);
+    let with_y = seed % 2 == 1;
+    let mut p = Problem::new(Sense::Minimize);
+    let mut cells: Vec<Vec<(metis_lp::VarId, f64)>> = vec![Vec::new(); edges * slots];
+    let mut assignment = Vec::with_capacity(requests);
+    for _ in 0..requests {
+        let rate = 0.5 + next(8) as f64 * 0.25;
+        let start = next(slots);
+        let end = start + next(slots - start);
+        let mut row = Vec::new();
+        for _ in 0..1 + next(3) {
+            let x = p.add_var(0.0, 0.0, 1.0);
+            row.push((x, 1.0));
+            let hops = 1 + next(3);
+            let first = next(edges);
+            for h in 0..hops {
+                let e = (first + 2 * h) % edges;
+                for t in start..=end {
+                    if cells[e * slots + t].iter().all(|&(v, _)| v != x) {
+                        cells[e * slots + t].push((x, rate));
+                    }
+                }
+            }
+        }
+        assignment.push(row);
+    }
+    let charges: Vec<_> = (0..edges)
+        .map(|_| p.add_var(0.5 + next(10) as f64 * 0.5, 0.0, f64::INFINITY))
+        .collect();
+    for mut row in assignment {
+        let rhs = if with_y {
+            row.push((p.add_var(0.0, 1.0, 1.0), -1.0));
+            0.0
+        } else {
+            1.0
+        };
+        p.add_constraint(row, Relation::Eq, rhs);
+    }
+    for (cell, terms) in cells.into_iter().enumerate() {
+        if !terms.is_empty() {
+            let c = charges[cell / slots];
+            p.add_constraint(terms.into_iter().chain([(c, -1.0)]), Relation::Le, 0.0);
+        }
+    }
+    p
+}
+
+/// Bound-aware dual objective of `sol`'s row duals: `b·y` plus, for
+/// every column, its reduced cost `d_j = c_j − a_jᵀy` times the bound
+/// the optimality conditions put it at. Returns `None` when the duals
+/// are infeasible: a row dual of the wrong sign, or a reduced cost
+/// pushing a column toward an infinite bound.
+fn dual_objective(p: &Problem, sol: &metis_lp::Solution, tol: f64) -> Option<f64> {
+    let y = sol.duals()?;
+    // Signs below are for minimization; maximization mirrors them.
+    let flip = if p.sense() == Sense::Maximize {
+        -1.0
+    } else {
+        1.0
+    };
+    let mut obj = 0.0;
+    for ((&yi, rel), rhs) in y.iter().zip(p.row_relations()).zip(p.row_rhs()) {
+        let ok = match rel {
+            Relation::Le => flip * yi <= tol,
+            Relation::Ge => flip * yi >= -tol,
+            Relation::Eq => true,
+        };
+        if !ok {
+            return None;
+        }
+        obj += yi * rhs;
+    }
+    for (j, col) in p.entries_by_column().iter().enumerate() {
+        let v = p.var(j);
+        let d = p.objective_coeff(v) - col.iter().map(|&(i, a)| a * y[i]).sum::<f64>();
+        if d.abs() <= tol {
+            continue;
+        }
+        let (lo, up) = p.bounds(v);
+        let bound = if flip * d > 0.0 { lo } else { up };
+        if !bound.is_finite() {
+            return None;
+        }
+        obj += d * bound;
+    }
+    Some(obj)
+}
+
+/// An optimality oracle that does not depend on the start basis: on 200
+/// seeded RL-SPM-shaped LPs, every one of which starts from the
+/// feasibility crash (no phase-1 pivots), the reported primal objective
+/// equals the bound-aware dual objective of the reported duals.
+#[test]
+fn crash_solves_of_200_rlspm_lps_are_strongly_dual() {
+    for seed in 0..200u64 {
+        let p = seeded_rlspm_lp(seed);
+        let sol = p
+            .solve()
+            .unwrap_or_else(|e| panic!("seed {seed}: solve failed: {e:?}"));
+        assert_eq!(
+            sol.stats().phase1_iterations,
+            0,
+            "seed {seed}: the crash fell back to phase 1"
+        );
+        assert!(
+            certify(&p, &sol, 1e-6).accepted(),
+            "seed {seed}: certificate"
+        );
+        let dual = dual_objective(&p, &sol, 1e-7)
+            .unwrap_or_else(|| panic!("seed {seed}: reported duals are infeasible"));
+        assert!(
+            (sol.objective() - dual).abs() <= 1e-6 * (1.0 + sol.objective().abs()),
+            "seed {seed}: primal {} vs dual {dual}",
+            sol.objective()
+        );
+    }
+}

@@ -770,7 +770,9 @@ fn parse_topology(ctx: &Ctx<'_>) -> Result<TopologySpec, ScenarioError> {
                 if n < 3 {
                     return Err(c.err(format!("need at least three nodes, found {n}")));
                 }
-                nodes = Some(n as u32);
+                let n = u32::try_from(n)
+                    .map_err(|_| c.err(format!("at most {} nodes, found {n}", u32::MAX)))?;
+                nodes = Some(n);
             }
             "extra_links" => extra_links = Some(c.usize()?),
             "seed" => seed = Some(c.u64()?),
@@ -813,10 +815,12 @@ fn parse_horizon(ctx: &Ctx<'_>) -> Result<Horizon, ScenarioError> {
             .ok_or_else(|| ctx.field_err("slots_per_cycle", "missing required field"))?,
         cycles: cycles.ok_or_else(|| ctx.field_err("cycles", "missing required field"))?,
     };
-    if horizon.num_slots() > MAX_HORIZON_SLOTS {
+    // Checked: the product of two parsed integers may overflow.
+    let slots = horizon.slots_per_cycle.checked_mul(horizon.cycles);
+    if slots.is_none_or(|n| n > MAX_HORIZON_SLOTS) {
         return Err(ctx.err(format!(
-            "horizon of {} slots is too large (max {MAX_HORIZON_SLOTS})",
-            horizon.num_slots()
+            "horizon of {} × {} slots is too large (max {MAX_HORIZON_SLOTS})",
+            horizon.slots_per_cycle, horizon.cycles
         )));
     }
     Ok(horizon)

@@ -15,10 +15,9 @@
 //! 3. **Determinism** — within a (backend, warm-start) cell the solve is
 //!    bit-identical across 1/2/8 worker threads. Across the two LP basis
 //!    backends the heuristic may legitimately land on *different* tied
-//!    LP vertices and therefore different rounded outcomes (diurnal_b4
-//!    does exactly that: same revenue, ±2 cost), so backends are only
-//!    required to stay within `BACKEND_GAP` of each other here — their
-//!    exact outcomes are pinned per backend by the golden fixture.
+//!    LP vertices and therefore different rounded outcomes, so backends
+//!    are only required to stay within `BACKEND_GAP` of each other here —
+//!    their exact outcomes are pinned per backend by the golden fixture.
 //! 4. **Fault tolerance** — single-point and random [`FaultPlan`]s
 //!    degrade the run, never kill it.
 //! 5. **Audit** — a fully audited solve reports a clean certificate.
@@ -386,6 +385,14 @@ fn golden_outcomes_are_pinned_per_scenario_and_backend() {
                 scenario.name
             )
         });
+        // The simplex's feasibility crash gives both backends the same
+        // start basis, and they pin the same outcome on every scenario.
+        assert_eq!(
+            entry.get("sparse_lu"),
+            entry.get("dense"),
+            "{}: the backends pin different outcomes",
+            scenario.name
+        );
         for (basis, key) in BACKENDS {
             let pin = entry.get(key).unwrap_or_else(|| {
                 panic!(
