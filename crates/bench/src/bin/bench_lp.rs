@@ -26,9 +26,12 @@
 //! machine speed hits both solves of a trial alike, so the ratio is
 //! hardware-independent and steady from run to run.
 //!
-//! `--trend-check BASELINE.json` additionally compares this run's
-//! `pivot_ratio`s at overlapping sizes against a committed baseline and
-//! exits nonzero on a >30% regression.
+//! `--trend-check BASELINE.json` additionally compares this run against
+//! a committed baseline at every overlapping size. It exits nonzero when
+//! a `pivot_ratio` regressed by more than 30%, or when a configuration's
+//! `iterations`, `phase1_iterations` or `objective` differs at all.
+//! Those three are deterministic on any hardware, so any difference
+//! means the pivot sequence changed.
 //!
 //! Usage: `bench_lp [--quick] [--out PATH] [--trend-check BASELINE]
 //! [--sizes M1,M2,...]` (the last overrides the ladder, for probing
@@ -258,8 +261,47 @@ fn pivot_ratios(doc: &Json) -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// Per-configuration fields a solve reproduces exactly on any hardware:
+/// the pivot counts and the optimum they reach.
+const EXACT_FIELDS: [&str; 3] = ["iterations", "phase1_iterations", "objective"];
+
+/// One message per [`EXACT_FIELDS`] value of `current` that differs
+/// from `baseline`, over the configurations both ran at the same size.
+fn exact_mismatches(current: &Json, baseline: &Json) -> Vec<String> {
+    fn entries(doc: &Json) -> &[Json] {
+        doc.get("entries").and_then(Json::as_arr).unwrap_or(&[])
+    }
+    let base_entries = entries(baseline);
+    let mut out = Vec::new();
+    for cur in entries(current) {
+        let Some(m) = cur.get("m").and_then(Json::as_usize) else {
+            continue;
+        };
+        let Some(base) = base_entries
+            .iter()
+            .find(|b| b.get("m").and_then(Json::as_usize) == Some(m))
+        else {
+            continue;
+        };
+        let configs = cur.get("configs").and_then(Json::as_obj).unwrap_or(&[]);
+        for (key, cur_cfg) in configs {
+            let Some(base_cfg) = base.get("configs").and_then(|c| c.get(key)) else {
+                continue;
+            };
+            for field in EXACT_FIELDS {
+                let (c, b) = (cur_cfg.get(field), base_cfg.get(field));
+                if c.and_then(Json::as_f64) != b.and_then(Json::as_f64) {
+                    out.push(format!("m={m} {key} {field}: {c:?} vs baseline {b:?}"));
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Fails (exit 1) when any per-pivot ratio worsened by more than 30%
-/// against the committed baseline at an overlapping size.
+/// against the committed baseline at an overlapping size, or when any
+/// [`EXACT_FIELDS`] value differs from it.
 fn trend_check(current: &Json, baseline_path: &str) -> bool {
     let text = match std::fs::read_to_string(baseline_path) {
         Ok(t) => t,
@@ -297,7 +339,14 @@ fn trend_check(current: &Json, baseline_path: &str) -> bool {
         eprintln!("trend-check: no overlapping sizes with {baseline_path}");
         return false;
     }
-    ok
+    let mismatches = exact_mismatches(current, &baseline);
+    for msg in &mismatches {
+        eprintln!("trend-check: pivot counts or objective changed: {msg}");
+    }
+    if mismatches.is_empty() {
+        println!("trend-check: iterations, phase1_iterations and objective match the baseline");
+    }
+    ok && mismatches.is_empty()
 }
 
 fn main() {

@@ -1,8 +1,13 @@
 //! Compressed sparse column (CSC) matrices.
 //!
-//! The simplex solver stores the constraint matrix column-major because
-//! every hot operation (pricing a column, computing the pivot direction
-//! `B⁻¹ aⱼ`) walks one column's nonzeros.
+//! The simplex solver stores its standard-form constraint matrix twice.
+//! Column-major, because computing a pivot direction `B⁻¹ aⱼ`, factoring
+//! the basis and updating residuals each walk one column's nonzeros. And
+//! as its transpose (the same matrix row-major), because pricing needs
+//! the whole vector `Aᵀy`: `CscMatrix::mul_vec_into` on the transpose
+//! visits only the rows where `yᵢ ≠ 0`, and adds each column's terms in
+//! the order [`CscMatrix::dot_col`] would, so the result is bit-identical
+//! to one dot product per column.
 
 use std::fmt;
 
@@ -76,6 +81,145 @@ impl CscMatrix {
             acc += v * y[r as usize];
         }
         acc
+    }
+
+    /// Builds an `nrows × ncols` matrix from `(row, col, value)`
+    /// triplets in one counting pass. Each column sees its triplets in
+    /// slice order and then gets exactly [`CscBuilder`]'s treatment:
+    /// zero values dropped, rows sorted, duplicates summed, zero sums
+    /// dropped.
+    pub(crate) fn from_triplets(nrows: usize, ncols: usize, entries: &[(u32, u32, f64)]) -> Self {
+        // start[j]..start[j + 1] will hold column j's triplets.
+        let mut start = vec![0usize; ncols + 1];
+        for &(r, c, v) in entries {
+            debug_assert!((r as usize) < nrows, "row {r} out of range");
+            if v != 0.0 {
+                // INDEX: start has ncols+1 entries and c < ncols.
+                start[c as usize + 1] += 1;
+            }
+        }
+        for j in 0..ncols {
+            // INDEX: j+1 <= ncols, within start's ncols+1 entries.
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut scratch = vec![(0u32, 0.0); start[ncols]];
+        for &(r, c, v) in entries {
+            if v != 0.0 {
+                let k = &mut next[c as usize];
+                scratch[*k] = (r, v);
+                *k += 1;
+            }
+        }
+        let mut m = CscMatrix {
+            nrows,
+            ncols,
+            col_ptr: Vec::with_capacity(ncols + 1),
+            row_idx: Vec::with_capacity(scratch.len()),
+            values: Vec::with_capacity(scratch.len()),
+        };
+        m.col_ptr.push(0);
+        for w in start.windows(2) {
+            coalesce_into(&mut scratch[w[0]..w[1]], &mut m.row_idx, &mut m.values);
+            m.col_ptr.push(m.row_idx.len());
+        }
+        m
+    }
+
+    /// Appends one single-entry column per `(row, value)` pair, in
+    /// order: unit columns for slacks and artificials.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range or a value is zero.
+    pub(crate) fn append_unit_cols(&mut self, cols: impl IntoIterator<Item = (usize, f64)>) {
+        for (r, v) in cols {
+            assert!(r < self.nrows && v != 0.0, "bad unit column ({r}, {v})");
+            self.row_idx.push(r as u32);
+            self.values.push(v);
+            self.col_ptr.push(self.row_idx.len());
+            self.ncols += 1;
+        }
+    }
+
+    /// The transpose, `ncols × nrows`: its column `i` lists row `i` of
+    /// `self` with column indices ascending.
+    pub(crate) fn transpose(&self) -> CscMatrix {
+        let mut col_ptr = vec![0usize; self.nrows + 1];
+        for &r in &self.row_idx {
+            // INDEX: col_ptr has nrows+1 entries and r < nrows.
+            col_ptr[r as usize + 1] += 1;
+        }
+        for i in 0..self.nrows {
+            // INDEX: i+1 <= nrows, within col_ptr's nrows+1 entries.
+            col_ptr[i + 1] += col_ptr[i];
+        }
+        let mut next = col_ptr.clone();
+        let mut row_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        for j in 0..self.ncols {
+            for (r, v) in self.col(j).iter() {
+                let k = &mut next[r];
+                row_idx[*k] = j as u32;
+                values[*k] = v;
+                *k += 1;
+            }
+        }
+        CscMatrix {
+            nrows: self.ncols,
+            ncols: self.nrows,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
+    /// Computes `out = self · v`, skipping the columns where `vⱼ = 0`.
+    ///
+    /// Called on the transpose of `A`, this is `out = Aᵀv` by rows of
+    /// `A`: `out[j]` starts at `+0.0` and adds `A[i, j]·vᵢ` for each
+    /// nonzero `vᵢ` in ascending `i`, which is the order and the start
+    /// value of `A.dot_col(j, v)`. With finite entries the skipped terms
+    /// are `±0.0`, and such a sum is never `−0.0` (it starts at `+0.0`,
+    /// and exact cancellation rounds to `+0.0`), so adding them never
+    /// changes its bits: every `out[j]` equals `A.dot_col(j, v)` bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != self.ncols()` or `out.len() != self.nrows()`.
+    pub(crate) fn mul_vec_into(&self, v: &[f64], out: &mut [f64]) {
+        assert_eq!(v.len(), self.ncols, "dense vector length mismatch");
+        assert_eq!(out.len(), self.nrows, "output length mismatch");
+        out.fill(0.0);
+        for (j, &vj) in v.iter().enumerate() {
+            if vj != 0.0 {
+                let c = self.col(j);
+                for (&r, &a) in c.rows.iter().zip(c.values) {
+                    out[r as usize] += a * vj;
+                }
+            }
+        }
+    }
+}
+
+/// Sorts one column's `(row, value)` entries by row and appends them to
+/// `row_idx`/`values`, summing duplicates and dropping zero sums.
+fn coalesce_into(col: &mut [(u32, f64)], row_idx: &mut Vec<u32>, values: &mut Vec<f64>) {
+    col.sort_unstable_by_key(|&(r, _)| r);
+    let mut i = 0;
+    while i < col.len() {
+        let (r, mut v) = col[i];
+        let mut k = i + 1;
+        while k < col.len() && col[k].0 == r {
+            v += col[k].1;
+            k += 1;
+        }
+        if v != 0.0 {
+            row_idx.push(r);
+            values.push(v);
+        }
+        i = k;
     }
 }
 
@@ -275,21 +419,7 @@ impl CscBuilder {
     pub fn finish_col(&mut self) {
         assert!(self.open, "no open column");
         self.open = false;
-        self.current.sort_unstable_by_key(|&(r, _)| r);
-        let mut i = 0;
-        while i < self.current.len() {
-            let (r, mut v) = self.current[i];
-            let mut k = i + 1;
-            while k < self.current.len() && self.current[k].0 == r {
-                v += self.current[k].1;
-                k += 1;
-            }
-            if v != 0.0 {
-                self.row_idx.push(r);
-                self.values.push(v);
-            }
-            i = k;
-        }
+        coalesce_into(&mut self.current, &mut self.row_idx, &mut self.values);
         self.col_ptr.push(self.row_idx.len());
     }
 
@@ -383,6 +513,54 @@ mod tests {
         assert_eq!(y, vec![1.0, 7.0]);
         assert_eq!(m.dot_col(0, &y), 1.0);
         assert_eq!(m.dot_col(1, &y), 21.0);
+    }
+
+    #[test]
+    fn from_triplets_matches_the_builder() {
+        // Duplicates, zeros, an exact cancellation and an empty column.
+        let entries = [
+            (2, 0, 1.5),
+            (0, 2, 4.0),
+            (1, 0, 0.0),
+            (0, 0, -1.0),
+            (2, 0, 2.5),
+            (1, 2, 3.0),
+            (1, 2, -3.0),
+            (0, 3, 7.0),
+        ];
+        let mut b = CscBuilder::new(3);
+        for j in 0..4u32 {
+            b.add_col(
+                entries
+                    .iter()
+                    .filter(|e| e.1 == j)
+                    .map(|&(r, _, v)| (r as usize, v)),
+            );
+        }
+        let m = CscMatrix::from_triplets(3, 4, &entries);
+        assert_eq!(m, b.build());
+        assert_eq!(m.col(0).values, &[-1.0, 4.0]);
+        assert_eq!(m.col(1).rows.len(), 0);
+        assert_eq!(m.col(2).rows, &[0]);
+    }
+
+    #[test]
+    fn unit_columns_and_transpose() {
+        let mut m = sample();
+        m.append_unit_cols([(1, 1.0), (0, -1.0)]);
+        assert_eq!(m.ncols(), 5);
+        assert_eq!(m.col(4).iter().collect::<Vec<_>>(), vec![(0, -1.0)]);
+        let t = m.transpose();
+        assert_eq!((t.nrows(), t.ncols()), (5, 2));
+        assert_eq!(t.col(0).rows, &[0, 2, 4]);
+        assert_eq!(t.col(1).values, &[3.0, 1.0]);
+        assert_eq!(t.transpose(), m);
+        let mut out = vec![0.0; 5];
+        t.mul_vec_into(&[2.0, -0.0], &mut out);
+        assert_eq!(out, vec![2.0, 0.0, 4.0, 0.0, -2.0]);
+        for (j, o) in out.iter().enumerate() {
+            assert_eq!(o.to_bits(), m.dot_col(j, &[2.0, -0.0]).to_bits());
+        }
     }
 
     #[test]

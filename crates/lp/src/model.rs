@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::matrix::{CscBuilder, CscMatrix};
+use crate::matrix::CscMatrix;
 
 /// Optimization direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -203,12 +203,13 @@ impl Problem {
     ///
     /// # Panics
     ///
-    /// Panics if `rhs` is NaN or any referenced variable does not exist.
+    /// Panics if `rhs` is NaN or infinite, or any referenced variable
+    /// does not exist.
     pub fn add_constraint<I>(&mut self, terms: I, relation: Relation, rhs: f64) -> RowId
     where
         I: IntoIterator<Item = (VarId, f64)>,
     {
-        assert!(!rhs.is_nan(), "NaN right-hand side");
+        assert!(rhs.is_finite(), "non-finite right-hand side {rhs}");
         let row = self.rows.len() as u32;
         for (v, c) in terms {
             assert!(
@@ -232,9 +233,9 @@ impl Problem {
     ///
     /// # Panics
     ///
-    /// Panics if `rhs` is NaN or `row` does not exist.
+    /// Panics if `rhs` is NaN or infinite, or `row` does not exist.
     pub fn set_rhs(&mut self, row: RowId, rhs: f64) {
-        assert!(!rhs.is_nan(), "NaN right-hand side");
+        assert!(rhs.is_finite(), "non-finite right-hand side {rhs}");
         assert!(row.index() < self.rows.len(), "unknown row");
         self.rows[row.index()].rhs = rhs;
     }
@@ -319,19 +320,9 @@ impl Problem {
     }
 
     /// Builds the column-major constraint matrix over the structural
-    /// variables (no slacks).
+    /// variables (no slacks), in one counting pass over the entries.
     pub(crate) fn to_csc(&self) -> CscMatrix {
-        // Bucket entries per column first.
-        let n = self.vars.len();
-        let mut per_col: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for &(r, c, v) in &self.entries {
-            per_col[c as usize].push((r as usize, v));
-        }
-        let mut b = CscBuilder::new(self.rows.len());
-        for col in per_col {
-            b.add_col(col);
-        }
-        b.build()
+        CscMatrix::from_triplets(self.rows.len(), self.vars.len(), &self.entries)
     }
 }
 
@@ -391,6 +382,25 @@ mod tests {
     fn inverted_bounds_panic() {
         let mut p = Problem::new(Sense::Minimize);
         p.add_var(0.0, 1.0, 0.0);
+    }
+
+    #[test]
+    fn non_finite_right_hand_sides_are_rejected() {
+        for rhs in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let add = std::panic::catch_unwind(|| {
+                let mut p = Problem::new(Sense::Minimize);
+                let x = p.add_var(1.0, 0.0, 1.0);
+                p.add_constraint([(x, 1.0)], Relation::Le, rhs);
+            });
+            assert!(add.is_err(), "add_constraint accepted {rhs}");
+            let set = std::panic::catch_unwind(|| {
+                let mut p = Problem::new(Sense::Minimize);
+                let x = p.add_var(1.0, 0.0, 1.0);
+                let row = p.add_constraint([(x, 1.0)], Relation::Le, 1.0);
+                p.set_rhs(row, rhs);
+            });
+            assert!(set.is_err(), "set_rhs accepted {rhs}");
+        }
     }
 
     #[test]

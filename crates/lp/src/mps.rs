@@ -105,7 +105,7 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
     let mut col_order: Vec<String> = Vec::new();
     let mut obj_coef: BTreeMap<String, f64> = BTreeMap::new();
     let mut entries: BTreeMap<(String, String), f64> = BTreeMap::new(); // (row, col)
-    let mut rhs: BTreeMap<String, f64> = BTreeMap::new();
+    let mut rhs: BTreeMap<String, (f64, usize)> = BTreeMap::new();
     let mut ranges: BTreeMap<String, (f64, usize)> = BTreeMap::new();
     let mut bounds: Vec<(String, String, Option<f64>, usize)> = Vec::new(); // (type, col, value)
     let mut integer_cols: Vec<String> = Vec::new();
@@ -244,7 +244,7 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
                     if !row_rel.contains_key(&row) {
                         return Err(err(lineno, &format!("unknown row {row}")));
                     }
-                    rhs.insert(row, value);
+                    rhs.insert(row, (value, lineno));
                 }
             }
             Section::Ranges => {
@@ -330,7 +330,7 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
 
     for row in &row_order {
         let rel = row_rel[row];
-        let b = rhs.get(row).copied().unwrap_or(0.0);
+        let (b, rhs_line) = rhs.get(row).copied().unwrap_or((0.0, 0));
         let terms: Vec<(VarId, f64)> = col_order
             .iter()
             .filter_map(|col| {
@@ -339,9 +339,8 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
                     .map(|&v| (col_ids[col], v))
             })
             .collect();
-        p.add_constraint(terms.iter().copied(), rel, b);
-        // RANGES: add the mirrored side.
-        if let Some(&(r, lineno)) = ranges.get(row) {
+        // RANGES: the mirrored side.
+        let mirror = if let Some(&(r, lineno)) = ranges.get(row) {
             let (rel2, b2) = match rel {
                 Relation::Le => (Relation::Ge, b - r.abs()),
                 Relation::Ge => (Relation::Le, b + r.abs()),
@@ -358,6 +357,25 @@ pub fn parse(text: &str) -> Result<Problem, MpsParseError> {
                 return Err(err(
                     lineno,
                     &format!("range {r} on row {row} leaves no bound"),
+                ));
+            }
+            Some((rel2, b2, r, lineno))
+        } else {
+            None
+        };
+        // A `Problem` holds finite right-hand sides only.
+        if !b.is_finite() {
+            return Err(err(
+                rhs_line,
+                &format!("right-hand side {b} of row {row} is not finite"),
+            ));
+        }
+        p.add_constraint(terms.iter().copied(), rel, b);
+        if let Some((rel2, b2, r, lineno)) = mirror {
+            if !b2.is_finite() {
+                return Err(err(
+                    lineno,
+                    &format!("range {r} on row {row} leaves an infinite bound"),
                 ));
             }
             p.add_constraint(terms.iter().copied(), rel2, b2);

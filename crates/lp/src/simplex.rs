@@ -24,10 +24,17 @@
 //!   updates per pivot, Gauss-Jordan refresh) remains available behind
 //!   [`SolveOptions::basis`]`=`[`BasisBackend::Dense`] as the reference
 //!   implementation the sparse backend is tested against.
-//! * Pricing is **Dantzig** over a full sweep: the most violating
+//! * Pricing is **Dantzig** over every column: the most violating
 //!   reduced cost enters, earliest index on ties. An automatic switch
 //!   to Bland's rule after a run of degenerate pivots guarantees
-//!   termination.
+//!   termination. The reduced costs `c − Aᵀy` come from one row-wise
+//!   product: the solver keeps the transpose of its standard-form
+//!   matrix (built once per solve, rebuilt when phase 1 appends
+//!   artificials) and scatters only the rows whose dual `yᵢ` is
+//!   nonzero. Each column's terms are added in ascending row order, so
+//!   every reduced cost is bit-identical to a per-column dot product.
+//!   The dual simplex takes its pivot row `(B⁻¹A)[r, :]` and reduced
+//!   costs the same way.
 //! * The ratio test is the textbook smallest-ratio rule, ties broken by
 //!   lowest row index.
 //! * A cold solve starts from the slack basis. When some slack cannot
@@ -45,7 +52,7 @@
 
 use crate::error::SolveError;
 use crate::factor::{EtaFile, LuFactors};
-use crate::matrix::{CscBuilder, CscMatrix};
+use crate::matrix::CscMatrix;
 use crate::model::{Problem, Relation, Sense};
 use crate::solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
 
@@ -217,6 +224,8 @@ enum VarState {
 struct Simplex {
     /// Full standard-form matrix: structural | slacks | artificials.
     a: CscMatrix,
+    /// Transpose of `a` (its rows), rebuilt whenever `a` gains columns.
+    at: CscMatrix,
     /// Objective over all standard-form columns (minimization).
     cost: Vec<f64>,
     lower: Vec<f64>,
@@ -259,6 +268,10 @@ struct Simplex {
     // Scratch buffers reused across iterations.
     y: Vec<f64>,
     w: Vec<f64>,
+    /// Reduced costs `c − Aᵀy` of every column, from [`Self::price_all`].
+    d: Vec<f64>,
+    /// Dual-simplex pivot row `(B⁻¹A)[r, :]`, from [`Self::pivot_row`].
+    alpha: Vec<f64>,
     /// Row-space scratch (FTRAN right-hand sides, BTRAN outputs).
     rowbuf: Vec<f64>,
     /// Permuted-space scratch handed to [`LuFactors`] solves.
@@ -302,12 +315,9 @@ impl Simplex {
         let n = problem.num_vars();
         let maximize = problem.sense() == Sense::Maximize;
 
-        let structural = problem.to_csc();
-        let mut builder = CscBuilder::new(m);
-        // Re-add structural columns (CscBuilder has no concat; rebuild).
-        for j in 0..n {
-            builder.add_col(structural.col(j).iter());
-        }
+        // Structural columns, then one slack per row: a·x + s = b.
+        let mut a = problem.to_csc();
+        a.append_unit_cols((0..m).map(|i| (i, 1.0)));
         let mut cost: Vec<f64> = problem
             .vars
             .iter()
@@ -316,9 +326,7 @@ impl Simplex {
         let mut lower: Vec<f64> = problem.vars.iter().map(|v| v.lower).collect();
         let mut upper: Vec<f64> = problem.vars.iter().map(|v| v.upper).collect();
 
-        // Slacks: a·x + s = b.
-        for (i, row) in problem.rows.iter().enumerate() {
-            builder.add_col([(i, 1.0)]);
+        for row in &problem.rows {
             cost.push(0.0);
             match row.relation {
                 Relation::Le => {
@@ -352,7 +360,9 @@ impl Simplex {
         };
 
         Simplex {
-            a: builder.build(),
+            at: a.transpose(),
+            d: vec![0.0; a.ncols()],
+            a,
             cost,
             lower,
             upper,
@@ -382,6 +392,7 @@ impl Simplex {
             trace_dropped: 0,
             y: vec![0.0; m],
             w: vec![0.0; m],
+            alpha: Vec::new(),
             rowbuf: vec![0.0; m],
             lubuf: vec![0.0; m],
         }
@@ -468,9 +479,8 @@ impl Simplex {
 
         // --- Phase 1: add artificials for rows whose slack can't absorb
         // the residual. ---
-        let mut need_phase1 = false;
-        let mut art_builder = CscBuilder::new(m);
-        let mut art_rows: Vec<usize> = Vec::new();
+        // (row, ±1) of each artificial's unit column.
+        let mut arts: Vec<(usize, f64)> = Vec::new();
         self.xb = vec![0.0; m];
         for (i, &r) in resid.iter().enumerate() {
             let sj = self.n_struct + i;
@@ -479,38 +489,28 @@ impl Simplex {
                 // Slack pinned at its upper bound; artificial absorbs r − su.
                 self.state[sj] = VarState::AtUpper;
                 self.xb[i] = r - su;
-                art_builder.add_col([(i, 1.0)]);
-                art_rows.push(i);
-                need_phase1 = true;
+                arts.push((i, 1.0));
             } else if r < sl - self.opts.tol {
                 self.state[sj] = VarState::AtLower;
                 self.xb[i] = sl - r;
-                art_builder.add_col([(i, -1.0)]);
+                arts.push((i, -1.0));
                 // B gets a −1 on this diagonal, so B⁻¹ does too.
                 if let BasisRepr::Dense { binv } = &mut self.repr {
                     binv[i * m + i] = -1.0;
                 }
-                art_rows.push(i);
-                need_phase1 = true;
             } else {
                 self.xb[i] = r.clamp(sl.min(su), su.max(sl));
             }
         }
 
-        if need_phase1 {
-            // Splice artificial columns into the matrix and vectors.
-            let art = art_builder.build();
-            let mut builder = CscBuilder::new(m);
-            for j in 0..n_total {
-                builder.add_col(self.a.col(j).iter());
-            }
-            for k in 0..art.ncols() {
-                builder.add_col(art.col(k).iter());
-            }
-            self.a = builder.build();
-            let n_art = art_rows.len();
+        if !arts.is_empty() {
+            // Append the artificial columns to the matrix and vectors.
+            self.a.append_unit_cols(arts.iter().copied());
+            self.at = self.a.transpose();
+            let n_art = arts.len();
+            self.d.resize(n_total + n_art, 0.0);
             let saved_cost = std::mem::replace(&mut self.cost, vec![0.0; n_total + n_art]);
-            for (k, &row) in art_rows.iter().enumerate() {
+            for (k, &(row, _)) in arts.iter().enumerate() {
                 let aj = n_total + k;
                 self.cost[aj] = 1.0;
                 self.lower.push(0.0);
@@ -579,13 +579,6 @@ impl Simplex {
         if (0..m).all(|i| self.slack_absorbs(i, resid[i])) {
             return false;
         }
-        // Structural entries by row (columns in increasing order).
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for j in 0..ns {
-            for (i, v) in self.a.col(j).iter() {
-                rows[i].push((j, v));
-            }
-        }
         let saved_state = self.state.clone();
         let mut r = resid.to_vec();
 
@@ -597,14 +590,14 @@ impl Simplex {
             let (sl, su) = slack_range(self, i);
             let to_upper = r[i] > su;
             let excess = r[i] - if to_upper { su } else { sl };
-            let pick = rows[i].iter().find(|&&(j, v)| {
+            let pick = self.structural_row(i).find(|&(j, v)| {
                 if v.abs() < self.opts.pivot_tol || matches!(self.state[j], VarState::Basic(_)) {
                     return false;
                 }
                 let x = self.nonbasic_value(j, self.state[j]) + excess / v;
                 x >= self.lower[j] - tol && x <= self.upper[j] + tol
             });
-            let Some(&(j, v)) = pick else {
+            let Some((j, v)) = pick else {
                 return self.crash_fallback(saved_state);
             };
             self.make_crash_basic(j, i, to_upper);
@@ -617,7 +610,7 @@ impl Simplex {
                 continue;
             }
             let sign = if r[i] < self.lower[ns + i] { -1.0 } else { 1.0 };
-            let pick = rows[i].iter().find(|&&(j, v)| {
+            let pick = self.structural_row(i).find(|&(j, v)| {
                 v * sign > self.opts.pivot_tol
                     && self.state[j] == VarState::AtLower
                     && self.upper[j] == f64::INFINITY
@@ -627,7 +620,7 @@ impl Simplex {
                         .iter()
                         .all(|(k, _)| self.basis[k] as usize == ns + k)
             });
-            let Some(&(j, _)) = pick else {
+            let Some((j, _)) = pick else {
                 return self.crash_fallback(saved_state);
             };
             // The step each of the column's rows needs; the largest wins.
@@ -664,6 +657,12 @@ impl Simplex {
             x >= self.lower[bj] - tol && x <= self.upper[bj] + tol
         });
         feasible || self.crash_fallback(saved_state)
+    }
+
+    /// Row `i`'s structural entries `(column, value)`, columns ascending.
+    fn structural_row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let ns = self.n_struct;
+        self.at.col(i).iter().take_while(move |&(j, _)| j < ns)
     }
 
     /// Whether row `i`'s slack can take the value `x` within its bounds.
@@ -788,12 +787,12 @@ impl Simplex {
 
     /// Whether every nonbasic reduced cost is consistent with its status.
     fn is_dual_feasible(&mut self) -> bool {
-        self.compute_duals();
+        self.price_all();
         let tol = self.opts.tol.max(1e-7) * 10.0;
         for j in 0..self.state.len() {
             let d = match self.state[j] {
                 VarState::Basic(_) => continue,
-                _ => self.cost[j] - self.a.dot_col(j, &self.y),
+                _ => self.d[j],
             };
             let ok = match self.state[j] {
                 VarState::AtLower => self.lower[j] >= self.upper[j] || d >= -tol,
@@ -849,10 +848,10 @@ impl Simplex {
             };
             let need_up = target > self.xb[row];
 
-            // Duals for reduced costs, and row `row` of `B⁻¹` for the
-            // dual ratio test.
-            self.compute_duals();
-            let rho = self.btran_unit(row);
+            // Reduced costs, and row `row` of `B⁻¹A` for the dual ratio
+            // test.
+            self.price_all();
+            self.pivot_row(row);
 
             // Entering column: dual ratio test.
             let mut best: Option<(usize, f64, f64, f64)> = None; // (col, dir, ratio, |alpha|)
@@ -865,18 +864,10 @@ impl Simplex {
                     VarState::AtUpper => &[-1.0],
                     VarState::FreeZero => &[1.0, -1.0],
                 };
-                let alpha = {
-                    let c = self.a.col(j);
-                    let mut acc = 0.0;
-                    for (r, v) in c.iter() {
-                        acc += v * rho[r];
-                    }
-                    acc
-                };
+                let (alpha, d) = (self.alpha[j], self.d[j]);
                 if alpha.abs() < self.opts.pivot_tol {
                     continue;
                 }
-                let d = self.cost[j] - self.a.dot_col(j, &self.y);
                 for &dir in dirs {
                     // Moving j by t·dir changes xb[row] by −alpha·dir·t.
                     let rises = -alpha * dir > 0.0;
@@ -1069,14 +1060,15 @@ impl Simplex {
         }
     }
 
-    /// Computes duals `y = c_Bᵀ B⁻¹` and picks an entering column.
+    /// Prices every column ([`Self::price_all`]) and picks an entering
+    /// one.
     ///
-    /// Dantzig pricing sweeps every column: the most violating reduced
+    /// Dantzig pricing scans every column: the most violating reduced
     /// cost wins, earliest index on ties. Under Bland's rule the first
     /// improving index enters instead (the anti-cycling guarantee needs
     /// the global minimum index).
     fn price(&mut self, bland: bool) -> PriceStep {
-        self.compute_duals();
+        self.price_all();
         let tol = self.opts.tol;
         let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
         for j in 0..self.state.len() {
@@ -1097,44 +1089,18 @@ impl Simplex {
         }
     }
 
-    /// Reduced-cost test for one nonbasic column against the current
-    /// duals: `Some((dir, score))` when moving `j` in direction `dir`
-    /// improves the objective by rate `score`.
+    /// Reduced-cost test for one column against `self.d`:
+    /// `Some((dir, score))` when `j` is nonbasic, not fixed, and moving
+    /// it in direction `dir` improves the objective by rate `score`.
     fn price_candidate(&self, j: usize, tol: f64) -> Option<(f64, f64)> {
+        let d = self.d[j];
+        let fixed = self.lower[j] >= self.upper[j];
         match self.state[j] {
-            VarState::Basic(_) => None,
-            VarState::AtLower => {
-                if self.lower[j] >= self.upper[j] {
-                    return None; // fixed variable
-                }
-                let d = self.cost[j] - self.a.dot_col(j, &self.y);
-                if d < -tol {
-                    Some((1.0, -d))
-                } else {
-                    None
-                }
-            }
-            VarState::AtUpper => {
-                if self.lower[j] >= self.upper[j] {
-                    return None;
-                }
-                let d = self.cost[j] - self.a.dot_col(j, &self.y);
-                if d > tol {
-                    Some((-1.0, d))
-                } else {
-                    None
-                }
-            }
-            VarState::FreeZero => {
-                let d = self.cost[j] - self.a.dot_col(j, &self.y);
-                if d < -tol {
-                    Some((1.0, -d))
-                } else if d > tol {
-                    Some((-1.0, d))
-                } else {
-                    None
-                }
-            }
+            VarState::AtLower if !fixed && d < -tol => Some((1.0, -d)),
+            VarState::AtUpper if !fixed && d > tol => Some((-1.0, d)),
+            VarState::FreeZero if d < -tol => Some((1.0, -d)),
+            VarState::FreeZero if d > tol => Some((-1.0, d)),
+            _ => None,
         }
     }
 
@@ -1177,27 +1143,44 @@ impl Simplex {
         }
     }
 
-    /// Row `row` of `B⁻¹` (= `B⁻ᵀ e_row` in row space), used by the dual
-    /// simplex ratio test.
-    fn btran_unit(&mut self, row: usize) -> Vec<f64> {
+    /// Computes the duals `y = c_Bᵀ B⁻¹` and from them the reduced cost
+    /// `dⱼ = cⱼ − aⱼ·y` of every column into `self.d`. `Aᵀy` is taken by
+    /// rows over the nonzero duals only, and is bit-identical to one
+    /// [`CscMatrix::dot_col`] per column (see
+    /// [`CscMatrix::mul_vec_into`]).
+    fn price_all(&mut self) {
+        self.compute_duals();
+        self.at.mul_vec_into(&self.y, &mut self.d);
+        for (dj, &cj) in self.d.iter_mut().zip(&self.cost) {
+            *dj = cj - *dj;
+        }
+    }
+
+    /// Row `row` of `B⁻¹A` into `self.alpha`, for the dual simplex
+    /// ratio test: `ρ = B⁻ᵀ e_row` (in `self.w`, which the following
+    /// FTRAN overwrites), then `αⱼ = aⱼ·ρ` by rows over the nonzero `ρᵢ`.
+    fn pivot_row(&mut self, row: usize) {
         let m = self.rhs.len();
         let Simplex {
             repr,
+            at,
+            w: rho,
+            alpha,
             rowbuf,
             lubuf,
             ..
         } = self;
         match repr {
-            BasisRepr::Dense { binv } => binv[row * m..(row + 1) * m].to_vec(),
+            BasisRepr::Dense { binv } => rho.copy_from_slice(&binv[row * m..(row + 1) * m]),
             BasisRepr::Sparse { lu, etas } => {
-                let mut rho = vec![0.0; m];
                 rowbuf.fill(0.0);
                 rowbuf[row] = 1.0;
                 etas.btran(rowbuf);
-                lu.btran(rowbuf, &mut rho, lubuf);
-                rho
+                lu.btran(rowbuf, rho, lubuf);
             }
         }
+        alpha.resize(at.nrows(), 0.0);
+        at.mul_vec_into(rho, alpha);
     }
 
     /// Rebuilds the sparse factorization from the current basis and
@@ -1521,7 +1504,10 @@ impl Simplex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Problem, Relation, Sense};
+    use crate::model::{Problem, Relation, Sense, VarId};
+    use rand::Rng;
+    use rand_chacha::rand_core::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn assert_close(a: f64, b: f64) {
         assert!(
@@ -1740,6 +1726,181 @@ mod tests {
             let s = q.solve_with(&opts).unwrap();
             assert!(s.stats().phase1_iterations > 0, "{:?}", opts.basis);
             assert_close(s.objective(), 4.0);
+        }
+    }
+
+    /// A seeded RL-SPM-shaped LP: `k` requests with two or three paths
+    /// over `e` edges and `t` slots, assignment rows `Σ x = 1`, load rows
+    /// `Σ r·x − c_e ≤ 0`, and an unbounded charge column per edge.
+    fn seeded_rlspm(rng: &mut ChaCha8Rng, k: usize, e: usize, t: usize) -> Problem {
+        let mut p = Problem::new(Sense::Minimize);
+        let mut load: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); e * t];
+        let mut assign = Vec::new();
+        for _ in 0..k {
+            let rate = rng.gen_range(0.5..4.0);
+            let (t0, t1) = (rng.gen_range(0..t), rng.gen_range(0..t));
+            let xs: Vec<VarId> = (0..rng.gen_range(2..4))
+                .map(|_| p.add_var(0.0, 0.0, 1.0))
+                .collect();
+            for &x in &xs {
+                for _ in 0..rng.gen_range(1..4) {
+                    let edge = rng.gen_range(0..e);
+                    for slot in t0.min(t1)..=t0.max(t1) {
+                        load[edge * t + slot].push((x, rate));
+                    }
+                }
+            }
+            assign.push(xs);
+        }
+        let charges: Vec<VarId> = (0..e)
+            .map(|_| p.add_var(rng.gen_range(0.5..3.0), 0.0, f64::INFINITY))
+            .collect();
+        for xs in assign {
+            p.add_constraint(xs.into_iter().map(|x| (x, 1.0)), Relation::Eq, 1.0);
+        }
+        for (row, mut terms) in load.into_iter().enumerate() {
+            if !terms.is_empty() {
+                terms.push((charges[row / t], -1.0));
+                p.add_constraint(terms, Relation::Le, 0.0);
+            }
+        }
+        p
+    }
+
+    /// A seeded BL-SPM-shaped LP: maximize value over acceptance
+    /// variables `0 ≤ x ≤ 1` with per-request `Σ x ≤ 1` rows and
+    /// `Σ r·x ≤ capacity` rows per (edge, slot).
+    fn seeded_blspm(rng: &mut ChaCha8Rng, k: usize, e: usize, t: usize) -> Problem {
+        let mut p = Problem::new(Sense::Maximize);
+        let mut cap: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); e * t];
+        let mut accept = Vec::new();
+        for _ in 0..k {
+            let (rate, value) = (rng.gen_range(0.5..4.0), rng.gen_range(1.0..9.0));
+            let slot = rng.gen_range(0..t);
+            let xs: Vec<VarId> = (0..rng.gen_range(1..4))
+                .map(|_| p.add_var(value, 0.0, 1.0))
+                .collect();
+            for &x in &xs {
+                for _ in 0..rng.gen_range(1..3) {
+                    cap[rng.gen_range(0..e) * t + slot].push((x, rate));
+                }
+            }
+            accept.push(xs);
+        }
+        for xs in accept {
+            p.add_constraint(xs.into_iter().map(|x| (x, 1.0)), Relation::Le, 1.0);
+        }
+        for terms in cap.into_iter().filter(|c| !c.is_empty()) {
+            p.add_constraint(terms, Relation::Le, rng.gen_range(2.0..10.0));
+        }
+        p
+    }
+
+    /// A seeded random sparse LP with every row relation, duplicate
+    /// terms in a row (some cancelling to zero), and one column `z`
+    /// whose two entries cancel exactly.
+    fn seeded_sparse(rng: &mut ChaCha8Rng, n: usize, m: usize) -> Problem {
+        let mut p = Problem::new(Sense::Minimize);
+        let vars: Vec<VarId> = (0..n)
+            .map(|_| p.add_var(rng.gen_range(-2.0..2.0), 0.0, rng.gen_range(1.0..5.0)))
+            .collect();
+        let z = p.add_var(1.0, 0.0, 1.0);
+        for i in 0..m {
+            let mut terms: Vec<(VarId, f64)> = (0..rng.gen_range(1..5))
+                .map(|_| (vars[rng.gen_range(0..n)], rng.gen_range(-3.0..3.0)))
+                .collect();
+            if i % 4 == 0 {
+                // x + y − x: coalescing drops x from this row.
+                let (x, v) = terms[0];
+                terms.push((x, -v));
+            }
+            if let Some(&c) = [1.5, -1.5].get(i) {
+                terms.push((z, c));
+            }
+            let rel = [Relation::Le, Relation::Ge, Relation::Eq][i % 3];
+            p.add_constraint(terms, rel, rng.gen_range(0.0..2.0));
+        }
+        p
+    }
+
+    /// A row-space vector mixing `+0.0`, `−0.0`, tiny values whose
+    /// products underflow, and ordinary values of both signs.
+    fn mixed_vector(rng: &mut ChaCha8Rng, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|_| match rng.gen_range(0..6) {
+                0 | 1 => 0.0,
+                2 => -0.0,
+                3 => rng.gen_range(-1.0..1.0) * 1e-320,
+                _ => rng.gen_range(-5.0..5.0),
+            })
+            .collect()
+    }
+
+    /// The row-wise `Aᵀv` over `s.at` equals `s.a.dot_col(j, v)` bit for
+    /// bit in every column `j`.
+    fn assert_rowwise_is_dot_col(s: &Simplex, v: &[f64]) {
+        let mut out = vec![f64::NAN; s.a.ncols()];
+        s.at.mul_vec_into(v, &mut out);
+        for (j, got) in out.iter().enumerate() {
+            assert_eq!(got.to_bits(), s.a.dot_col(j, v).to_bits(), "column {j}");
+        }
+    }
+
+    #[test]
+    fn rowwise_product_is_bit_identical_to_dot_col() {
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        for round in 0..12 {
+            let problems = [
+                seeded_rlspm(&mut rng, 6 + round, 4, 3),
+                seeded_blspm(&mut rng, 8 + round, 4, 3),
+                seeded_sparse(&mut rng, 10 + round, 8 + round),
+            ];
+            for p in &problems {
+                let s = Simplex::new(p, &SolveOptions::default());
+                for _ in 0..4 {
+                    assert_rowwise_is_dot_col(&s, &mixed_vector(&mut rng, s.m()));
+                }
+                // All ones: `z`'s sum cancels to exactly zero.
+                assert_rowwise_is_dot_col(&s, &vec![1.0; s.m()]);
+                assert_rowwise_is_dot_col(&s, &vec![-0.0; s.m()]);
+            }
+        }
+    }
+
+    #[test]
+    fn rowwise_product_covers_phase1_artificials() {
+        // A transportation LP: the crash falls back, so phase 1 appends
+        // artificials and rebuilds the row view.
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut p = Problem::new(Sense::Minimize);
+        let v: Vec<Vec<VarId>> = (0..3)
+            .map(|_| {
+                (0..4)
+                    .map(|_| p.add_var(rng.gen_range(1.0..9.0), 0.0, f64::INFINITY))
+                    .collect()
+            })
+            .collect();
+        for row in &v {
+            p.add_constraint(row.iter().map(|&x| (x, 1.0)), Relation::Le, 10.0);
+        }
+        for j in 0..4 {
+            p.add_constraint(v.iter().map(|row| (row[j], 1.0)), Relation::Ge, 6.0);
+        }
+        for opts in backends() {
+            let mut s = Simplex::new(&p, &opts);
+            let sol = s.run().unwrap();
+            assert!(sol.stats().phase1_iterations > 0);
+            assert!(s.a.ncols() > s.n_struct + s.n_slack, "artificials appended");
+            assert_eq!(s.at, s.a.transpose());
+            for _ in 0..8 {
+                assert_rowwise_is_dot_col(&s, &mixed_vector(&mut rng, s.m()));
+            }
+            // The final reduced costs, as pricing saw them.
+            s.price_all();
+            for j in 0..s.a.ncols() {
+                let d = s.cost[j] - s.a.dot_col(j, &s.y);
+                assert_eq!(s.d[j].to_bits(), d.to_bits(), "column {j}");
+            }
         }
     }
 

@@ -111,6 +111,26 @@ fn nan_numbers_are_parse_errors() {
 }
 
 #[test]
+fn infinite_numbers_on_rows_are_parse_errors() {
+    // An infinite right-hand side on a plain row used to reach the
+    // simplex, which tripped its `leaving variable far from its bound`
+    // debug assertion; `Problem` now rejects it, so the reader must.
+    for (from, to, what) in [
+        ("RHS R3 2", "RHS R3 inf", "right-hand side inf of row R3"),
+        (
+            "RHS R1 10 R2 1",
+            "RHS R1 10 R2 -inf",
+            "right-hand side -inf of row R2",
+        ),
+        ("RNG R1 4", "RNG R1 -inf", "range -inf on row R1"),
+    ] {
+        let err = mps::parse(&SEED_DOC.replace(from, to)).unwrap_err();
+        assert!(err.message.contains(what), "{to}: {err}");
+        assert!(err.line > 0, "{to}: {err}");
+    }
+}
+
+#[test]
 fn infinite_range_on_infinite_rhs_is_an_error() {
     // `inf − |inf|` is NaN: the mirrored side of the ranged row has no
     // right-hand side.

@@ -127,16 +127,15 @@ fn accept_loop(listener: &TcpListener, tele: &Telemetry, shutdown: &AtomicBool) 
 fn handle_connection(mut stream: TcpStream, tele: &Telemetry) -> io::Result<()> {
     stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
-    let (method, path) = match read_request_line(&mut stream) {
-        Ok(parts) => parts,
-        Err(_) => {
-            return respond(&mut stream, "400 Bad Request", TEXT, "bad request\n");
-        }
+    // A head that cannot be read is as bad as a malformed one.
+    let head = read_head(&mut stream).unwrap_or_default();
+    let Ok((method, path)) = parse_request_line(&head) else {
+        return respond(&mut stream, "400 Bad Request", TEXT, "bad request\n");
     };
     if method != "GET" {
         return respond(&mut stream, "405 Method Not Allowed", TEXT, "GET only\n");
     }
-    match path.as_str() {
+    match path {
         "/metrics" => match tele.snapshot() {
             Some(snapshot) => respond(
                 &mut stream,
@@ -166,8 +165,9 @@ fn handle_connection(mut stream: TcpStream, tele: &Telemetry) -> io::Result<()> 
 const TEXT: &str = "text/plain; charset=utf-8";
 const JSON: &str = "application/json; charset=utf-8";
 
-/// Reads the request head and returns `(method, path)`.
-fn read_request_line(stream: &mut TcpStream) -> io::Result<(String, String)> {
+/// Reads the request head: up to the blank line that ends it, the end
+/// of the stream, or [`MAX_REQUEST_BYTES`] (an error).
+fn read_head(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
     let mut head = Vec::new();
     let mut chunk = [0_u8; 512];
     // Read until the blank line ending the head, so the client is not
@@ -185,17 +185,23 @@ fn read_request_line(stream: &mut TcpStream) -> io::Result<(String, String)> {
         }
         head.extend_from_slice(&chunk[..n]);
     }
-    let text = String::from_utf8_lossy(&head);
-    let request_line = text.lines().next().unwrap_or_default();
-    let mut parts = request_line.split_whitespace();
+    Ok(head)
+}
+
+/// Parses the request line, the first line of `head`, as `METHOD PATH
+/// HTTP/…` and returns `(method, path)`. Fields are split on whitespace
+/// and anything after the version is ignored. The request line must be
+/// UTF-8; the header lines after it are never read.
+fn parse_request_line(head: &[u8]) -> io::Result<(&str, &str)> {
+    let bad = |why: &'static str| io::Error::new(io::ErrorKind::InvalidData, why);
+    let line = head.split(|&b| b == b'\n').next().unwrap_or_default();
+    let line = std::str::from_utf8(line).map_err(|_| bad("request line is not UTF-8"))?;
+    let mut parts = line.split_whitespace();
     match (parts.next(), parts.next(), parts.next()) {
         (Some(method), Some(path), Some(version)) if version.starts_with("HTTP/") => {
-            Ok((method.to_string(), path.to_string()))
+            Ok((method, path))
         }
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed request line",
-        )),
+        _ => Err(bad("malformed request line")),
     }
 }
 
@@ -290,6 +296,100 @@ mod tests {
         // The port is released: a fresh bind to the same address works.
         let rebound = TcpListener::bind(addr).expect("port released after drop");
         drop(rebound);
+    }
+
+    #[test]
+    fn request_lines_parse_to_method_and_path() {
+        let ok = [
+            (
+                &b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n"[..],
+                ("GET", "/metrics"),
+            ),
+            (b"POST / HTTP/1.0", ("POST", "/")),
+            (b"GET  /a\tHTTP/2 trailing words\n", ("GET", "/a")),
+            // Only the request line must be UTF-8.
+            (b"GET /x HTTP/1.1\r\nX: \xff\xfe\r\n\r\n", ("GET", "/x")),
+        ];
+        for (head, want) in ok {
+            assert_eq!(parse_request_line(head).unwrap(), want, "{head:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_request_lines_are_errors() {
+        for head in [
+            &b""[..],
+            b"\r\n\r\n",
+            b"   \r\n",
+            b"GET",
+            b"GET /metrics",
+            b"GET /metrics\r\nHTTP/1.1\r\n",
+            b"GET /metrics HTP/1.1",
+            b"GET /m\xff HTTP/1.1\r\n",
+            b"\xc3\x28 / HTTP/1.1",
+        ] {
+            let err = parse_request_line(head).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{head:?}");
+        }
+    }
+
+    /// Request-line fragments: methods, paths, versions (some truncated),
+    /// separators and bytes that are not UTF-8.
+    const TOKENS: &[&[u8]] = &[
+        b"GET",
+        b"POST",
+        b"get",
+        b"/",
+        b"/metrics",
+        b"/trace.json",
+        b"HTTP/1.1",
+        b"HTTP/",
+        b"HTTP",
+        b"HTP/1.1",
+        b" ",
+        b"  ",
+        b"\t",
+        b"\r",
+        b"\n",
+        b"\r\n",
+        b"\r\n\r\n",
+        b"\xff",
+        b"\xc3",
+        b"\xe2\x82",
+        b"\xf0\x9f\x98\x80",
+        b"\0",
+        b"%20",
+        b"?q=1",
+    ];
+
+    /// What an accepted head must satisfy: two nonblank fields taken
+    /// from the first line.
+    fn check(head: &[u8]) {
+        if let Ok((method, path)) = parse_request_line(head) {
+            for field in [method, path] {
+                assert!(!field.is_empty() && !field.contains(char::is_whitespace));
+            }
+            assert!(!method.contains('\n') && !path.contains('\n'));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn request_line_parse_never_panics_on_bytes(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+        ) {
+            check(&bytes);
+        }
+
+        #[test]
+        fn request_line_parse_never_panics_on_token_soup(
+            picks in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..48),
+        ) {
+            let head: Vec<u8> = picks.iter().flat_map(|&i| TOKENS[i % TOKENS.len()]).copied().collect();
+            check(&head);
+        }
     }
 
     #[test]
