@@ -89,7 +89,6 @@ fn build_problem(
     c_obj_sign: f64,
 ) -> (Problem, Vec<Vec<VarId>>, Vec<VarId>) {
     let topo = instance.topology();
-    let slots = instance.num_slots();
     let c_ub = capacity_upper_bound(instance);
 
     let mut p = Problem::new(sense);
@@ -111,28 +110,9 @@ fn build_problem(
         p.add_constraint(vars.iter().map(|&v| (v, 1.0)), demand, 1.0);
     }
 
-    let mut cell_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); topo.num_edges() * slots];
-    for (i, (r, paths)) in instance.iter().enumerate() {
-        for (j, path) in paths.iter().enumerate() {
-            for &e in path.edges() {
-                for t in r.start..=r.end {
-                    cell_terms[e.index() * slots + t].push((xvars[i][j], r.rate));
-                }
-            }
-        }
-    }
-    for e in 0..topo.num_edges() {
-        for t in 0..slots {
-            let terms = &cell_terms[e * slots + t];
-            if terms.is_empty() {
-                continue;
-            }
-            let row = terms
-                .iter()
-                .copied()
-                .chain(std::iter::once((cvars[e], -1.0)));
-            p.add_constraint(row, Relation::Le, 0.0);
-        }
+    for (e, terms) in instance.load_rows(&xvars) {
+        let row = terms.into_iter().chain([(cvars[e], -1.0)]);
+        p.add_constraint(row, Relation::Le, 0.0);
     }
     (p, xvars, cvars)
 }

@@ -96,7 +96,11 @@ fn parse_args() -> Result<Args, String> {
             "--paths" => {
                 args.paths = value("--paths")?
                     .parse()
-                    .map_err(|e| format!("--paths: {e}"))?
+                    .map_err(|e| format!("--paths: {e}"))?;
+                // Same rule as a scenario file's `paths` field.
+                if args.paths == 0 {
+                    return Err("--paths: must be at least 1".into());
+                }
             }
             "--opt-seconds" => {
                 args.opt_seconds = Some(

@@ -554,9 +554,6 @@ impl BlspmWarmSolver {
     /// Builds the fixed-structure program for `instance`. Load rows start
     /// with zero capacity; [`BlspmWarmSolver::solve`] sets the real ones.
     pub fn new(instance: &SpmInstance) -> Self {
-        let topo = instance.topology();
-        let slots = instance.num_slots();
-
         let mut p = Problem::new(Sense::Maximize);
         let mut xvars: Vec<Vec<metis_lp::VarId>> = Vec::with_capacity(instance.num_requests());
         for (r, paths) in instance.iter() {
@@ -565,35 +562,17 @@ impl BlspmWarmSolver {
         for vars in &xvars {
             p.add_constraint(vars.iter().map(|&v| (v, 1.0)), Relation::Le, 1.0);
         }
-        let mut cell_terms: Vec<Vec<(metis_lp::VarId, f64)>> =
-            vec![Vec::new(); topo.num_edges() * slots];
-        for (i, (r, paths)) in instance.iter().enumerate() {
-            for (j, path) in paths.iter().enumerate() {
-                for &e in path.edges() {
-                    for t in r.start..=r.end {
-                        // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
-                        cell_terms[e.index() * slots + t].push((xvars[i][j], r.rate));
-                    }
-                }
-            }
-        }
-        let mut cell_rows = Vec::new();
-        for e in 0..topo.num_edges() {
-            for t in 0..slots {
-                // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
-                let terms = &cell_terms[e * slots + t];
-                if !terms.is_empty() {
-                    let row = p.add_constraint(terms.iter().copied(), Relation::Le, 0.0);
-                    cell_rows.push((e, row));
-                }
-            }
-        }
+        let cell_rows = instance
+            .load_rows(&xvars)
+            .into_iter()
+            .map(|(e, terms)| (e, p.add_constraint(terms, Relation::Le, 0.0)))
+            .collect();
 
         BlspmWarmSolver {
             problem: p,
             xvars,
             cell_rows,
-            num_edges: topo.num_edges(),
+            num_edges: instance.topology().num_edges(),
             warm: WarmBasis::default(),
         }
     }

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use metis_lp::VarId;
 use metis_netsim::{Path, PathCatalog, PathMetric, Topology};
 use metis_workload::{Request, RequestId};
 
@@ -164,6 +165,45 @@ impl SpmInstance {
         self.requests.iter().map(|r| r.value).sum()
     }
 
+    /// The load rows every SPM program shares. For each `(edge, slot)`
+    /// cell that some candidate path touches, one `(edge index, terms)`
+    /// entry lists `(xvars[i][j], r_i)` for every request `i` active in
+    /// that slot whose path `j` crosses the edge. Cells come edge-major
+    /// with slots ascending, and no cell is empty. Terms are ordered by
+    /// request, then path. An empty `xvars[i]` leaves request `i` out;
+    /// otherwise it holds one column per candidate path. Each program
+    /// completes the row itself, with a charge column or a capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xvars` does not hold one entry per request, or a
+    /// non-empty entry does not hold one column per candidate path.
+    pub fn load_rows(&self, xvars: &[Vec<VarId>]) -> Vec<(usize, Vec<(VarId, f64)>)> {
+        assert_eq!(xvars.len(), self.requests.len(), "xvars per request");
+        let slots = self.num_slots;
+        let mut cells: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); self.topo.num_edges() * slots];
+        for ((r, paths), vars) in self.iter().zip(xvars) {
+            if vars.is_empty() {
+                continue;
+            }
+            assert_eq!(vars.len(), paths.len(), "one column per candidate path");
+            for (path, &x) in paths.iter().zip(vars) {
+                for &e in path.edges() {
+                    for t in r.start..=r.end {
+                        // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
+                        cells[e.index() * slots + t].push((x, r.rate));
+                    }
+                }
+            }
+        }
+        cells
+            .into_iter()
+            .enumerate()
+            .filter(|(_, terms)| !terms.is_empty())
+            .map(|(cell, terms)| (cell / slots, terms))
+            .collect()
+    }
+
     /// A new instance over a subset of this one's requests (re-indexed
     /// densely in the given order), sharing the topology and path sets.
     ///
@@ -298,6 +338,63 @@ mod tests {
         let topo = topologies::sub_b4();
         let err = SpmInstance::try_new(topo, Vec::new(), 0, 3).unwrap_err();
         assert_eq!(err, InstanceError::NoSlots);
+    }
+
+    #[test]
+    fn load_rows_hold_each_term_once_in_its_cell() {
+        use metis_lp::{Problem, Sense};
+        use std::collections::BTreeSet;
+
+        let inst = instance(30);
+        let masked = 3;
+        let mut p = Problem::new(Sense::Minimize);
+        let xvars: Vec<Vec<VarId>> = inst
+            .iter()
+            .enumerate()
+            .map(|(i, (_, paths))| {
+                let n = if i == masked { 0 } else { paths.len() };
+                (0..n).map(|_| p.add_var(0.0, 0.0, 1.0)).collect()
+            })
+            .collect();
+        // Every (request, path) crossing `e` while active in `t`, in
+        // request-then-path order, read off cell by cell.
+        let crossing = |e: usize, t: usize| -> Vec<(VarId, f64)> {
+            let mut terms = Vec::new();
+            for ((r, paths), vars) in inst.iter().zip(&xvars) {
+                for (path, &x) in paths.iter().zip(vars) {
+                    let on_edge = path.edges().iter().any(|ed| ed.index() == e);
+                    if on_edge && (r.start..=r.end).contains(&t) {
+                        terms.push((x, r.rate));
+                    }
+                }
+            }
+            terms
+        };
+        let cells: BTreeSet<(usize, usize)> = (0..inst.topology().num_edges())
+            .flat_map(|e| (0..inst.num_slots()).map(move |t| (e, t)))
+            .filter(|&(e, t)| !crossing(e, t).is_empty())
+            .collect();
+
+        let rows = inst.load_rows(&xvars);
+        assert_eq!(rows.len(), cells.len());
+        for ((e, terms), &(cell_e, t)) in rows.iter().zip(&cells) {
+            assert_eq!(*e, cell_e, "rows are edge-major");
+            assert!(!terms.is_empty());
+            assert_eq!(*terms, crossing(cell_e, t), "cell ({cell_e}, {t})");
+        }
+        // One term per (i, j, e, t); the masked request would have had
+        // some, and contributes none.
+        let terms_of = |(r, paths): (&Request, &[Path])| -> usize {
+            paths.iter().map(|q| q.edges().len() * r.duration()).sum()
+        };
+        let total: usize = rows.iter().map(|(_, terms)| terms.len()).sum();
+        let all: usize = inst.iter().map(terms_of).sum();
+        let masked_terms = terms_of((
+            inst.request(RequestId(masked as u32)),
+            inst.paths(RequestId(masked as u32)),
+        ));
+        assert!(masked_terms > 0);
+        assert_eq!(total, all - masked_terms);
     }
 
     #[test]

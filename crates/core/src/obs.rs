@@ -21,8 +21,6 @@ pub(crate) fn record_lp_stats(tele: &Telemetry, stats: &SolveStats) {
         tele.gauge(names::LP_LU_L_NNZ, stats.lu_l_nnz as f64);
         tele.gauge(names::LP_LU_U_NNZ, stats.lu_u_nnz as f64);
     }
-    tele.add(names::LP_PRESOLVE_ROWS, stats.presolve_removed_rows as u64);
-    tele.add(names::LP_PRESOLVE_VARS, stats.presolve_removed_vars as u64);
     if stats.warm_started {
         tele.incr(names::LP_WARM_BASIS_REUSE);
     } else {

@@ -125,20 +125,14 @@ pub fn solve_rlspm_relaxation(
 ) -> Result<RlspmRelaxation, SolveError> {
     assert_eq!(accepted.len(), instance.num_requests(), "mask length");
     let topo = instance.topology();
-    let num_edges = topo.num_edges();
-    let slots = instance.num_slots();
 
     let mut p = Problem::new(Sense::Minimize);
 
-    // Path variables.
+    // Path variables; declined requests get none, so no load terms.
     let mut xvars: Vec<Vec<metis_lp::VarId>> = Vec::with_capacity(instance.num_requests());
-    for (i, (r, paths)) in instance.iter().enumerate() {
-        if accepted[i] {
-            xvars.push(paths.iter().map(|_| p.add_var(0.0, 0.0, 1.0)).collect());
-            let _ = r;
-        } else {
-            xvars.push(Vec::new());
-        }
+    for ((_, paths), &on) in instance.iter().zip(accepted) {
+        let n = if on { paths.len() } else { 0 };
+        xvars.push((0..n).map(|_| p.add_var(0.0, 0.0, 1.0)).collect());
     }
     // Charged-bandwidth variables (fractional in the relaxation).
     let cvars: Vec<metis_lp::VarId> = topo
@@ -153,35 +147,10 @@ pub fn solve_rlspm_relaxation(
         }
     }
 
-    // Load rows: for each (edge, slot) that any candidate path can touch,
-    // Σ r_i x_{i,j} − c_e ≤ 0.
-    let mut cell_terms: Vec<Vec<(metis_lp::VarId, f64)>> = vec![Vec::new(); num_edges * slots];
-    for (i, (r, paths)) in instance.iter().enumerate() {
-        if !accepted[i] {
-            continue;
-        }
-        for (j, path) in paths.iter().enumerate() {
-            for &e in path.edges() {
-                for t in r.start..=r.end {
-                    // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
-                    cell_terms[e.index() * slots + t].push((xvars[i][j], r.rate));
-                }
-            }
-        }
-    }
-    for e in 0..num_edges {
-        for t in 0..slots {
-            // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
-            let terms = &cell_terms[e * slots + t];
-            if terms.is_empty() {
-                continue;
-            }
-            let row = terms
-                .iter()
-                .copied()
-                .chain(std::iter::once((cvars[e], -1.0)));
-            p.add_constraint(row, Relation::Le, 0.0);
-        }
+    // Load rows: Σ r_i x_{i,j} − c_e ≤ 0 per reachable (edge, slot).
+    for (e, terms) in instance.load_rows(&xvars) {
+        let row = terms.into_iter().chain([(cvars[e], -1.0)]);
+        p.add_constraint(row, Relation::Le, 0.0);
     }
 
     let sol = p.solve_with(lp_options)?;
@@ -256,8 +225,6 @@ impl RlspmWarmSolver {
     /// start declined; [`RlspmWarmSolver::solve`] sets the actual mask.
     pub fn new(instance: &SpmInstance) -> Self {
         let topo = instance.topology();
-        let num_edges = topo.num_edges();
-        let slots = instance.num_slots();
 
         let mut p = Problem::new(Sense::Minimize);
         let xvars: Vec<Vec<metis_lp::VarId>> = instance
@@ -284,30 +251,9 @@ impl RlspmWarmSolver {
         }
 
         // Load rows over every cell any candidate path can touch.
-        let mut cell_terms: Vec<Vec<(metis_lp::VarId, f64)>> = vec![Vec::new(); num_edges * slots];
-        for (i, (r, paths)) in instance.iter().enumerate() {
-            for (j, path) in paths.iter().enumerate() {
-                for &e in path.edges() {
-                    for t in r.start..=r.end {
-                        // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
-                        cell_terms[e.index() * slots + t].push((xvars[i][j], r.rate));
-                    }
-                }
-            }
-        }
-        for e in 0..num_edges {
-            for t in 0..slots {
-                // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
-                let terms = &cell_terms[e * slots + t];
-                if terms.is_empty() {
-                    continue;
-                }
-                let row = terms
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once((cvars[e], -1.0)));
-                p.add_constraint(row, Relation::Le, 0.0);
-            }
+        for (e, terms) in instance.load_rows(&xvars) {
+            let row = terms.into_iter().chain([(cvars[e], -1.0)]);
+            p.add_constraint(row, Relation::Le, 0.0);
         }
 
         RlspmWarmSolver {

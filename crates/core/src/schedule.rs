@@ -25,11 +25,6 @@ impl Schedule {
         }
     }
 
-    /// Builds a schedule from raw per-request path choices.
-    pub fn from_assignment(assignment: Vec<Option<u32>>) -> Self {
-        Schedule { assignment }
-    }
-
     /// Number of requests covered.
     pub fn len(&self) -> usize {
         self.assignment.len()

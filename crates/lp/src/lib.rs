@@ -8,6 +8,9 @@
 //!   ([`Problem::solve`]), and
 //! * a **branch-and-bound MILP solver** on top of it ([`solve_ilp`]).
 //!
+//! Callers build every [`Problem`] in code: the crate reads and writes
+//! no model files, and it solves the problem as given, with no presolve.
+//!
 //! # Quick start
 //!
 //! ```
@@ -38,8 +41,6 @@ mod factor;
 pub mod ilp;
 pub mod matrix;
 mod model;
-pub mod mps;
-mod presolve;
 mod simplex;
 mod solution;
 pub mod verify;
@@ -47,7 +48,6 @@ pub mod verify;
 pub use error::SolveError;
 pub use ilp::{solve_ilp, solve_ilp_with_start, IlpOptions, IlpSolution, IlpStatus};
 pub use model::{Problem, Relation, RowId, Sense, VarId};
-pub use presolve::{presolve, presolve_and_solve, PresolveReport, Restoration};
 pub use simplex::{Basis, BasisBackend, SolveOptions};
 pub use solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
 pub use verify::{certify, Certificate};

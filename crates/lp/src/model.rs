@@ -158,11 +158,6 @@ impl Problem {
         id
     }
 
-    /// Marks an existing variable as integer-constrained.
-    pub fn set_integer(&mut self, var: VarId, integer: bool) {
-        self.vars[var.index()].integer = integer;
-    }
-
     /// Returns whether `var` is integer-constrained.
     pub fn is_integer(&self, var: VarId) -> bool {
         self.vars[var.index()].integer

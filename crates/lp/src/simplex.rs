@@ -944,8 +944,6 @@ impl Simplex {
             eta_updates: self.eta_updates,
             lu_l_nnz: self.lu_l_nnz,
             lu_u_nnz: self.lu_u_nnz,
-            presolve_removed_rows: 0,
-            presolve_removed_vars: 0,
         };
         let trace = self.take_trace();
         Ok(Solution::new(obj, x, self.iterations)

@@ -5,9 +5,9 @@ use crate::model::{RowId, VarId};
 /// Work counters from one solve, attached to every [`Solution`].
 ///
 /// These feed the workspace's telemetry layer (simplex iteration and
-/// pivot accounting, warm-start effectiveness, presolve reductions)
-/// without the solver depending on it: the solver only counts, the
-/// caller decides where the counts go.
+/// pivot accounting, warm-start effectiveness, factor sizes) without
+/// the solver depending on it: the solver only counts, the caller
+/// decides where the counts go.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Simplex pivots across all phases (primal + dual; for MILP,
@@ -33,10 +33,6 @@ pub struct SolveStats {
     /// Nonzeros in the `U` factor (diagonal included) of the last sparse
     /// refactorization (0 on the dense backend).
     pub lu_u_nnz: usize,
-    /// Rows removed by presolve (0 unless the presolve path ran).
-    pub presolve_removed_rows: usize,
-    /// Variables removed by presolve (0 unless the presolve path ran).
-    pub presolve_removed_vars: usize,
 }
 
 /// Which rule chose the entering column of a traced pivot.
@@ -196,10 +192,5 @@ impl Solution {
     /// [`crate::SolveOptions::trace`] was set).
     pub fn trace(&self) -> &LpTrace {
         &self.trace
-    }
-
-    /// Consumes the solution, returning the raw value vector.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
     }
 }

@@ -91,10 +91,11 @@ pub mod names {
     pub const LP_WARM_BASIS_REUSE: &str = "lp.warm.basis_reuse";
     /// Counter: LP solves started from scratch.
     pub const LP_COLD_SOLVES: &str = "lp.cold_solves";
-    /// Counter: rows removed by presolve across all solves.
+    /// Counter: rows removed by presolve. The LP has no presolve, so
+    /// nothing records it any more and it always reads 0; it stays only
+    /// because the benchmark reports it, and goes with the next change
+    /// to the benchmark.
     pub const LP_PRESOLVE_ROWS: &str = "lp.presolve.removed_rows";
-    /// Counter: variables removed by presolve across all solves.
-    pub const LP_PRESOLVE_VARS: &str = "lp.presolve.removed_vars";
     /// Histogram: per-trial rounded profit (revenue − cost) in MAA.
     pub const MAA_TRIALS_PROFIT: &str = "maa.trials.profit";
     /// Series: μ scaling factor chosen by each TAA invocation.
