@@ -56,7 +56,7 @@ const SIZES_QUICK: &[usize] = &[100, 300];
 const DENSE_MAX_M: usize = 1000;
 
 /// A dense-ish transportation-style LP with `n` supplies and `n`
-/// demands (`m = 2n` rows), mirroring `benches/simplex.rs`.
+/// demands (`m = 2n` rows).
 fn transportation_lp(n: usize) -> Problem {
     let mut p = Problem::new(Sense::Minimize);
     let mut vars = Vec::with_capacity(n * n);

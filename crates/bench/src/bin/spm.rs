@@ -502,37 +502,31 @@ fn main() {
         );
     }
 
-    if want_tele {
-        match tele.snapshot() {
-            Some(snap) => {
-                let write = |path: &str, body: String| {
-                    if let Err(e) = std::fs::write(path, body) {
-                        eprintln!("cannot write telemetry to {path}: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                if let Some(path) = &args.telemetry {
-                    write(path, snap.to_json());
-                }
-                if let Some(path) = &args.telemetry_prometheus {
-                    write(path, to_prometheus(&snap));
-                }
-                if let Some(path) = &args.trace_chrome {
-                    match tele.chrome_trace() {
-                        Some(body) => write(path, body),
-                        None => eprintln!("no span log captured; {path} not written"),
-                    }
-                }
-                if !args.json {
-                    println!("\n{}", phase_timing_table(&snap).render());
-                    println!("\n{}", lp_stats_table(&snap).render());
-                    println!("\n{}", convergence_table(&result.round_trace).render());
-                }
+    // Only an enabled handle snapshots, so this runs exactly when some
+    // telemetry flag was given.
+    if let Some(snap) = tele.snapshot() {
+        let write = |path: &str, body: String| {
+            if let Err(e) = std::fs::write(path, body) {
+                eprintln!("cannot write telemetry to {path}: {e}");
+                std::process::exit(1);
             }
-            None => eprintln!(
-                "telemetry requested but the `capture` feature is compiled out; \
-rebuild metis-telemetry with default features"
-            ),
+        };
+        if let Some(path) = &args.telemetry {
+            write(path, snap.to_json());
+        }
+        if let Some(path) = &args.telemetry_prometheus {
+            write(path, to_prometheus(&snap));
+        }
+        if let Some(path) = &args.trace_chrome {
+            match tele.chrome_trace() {
+                Some(body) => write(path, body),
+                None => eprintln!("no span log captured; {path} not written"),
+            }
+        }
+        if !args.json {
+            println!("\n{}", phase_timing_table(&snap).render());
+            println!("\n{}", lp_stats_table(&snap).render());
+            println!("\n{}", convergence_table(&result.round_trace).render());
         }
     }
 

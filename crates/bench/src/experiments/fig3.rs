@@ -182,8 +182,7 @@ fn measure(k: usize, seed: u64, options: &Fig3Options) -> Point {
     let instance = SpmInstance::new(topo, requests, 12, options.paths_per_pair);
 
     // All phase timings come from one span collector instead of ad-hoc
-    // `Instant` pairs; with the telemetry `capture` feature compiled out
-    // the timings degrade to 0 (the experiment's economics are unchanged).
+    // `Instant` pairs.
     let tele = Telemetry::enabled();
     let m = metis_instrumented(
         &instance,

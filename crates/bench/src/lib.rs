@@ -1,5 +1,5 @@
 //! Experiment harness for the Metis reproduction: one module and one
-//! binary per paper figure, plus ablations and Criterion benchmarks.
+//! binary per paper figure, plus ablations.
 //!
 //! Binaries (all support `--quick` for a reduced sweep):
 //!

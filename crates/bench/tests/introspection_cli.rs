@@ -3,9 +3,7 @@
 //! and `spm --trace-chrome` writes a parseable trace-event file.
 //!
 //! The binary is located through `CARGO_BIN_EXE_spm`, so these tests
-//! exercise exactly what a user runs. When the telemetry `capture`
-//! feature is compiled out, `--serve` exits non-zero and the tests
-//! degrade to checking that failure mode.
+//! exercise exactly what a user runs.
 
 use std::io::{BufRead, BufReader, Read, Write as _};
 use std::net::TcpStream;
@@ -79,12 +77,8 @@ fn spm_serve_answers_live_scrapes() {
                 }
             }
             _ => {
-                // Stdout closed without the banner: --serve unsupported
-                // (capture feature compiled out). The process must have
-                // failed rather than silently served nothing.
                 let status = child.0.wait().expect("wait for spm");
-                assert!(!status.success());
-                return;
+                panic!("spm --serve exited ({status}) without printing its address");
             }
         }
     };

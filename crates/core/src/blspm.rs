@@ -25,7 +25,7 @@ use metis_workload::RequestId;
 
 use crate::chernoff::{chernoff_delta, select_mu};
 use crate::instance::SpmInstance;
-use crate::parallel::{self, ParallelConfig};
+use crate::parallel;
 use crate::schedule::{Evaluation, Schedule};
 use crate::warm::WarmBasis;
 
@@ -39,13 +39,6 @@ const PARALLEL_EVAL_MIN_CELLS: usize = 64;
 pub struct TaaOptions {
     /// LP solver options.
     pub lp: SolveOptions,
-    /// Worker threads for the per-request precomputation and the
-    /// decision-tree candidate evaluation. The walk itself is inherently
-    /// sequential (each level conditions on the previous choice), but the
-    /// candidate branches at one level are independent, as is the
-    /// per-request cell precomputation. Results are bit-identical for any
-    /// thread count. (`trials` is ignored here; it only affects MAA.)
-    pub parallel: ParallelConfig,
 }
 
 /// Fractional optimum of the relaxed BL-SPM.
@@ -167,12 +160,25 @@ pub fn taa(
     capacities: &[f64],
     options: &TaaOptions,
 ) -> Result<TaaResult, SolveError> {
-    taa_instrumented(instance, capacities, options, None, &Telemetry::disabled())
+    taa_instrumented(
+        instance,
+        capacities,
+        options,
+        1,
+        None,
+        &Telemetry::disabled(),
+    )
 }
 
-/// Runs TAA like [`taa`], recording telemetry into `tele`; with `Some`
-/// solver the relaxation warm-starts from that [`BlspmWarmSolver`]'s
-/// previous basis (the Metis alternation rounds).
+/// Runs TAA like [`taa`] with the walk's independent work fanned across
+/// `threads` workers, recording telemetry into `tele`; with `Some` solver
+/// the relaxation warm-starts from that [`BlspmWarmSolver`]'s previous
+/// basis (the Metis alternation rounds).
+///
+/// The walk itself is inherently sequential (each level conditions on the
+/// previous choice), but the candidate branches at one level are
+/// independent, as is the per-request cell precomputation, so results
+/// are bit-identical for any thread count.
 ///
 /// The relaxation solve runs under the `taa.relax` span, the derandomized
 /// walk under `taa.walk`, LP work counters land in the `lp.*` metrics,
@@ -193,6 +199,7 @@ pub(crate) fn taa_instrumented(
     instance: &SpmInstance,
     capacities: &[f64],
     options: &TaaOptions,
+    threads: usize,
     solver: Option<&mut BlspmWarmSolver>,
     tele: &Telemetry,
 ) -> Result<TaaResult, SolveError> {
@@ -208,7 +215,7 @@ pub(crate) fn taa_instrumented(
     crate::obs::record_lp_stats(tele, &relaxation.stats);
     crate::obs::record_lp_trace(tele, &relaxation.lp_trace);
     Ok(taa_from_relaxation(
-        instance, capacities, options, relaxation, tele,
+        instance, capacities, threads, relaxation, tele,
     ))
 }
 
@@ -216,13 +223,12 @@ pub(crate) fn taa_instrumented(
 fn taa_from_relaxation(
     instance: &SpmInstance,
     capacities: &[f64],
-    options: &TaaOptions,
+    threads: usize,
     relaxation: BlspmRelaxation,
     tele: &Telemetry,
 ) -> TaaResult {
     let _walk = tele.span(names::SPAN_TAA_WALK);
     let k = instance.num_requests();
-    let threads = options.parallel.effective_threads();
     let topo = instance.topology();
 
     // Normalize rates and values into [0, 1] (Algorithm 2, line 1).
@@ -735,14 +741,15 @@ mod tests {
         let caps = vec![3.0; inst.topology().num_edges()];
         let serial = taa(&inst, &caps, &TaaOptions::default()).unwrap();
         for threads in [2, 8] {
-            let opts = TaaOptions {
-                parallel: ParallelConfig {
-                    threads,
-                    ..ParallelConfig::default()
-                },
-                ..TaaOptions::default()
-            };
-            let par = taa(&inst, &caps, &opts).unwrap();
+            let par = taa_instrumented(
+                &inst,
+                &caps,
+                &TaaOptions::default(),
+                threads,
+                None,
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             assert_eq!(par.schedule, serial.schedule, "threads = {threads}");
             assert_eq!(par.evaluation, serial.evaluation, "threads = {threads}");
         }
@@ -783,6 +790,7 @@ mod tests {
                 &inst,
                 &caps,
                 &TaaOptions::default(),
+                1,
                 Some(&mut solver),
                 &Telemetry::disabled(),
             )

@@ -34,11 +34,10 @@ pub struct MetisConfig {
     pub theta: usize,
     /// The bandwidth-reduction rule `τ`.
     pub limiter: LimiterRule,
-    /// Worker threads and rounding-trial override, propagated to both
-    /// phases (this field wins over `maa.parallel` / `taa.parallel` inside
-    /// [`metis`]). Thread count never changes results: trials and
-    /// candidate scores come from per-index RNG streams / read-only state
-    /// and are always reduced in index order.
+    /// Worker threads for both phases: MAA's rounding trials and TAA's
+    /// candidate evaluation. Thread count never changes results: trials
+    /// and candidate scores come from per-index RNG streams / read-only
+    /// state and are always reduced in index order.
     pub parallel: ParallelConfig,
     /// Reuse each phase's simplex basis across alternation rounds
     /// ([`RlspmWarmSolver`] / [`BlspmWarmSolver`]) instead of solving
@@ -326,15 +325,10 @@ pub fn metis_instrumented(
     let _metis_span = tele.span(names::SPAN_METIS);
     let k = instance.num_requests();
 
-    let mut maa_opts = MaaOptions {
-        parallel: config.parallel,
-        ..config.maa
-    };
+    let threads = config.parallel.effective_threads();
+    let mut maa_opts = config.maa;
     maa_opts.lp.verify = maa_opts.lp.verify || config.audit;
-    let mut taa_opts = TaaOptions {
-        parallel: config.parallel,
-        ..config.taa
-    };
+    let mut taa_opts = config.taa;
     taa_opts.lp.verify = taa_opts.lp.verify || config.audit;
     let mut rl_solver = config.warm_start.then(|| RlspmWarmSolver::new(instance));
     let mut bl_solver = config.warm_start.then(|| BlspmWarmSolver::new(instance));
@@ -344,7 +338,15 @@ pub fn metis_instrumented(
                 solver.reset_basis();
             }
         }
-        maa_instrumented(instance, accepted, &maa_opts, rl_solver.as_mut(), tele).map(|m| Step {
+        maa_instrumented(
+            instance,
+            accepted,
+            &maa_opts,
+            threads,
+            rl_solver.as_mut(),
+            tele,
+        )
+        .map(|m| Step {
             schedule: m.schedule,
             evaluation: m.evaluation,
             stats: m.relaxation.stats,
@@ -357,11 +359,13 @@ pub fn metis_instrumented(
                 solver.reset_basis();
             }
         }
-        taa_instrumented(instance, caps, &taa_opts, bl_solver.as_mut(), tele).map(|t| Step {
-            schedule: t.schedule,
-            evaluation: t.evaluation,
-            stats: t.relaxation.stats,
-            mu: t.mu,
+        taa_instrumented(instance, caps, &taa_opts, threads, bl_solver.as_mut(), tele).map(|t| {
+            Step {
+                schedule: t.schedule,
+                evaluation: t.evaluation,
+                stats: t.relaxation.stats,
+                mu: t.mu,
+            }
         })
     };
 
@@ -707,10 +711,7 @@ mod tests {
             let reference = metis(&inst, &base).unwrap();
             for threads in [2, 8] {
                 let cfg = MetisConfig {
-                    parallel: ParallelConfig {
-                        threads,
-                        ..ParallelConfig::default()
-                    },
+                    parallel: ParallelConfig { threads },
                     ..base
                 };
                 let run = metis(&inst, &cfg).unwrap();
@@ -757,23 +758,22 @@ mod tests {
             assert_eq!(run.schedule, plain.schedule, "warm_start = {warm_start}");
             assert_eq!(run.evaluation, plain.evaluation);
             assert_eq!(run.round_trace, plain.round_trace);
-            if let Some(s) = tele.snapshot() {
-                assert!(s.counter(names::LP_SIMPLEX_ITERATIONS) > 0);
-                assert!(s.counter(names::ROUNDS) >= 1);
-                let rounds = s.histogram(names::ROUND_DURATION_US).expect("histogram");
-                assert!(rounds.count >= 1);
-                assert!(!s
-                    .series(names::TAA_MU)
-                    .expect("mu series")
-                    .points
-                    .is_empty());
-                if warm_start {
-                    assert!(s.counter(names::LP_WARM_BASIS_REUSE) > 0);
-                }
-                assert_eq!(s.counter(names::INCIDENT_SOLVE_FAILED), 0);
-                let round_span = s.span(names::SPAN_ROUND).expect("round span");
-                assert_eq!(round_span.parent.as_deref(), Some(names::SPAN_METIS));
+            let s = tele.snapshot().expect("enabled handle snapshots");
+            assert!(s.counter(names::LP_SIMPLEX_ITERATIONS) > 0);
+            assert!(s.counter(names::ROUNDS) >= 1);
+            let rounds = s.histogram(names::ROUND_DURATION_US).expect("histogram");
+            assert!(rounds.count >= 1);
+            assert!(!s
+                .series(names::TAA_MU)
+                .expect("mu series")
+                .points
+                .is_empty());
+            if warm_start {
+                assert!(s.counter(names::LP_WARM_BASIS_REUSE) > 0);
             }
+            assert_eq!(s.counter(names::INCIDENT_SOLVE_FAILED), 0);
+            let round_span = s.span(names::SPAN_ROUND).expect("round span");
+            assert_eq!(round_span.parent.as_deref(), Some(names::SPAN_METIS));
         }
     }
 
@@ -792,15 +792,14 @@ mod tests {
         for incident in &run.incidents {
             assert!(!incident.to_string().is_empty());
         }
-        if let Some(s) = tele.snapshot() {
-            assert_eq!(
-                s.counter(names::INCIDENT_WARM_RETRY),
-                run.warm_retries() as u64
-            );
-            assert_eq!(s.events.len(), run.incidents.len());
-            assert!(s.events.iter().all(|e| e.kind == names::EVENT_INCIDENT));
-            assert!(s.events[0].message.contains("TAA"));
-        }
+        let s = tele.snapshot().expect("enabled handle snapshots");
+        assert_eq!(
+            s.counter(names::INCIDENT_WARM_RETRY),
+            run.warm_retries() as u64
+        );
+        assert_eq!(s.events.len(), run.incidents.len());
+        assert!(s.events.iter().all(|e| e.kind == names::EVENT_INCIDENT));
+        assert!(s.events[0].message.contains("TAA"));
     }
 
     #[test]

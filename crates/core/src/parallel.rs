@@ -20,7 +20,7 @@ use std::sync::Mutex;
 ///
 /// let serial = ParallelConfig::default();
 /// assert_eq!(serial.effective_threads(), 1);
-/// let auto = ParallelConfig { threads: 0, ..ParallelConfig::default() };
+/// let auto = ParallelConfig { threads: 0 };
 /// assert!(auto.effective_threads() >= 1);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,20 +29,11 @@ pub struct ParallelConfig {
     /// `0` means "use all available cores"; `1` (the default) runs
     /// everything inline.
     pub threads: usize,
-    /// Number of independent rounding trials for the MAA stage. `0` (the
-    /// default) inherits [`MaaOptions::rounding_repeats`]; any other value
-    /// overrides it.
-    ///
-    /// [`MaaOptions::rounding_repeats`]: crate::MaaOptions::rounding_repeats
-    pub trials: usize,
 }
 
 impl Default for ParallelConfig {
     fn default() -> Self {
-        ParallelConfig {
-            threads: 1,
-            trials: 0,
-        }
+        ParallelConfig { threads: 1 }
     }
 }
 
@@ -56,16 +47,6 @@ impl ParallelConfig {
                 .unwrap_or(1)
         } else {
             self.threads
-        }
-    }
-
-    /// The rounding-trial count: `trials`, with `0` resolved to
-    /// `rounding_repeats`.
-    pub fn effective_trials(&self, rounding_repeats: usize) -> usize {
-        if self.trials == 0 {
-            rounding_repeats
-        } else {
-            self.trials
         }
     }
 }
@@ -135,26 +116,9 @@ mod tests {
 
     #[test]
     fn effective_threads_resolves_zero() {
-        let auto = ParallelConfig {
-            threads: 0,
-            trials: 0,
-        };
+        let auto = ParallelConfig { threads: 0 };
         assert!(auto.effective_threads() >= 1);
-        let fixed = ParallelConfig {
-            threads: 5,
-            trials: 0,
-        };
+        let fixed = ParallelConfig { threads: 5 };
         assert_eq!(fixed.effective_threads(), 5);
-    }
-
-    #[test]
-    fn effective_trials_inherits() {
-        let inherit = ParallelConfig::default();
-        assert_eq!(inherit.effective_trials(4), 4);
-        let own = ParallelConfig {
-            threads: 1,
-            trials: 9,
-        };
-        assert_eq!(own.effective_trials(4), 9);
     }
 }

@@ -22,7 +22,7 @@ use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
 
 use crate::instance::SpmInstance;
-use crate::parallel::{self, ParallelConfig};
+use crate::parallel;
 use crate::schedule::{Evaluation, Schedule};
 use crate::warm::WarmBasis;
 
@@ -38,13 +38,6 @@ pub struct MaaOptions {
     /// hence the kept schedule — does not depend on how many worker
     /// threads execute them.
     pub seed: u64,
-    /// Post-improve the rounded schedule by single-request path moves
-    /// until no move lowers the billed cost (an extension beyond the
-    /// paper's Algorithm 1; off by default).
-    pub local_search: bool,
-    /// Worker threads and optional trial-count override for the rounding
-    /// stage.
-    pub parallel: ParallelConfig,
     /// LP solver options.
     pub lp: SolveOptions,
 }
@@ -54,8 +47,6 @@ impl Default for MaaOptions {
         MaaOptions {
             rounding_repeats: 1,
             seed: 0,
-            local_search: false,
-            parallel: ParallelConfig::default(),
             lp: SolveOptions::default(),
         }
     }
@@ -328,9 +319,10 @@ impl RlspmWarmSolver {
     }
 }
 
-/// Runs MAA like [`maa`], recording telemetry into `tele`; with `Some`
-/// solver the relaxation warm-starts from that [`RlspmWarmSolver`]'s
-/// previous basis (the Metis alternation rounds).
+/// Runs MAA like [`maa`] with the rounding trials fanned across
+/// `threads` workers, recording telemetry into `tele`; with `Some` solver
+/// the relaxation warm-starts from that [`RlspmWarmSolver`]'s previous
+/// basis (the Metis alternation rounds).
 ///
 /// The relaxation solve runs under the `maa.relax` span, the rounding
 /// trials under `maa.rounding`, LP work counters land in the `lp.*`
@@ -351,6 +343,7 @@ pub(crate) fn maa_instrumented(
     instance: &SpmInstance,
     accepted: &[bool],
     options: &MaaOptions,
+    threads: usize,
     solver: Option<&mut RlspmWarmSolver>,
     tele: &Telemetry,
 ) -> Result<MaaResult, SolveError> {
@@ -366,11 +359,12 @@ pub(crate) fn maa_instrumented(
     crate::obs::record_lp_stats(tele, &relaxation.stats);
     crate::obs::record_lp_trace(tele, &relaxation.lp_trace);
     Ok(maa_from_relaxation(
-        instance, accepted, options, relaxation, tele,
+        instance, accepted, options, threads, relaxation, tele,
     ))
 }
 
-/// Runs MAA over the accepted requests: relax → round → ceil.
+/// Runs MAA over the accepted requests: relax → round → ceil, on the
+/// calling thread.
 ///
 /// Every request with `accepted[i] == true` is routed on exactly one of
 /// its candidate paths; the others are declined in the returned schedule.
@@ -405,12 +399,12 @@ pub fn maa(
     accepted: &[bool],
     options: &MaaOptions,
 ) -> Result<MaaResult, SolveError> {
-    maa_instrumented(instance, accepted, options, None, &Telemetry::disabled())
+    maa_instrumented(instance, accepted, options, 1, None, &Telemetry::disabled())
 }
 
 /// Rounding + ceiling stages of MAA, given an already-solved relaxation.
 ///
-/// Trials run fanned across `options.parallel` worker threads; trial `t`
+/// Trials run fanned across `threads` workers; trial `t`
 /// rounds with its own `ChaCha12` stream seeded `seed + t`, and the
 /// cheapest schedule wins (first trial wins ties), so the result is
 /// bit-identical for any thread count.
@@ -418,13 +412,13 @@ fn maa_from_relaxation(
     instance: &SpmInstance,
     accepted: &[bool],
     options: &MaaOptions,
+    threads: usize,
     relaxation: RlspmRelaxation,
     tele: &Telemetry,
 ) -> MaaResult {
     let _rounding = tele.span(names::SPAN_MAA_ROUNDING);
-    let trials = options.parallel.effective_trials(options.rounding_repeats);
+    let trials = options.rounding_repeats;
     assert!(trials >= 1, "need at least one rounding");
-    let threads = options.parallel.effective_threads();
     let rounded = parallel::run_indexed(trials, threads, |trial| {
         let mut rng = ChaCha12Rng::seed_from_u64(options.seed.wrapping_add(trial as u64));
         let schedule = round_schedule(instance, accepted, &relaxation.x, &mut rng);
@@ -451,66 +445,13 @@ fn maa_from_relaxation(
             best = Some((cost, schedule));
         }
     }
-    // metis-lint: allow(PANIC-01): ParallelConfig::trials is clamped to ≥ 1, so one rounding always runs
-    let (_, mut schedule) = best.expect("at least one rounding ran");
-    if options.local_search {
-        improve_by_path_moves(instance, &mut schedule);
-    }
+    // metis-lint: allow(PANIC-01): the assert above makes at least one rounding run
+    let (_, schedule) = best.expect("at least one rounding ran");
     let evaluation = schedule.evaluate(instance);
     MaaResult {
         schedule,
         evaluation,
         relaxation,
-    }
-}
-
-/// First-improvement local search: move one accepted request to another
-/// candidate path whenever that lowers the total billed cost; repeat
-/// until a fixed point. Each accepted move strictly lowers the cost, and
-/// the cost lives on a finite grid of integer unit charges, so this
-/// terminates.
-fn improve_by_path_moves(instance: &SpmInstance, schedule: &mut Schedule) {
-    let topo = instance.topology();
-    let mut load = schedule.load(instance);
-    let mut cost = load.total_cost(topo);
-    loop {
-        let mut improved = false;
-        for i in 0..instance.num_requests() {
-            let id = RequestId(i as u32);
-            let Some(current) = schedule.path_choice(id) else {
-                continue;
-            };
-            let r = instance.request(id);
-            let paths = instance.paths(id);
-            for j in 0..paths.len() {
-                if j == current {
-                    continue;
-                }
-                for &e in paths[current].edges() {
-                    load.remove(e, r.start, r.end, r.rate);
-                }
-                for &e in paths[j].edges() {
-                    load.add(e, r.start, r.end, r.rate);
-                }
-                let new_cost = load.total_cost(topo);
-                if new_cost < cost - 1e-9 {
-                    cost = new_cost;
-                    schedule.set(id, Some(j));
-                    improved = true;
-                    break; // re-fetch `current` for this request
-                }
-                // Revert.
-                for &e in paths[j].edges() {
-                    load.remove(e, r.start, r.end, r.rate);
-                }
-                for &e in paths[current].edges() {
-                    load.add(e, r.start, r.end, r.rate);
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
     }
 }
 
@@ -688,49 +629,18 @@ mod tests {
         };
         let serial = maa(&inst, &accepted, &base).unwrap();
         for threads in [2, 8] {
-            let opts = MaaOptions {
-                parallel: ParallelConfig {
-                    threads,
-                    ..ParallelConfig::default()
-                },
-                ..base
-            };
-            let par = maa(&inst, &accepted, &opts).unwrap();
+            let par = maa_instrumented(
+                &inst,
+                &accepted,
+                &base,
+                threads,
+                None,
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             assert_eq!(par.schedule, serial.schedule, "threads = {threads}");
             assert_eq!(par.evaluation, serial.evaluation, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn trials_override_inherits_and_wins() {
-        let inst = instance(20, 10);
-        let accepted = vec![true; 20];
-        // trials = 16 via the override must equal rounding_repeats = 16.
-        let by_repeats = maa(
-            &inst,
-            &accepted,
-            &MaaOptions {
-                rounding_repeats: 16,
-                seed: 3,
-                ..MaaOptions::default()
-            },
-        )
-        .unwrap();
-        let by_override = maa(
-            &inst,
-            &accepted,
-            &MaaOptions {
-                rounding_repeats: 1,
-                seed: 3,
-                parallel: ParallelConfig {
-                    threads: 2,
-                    trials: 16,
-                },
-                ..MaaOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(by_override.schedule, by_repeats.schedule);
     }
 
     #[test]
@@ -748,35 +658,6 @@ mod tests {
             .map(|p| p.price(inst.topology()))
             .fold(f64::INFINITY, f64::min);
         assert!(chosen_price <= min_price + 1e-9);
-    }
-
-    #[test]
-    fn local_search_never_hurts_and_keeps_demands() {
-        for seed in 0..3 {
-            let inst = instance(40, seed);
-            let accepted = vec![true; 40];
-            let plain = maa(
-                &inst,
-                &accepted,
-                &MaaOptions {
-                    seed,
-                    ..MaaOptions::default()
-                },
-            )
-            .unwrap();
-            let improved = maa(
-                &inst,
-                &accepted,
-                &MaaOptions {
-                    seed,
-                    local_search: true,
-                    ..MaaOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(improved.evaluation.cost <= plain.evaluation.cost + 1e-9);
-            assert_eq!(improved.schedule.num_accepted(), 40);
-        }
     }
 
     #[test]
@@ -830,6 +711,7 @@ mod tests {
             &inst,
             &accepted,
             &options,
+            1,
             Some(&mut solver),
             &Telemetry::disabled(),
         )

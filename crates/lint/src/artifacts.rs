@@ -15,7 +15,7 @@
 //! | `ART-02` | DESIGN.md §7 metric catalog | bidirectional with metric + event constants |
 //! | `ART-03` | README.md | every `spm`/`zoo` CLI flag must be documented |
 //! | `ART-04` | DESIGN.md §5b | every `crates/workload/src/families/` module must be described |
-//! | `ART-05` | README.md, DESIGN.md | every backticked snake_case identifier must occur in workspace Rust source |
+//! | `ART-05` | README.md, DESIGN.md | every backticked snake_case identifier, and each snake_case segment of a backticked `::` path, must occur in workspace Rust source |
 //!
 //! The fixture check is deliberately one-directional: the schema
 //! fixture pins the snapshot of one golden offline run, which touches
@@ -331,7 +331,8 @@ fn section_5b(design: &str) -> &str {
 /// `ART-05`: every backticked snake_case identifier in a prose document
 /// (inline code spans; fenced code blocks are skipped) must occur as a
 /// word of the workspace's Rust source — a deleted or renamed function,
-/// field, or crate must not live on in the docs. `code` holds those
+/// field, or crate must not live on in the docs. A path span like
+/// `Type::member` is checked segment by segment. `code` holds those
 /// words (see [`code_words`]).
 pub fn check_doc_identifiers(file: &str, doc: &str, code: &BTreeSet<String>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -346,16 +347,18 @@ pub fn check_doc_identifiers(file: &str, doc: &str, code: &BTreeSet<String>) -> 
         }
         // Odd segments between backticks are inline code spans.
         for span in line.split('`').skip(1).step_by(2) {
-            if is_snake_case(span) && !code.contains(span) {
-                out.push(finding(
-                    file,
-                    (idx + 1) as u32,
-                    "ART-05",
-                    format!(
-                        "identifiers.{span}: `{span}` is backticked in {file} but occurs in no \
-workspace Rust source — rename or remove it"
-                    ),
-                ));
+            for word in span.split("::") {
+                if is_snake_case(word) && !code.contains(word) {
+                    out.push(finding(
+                        file,
+                        (idx + 1) as u32,
+                        "ART-05",
+                        format!(
+                            "identifiers.{word}: `{span}` is backticked in {file} but `{word}` \
+occurs in no workspace Rust source — rename or remove it"
+                        ),
+                    ));
+                }
             }
         }
     }
@@ -722,18 +725,27 @@ mod tests {
 
     #[test]
     fn doc_identifier_check_flags_unknown_snake_case_names() {
-        let code: BTreeSet<String> = ["try_subset", "metis"].map(String::from).into();
+        let code: BTreeSet<String> = ["try_subset", "metis", "metis_lp", "round_trace"]
+            .map(String::from)
+            .into();
         let doc = "Call `try_subset` from `metis`, see `lp.solves` and `Foo_Bar`.\n\
                    Then `ghost_helper` explains it.\n\
-                   ```text\nfenced_only_name\n```\n";
+                   ```text\nfenced_only_name\n```\n\
+                   Read `MetisResult::round_trace`, `metis_lp::Problem`, `Config::gone_field`.\n";
         let out = check_doc_identifiers("README.md", doc, &code);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, "ART-05");
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out.iter().all(|d| d.rule == "ART-05"));
         assert_eq!(out[0].line, 2);
         assert!(
             out[0].message.contains("identifiers.ghost_helper"),
             "{}",
             out[0]
+        );
+        assert_eq!(out[1].line, 6);
+        assert!(
+            out[1].message.contains("identifiers.gone_field"),
+            "{}",
+            out[1]
         );
     }
 

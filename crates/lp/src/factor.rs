@@ -29,10 +29,8 @@
 //! FTRAN applies `E⁻¹` oldest-to-newest after the LU solve; BTRAN
 //! applies `E⁻ᵀ` newest-to-oldest before it. The `w` vectors are FTRAN
 //! outputs and tend to fill in, so the file grows by up to `m` nonzeros
-//! per pivot until the [`SolveOptions::refresh_every`] cadence
-//! refactorizes and clears it.
-//!
-//! [`SolveOptions::refresh_every`]: crate::SolveOptions::refresh_every
+//! per pivot until the simplex's fixed refactorization cadence (every
+//! 300 pivots) refactorizes and clears it.
 
 use std::collections::BTreeSet;
 

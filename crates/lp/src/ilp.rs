@@ -3,57 +3,35 @@
 //! Uses the crate's own simplex for node relaxations, best-bound node
 //! selection with depth-first plunging (so integral incumbents appear
 //! early), binary-first most-fractional branching, optional warm-start
-//! incumbents and per-node basis reuse, and node/time limits with proven
-//! bounds. The paper's `OPT(SPM)` / `OPT(RL-SPM)` baselines and the
-//! Fig. 4b optimal-cost reference are solved through this module (the
-//! authors used Gurobi 7.5.2).
-//!
-//! Setting the `METIS_ILP_DEBUG` environment variable traces every node
-//! (depth, bound, fractional count) to stderr.
+//! incumbents, and node/time limits with proven bounds. Every node solves
+//! its relaxation cold. The paper's `OPT(SPM)` / `OPT(RL-SPM)` baselines
+//! and the Fig. 4b optimal-cost reference are solved through this module
+//! (the authors used Gurobi 7.5.2 with default settings).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use std::rc::Rc;
-
 use crate::error::SolveError;
 use crate::model::{Problem, Sense};
-use crate::simplex::{Basis, SolveOptions};
+use crate::simplex::SolveOptions;
 use crate::solution::Solution;
 
-/// Tuning knobs for branch-and-bound.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// A value within this distance of an integer counts as integral.
+const INT_TOL: f64 = 1e-6;
+/// The search stops when `(incumbent − bound) / max(1, |incumbent|)`
+/// drops below this relative gap.
+const GAP_TOL: f64 = 1e-6;
+
+/// Limits for branch-and-bound.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IlpOptions {
-    /// A value within this distance of an integer counts as integral.
-    pub int_tol: f64,
-    /// Stop when `(incumbent − bound) / max(1, |incumbent|)` drops below
-    /// this relative gap.
-    pub gap_tol: f64,
     /// Maximum number of explored nodes; `0` means unlimited.
     pub max_nodes: usize,
     /// Wall-clock budget; `None` means unlimited.
     pub time_limit: Option<Duration>,
-    /// Reuse each parent's optimal basis to dual-simplex-reoptimize the
-    /// children. With the dense basis factorization used here the
-    /// refactorization dominates node cost, so this mainly changes tie
-    /// breaking; off by default.
-    pub warm_start_nodes: bool,
     /// Options forwarded to the per-node LP solves.
     pub lp: SolveOptions,
-}
-
-impl Default for IlpOptions {
-    fn default() -> Self {
-        IlpOptions {
-            int_tol: 1e-6,
-            gap_tol: 1e-6,
-            max_nodes: 0,
-            time_limit: None,
-            warm_start_nodes: false,
-            lp: SolveOptions::default(),
-        }
-    }
 }
 
 /// Why branch-and-bound stopped.
@@ -77,7 +55,7 @@ pub struct IlpSolution {
 }
 
 impl IlpSolution {
-    /// The incumbent solution (integral within `int_tol`).
+    /// The incumbent solution (integral within `1e-6`).
     pub fn solution(&self) -> &Solution {
         &self.solution
     }
@@ -120,9 +98,6 @@ impl IlpSolution {
 struct Node {
     bound: f64,
     overrides: Vec<(usize, f64, f64)>,
-    /// The parent's optimal basis: children differ by one bound, so the
-    /// dual simplex reoptimizes from here in a few pivots.
-    warm: Option<Rc<Basis>>,
 }
 
 impl PartialEq for Node {
@@ -207,10 +182,10 @@ pub fn solve_ilp_with_start(
     // Warm start: adopt the provided point if feasible and integral.
     if let Some(vals) = start {
         if vals.len() == problem.num_vars()
-            && problem.max_violation(vals) <= options.int_tol.max(1e-7)
+            && problem.max_violation(vals) <= INT_TOL
             && int_vars
                 .iter()
-                .all(|&j| (vals[j] - vals[j].round()).abs() <= options.int_tol)
+                .all(|&j| (vals[j] - vals[j].round()).abs() <= INT_TOL)
         {
             let mut vals = vals.to_vec();
             for &j in &int_vars {
@@ -225,7 +200,6 @@ pub fn solve_ilp_with_start(
     heap.push(Node {
         bound: f64::NEG_INFINITY,
         overrides: Vec::new(),
-        warm: None,
     });
 
     let mut best_open_bound = f64::NEG_INFINITY;
@@ -236,7 +210,7 @@ pub fn solve_ilp_with_start(
         if let Some((inc, _)) = &incumbent {
             // Best-bound order: once the best open bound can't improve on
             // the incumbent by more than the gap, we are done.
-            if node.bound >= *inc - options.gap_tol * inc.abs().max(1.0) {
+            if node.bound >= *inc - GAP_TOL * inc.abs().max(1.0) {
                 break;
             }
         }
@@ -279,23 +253,9 @@ pub fn solve_ilp_with_start(
                 continue;
             }
 
-            let debug = std::env::var_os("METIS_ILP_DEBUG").is_some();
-            let warm = if options.warm_start_nodes {
-                node.warm.as_deref()
-            } else {
-                None
-            };
-            let (lp, node_basis) = match work.solve_with_basis(&options.lp, warm) {
-                Ok((sol, basis)) => (sol, Rc::new(basis)),
-                Err(SolveError::Infeasible) => {
-                    if debug {
-                        eprintln!(
-                            "node {nodes_explored}: depth {} INFEASIBLE",
-                            node.overrides.len()
-                        );
-                    }
-                    continue;
-                }
+            let lp = match work.solve_with(&options.lp) {
+                Ok(sol) => sol,
+                Err(SolveError::Infeasible) => continue,
                 Err(SolveError::Unbounded) => {
                     // Unbounded relaxation at the root means the MILP is
                     // unbounded (or infeasible; we report unbounded).
@@ -308,19 +268,9 @@ pub fn solve_ilp_with_start(
             };
             total_iters += lp.iterations();
             let node_obj = to_internal(lp.objective());
-            if debug {
-                let nfrac = int_vars
-                    .iter()
-                    .filter(|&&j| (lp.values()[j] - lp.values()[j].round()).abs() > options.int_tol)
-                    .count();
-                eprintln!(
-                    "node {nodes_explored}: depth {} obj {node_obj:.6} frac {nfrac}",
-                    node.overrides.len()
-                );
-            }
 
             if let Some((inc, _)) = &incumbent {
-                if node_obj >= *inc - options.gap_tol * inc.abs().max(1.0) {
+                if node_obj >= *inc - GAP_TOL * inc.abs().max(1.0) {
                     continue; // cannot beat the incumbent
                 }
             }
@@ -332,9 +282,9 @@ pub fn solve_ilp_with_start(
             for &j in &int_vars {
                 let v = lp.values()[j];
                 let frac = (v - v.round()).abs();
-                if frac > options.int_tol {
+                if frac > INT_TOL {
                     let (blo, bup) = problem.bounds(crate::VarId(j as u32));
-                    let is_binary = blo >= -options.int_tol && bup <= 1.0 + options.int_tol;
+                    let is_binary = blo >= -INT_TOL && bup <= 1.0 + INT_TOL;
                     // Lower score = better candidate.
                     let score = (v.fract().abs() - 0.5).abs() + if is_binary { 0.0 } else { 1.0 };
                     match branch {
@@ -373,16 +323,13 @@ pub fn solve_ilp_with_start(
                     } else {
                         (down, up)
                     };
-                    let keep = options.warm_start_nodes;
                     heap.push(Node {
                         bound: node_obj,
                         overrides: defer,
-                        warm: keep.then(|| Rc::clone(&node_basis)),
                     });
                     current = Some(Node {
                         bound: node_obj,
                         overrides: dive,
-                        warm: keep.then_some(node_basis),
                     });
                 }
             }
@@ -520,34 +467,6 @@ mod tests {
         );
         let s = solve_ilp(&p, &IlpOptions::default()).unwrap();
         assert_close(s.objective(), 15.0);
-    }
-
-    #[test]
-    fn warm_started_nodes_agree_with_cold() {
-        // Same optimum with and without per-node basis reuse.
-        let mut p = Problem::new(Sense::Maximize);
-        let n = 8;
-        let vars: Vec<_> = (0..n)
-            .map(|i| p.add_int_var(4.0 + (i as f64) * 1.1, 0.0, 1.0))
-            .collect();
-        p.add_constraint(
-            vars.iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 2.0 + (i % 3) as f64)),
-            Relation::Le,
-            9.0,
-        );
-        let cold = solve_ilp(&p, &IlpOptions::default()).unwrap();
-        let warm = solve_ilp(
-            &p,
-            &IlpOptions {
-                warm_start_nodes: true,
-                ..IlpOptions::default()
-            },
-        )
-        .unwrap();
-        assert!((cold.objective() - warm.objective()).abs() < 1e-6);
-        assert_eq!(warm.status(), IlpStatus::Optimal);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   fill-in control ([`crate::factor`]), so FTRAN (`B⁻¹aⱼ`) and BTRAN
 //!   (`cᵦᵀB⁻¹`) cost time proportional to the factor nonzeros rather
 //!   than `O(m²)`. Each pivot appends a **product-form eta**; the
-//!   factorization is rebuilt every [`SolveOptions::refresh_every`]
+//!   factorization is rebuilt every [`REFRESH_EVERY`]
 //!   pivots. The historical dense explicit `B⁻¹` (elementary row
 //!   updates per pivot, Gauss-Jordan refresh) remains available behind
 //!   [`SolveOptions::basis`]`=`[`BasisBackend::Dense`] as the reference
@@ -71,24 +71,21 @@ pub enum BasisBackend {
     Dense,
 }
 
-/// Tuning knobs for the simplex solver.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Feasibility / optimality tolerance.
+const TOL: f64 = 1e-7;
+/// Smallest pivot magnitude accepted in the ratio test.
+const PIVOT_TOL: f64 = 1e-9;
+/// Refactorization cadence: the basis representation is rebuilt from
+/// scratch every this many pivots. For [`BasisBackend::SparseLu`] this
+/// also bounds the eta-file length; for [`BasisBackend::Dense`] it bounds
+/// drift of the explicit inverse.
+const REFRESH_EVERY: usize = 300;
+/// Consecutive degenerate pivots before pricing switches to Bland's rule.
+const BLAND_AFTER: usize = 200;
+
+/// Options for one simplex solve.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveOptions {
-    /// Feasibility / optimality tolerance.
-    pub tol: f64,
-    /// Smallest pivot magnitude accepted in the ratio test.
-    pub pivot_tol: f64,
-    /// Hard cap on pivots across both phases; `0` means automatic
-    /// (`1000 + 50·(m + n)`).
-    pub max_iterations: usize,
-    /// Refactorization cadence: rebuild the basis representation from
-    /// scratch every this many pivots. For [`BasisBackend::SparseLu`]
-    /// this also bounds the eta-file length; for
-    /// [`BasisBackend::Dense`] it bounds drift of the explicit inverse.
-    pub refresh_every: usize,
-    /// Number of consecutive degenerate pivots before switching to
-    /// Bland's rule.
-    pub bland_after: usize,
     /// Basis representation; see [`BasisBackend`]. Both backends accept
     /// and produce the same warm-start [`Basis`] snapshots.
     pub basis: BasisBackend,
@@ -105,21 +102,6 @@ pub struct SolveOptions {
     /// changes the pivot sequence, so a traced solve returns exactly
     /// the solution an untraced one does.
     pub trace: bool,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            tol: 1e-7,
-            pivot_tol: 1e-9,
-            max_iterations: 0,
-            refresh_every: 300,
-            bland_after: 200,
-            basis: BasisBackend::SparseLu,
-            verify: false,
-            trace: false,
-        }
-    }
 }
 
 /// A snapshot of an optimal basis, reusable to warm-start the solve of a
@@ -206,7 +188,7 @@ impl Problem {
         solution: &Solution,
     ) -> Result<(), SolveError> {
         if options.verify || cfg!(debug_assertions) {
-            crate::verify::verify(self, solution, options.tol * 10.0)?;
+            crate::verify::verify(self, solution, TOL * 10.0)?;
         }
         Ok(())
     }
@@ -244,7 +226,10 @@ struct Simplex {
 
     opts: SolveOptions,
     iterations: usize,
+    /// Hard cap on pivots across both phases, `1000 + 50·(m + n)`.
     max_iterations: usize,
+    /// Pivots between refactorizations, [`REFRESH_EVERY`].
+    refresh_every: usize,
     degenerate_streak: usize,
     pivots_since_refresh: usize,
 
@@ -345,12 +330,6 @@ impl Simplex {
         }
         let rhs: Vec<f64> = problem.rows.iter().map(|r| r.rhs).collect();
 
-        let max_iterations = if opts.max_iterations == 0 {
-            1000 + 50 * (m + n)
-        } else {
-            opts.max_iterations
-        };
-
         let repr = match opts.basis {
             BasisBackend::Dense => BasisRepr::Dense { binv: Vec::new() },
             BasisBackend::SparseLu => BasisRepr::Sparse {
@@ -376,7 +355,8 @@ impl Simplex {
             xb: Vec::new(),
             opts: *opts,
             iterations: 0,
-            max_iterations,
+            max_iterations: 1000 + 50 * (m + n),
+            refresh_every: REFRESH_EVERY,
             degenerate_streak: 0,
             pivots_since_refresh: 0,
             phase1_iterations: 0,
@@ -485,12 +465,12 @@ impl Simplex {
         for (i, &r) in resid.iter().enumerate() {
             let sj = self.n_struct + i;
             let (sl, su) = (self.lower[sj], self.upper[sj]);
-            if r > su + self.opts.tol {
+            if r > su + TOL {
                 // Slack pinned at its upper bound; artificial absorbs r − su.
                 self.state[sj] = VarState::AtUpper;
                 self.xb[i] = r - su;
                 arts.push((i, 1.0));
-            } else if r < sl - self.opts.tol {
+            } else if r < sl - TOL {
                 self.state[sj] = VarState::AtLower;
                 self.xb[i] = sl - r;
                 arts.push((i, -1.0));
@@ -526,7 +506,7 @@ impl Simplex {
             self.phase1_iterations = self.iterations;
 
             let phase1_obj = self.current_objective();
-            if phase1_obj > self.opts.tol.max(1e-6) {
+            if phase1_obj > 1e-6 {
                 return Err(SolveError::Infeasible);
             }
             // Freeze artificials at zero for phase 2. Basic artificials at
@@ -574,7 +554,6 @@ impl Simplex {
     fn crash(&mut self, resid: &[f64]) -> bool {
         let m = self.m();
         let ns = self.n_struct;
-        let tol = self.opts.tol;
         let slack_range = |s: &Self, i: usize| (s.lower[ns + i], s.upper[ns + i]);
         if (0..m).all(|i| self.slack_absorbs(i, resid[i])) {
             return false;
@@ -591,11 +570,11 @@ impl Simplex {
             let to_upper = r[i] > su;
             let excess = r[i] - if to_upper { su } else { sl };
             let pick = self.structural_row(i).find(|&(j, v)| {
-                if v.abs() < self.opts.pivot_tol || matches!(self.state[j], VarState::Basic(_)) {
+                if v.abs() < PIVOT_TOL || matches!(self.state[j], VarState::Basic(_)) {
                     return false;
                 }
                 let x = self.nonbasic_value(j, self.state[j]) + excess / v;
-                x >= self.lower[j] - tol && x <= self.upper[j] + tol
+                x >= self.lower[j] - TOL && x <= self.upper[j] + TOL
             });
             let Some((j, v)) = pick else {
                 return self.crash_fallback(saved_state);
@@ -611,7 +590,7 @@ impl Simplex {
             }
             let sign = if r[i] < self.lower[ns + i] { -1.0 } else { 1.0 };
             let pick = self.structural_row(i).find(|&(j, v)| {
-                v * sign > self.opts.pivot_tol
+                v * sign > PIVOT_TOL
                     && self.state[j] == VarState::AtLower
                     && self.upper[j] == f64::INFINITY
                     && self
@@ -654,7 +633,7 @@ impl Simplex {
         }
         let feasible = self.basis.iter().zip(&self.xb).all(|(&bj, &x)| {
             let bj = bj as usize;
-            x >= self.lower[bj] - tol && x <= self.upper[bj] + tol
+            x >= self.lower[bj] - TOL && x <= self.upper[bj] + TOL
         });
         feasible || self.crash_fallback(saved_state)
     }
@@ -668,7 +647,7 @@ impl Simplex {
     /// Whether row `i`'s slack can take the value `x` within its bounds.
     fn slack_absorbs(&self, i: usize, x: f64) -> bool {
         let s = self.n_struct + i;
-        x <= self.upper[s] + self.opts.tol && x >= self.lower[s] - self.opts.tol
+        x <= self.upper[s] + TOL && x >= self.lower[s] - TOL
     }
 
     /// Makes structural column `j` basic in `row`, retiring the row's
@@ -788,7 +767,7 @@ impl Simplex {
     /// Whether every nonbasic reduced cost is consistent with its status.
     fn is_dual_feasible(&mut self) -> bool {
         self.price_all();
-        let tol = self.opts.tol.max(1e-7) * 10.0;
+        let tol = TOL * 10.0;
         for j in 0..self.state.len() {
             let d = match self.state[j] {
                 VarState::Basic(_) => continue,
@@ -827,7 +806,7 @@ impl Simplex {
                 } else {
                     (above, true)
                 };
-                if viol > self.opts.tol {
+                if viol > TOL {
                     match leave {
                         Some((_, v, _)) if v >= viol => {}
                         _ => leave = Some((r, viol, at_upper)),
@@ -865,7 +844,7 @@ impl Simplex {
                     VarState::FreeZero => &[1.0, -1.0],
                 };
                 let (alpha, d) = (self.alpha[j], self.d[j]);
-                if alpha.abs() < self.opts.pivot_tol {
+                if alpha.abs() < PIVOT_TOL {
                     continue;
                 }
                 for &dir in dirs {
@@ -894,7 +873,7 @@ impl Simplex {
 
             self.compute_direction(col);
             let wr = self.w[row];
-            if wr.abs() < self.opts.pivot_tol {
+            if wr.abs() < PIVOT_TOL {
                 return Err(SolveError::Singular);
             }
             let step = (self.xb[row] - target) / (dir * wr);
@@ -1019,7 +998,7 @@ impl Simplex {
             if self.iterations >= self.max_iterations {
                 return Err(SolveError::IterationLimit);
             }
-            let bland = self.degenerate_streak >= self.opts.bland_after;
+            let bland = self.degenerate_streak >= BLAND_AFTER;
             let rule = if bland {
                 TracePricing::Bland
             } else {
@@ -1042,7 +1021,7 @@ impl Simplex {
                             step,
                             to_upper,
                         } => {
-                            if step <= self.opts.tol {
+                            if step <= TOL {
                                 self.degenerate_streak += 1;
                             } else {
                                 self.degenerate_streak = 0;
@@ -1067,10 +1046,9 @@ impl Simplex {
     /// the global minimum index).
     fn price(&mut self, bland: bool) -> PriceStep {
         self.price_all();
-        let tol = self.opts.tol;
         let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
         for j in 0..self.state.len() {
-            let Some((dir, score)) = self.price_candidate(j, tol) else {
+            let Some((dir, score)) = self.price_candidate(j) else {
                 continue;
             };
             if bland {
@@ -1090,14 +1068,14 @@ impl Simplex {
     /// Reduced-cost test for one column against `self.d`:
     /// `Some((dir, score))` when `j` is nonbasic, not fixed, and moving
     /// it in direction `dir` improves the objective by rate `score`.
-    fn price_candidate(&self, j: usize, tol: f64) -> Option<(f64, f64)> {
+    fn price_candidate(&self, j: usize) -> Option<(f64, f64)> {
         let d = self.d[j];
         let fixed = self.lower[j] >= self.upper[j];
         match self.state[j] {
-            VarState::AtLower if !fixed && d < -tol => Some((1.0, -d)),
-            VarState::AtUpper if !fixed && d > tol => Some((-1.0, d)),
-            VarState::FreeZero if d < -tol => Some((1.0, -d)),
-            VarState::FreeZero if d > tol => Some((-1.0, d)),
+            VarState::AtLower if !fixed && d < -TOL => Some((1.0, -d)),
+            VarState::AtUpper if !fixed && d > TOL => Some((-1.0, d)),
+            VarState::FreeZero if d < -TOL => Some((1.0, -d)),
+            VarState::FreeZero if d > TOL => Some((-1.0, d)),
             _ => None,
         }
     }
@@ -1241,7 +1219,6 @@ impl Simplex {
     /// Finds the blocking constraint for the entering column moving by
     /// `t ≥ 0` in direction `dir` (basics change by `−t·dir·w`).
     fn ratio_test(&self, col: usize, dir: f64) -> Ratio {
-        let ptol = self.opts.pivot_tol;
         let range = self.upper[col] - self.lower[col];
         let mut t_best = if range.is_finite() {
             range
@@ -1253,7 +1230,7 @@ impl Simplex {
         for i in 0..self.m() {
             let delta = -dir * self.w[i];
             let bj = self.basis[i] as usize;
-            if delta > ptol {
+            if delta > PIVOT_TOL {
                 // Basic variable increases; blocked by its upper bound.
                 let ub = self.upper[bj];
                 if ub.is_finite() {
@@ -1263,7 +1240,7 @@ impl Simplex {
                         blocking = Some((i, true));
                     }
                 }
-            } else if delta < -ptol {
+            } else if delta < -PIVOT_TOL {
                 let lb = self.lower[bj];
                 if lb.is_finite() {
                     let t = (lb - self.xb[i]) / delta;
@@ -1310,7 +1287,7 @@ impl Simplex {
     ) -> Result<(), SolveError> {
         let m = self.m();
         let pivot = self.w[row];
-        if pivot.abs() < self.opts.pivot_tol {
+        if pivot.abs() < PIVOT_TOL {
             return Err(SolveError::Singular);
         }
 
@@ -1381,7 +1358,7 @@ impl Simplex {
         }
 
         self.pivots_since_refresh += 1;
-        if self.pivots_since_refresh >= self.opts.refresh_every {
+        if self.pivots_since_refresh >= self.refresh_every {
             self.refresh()?;
         }
         Ok(())
@@ -2058,15 +2035,10 @@ mod tests {
         let x = p.add_var(1.0, 0.0, f64::INFINITY);
         let y = p.add_var(1.0, 0.0, f64::INFINITY);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 10.0);
-        let opts = SolveOptions {
-            max_iterations: 1,
-            ..SolveOptions::default()
-        };
+        let mut s = Simplex::new(&p, &SolveOptions::default());
+        s.max_iterations = 1;
         // One pivot is not enough to reach optimality here.
-        match p.solve_with(&opts) {
-            Err(SolveError::IterationLimit) | Ok(_) => {}
-            other => panic!("unexpected: {other:?}"),
-        }
+        assert_eq!(s.run().unwrap_err(), SolveError::IterationLimit);
     }
 
     #[test]
@@ -2134,11 +2106,9 @@ mod tests {
         }
         let s = p.solve().unwrap();
         assert!(p.max_violation(s.values()) < 1e-6);
-        let opts = SolveOptions {
-            refresh_every: 5,
-            ..SolveOptions::default()
-        };
-        let s2 = p.solve_with(&opts).unwrap();
+        let mut frequent = Simplex::new(&p, &SolveOptions::default());
+        frequent.refresh_every = 5;
+        let s2 = frequent.run().unwrap();
         assert_close(s.objective(), s2.objective());
     }
 
@@ -2303,11 +2273,10 @@ mod tests {
             p
         };
         let s_default = build().solve().unwrap();
-        let opts = SolveOptions {
-            refresh_every: 1,
-            ..SolveOptions::default()
-        };
-        let s_refresh = build().solve_with(&opts).unwrap();
+        let p = build();
+        let mut every_pivot = Simplex::new(&p, &SolveOptions::default());
+        every_pivot.refresh_every = 1;
+        let s_refresh = every_pivot.run().unwrap();
         assert_close(s_default.objective(), s_refresh.objective());
     }
 }

@@ -7,9 +7,7 @@
 //!
 //! - **True no-op when disabled.** [`Telemetry::disabled`] carries no
 //!   collector; every recording call is a single `Option` check, takes
-//!   no clock reading, and allocates nothing. With the `capture`
-//!   feature compiled out, [`Telemetry::enabled`] also returns the
-//!   disabled handle.
+//!   no clock reading, and allocates nothing.
 //! - **Never perturbs results.** Recording is a write-only side
 //!   channel: nothing in the pipeline reads telemetry state, so a run
 //!   with telemetry on is bit-identical to one with it off.
@@ -224,19 +222,9 @@ impl Telemetry {
     }
 
     /// A handle backed by a fresh collector.
-    ///
-    /// With the `capture` feature compiled out this also returns the
-    /// disabled handle, making instrumentation a guaranteed no-op.
     pub fn enabled() -> Self {
-        #[cfg(feature = "capture")]
-        {
-            Telemetry {
-                inner: Some(Arc::new(Collector::new())),
-            }
-        }
-        #[cfg(not(feature = "capture"))]
-        {
-            Telemetry { inner: None }
+        Telemetry {
+            inner: Some(Arc::new(Collector::new())),
         }
     }
 
@@ -542,7 +530,6 @@ mod tests {
         assert!(t.snapshot().is_none());
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn enabled_handle_collects_everything() {
         let t = Telemetry::enabled();
@@ -574,7 +561,6 @@ mod tests {
         assert_eq!(s.dropped, DroppedCounts::default());
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn clones_share_one_collector() {
         let t = Telemetry::enabled();
@@ -584,7 +570,6 @@ mod tests {
         assert_eq!(t.snapshot().expect("enabled").counter("shared"), 2);
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn snapshot_roundtrips_through_exports() {
         let t = Telemetry::enabled();
@@ -603,14 +588,5 @@ mod tests {
         assert!(prom.contains("metis_a_count"));
         assert!(prom.contains("metis_a_hist_bucket{le=\"+Inf\"}"));
         assert!(prom.contains("metis_span_calls_total{span=\"a.span\"}"));
-    }
-
-    #[cfg(not(feature = "capture"))]
-    #[test]
-    fn enabled_is_noop_without_capture_feature() {
-        let t = Telemetry::enabled();
-        assert!(!t.is_enabled());
-        t.incr("c");
-        assert!(t.snapshot().is_none());
     }
 }

@@ -75,8 +75,8 @@ impl Telemetry {
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::Unsupported`] when this handle is
-    /// disabled (including `capture` compiled out) — there is nothing
-    /// to serve — and propagates socket errors from bind/spawn.
+    /// disabled — there is nothing to serve — and propagates socket
+    /// errors from bind/spawn.
     pub fn serve<A: ToSocketAddrs>(&self, addr: A) -> io::Result<MetricsServer> {
         if !self.is_enabled() {
             return Err(io::Error::new(
@@ -234,7 +234,6 @@ mod tests {
         (head.to_string(), body.to_string())
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn serves_all_routes_and_counts_requests() {
         let t = Telemetry::enabled();
@@ -267,7 +266,6 @@ mod tests {
         assert_eq!(snap.counter(names::TELEMETRY_HTTP_REQUESTS), 4);
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn rejects_non_get_and_garbage() {
         let t = Telemetry::enabled();
@@ -286,7 +284,6 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 400"));
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn drop_shuts_down_and_frees_the_port() {
         let t = Telemetry::enabled();

@@ -162,7 +162,6 @@ pub(crate) fn chrome_trace_json(spans: &[TraceSpan]) -> String {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "capture")]
     #[test]
     fn raw_spans_preserve_nesting_and_args() {
         let t = Telemetry::enabled();

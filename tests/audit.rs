@@ -22,10 +22,7 @@ fn b4_instance(k: usize, seed: u64) -> SpmInstance {
 fn audited_config(theta: usize, threads: usize) -> MetisConfig {
     MetisConfig {
         audit: true,
-        parallel: ParallelConfig {
-            threads,
-            ..ParallelConfig::default()
-        },
+        parallel: ParallelConfig { threads },
         ..MetisConfig::with_theta(theta)
     }
 }
@@ -86,7 +83,7 @@ fn incident_accounting_agrees_even_under_faults() {
         .fail_at(Phase::Maa, 2);
     let res = metis_instrumented(&inst, &audited_config(4, 1), &plan, &tele).unwrap();
     assert!(!res.incidents.is_empty(), "faults should surface incidents");
-    let snap = tele.snapshot().expect("telemetry capture enabled");
+    let snap = tele.snapshot().expect("enabled handle snapshots");
     let agreement = check_incident_agreement(&res.incidents, &snap);
     assert!(agreement.is_clean(), "{agreement}");
 }

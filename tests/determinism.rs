@@ -9,12 +9,13 @@
 //!
 //! Set `METIS_LP_BASIS=dense` or `=sparse-lu` to pin the LP basis
 //! backend (CI runs the suite once per backend); unset, the solver
-//! default (sparse LU) applies.
+//! default (sparse LU) applies. Any other value fails the suite.
+
+mod common;
 
 use std::path::Path;
 
 use metis_suite::core::{metis, MaaOptions, MetisConfig, ParallelConfig, SpmInstance};
-use metis_suite::lp::BasisBackend;
 use metis_suite::netsim::topologies;
 use metis_suite::workload::{generate, Scenario, WorkloadConfig};
 
@@ -24,24 +25,11 @@ fn b4_instance(k: usize, seed: u64) -> SpmInstance {
     SpmInstance::new(topo, requests, 12, 3)
 }
 
-/// LP basis backend under test, from the `METIS_LP_BASIS` environment
-/// variable (CI matrix). Unset or unrecognized: the solver default.
-fn lp_basis() -> Option<BasisBackend> {
-    match std::env::var("METIS_LP_BASIS").as_deref() {
-        Ok("dense") => Some(BasisBackend::Dense),
-        Ok("sparse-lu") => Some(BasisBackend::SparseLu),
-        _ => None,
-    }
-}
-
 fn config(threads: usize, warm_start: bool) -> MetisConfig {
     let mut cfg = MetisConfig {
         theta: 4,
         warm_start,
-        parallel: ParallelConfig {
-            threads,
-            ..ParallelConfig::default()
-        },
+        parallel: ParallelConfig { threads },
         maa: MaaOptions {
             rounding_repeats: 6,
             seed: 2024,
@@ -49,7 +37,7 @@ fn config(threads: usize, warm_start: bool) -> MetisConfig {
         },
         ..MetisConfig::default()
     };
-    if let Some(basis) = lp_basis() {
+    if let Some(basis) = common::lp_basis() {
         cfg.maa.lp.basis = basis;
         cfg.taa.lp.basis = basis;
     }

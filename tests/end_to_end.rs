@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full pipeline from workload generation
 //! through every scheduler, checked against the model's invariants.
 
+mod common;
+
 use metis_suite::baselines::{amoeba, ecoflow, mincost, opt_rlspm, opt_spm, opt_spm_with_start};
 use metis_suite::core::{
     maa, metis, taa, MaaOptions, MetisConfig, Schedule, SpmInstance, TaaOptions,
@@ -21,13 +23,13 @@ fn b4_instance(k: usize, seed: u64) -> SpmInstance {
     SpmInstance::new(topo, requests, 12, 3)
 }
 
-/// A θ-round config for this suite. Setting `METIS_AUDIT` in the
-/// environment (the CI audit leg does, in release mode) forces the
-/// solution audits on, so every Metis run below re-derives its load and
-/// accounting from scratch and fails loudly on any disagreement.
+/// A θ-round config for this suite. `METIS_AUDIT=1` (the CI audit leg
+/// sets it, in release mode) forces the solution audits on, so every
+/// Metis run below re-derives its load and accounting from scratch and
+/// fails loudly on any disagreement.
 fn theta(theta: usize) -> MetisConfig {
     MetisConfig {
-        audit: std::env::var_os("METIS_AUDIT").is_some(),
+        audit: common::audit(),
         ..MetisConfig::with_theta(theta)
     }
 }

@@ -10,15 +10,18 @@
 //! warm and cold.
 //!
 //! Set `METIS_FAULTS_WARM_START=0` or `=1` to restrict the warm-start
-//! modes exercised (the CI matrix does); anything else runs both. Set
+//! modes exercised (the CI matrix does); unset, both run. Set
 //! `METIS_LP_BASIS=dense` or `=sparse-lu` to pin the LP basis backend;
-//! unset, the solver default (sparse LU) applies.
+//! unset, the solver default (sparse LU) applies. Any other value of
+//! either variable fails the suite.
+
+mod common;
 
 use metis_suite::core::{
     metis, metis_instrumented, online_metis, online_metis_instrumented, FaultPlan, Incident,
     MaaOptions, MetisConfig, MetisResult, OnlineOptions, ParallelConfig, Phase, SpmInstance,
 };
-use metis_suite::lp::{BasisBackend, SolveError};
+use metis_suite::lp::SolveError;
 use metis_suite::netsim::topologies;
 use metis_suite::telemetry::Telemetry;
 use metis_suite::workload::{generate, RequestId, WorkloadConfig};
@@ -35,10 +38,7 @@ fn config(threads: usize, warm_start: bool) -> MetisConfig {
     let mut cfg = MetisConfig {
         theta: THETA,
         warm_start,
-        parallel: ParallelConfig {
-            threads,
-            ..ParallelConfig::default()
-        },
+        parallel: ParallelConfig { threads },
         maa: MaaOptions {
             rounding_repeats: 4,
             seed: 99,
@@ -46,27 +46,11 @@ fn config(threads: usize, warm_start: bool) -> MetisConfig {
         },
         ..MetisConfig::default()
     };
-    // LP basis backend under test, from the CI matrix.
-    let basis = match std::env::var("METIS_LP_BASIS").as_deref() {
-        Ok("dense") => Some(BasisBackend::Dense),
-        Ok("sparse-lu") => Some(BasisBackend::SparseLu),
-        _ => None,
-    };
-    if let Some(basis) = basis {
+    if let Some(basis) = common::lp_basis() {
         cfg.maa.lp.basis = basis;
         cfg.taa.lp.basis = basis;
     }
     cfg
-}
-
-/// Warm-start modes to exercise, restrictable via the
-/// `METIS_FAULTS_WARM_START` environment variable (CI matrix).
-fn warm_modes() -> Vec<bool> {
-    match std::env::var("METIS_FAULTS_WARM_START").as_deref() {
-        Ok("0") => vec![false],
-        Ok("1") => vec![true],
-        _ => vec![false, true],
-    }
 }
 
 /// A schedule is well-formed when every accepted request routes on one of
@@ -106,7 +90,7 @@ fn assert_well_formed(inst: &SpmInstance, result: &MetisResult, label: &str) {
 #[test]
 fn empty_plan_is_bit_identical_to_plain_entry_point() {
     let inst = instance(30, 1);
-    for warm_start in warm_modes() {
+    for warm_start in common::warm_modes() {
         let plain = metis(&inst, &config(1, warm_start)).unwrap();
         assert!(plain.incidents.is_empty());
         for threads in [1, 2, 8] {
@@ -132,7 +116,7 @@ fn empty_plan_is_bit_identical_to_plain_entry_point() {
 #[test]
 fn every_single_point_injection_degrades_gracefully() {
     let inst = instance(24, 2);
-    for warm_start in warm_modes() {
+    for warm_start in common::warm_modes() {
         let cfg = config(1, warm_start);
         let baseline = metis(&inst, &cfg).unwrap();
         // θ=4 makes at most 1 + θ MAA and θ TAA attempts (plus one cold
@@ -226,7 +210,7 @@ fn killed_initialization_degrades_to_decline_all() {
 #[test]
 fn everything_failing_still_returns_ok() {
     let inst = instance(24, 5);
-    for warm_start in warm_modes() {
+    for warm_start in common::warm_modes() {
         let mut plan = FaultPlan::none();
         for phase in [Phase::Maa, Phase::Taa] {
             for invocation in 0..=(2 * THETA + 2) {
@@ -246,7 +230,7 @@ fn injected_runs_are_deterministic_across_threads() {
     // Fault containment sits outside the parallel regions, so even a
     // degraded run must be bit-identical for any worker count.
     let inst = instance(24, 6);
-    for warm_start in warm_modes() {
+    for warm_start in common::warm_modes() {
         let plan = FaultPlan::none().fail_at(Phase::Taa, 1);
         let reference =
             metis_instrumented(&inst, &config(1, warm_start), &plan, &Telemetry::disabled())
@@ -269,7 +253,7 @@ fn injected_runs_are_deterministic_across_threads() {
 #[test]
 fn random_plans_never_break_the_run() {
     let inst = instance(20, 7);
-    for warm_start in warm_modes() {
+    for warm_start in common::warm_modes() {
         for seed in 0..6 {
             let plan = FaultPlan::random(seed, 0.35, 2 * THETA + 2);
             let run =

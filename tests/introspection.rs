@@ -14,10 +14,6 @@
 //!    agrees with the result it annotates: completed entries mirror the
 //!    profit history, attributed incidents sum to the incident list, and
 //!    the running record ends at the reported profit.
-//!
-//! Every test degrades to a no-op when the telemetry `capture` feature
-//! is compiled out (`serve` then fails with `Unsupported` and
-//! `snapshot()` is `None`).
 
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -86,9 +82,7 @@ fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String, Strin
 fn endpoints_round_trip_on_live_server() {
     let inst = fixture();
     let tele = Telemetry::enabled();
-    let Ok(server) = tele.serve("127.0.0.1:0") else {
-        return; // capture feature compiled out
-    };
+    let server = tele.serve("127.0.0.1:0").expect("bind an ephemeral port");
     let result = metis_instrumented(&inst, &traced_config(), &FaultPlan::none(), &tele).unwrap();
     let addr = server.addr();
 
@@ -138,9 +132,8 @@ fn endpoints_round_trip_on_live_server() {
     assert_eq!(status, 404);
 
     // All four GETs above were counted.
-    if let Some(snap) = tele.snapshot() {
-        assert!(snap.counter(names::TELEMETRY_HTTP_REQUESTS) >= 4);
-    }
+    let snap = tele.snapshot().expect("enabled handle snapshots");
+    assert!(snap.counter(names::TELEMETRY_HTTP_REQUESTS) >= 4);
     drop(server);
 }
 
@@ -207,9 +200,7 @@ fn assert_trace_events_well_formed(text: &str) {
 fn concurrent_scraping_preserves_bit_identity() {
     let inst = fixture();
     let tele = Telemetry::enabled();
-    let Ok(server) = tele.serve("127.0.0.1:0") else {
-        return; // capture feature compiled out
-    };
+    let server = tele.serve("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = server.addr();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
@@ -227,10 +218,7 @@ fn concurrent_scraping_preserves_bit_identity() {
 
     for threads in [1usize, 2, 8] {
         let cfg = MetisConfig {
-            parallel: ParallelConfig {
-                threads,
-                ..ParallelConfig::default()
-            },
+            parallel: ParallelConfig { threads },
             ..traced_config()
         };
         let plain = metis(&inst, &cfg).unwrap();
@@ -251,9 +239,7 @@ fn chrome_trace_export_is_well_formed() {
     let inst = fixture();
     let tele = Telemetry::enabled();
     let _ = metis_instrumented(&inst, &traced_config(), &FaultPlan::none(), &tele).unwrap();
-    let Some(trace) = tele.chrome_trace() else {
-        return; // capture feature compiled out
-    };
+    let trace = tele.chrome_trace().expect("enabled handle records spans");
     assert_trace_events_well_formed(&trace);
     // The relax spans carry the LP effort as an argument.
     let doc = Json::parse(&trace).unwrap();
@@ -294,21 +280,19 @@ fn round_trace_agrees_with_reported_result() {
     assert_eq!(last.best_profit, result.evaluation.profit);
 
     // The LP per-iteration ring was live and flowed into the registry.
-    if let Some(snap) = tele.snapshot() {
-        assert!(snap.counter(names::LP_TRACE_RECORDS) > 0);
-        // One trace record per pivot or bound flip, across every solve.
-        let traced_steps =
-            snap.counter(names::LP_TRACE_RECORDS) + snap.counter(names::LP_TRACE_DROPPED);
-        assert_eq!(
-            traced_steps,
-            snap.counter(names::LP_SIMPLEX_ITERATIONS)
-                + snap.counter(names::LP_SIMPLEX_BOUND_FLIPS)
-        );
-        let lp_series = snap
-            .series(names::TRACE_LP_ITERATIONS)
-            .expect("trace lp series");
-        assert_eq!(lp_series.points.len(), result.round_trace.len());
-    }
+    let snap = tele.snapshot().expect("enabled handle snapshots");
+    assert!(snap.counter(names::LP_TRACE_RECORDS) > 0);
+    // One trace record per pivot or bound flip, across every solve.
+    let traced_steps =
+        snap.counter(names::LP_TRACE_RECORDS) + snap.counter(names::LP_TRACE_DROPPED);
+    assert_eq!(
+        traced_steps,
+        snap.counter(names::LP_SIMPLEX_ITERATIONS) + snap.counter(names::LP_SIMPLEX_BOUND_FLIPS)
+    );
+    let lp_series = snap
+        .series(names::TRACE_LP_ITERATIONS)
+        .expect("trace lp series");
+    assert_eq!(lp_series.points.len(), result.round_trace.len());
 }
 
 #[test]

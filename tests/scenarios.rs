@@ -27,7 +27,10 @@
 //!    the commit message.
 //!
 //! `METIS_FAULTS_WARM_START=0|1` restricts the warm-start modes (the CI
-//! scenario matrix sets it); anything else runs both.
+//! scenario matrix sets it); unset, both run, and any other value fails
+//! the suite.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -97,10 +100,7 @@ fn config(
     let mut cfg = MetisConfig {
         theta: scenario.theta,
         warm_start,
-        parallel: ParallelConfig {
-            threads,
-            ..ParallelConfig::default()
-        },
+        parallel: ParallelConfig { threads },
         maa: MaaOptions {
             rounding_repeats: 4,
             seed: 99,
@@ -111,15 +111,6 @@ fn config(
     cfg.maa.lp.basis = basis;
     cfg.taa.lp.basis = basis;
     cfg
-}
-
-/// Warm-start modes to exercise (restrictable from the CI matrix).
-fn warm_modes() -> Vec<bool> {
-    match std::env::var("METIS_FAULTS_WARM_START").as_deref() {
-        Ok("0") => vec![false],
-        Ok("1") => vec![true],
-        _ => vec![false, true],
-    }
 }
 
 #[test]
@@ -198,7 +189,7 @@ fn every_scenario_is_deterministic_across_threads_and_backends() {
         let (inst, _) = instance_of(&scenario);
         let mut profits: Vec<(BasisBackend, f64)> = Vec::new();
         for backend in [BasisBackend::SparseLu, BasisBackend::Dense] {
-            for warm_start in warm_modes() {
+            for warm_start in common::warm_modes() {
                 let reference = metis(&inst, &config(&scenario, 1, warm_start, backend)).unwrap();
                 for threads in [2, 8] {
                     let run =
@@ -232,7 +223,7 @@ fn every_scenario_survives_fault_injection() {
     for (path, scenario) in all_scenarios() {
         let label = path.display();
         let (inst, k) = instance_of(&scenario);
-        for warm_start in warm_modes() {
+        for warm_start in common::warm_modes() {
             let cfg = config(&scenario, 1, warm_start, BasisBackend::SparseLu);
             let mut plans: Vec<(String, FaultPlan)> = vec![
                 ("maa@0".into(), FaultPlan::none().fail_at(Phase::Maa, 0)),
@@ -294,7 +285,7 @@ fn every_scenario_passes_a_full_audit() {
     for (path, scenario) in all_scenarios() {
         let label = path.display();
         let (inst, _) = instance_of(&scenario);
-        for warm_start in warm_modes() {
+        for warm_start in common::warm_modes() {
             let cfg = MetisConfig {
                 audit: true,
                 ..config(&scenario, 1, warm_start, BasisBackend::SparseLu)

@@ -14,10 +14,6 @@
 //!    built-in promtool-style validator (and the validator itself
 //!    rejects malformed text).
 //!
-//! Every collector-reading test degrades to a no-op when the telemetry
-//! `capture` feature is compiled out: `Telemetry::enabled()` then
-//! returns the disabled handle and `snapshot()` is `None`.
-//!
 //! Regenerate the schema fixture after intentional metric changes with:
 //! `BLESS=1 cargo test --test telemetry -- schema`.
 
@@ -57,10 +53,7 @@ fn telemetry_on_off_bit_identical_across_thread_counts() {
         for warm_start in [false, true] {
             let cfg = MetisConfig {
                 warm_start,
-                parallel: ParallelConfig {
-                    threads,
-                    ..ParallelConfig::default()
-                },
+                parallel: ParallelConfig { threads },
                 ..MetisConfig::with_theta(THETA)
             };
             let plain = metis(&inst, &cfg).unwrap();
@@ -106,9 +99,7 @@ fn snapshot_schema_matches_golden_fixture() {
         ..MetisConfig::with_theta(THETA)
     };
     let _ = metis_instrumented(&inst, &cfg, &FaultPlan::none(), &tele).unwrap();
-    let Some(snap) = tele.snapshot() else {
-        return; // capture feature compiled out
-    };
+    let snap = tele.snapshot().expect("enabled handle snapshots");
     // Acceptance floor: the run actually exercised the instrumented paths.
     assert!(snap.counter(names::LP_SIMPLEX_ITERATIONS) > 0);
     assert!(snap
@@ -160,9 +151,7 @@ fn histogram_bucket_boundaries() {
     tele.observe("t.hist", HISTOGRAM_BOUNDS[0]);
     tele.observe("t.hist", HISTOGRAM_BOUNDS[0] * (1.0 + 1e-9));
     tele.observe("t.hist", f64::INFINITY);
-    let Some(snap) = tele.snapshot() else {
-        return;
-    };
+    let snap = tele.snapshot().expect("enabled handle snapshots");
     let h = snap.histogram("t.hist").expect("histogram");
     assert_eq!(h.count, 3);
     assert_eq!(h.buckets.len(), BUCKET_COUNT);
@@ -187,9 +176,7 @@ fn span_nesting_bounded_under_fault_sweep() {
         };
         let tele = Telemetry::enabled();
         let run = metis_instrumented(&inst, &cfg, &faults, &tele).unwrap();
-        let Some(snap) = tele.snapshot() else {
-            return;
-        };
+        let snap = tele.snapshot().expect("enabled handle snapshots");
         // metis → round → {limiter, maa.relax, maa.rounding, taa.relax,
         // taa.walk}: never deeper than three.
         assert!(
@@ -221,12 +208,11 @@ fn span_nesting_bounded_under_fault_sweep() {
     let tele = Telemetry::enabled();
     let faults = FaultPlan::none().fail_epoch(1);
     let _ = online_metis_instrumented(&inst, &OnlineOptions::default(), &faults, &tele).unwrap();
-    if let Some(snap) = tele.snapshot() {
-        assert!(snap.max_span_depth <= 5, "depth {}", snap.max_span_depth);
-        let epoch = snap.span(names::SPAN_EPOCH).expect("epoch span");
-        assert_eq!(epoch.parent.as_deref(), Some(names::SPAN_ONLINE));
-        assert!(snap.counter(names::INCIDENT_EPOCH_SKIPPED) >= 1);
-    }
+    let snap = tele.snapshot().expect("enabled handle snapshots");
+    assert!(snap.max_span_depth <= 5, "depth {}", snap.max_span_depth);
+    let epoch = snap.span(names::SPAN_EPOCH).expect("epoch span");
+    assert_eq!(epoch.parent.as_deref(), Some(names::SPAN_ONLINE));
+    assert!(snap.counter(names::INCIDENT_EPOCH_SKIPPED) >= 1);
 }
 
 #[test]
@@ -240,9 +226,7 @@ fn prometheus_export_is_line_format_valid() {
         &tele,
     )
     .unwrap();
-    let Some(snap) = tele.snapshot() else {
-        return;
-    };
+    let snap = tele.snapshot().expect("enabled handle snapshots");
     let text = to_prometheus(&snap);
     validate_prometheus(&text).expect("exporter output must satisfy the line format");
     assert!(text.contains("metis_lp_simplex_iterations"));
