@@ -22,6 +22,16 @@
 //! identical factors, bit for bit, independent of thread count or
 //! allocation history.
 //!
+//! A refactorization allocates nothing per column, row or elimination
+//! step. [`LuFactors`] owns a workspace that every refactorization of a
+//! solve reuses: the active submatrix and the row → column lists live in
+//! two flat arenas (a list that outgrows its room moves to the arena's
+//! end), singleton columns wait in a binary heap, and `L` and `U` are
+//! written straight into their flat arrays and each group is sorted in
+//! place at the end. Buffers grow only when a basis needs more room than
+//! any before it; a workspace that has seen other bases, or a singular
+//! one, gives the same factors as a fresh one.
+//!
 //! Between refactorizations the basis changes one column per pivot, and
 //! a **product-form** eta file ([`EtaFile`]) absorbs each change: with
 //! entering direction `w = B⁻¹ a_q` replacing slot `r`, the new basis is
@@ -32,7 +42,8 @@
 //! per pivot until the simplex's fixed refactorization cadence (every
 //! 300 pivots) refactorizes and clears it.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::error::SolveError;
 use crate::matrix::{CscMatrix, SparseTriangular};
@@ -43,7 +54,8 @@ use crate::matrix::{CscMatrix, SparseTriangular};
 /// classical compromise.
 const MARKOWITZ_THRESHOLD: f64 = 0.1;
 
-/// A sparse LU factorization of one basis matrix.
+/// A sparse LU factorization of one basis matrix, with the scratch space
+/// its refactorizations reuse.
 ///
 /// Row indices live in the problem's constraint-row space; column
 /// indices are basis *slots* (positions in the simplex's `basis`
@@ -62,66 +74,202 @@ pub(crate) struct LuFactors {
     u: SparseTriangular,
     /// Diagonal of `U` (the pivots), by elimination step.
     u_diag: Vec<f64>,
+    work: Workspace,
+}
+
+/// The elimination's working state, kept between refactorizations so
+/// that a refactorization allocates only when some buffer has to grow.
+#[derive(Clone, Debug, Default)]
+struct Workspace {
+    /// Active submatrix: list `j` is slot `j`'s column, rows ascending.
+    cols: Lists<(u32, f64)>,
+    /// Row → candidate columns (lazy: may hold stale references that are
+    /// filtered by a membership check before use).
+    rows: Lists<u32>,
+    /// Active nonzeros per row.
+    row_count: Vec<usize>,
+    col_alive: Vec<bool>,
+    /// Singleton columns, popped smallest index first; an index may be
+    /// queued twice, and stale entries are skipped when popped.
+    singles: BinaryHeap<Reverse<u32>>,
+    /// Elimination step of each row and each slot.
+    row_pos: Vec<u32>,
+    col_pos: Vec<u32>,
+    /// The pivot column without its pivot entry.
+    lower: Vec<(u32, f64)>,
+    /// One updated column, built by merge.
+    merged: Vec<(u32, f64)>,
+    /// The columns holding the pivot row.
+    cands: Vec<u32>,
+    /// Scratch for sorting one factor group.
+    group: Vec<(u32, f64)>,
+}
+
+/// Variable-length lists packed into one arena: list `i` is
+/// `ent[start[i]..start[i] + len[i]]`, with room for `room[i]` entries.
+/// A list that outgrows its room moves to the end of the arena with at
+/// least twice the room; its old slots lie unused until
+/// [`Lists::clear`], which keeps the arena's allocation.
+#[derive(Clone, Debug, Default)]
+struct Lists<T> {
+    start: Vec<usize>,
+    len: Vec<usize>,
+    room: Vec<usize>,
+    ent: Vec<T>,
+}
+
+impl<T: Copy + Default> Lists<T> {
+    /// Drops every list.
+    fn clear(&mut self) {
+        self.start.clear();
+        self.len.clear();
+        self.room.clear();
+        self.ent.clear();
+    }
+
+    /// Appends an empty list with room for `room` entries.
+    fn add(&mut self, room: usize) {
+        self.start.push(self.ent.len());
+        self.len.push(0);
+        self.room.push(room);
+        self.ent.resize(self.ent.len() + room, T::default());
+    }
+
+    fn get(&self, i: usize) -> &[T] {
+        let s = self.start[i];
+        &self.ent[s..s + self.len[i]]
+    }
+
+    /// Makes room for `need` entries in list `i`, moving it if needed.
+    fn reserve(&mut self, i: usize, need: usize) {
+        if need > self.room[i] {
+            let room = need.max(2 * self.room[i]);
+            let (s, n) = (self.start[i], self.len[i]);
+            let new = self.ent.len();
+            self.ent.extend_from_within(s..s + n);
+            self.ent.resize(new + room, T::default());
+            self.start[i] = new;
+            self.room[i] = room;
+        }
+    }
+
+    fn push(&mut self, i: usize, v: T) {
+        self.reserve(i, self.len[i] + 1);
+        // INDEX: reserve leaves room for len + 1 entries from start.
+        self.ent[self.start[i] + self.len[i]] = v;
+        self.len[i] += 1;
+    }
+
+    /// Removes entry `pos` of list `i`, keeping the order of the rest.
+    fn remove(&mut self, i: usize, pos: usize) {
+        let (s, n) = (self.start[i], self.len[i]);
+        self.ent.copy_within(s + pos + 1..s + n, s + pos);
+        self.len[i] -= 1;
+    }
+
+    /// Replaces the contents of list `i` with `src`.
+    fn set(&mut self, i: usize, src: &[T]) {
+        self.len[i] = 0;
+        self.reserve(i, src.len());
+        let s = self.start[i];
+        self.ent[s..s + src.len()].copy_from_slice(src);
+        self.len[i] = src.len();
+    }
 }
 
 impl LuFactors {
-    /// Factors the basis `B` whose slot `i` is column `basis[i]` of `a`.
+    /// Factors the basis `B` whose slot `i` is column `basis[i]` of `a`,
+    /// replacing the current factors and reusing their buffers.
     ///
     /// # Errors
     ///
     /// Returns [`SolveError::Singular`] when no admissible pivot exists
     /// for some elimination step (structurally or numerically singular
-    /// basis).
-    pub(crate) fn factor(a: &CscMatrix, basis: &[u32], abs_tol: f64) -> Result<Self, SolveError> {
+    /// basis). The factors are then unusable until the next successful
+    /// call; the buffers stay reusable.
+    pub(crate) fn factor(
+        &mut self,
+        a: &CscMatrix,
+        basis: &[u32],
+        abs_tol: f64,
+    ) -> Result<(), SolveError> {
         let m = basis.len();
-        // Active submatrix: sorted sparse columns, one per basis slot.
-        let mut cols: Vec<Vec<(u32, f64)>> = basis
-            .iter()
-            .map(|&bj| {
-                a.col(bj as usize)
-                    .iter()
-                    .map(|(r, v)| (r as u32, v))
-                    .collect()
-            })
-            .collect();
-        // Row → candidate columns (lazy: may hold stale references that
-        // are filtered by a membership check before use).
-        let mut row_cols: Vec<Vec<u32>> = vec![Vec::new(); m];
-        let mut row_count: Vec<usize> = vec![0; m];
-        for (j, col) in cols.iter().enumerate() {
-            for &(r, _) in col {
-                row_cols[r as usize].push(j as u32);
+        let LuFactors {
+            m: dim,
+            perm_row,
+            perm_col,
+            l,
+            u,
+            u_diag,
+            work,
+        } = self;
+        let Workspace {
+            cols,
+            rows,
+            row_count,
+            col_alive,
+            singles,
+            row_pos,
+            col_pos,
+            lower,
+            merged,
+            cands,
+            group,
+        } = work;
+        *dim = m;
+        perm_row.clear();
+        perm_col.clear();
+        u_diag.clear();
+        l.clear();
+        u.clear();
+
+        cols.clear();
+        row_count.clear();
+        row_count.resize(m, 0);
+        for (j, &bj) in basis.iter().enumerate() {
+            let c = a.col(bj as usize);
+            cols.add(c.rows.len());
+            for (&r, &v) in c.rows.iter().zip(c.values) {
+                cols.push(j, (r, v));
                 row_count[r as usize] += 1;
             }
         }
-        let mut col_alive = vec![true; m];
-        let mut row_alive = vec![true; m];
+        rows.clear();
+        for &count in row_count.iter() {
+            rows.add(count);
+        }
+        for j in 0..m {
+            for &(r, _) in cols.get(j) {
+                rows.push(r as usize, j as u32);
+            }
+        }
+        col_alive.clear();
+        col_alive.resize(m, true);
         // Singleton columns are fill-free pivots; consume them
         // smallest-index-first for determinism.
-        let mut singles: BTreeSet<u32> = cols
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.len() == 1)
-            .map(|(j, _)| j as u32)
-            .collect();
-
-        let mut perm_row: Vec<u32> = Vec::with_capacity(m);
-        let mut perm_col: Vec<u32> = Vec::with_capacity(m);
-        let mut row_pos: Vec<u32> = vec![0; m];
-        let mut col_pos: Vec<u32> = vec![0; m];
-        let mut l_groups: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
-        let mut u_groups: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
-        let mut u_diag: Vec<f64> = Vec::with_capacity(m);
-        let mut merged: Vec<(u32, f64)> = Vec::new();
+        singles.clear();
+        singles.extend(
+            (0..m)
+                .filter(|&j| cols.get(j).len() == 1)
+                .map(|j| Reverse(j as u32)),
+        );
+        row_pos.clear();
+        row_pos.resize(m, 0);
+        col_pos.clear();
+        col_pos.resize(m, 0);
 
         for k in 0..m {
             // --- Pivot selection ---------------------------------------
             let mut pick: Option<(usize, usize)> = None; // (col, entry index)
-            while let Some(j) = singles.pop_first() {
+            while let Some(Reverse(j)) = singles.pop() {
                 let j = j as usize;
-                if col_alive[j] && cols[j].len() == 1 && cols[j][0].1.abs() >= abs_tol {
-                    pick = Some((j, 0));
-                    break;
+                if col_alive[j] {
+                    if let [(_, v)] = cols.get(j) {
+                        if v.abs() >= abs_tol {
+                            pick = Some((j, 0));
+                            break;
+                        }
+                    }
                 }
                 // Stale or numerically unusable: leave it to the scan.
             }
@@ -129,10 +277,11 @@ impl LuFactors {
                 // Full Markowitz scan, ascending column then row index so
                 // merit ties resolve deterministically.
                 let mut best_merit = usize::MAX;
-                'cols: for (j, col) in cols.iter().enumerate() {
-                    if !col_alive[j] {
+                'cols: for (j, &alive) in col_alive.iter().enumerate() {
+                    if !alive {
                         continue;
                     }
+                    let col = cols.get(j);
                     if col.is_empty() {
                         return Err(SolveError::Singular);
                     }
@@ -164,50 +313,48 @@ impl LuFactors {
             };
 
             // --- Elimination -------------------------------------------
-            let pivot_col = std::mem::take(&mut cols[pj]);
+            let pivot_col = cols.get(pj);
             let (pr, pv) = pivot_col[pe];
-            let pr = pr as usize;
             perm_col.push(pj as u32);
-            perm_row.push(pr as u32);
+            perm_row.push(pr);
             col_pos[pj] = k as u32;
-            row_pos[pr] = k as u32;
+            row_pos[pr as usize] = k as u32;
             col_alive[pj] = false;
-            row_alive[pr] = false;
             u_diag.push(pv);
-            for &(r, _) in &pivot_col {
+            for &(r, _) in pivot_col {
                 row_count[r as usize] = row_count[r as usize].saturating_sub(1);
             }
             // Multiplier column: every remaining entry of the pivot column.
-            let lower: Vec<(u32, f64)> = pivot_col
-                .iter()
-                .filter(|&&(r, _)| r as usize != pr)
-                .copied()
-                .collect();
-            l_groups.push(lower.iter().map(|&(r, v)| (r, v / pv)).collect());
+            lower.clear();
+            lower.extend(pivot_col.iter().filter(|&&(r, _)| r != pr));
+            for &(r, v) in lower.iter() {
+                l.push(r, v / pv);
+            }
+            l.close_group();
 
-            // Columns holding row `pr` receive the rank-1 update; collect
+            // Columns holding row `pr` receive the rank-1 update; visit
             // candidates in ascending order (determinism) and drop stale
             // references.
-            let mut cands = std::mem::take(&mut row_cols[pr]);
+            cands.clear();
+            cands.extend_from_slice(rows.get(pr as usize));
             cands.sort_unstable();
             cands.dedup();
-            let mut u_row: Vec<(u32, f64)> = Vec::new();
-            for &j2 in &cands {
+            for &j2 in cands.iter() {
                 let j2 = j2 as usize;
                 if !col_alive[j2] {
                     continue;
                 }
-                let Ok(pos) = cols[j2].binary_search_by_key(&(pr as u32), |&(r, _)| r) else {
+                let Ok(pos) = cols.get(j2).binary_search_by_key(&pr, |&(r, _)| r) else {
                     continue; // stale candidate
                 };
-                let uval = cols[j2][pos].1;
-                cols[j2].remove(pos);
-                u_row.push((j2 as u32, uval));
+                let uval = cols.get(j2)[pos].1;
+                cols.remove(j2, pos);
+                u.push(j2 as u32, uval);
                 let mult = uval / pv;
                 if mult != 0.0 && !lower.is_empty() {
                     // cols[j2] -= mult · lower, by sorted merge.
                     merged.clear();
-                    let c = &cols[j2];
+                    let c = cols.get(j2);
                     let (mut x, mut y) = (0usize, 0usize);
                     while x < c.len() && y < lower.len() {
                         let (cr, cv) = c[x];
@@ -230,63 +377,38 @@ impl LuFactors {
                             if nv != 0.0 {
                                 merged.push((lr, nv));
                                 row_count[lr as usize] += 1;
-                                row_cols[lr as usize].push(j2 as u32);
+                                rows.push(lr as usize, j2 as u32);
                             }
                             y += 1;
                         }
                     }
-                    while x < c.len() {
-                        merged.push(c[x]);
-                        x += 1;
-                    }
-                    while y < lower.len() {
-                        let (lr, lv) = lower[y];
+                    merged.extend_from_slice(&c[x..]);
+                    for &(lr, lv) in &lower[y..] {
                         let nv = -mult * lv;
                         if nv != 0.0 {
                             merged.push((lr, nv));
                             row_count[lr as usize] += 1;
-                            row_cols[lr as usize].push(j2 as u32);
+                            rows.push(lr as usize, j2 as u32);
                         }
-                        y += 1;
                     }
-                    cols[j2].clear();
-                    cols[j2].extend_from_slice(&merged);
+                    cols.set(j2, merged);
                 }
-                if cols[j2].is_empty() {
+                match cols.get(j2).len() {
                     // An alive column with no alive rows can never pivot.
-                    return Err(SolveError::Singular);
-                }
-                if cols[j2].len() == 1 {
-                    singles.insert(j2 as u32);
+                    0 => return Err(SolveError::Singular),
+                    1 => singles.push(Reverse(j2 as u32)),
+                    _ => {}
                 }
             }
-            u_groups.push(u_row);
+            u.close_group();
         }
 
         // Remap the factors from original indices into elimination
         // positions, sorted so substitution order (and therefore float
         // summation order) is reproducible.
-        for group in &mut l_groups {
-            for e in group.iter_mut() {
-                e.0 = row_pos[e.0 as usize];
-            }
-            group.sort_unstable_by_key(|&(p, _)| p);
-        }
-        for group in &mut u_groups {
-            for e in group.iter_mut() {
-                e.0 = col_pos[e.0 as usize];
-            }
-            group.sort_unstable_by_key(|&(p, _)| p);
-        }
-        let _ = row_alive;
-        Ok(LuFactors {
-            m,
-            perm_row,
-            perm_col,
-            l: SparseTriangular::from_groups(l_groups),
-            u: SparseTriangular::from_groups(u_groups),
-            u_diag,
-        })
+        l.remap_sorted(row_pos, group);
+        u.remap_sorted(col_pos, group);
+        Ok(())
     }
 
     /// Factors of the `m×m` identity: a placeholder for a solver whose
@@ -299,6 +421,7 @@ impl LuFactors {
             l: SparseTriangular::from_groups(vec![Vec::new(); m]),
             u: SparseTriangular::from_groups(vec![Vec::new(); m]),
             u_diag: vec![1.0; m],
+            work: Workspace::default(),
         }
     }
 
@@ -419,6 +542,9 @@ impl EtaFile {
 mod tests {
     use super::*;
     use crate::matrix::CscBuilder;
+    use rand::Rng;
+    use rand_chacha::rand_core::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     /// Dense reference multiply `B x` for checking the factors.
     fn mul(a: &CscMatrix, basis: &[u32], x: &[f64]) -> Vec<f64> {
@@ -439,9 +565,16 @@ mod tests {
             .collect()
     }
 
+    /// Factors of `basis` from a fresh workspace.
+    fn factor(a: &CscMatrix, basis: &[u32]) -> Result<LuFactors, SolveError> {
+        let mut lu = LuFactors::identity(0);
+        lu.factor(a, basis, 1e-12)?;
+        Ok(lu)
+    }
+
     fn check_roundtrip(a: &CscMatrix, basis: &[u32]) {
         let m = basis.len();
-        let lu = LuFactors::factor(a, basis, 1e-12).expect("nonsingular");
+        let lu = factor(a, basis).expect("nonsingular");
         let mut work = vec![0.0; m];
         // FTRAN: B x = b  →  mul(basis, x) == b.
         let b: Vec<f64> = (0..m).map(|i| (i as f64) * 0.7 - 1.3).collect();
@@ -514,10 +647,7 @@ mod tests {
         b.add_col([(0, 1.0), (1, 1.0)]);
         b.add_col([(0, 2.0), (1, 2.0)]);
         let a = b.build();
-        assert_eq!(
-            LuFactors::factor(&a, &[0, 1], 1e-12).unwrap_err(),
-            SolveError::Singular
-        );
+        assert_eq!(factor(&a, &[0, 1]).unwrap_err(), SolveError::Singular);
     }
 
     #[test]
@@ -526,20 +656,106 @@ mod tests {
         b.add_col([(0, 1.0)]);
         b.add_col([(0, 2.0)]);
         let a = b.build();
-        assert_eq!(
-            LuFactors::factor(&a, &[0, 1], 1e-12).unwrap_err(),
-            SolveError::Singular
-        );
+        assert_eq!(factor(&a, &[0, 1]).unwrap_err(), SolveError::Singular);
     }
 
     #[test]
     fn empty_basis() {
         let a = CscBuilder::new(0).build();
-        let lu = LuFactors::factor(&a, &[], 1e-12).expect("empty is trivially factored");
+        let lu = factor(&a, &[]).expect("empty is trivially factored");
         let mut x: Vec<f64> = Vec::new();
         let mut work: Vec<f64> = Vec::new();
         lu.ftran(&[], &mut x, &mut work);
         assert_eq!(lu.l_nnz(), 0);
+    }
+
+    /// `k` structural columns over `m` rows, each with a nonzero on its
+    /// own row `t` and elsewhere with probability `density`, followed by
+    /// the `m` slack columns; and a basis of the structural columns plus
+    /// the slacks of rows `k..m`, in shuffled slot order.
+    fn random_basis(
+        rng: &mut ChaCha8Rng,
+        m: usize,
+        k: usize,
+        density: f64,
+    ) -> (CscMatrix, Vec<u32>) {
+        let mut b = CscBuilder::new(m);
+        for t in 0..k {
+            let mut col = Vec::new();
+            for r in 0..m {
+                if r == t || rng.gen_bool(density) {
+                    col.push((r, rng.gen_range(-4.0..4.0) + 5.0 * f64::from(r == t)));
+                }
+            }
+            b.add_col(col);
+        }
+        for i in 0..m {
+            b.add_col([(i, 1.0)]);
+        }
+        let mut basis: Vec<u32> = (0..k)
+            .chain((k..m).map(|i| k + i))
+            .map(|i| i as u32)
+            .collect();
+        for i in (1..m).rev() {
+            basis.swap(i, rng.gen_range(0..=i));
+        }
+        (b.build(), basis)
+    }
+
+    /// Everything a factorization determines, as comparable bits: the
+    /// permutations, the pivots, both factors, their nonzero counts, and
+    /// one FTRAN and one BTRAN.
+    fn fingerprint(lu: &LuFactors) -> (String, Vec<u64>, Vec<u64>, usize, usize) {
+        let m = lu.m;
+        let mut work = vec![0.0; m];
+        let b: Vec<f64> = (0..m).map(|i| (i as f64) * 0.7 - 1.3).collect();
+        let mut x = vec![0.0; m];
+        lu.ftran(&b, &mut x, &mut work);
+        let c: Vec<f64> = (0..m).map(|i| 0.4 * (i as f64) + 0.9).collect();
+        let mut y = vec![0.0; m];
+        lu.btran(&c, &mut y, &mut work);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+        // `{:?}` prints every f64 in its shortest round-trip form.
+        let factors = format!(
+            "{:?} {:?} {:?} {:?} {:?}",
+            lu.perm_row, lu.perm_col, lu.u_diag, lu.l, lu.u
+        );
+        (factors, bits(x), bits(y), lu.l_nnz(), lu.u_nnz())
+    }
+
+    #[test]
+    fn reused_workspace_matches_a_fresh_factorization() {
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let mut reused = LuFactors::identity(0);
+        // (m, structural columns, density): sizes grow, shrink and grow
+        // again; slack-heavy bases alternate with dense blocks.
+        let shapes = [
+            (4, 1, 0.5),
+            (12, 3, 0.3),
+            (30, 30, 1.0),
+            (60, 10, 0.1),
+            (25, 25, 0.6),
+            (8, 2, 1.0),
+            (70, 70, 0.05),
+            (3, 3, 1.0),
+            (40, 20, 0.2),
+        ];
+        for (step, &(m, k, density)) in shapes.iter().enumerate() {
+            let (a, basis) = random_basis(&mut rng, m, k, density);
+            if step == 4 {
+                // A repeated column makes the basis singular.
+                let mut singular = basis.clone();
+                singular[1] = singular[0];
+                assert_eq!(
+                    reused.factor(&a, &singular, 1e-12),
+                    Err(SolveError::Singular)
+                );
+            }
+            reused.factor(&a, &basis, 1e-12).expect("nonsingular");
+            let fresh = factor(&a, &basis).expect("nonsingular");
+            assert_eq!(fingerprint(&reused), fingerprint(&fresh), "basis {step}");
+            check_roundtrip(&a, &basis);
+        }
     }
 
     #[test]
@@ -555,7 +771,7 @@ mod tests {
         b.add_col([(0, 1.0), (2, 2.0), (3, -1.0)]); // entering column (index 4)
         let a = b.build();
         let basis: Vec<u32> = vec![0, 1, 2, 3];
-        let lu = LuFactors::factor(&a, &basis, 1e-12).expect("nonsingular");
+        let lu = factor(&a, &basis).expect("nonsingular");
         let mut work = vec![0.0; m];
 
         // Direction w = B⁻¹ a₄, then replace slot 1.
@@ -570,7 +786,7 @@ mod tests {
         assert_eq!(etas.etas.len(), 1);
 
         let new_basis: Vec<u32> = vec![0, 4, 2, 3];
-        let fresh = LuFactors::factor(&a, &new_basis, 1e-12).expect("nonsingular");
+        let fresh = factor(&a, &new_basis).expect("nonsingular");
 
         let rhs: Vec<f64> = vec![1.0, -2.0, 0.5, 3.0];
         let mut via_eta = vec![0.0; m];

@@ -302,6 +302,49 @@ impl SparseTriangular {
         SparseTriangular { ptr, idx, val }
     }
 
+    /// Empties the factor for a rebuild, keeping its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.ptr.clear();
+        self.ptr.push(0);
+        self.idx.clear();
+        self.val.clear();
+    }
+
+    /// Appends `(position, value)` to the group being built.
+    pub(crate) fn push(&mut self, pos: u32, val: f64) {
+        self.idx.push(pos);
+        self.val.push(val);
+    }
+
+    /// Closes the group being built; the next [`Self::push`] starts the
+    /// next group.
+    pub(crate) fn close_group(&mut self) {
+        self.ptr.push(self.idx.len());
+    }
+
+    /// Replaces every stored position `p` by `map[p]` and sorts each
+    /// group by the new positions (which must be distinct within a
+    /// group), using `buf` as scratch.
+    pub(crate) fn remap_sorted(&mut self, map: &[u32], buf: &mut Vec<(u32, f64)>) {
+        for k in 0..self.dim() {
+            // INDEX: ptr has dim()+1 entries (CSR invariant), so k+1 is in range for k < dim().
+            let (lo, hi) = (self.ptr[k], self.ptr[k + 1]);
+            buf.clear();
+            buf.extend(
+                self.idx[lo..hi]
+                    .iter()
+                    .zip(&self.val[lo..hi])
+                    .map(|(&p, &v)| (map[p as usize], v)),
+            );
+            buf.sort_unstable_by_key(|&(p, _)| p);
+            for (e, &(p, v)) in buf.iter().enumerate() {
+                // INDEX: buf holds the hi − lo entries of this group, so lo + e < hi.
+                self.idx[lo + e] = p;
+                self.val[lo + e] = v;
+            }
+        }
+    }
+
     /// Number of stored off-diagonal nonzeros.
     pub fn nnz(&self) -> usize {
         self.idx.len()

@@ -1,6 +1,7 @@
 //! Problem builder: variables, bounds, linear constraints, objective.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::matrix::CscMatrix;
 
@@ -61,12 +62,22 @@ pub(crate) struct RowDef {
     pub rhs: f64,
 }
 
+/// The simplex's standard-form constraint matrix `[A | I]` (structural
+/// columns, then one slack column per row) and its transpose.
+#[derive(Debug)]
+pub(crate) struct StandardForm {
+    pub a: CscMatrix,
+    pub at: CscMatrix,
+}
+
 /// A linear (or mixed-integer linear) program under construction.
 ///
 /// Variables carry bounds and an objective coefficient; constraints are
 /// linear expressions compared against a right-hand side. Entries are stored
-/// row-wise during construction and converted to a column-major matrix when
-/// solving.
+/// row-wise during construction. The first solve builds the column-major
+/// standard-form matrix and its transpose and keeps them: later solves,
+/// and clones, reuse them until a variable or constraint is added.
+/// Editing bounds, right-hand sides or objective coefficients keeps them.
 ///
 /// # Examples
 ///
@@ -90,6 +101,9 @@ pub struct Problem {
     pub(crate) rows: Vec<RowDef>,
     /// Triplets (row, col, value), grouped by insertion order.
     pub(crate) entries: Vec<(u32, u32, f64)>,
+    /// `[A | I]` and its transpose, built by the first solve after the
+    /// last change to `A` and shared by clones.
+    standard: OnceLock<Arc<StandardForm>>,
 }
 
 impl Problem {
@@ -137,6 +151,7 @@ impl Problem {
         assert!(!lower.is_nan() && !upper.is_nan(), "NaN variable bound");
         assert!(lower <= upper, "inverted bounds: [{lower}, {upper}]");
         let id = VarId(self.vars.len() as u32);
+        self.standard.take();
         self.vars.push(VarDef {
             lower,
             upper,
@@ -206,6 +221,7 @@ impl Problem {
     {
         assert!(rhs.is_finite(), "non-finite right-hand side {rhs}");
         let row = self.rows.len() as u32;
+        self.standard.take();
         for (v, c) in terms {
             assert!(
                 v.index() < self.vars.len(),
@@ -314,10 +330,18 @@ impl Problem {
         worst
     }
 
-    /// Builds the column-major constraint matrix over the structural
-    /// variables (no slacks), in one counting pass over the entries.
-    pub(crate) fn to_csc(&self) -> CscMatrix {
-        CscMatrix::from_triplets(self.rows.len(), self.vars.len(), &self.entries)
+    /// The standard-form matrix `[A | I]` and its transpose, built in
+    /// one counting pass over the entries on first use.
+    pub(crate) fn standard_form(&self) -> &StandardForm {
+        self.standard.get_or_init(|| {
+            let m = self.rows.len();
+            let mut a = CscMatrix::from_triplets(m, self.vars.len(), &self.entries);
+            a.append_unit_cols((0..m).map(|i| (i, 1.0)));
+            Arc::new(StandardForm {
+                at: a.transpose(),
+                a,
+            })
+        })
     }
 }
 
@@ -403,8 +427,8 @@ mod tests {
         let mut p = Problem::new(Sense::Minimize);
         let x = p.add_var(0.0, 0.0, 1.0);
         p.add_constraint([(x, 1.0), (x, 2.0)], Relation::Le, 3.0);
-        let m = p.to_csc();
-        assert_eq!(m.nnz(), 1);
+        let m = &p.standard_form().a;
+        assert_eq!(m.nnz(), 2, "one structural entry and one slack");
         assert_eq!(m.col(0).values, &[3.0]);
     }
 }

@@ -28,10 +28,12 @@
 //!   reduced cost enters, earliest index on ties. An automatic switch
 //!   to Bland's rule after a run of degenerate pivots guarantees
 //!   termination. The reduced costs `c − Aᵀy` come from one row-wise
-//!   product: the solver keeps the transpose of its standard-form
-//!   matrix (built once per solve, rebuilt when phase 1 appends
-//!   artificials) and scatters only the rows whose dual `yᵢ` is
-//!   nonzero. Each column's terms are added in ascending row order, so
+//!   product over the transpose of the standard-form matrix, scattering
+//!   only the rows whose dual `yᵢ` is nonzero. The matrix `[A | I]` and
+//!   its transpose are cached on the [`Problem`], built by its first
+//!   solve and shared by later solves and clones until a variable or
+//!   constraint is added; a solve copies them only when phase 1 appends
+//!   artificials. Each column's terms are added in ascending row order, so
 //!   every reduced cost is bit-identical to a per-column dot product.
 //!   The dual simplex takes its pivot row `(B⁻¹A)[r, :]` and reduced
 //!   costs the same way.
@@ -49,6 +51,8 @@
 //!   RL-SPM relaxation the crash routes every request on its first path
 //!   and sets each charge column to its peak load; BL-SPM starts feasible
 //!   from the slack basis, and transportation-style LPs fall back.
+
+use std::borrow::Cow;
 
 use crate::error::SolveError;
 use crate::factor::{EtaFile, LuFactors};
@@ -203,11 +207,13 @@ enum VarState {
     FreeZero,
 }
 
-struct Simplex {
+struct Simplex<'p> {
     /// Full standard-form matrix: structural | slacks | artificials.
-    a: CscMatrix,
+    /// Borrowed from the problem's cache; owned once phase 1 appends
+    /// artificials.
+    a: Cow<'p, CscMatrix>,
     /// Transpose of `a` (its rows), rebuilt whenever `a` gains columns.
-    at: CscMatrix,
+    at: Cow<'p, CscMatrix>,
     /// Objective over all standard-form columns (minimization).
     cost: Vec<f64>,
     lower: Vec<f64>,
@@ -294,15 +300,14 @@ enum Ratio {
     },
 }
 
-impl Simplex {
-    fn new(problem: &Problem, opts: &SolveOptions) -> Self {
+impl<'p> Simplex<'p> {
+    fn new(problem: &'p Problem, opts: &SolveOptions) -> Self {
         let m = problem.num_constraints();
         let n = problem.num_vars();
         let maximize = problem.sense() == Sense::Maximize;
 
         // Structural columns, then one slack per row: a·x + s = b.
-        let mut a = problem.to_csc();
-        a.append_unit_cols((0..m).map(|i| (i, 1.0)));
+        let standard = problem.standard_form();
         let mut cost: Vec<f64> = problem
             .vars
             .iter()
@@ -339,9 +344,9 @@ impl Simplex {
         };
 
         Simplex {
-            at: a.transpose(),
-            d: vec![0.0; a.ncols()],
-            a,
+            a: Cow::Borrowed(&standard.a),
+            at: Cow::Borrowed(&standard.at),
+            d: vec![0.0; n + m],
             cost,
             lower,
             upper,
@@ -485,8 +490,8 @@ impl Simplex {
 
         if !arts.is_empty() {
             // Append the artificial columns to the matrix and vectors.
-            self.a.append_unit_cols(arts.iter().copied());
-            self.at = self.a.transpose();
+            self.a.to_mut().append_unit_cols(arts.iter().copied());
+            self.at = Cow::Owned(self.a.transpose());
             let n_art = arts.len();
             self.d.resize(n_total + n_art, 0.0);
             let saved_cost = std::mem::replace(&mut self.cost, vec![0.0; n_total + n_art]);
@@ -1172,7 +1177,7 @@ impl Simplex {
         } = self;
         match repr {
             BasisRepr::Sparse { lu, etas } => {
-                *lu = LuFactors::factor(a, basis, 1e-12)?;
+                lu.factor(a, basis, 1e-12)?;
                 etas.clear();
                 *lu_l_nnz = lu.l_nnz();
                 *lu_u_nnz = lu.u_nnz();
@@ -1479,7 +1484,7 @@ impl Simplex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Problem, Relation, Sense, VarId};
+    use crate::model::{Problem, Relation, RowId, Sense, StandardForm, VarId};
     use rand::Rng;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1866,7 +1871,7 @@ mod tests {
             let sol = s.run().unwrap();
             assert!(sol.stats().phase1_iterations > 0);
             assert!(s.a.ncols() > s.n_struct + s.n_slack, "artificials appended");
-            assert_eq!(s.at, s.a.transpose());
+            assert_eq!(*s.at, s.a.transpose());
             for _ in 0..8 {
                 assert_rowwise_is_dot_col(&s, &mixed_vector(&mut rng, s.m()));
             }
@@ -2228,6 +2233,74 @@ mod tests {
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 6.0);
         let (sol, _) = p.solve_with_basis(&opts, Some(&alien)).unwrap();
         assert_close(sol.objective(), 11.0); // y = 5, x = 1
+    }
+
+    #[test]
+    fn adding_a_cut_or_a_column_after_a_solve_rebuilds_the_form() {
+        // max x + y  s.t.  x + 2y ≤ 4, x ≤ 3: optimum (3, 0.5).
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var(1.0, 0.0, f64::INFINITY);
+        let y = p.add_var(1.0, 0.0, f64::INFINITY);
+        p.add_constraint([(x, 1.0), (y, 2.0)], Relation::Le, 4.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 3.0);
+        let opts = SolveOptions::default();
+        let (first, basis) = p.solve_with_basis(&opts, None).unwrap();
+        assert_close(first.objective(), 3.5);
+
+        // The cut x + y ≤ 3 binds at the old optimum.
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 3.0);
+        assert_eq!(p.standard_form().a.nrows(), 3);
+        for warm in [None, Some(&basis)] {
+            let (sol, _) = p.solve_with_basis(&opts, warm).unwrap();
+            assert_close(sol.objective(), 3.0);
+            assert!(p.max_violation(sol.values()) < 1e-9);
+        }
+
+        // A new column that only the objective sees.
+        let z = p.add_var(5.0, 0.0, 1.0);
+        assert_eq!(p.standard_form().a.ncols(), 3 + 3);
+        let sol = p.solve().unwrap();
+        assert_close(sol.objective(), 8.0);
+        assert_close(sol.value(z), 1.0);
+    }
+
+    #[test]
+    fn edits_keep_the_cached_form_and_match_a_fresh_build() {
+        // Right-hand sides, bounds and costs change; the matrix does not.
+        let edit = |p: &mut Problem, seed: u64| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (n, m) = (p.num_vars(), p.num_constraints());
+            for _ in 0..3 {
+                p.set_rhs(RowId(rng.gen_range(0..m) as u32), rng.gen_range(0.5..3.0));
+                let v = p.var(rng.gen_range(0..n));
+                p.set_bounds(v, 0.0, rng.gen_range(0.0..1.0));
+                let v = p.var(rng.gen_range(0..n));
+                p.set_objective(v, rng.gen_range(1.0..9.0));
+            }
+        };
+        let build = |seed: u64| seeded_blspm(&mut ChaCha8Rng::seed_from_u64(seed), 30, 6, 4);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..8 {
+            for opts in backends() {
+                let mut p = build(seed);
+                let (_, basis) = p.solve_with_basis(&opts, None).unwrap();
+                let cached: *const StandardForm = p.standard_form();
+                edit(&mut p, 100 + seed);
+                assert!(
+                    std::ptr::eq(cached, p.standard_form()),
+                    "edits keep the form"
+                );
+                let mut fresh = build(seed);
+                edit(&mut fresh, 100 + seed);
+                for warm in [None, Some(&basis)] {
+                    let (got, _) = p.solve_with_basis(&opts, warm).unwrap();
+                    let (want, _) = fresh.solve_with_basis(&opts, warm).unwrap();
+                    assert_eq!(bits(got.values()), bits(want.values()));
+                    assert_eq!(bits(got.duals().unwrap()), bits(want.duals().unwrap()));
+                    assert_eq!(got.stats(), want.stats());
+                }
+            }
+        }
     }
 
     #[test]

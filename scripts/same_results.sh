@@ -1,0 +1,65 @@
+#!/usr/bin/env sh
+# Checks that the working tree computes exactly what a base commit
+# computes. Builds `metisbench` at BASE (exported with `git archive` into
+# a temporary directory) and at the working tree, runs every workload
+# once per seed with `--trace 0 --seconds 1` (one pass, which solves each
+# instance once), and compares the per-instance
+# `instance … profit … rounds … pivots` lines metisbench prints on
+# stderr. Profit is printed with all its bits, so any change in a result,
+# an alternation round count or a simplex pivot count shows up.
+#
+# Exits 1 on any difference or failed run, 2 on bad usage.
+#
+# Usage: scripts/same_results.sh BASE [SEED...]    (seeds default to 1 1001)
+set -eu
+cd "$(dirname "$0")/.."
+if [ $# -lt 1 ]; then
+    echo "usage: scripts/same_results.sh BASE [SEED...]" >&2
+    exit 2
+fi
+base="$1"
+shift
+seeds="${*:-1 1001}"
+workloads="anchor_sub_b4_k400 online_b4_warm zoo_audited"
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
+
+for tree in "$tmp/base" .; do
+    echo "building metisbench in $tree" >&2
+    cargo build --release --offline -q --manifest-path "$tree/metisbench/Cargo.toml"
+done
+
+# fingerprints TREE WORKLOAD SEED: the instance lines of one pass.
+fingerprints() {
+    log="$tmp/run.log"
+    if ! (cd "$1" && ./metisbench/target/release/metisbench \
+        --workload "$2" --seed "$3" --seconds 1 --trace 0 >/dev/null 2>"$log"); then
+        cat "$log" >&2
+        echo "metisbench failed in $1: --workload $2 --seed $3" >&2
+        return 1
+    fi
+    grep '^  instance ' "$log"
+}
+
+status=0
+for w in $workloads; do
+    for s in $seeds; do
+        fingerprints "$tmp/base" "$w" "$s" >"$tmp/base.txt"
+        fingerprints . "$w" "$s" >"$tmp/head.txt"
+        n="$(wc -l <"$tmp/base.txt")"
+        if [ "$n" -eq 0 ]; then
+            echo "$w seed $s: no instance lines" >&2
+            status=1
+        elif diff "$tmp/base.txt" "$tmp/head.txt" >"$tmp/diff.txt"; then
+            echo "$w seed $s: $n instances identical"
+        else
+            echo "$w seed $s: DIFFERENT" >&2
+            cat "$tmp/diff.txt" >&2
+            status=1
+        fi
+    done
+done
+exit "$status"
