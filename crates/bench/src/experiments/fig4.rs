@@ -15,7 +15,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use metis_baselines::{amoeba, mincost, mincost_exclusive_evaluation, opt_rlspm};
-use metis_core::{maa, solve_rlspm_relaxation, taa, MaaOptions, SpmInstance, TaaOptions};
+use metis_core::{maa, taa, MaaOptions, RlspmSolver, SpmInstance, TaaOptions};
 use metis_lp::{IlpOptions, SolveOptions};
 use metis_netsim::{topologies, Topology};
 use metis_workload::{generate, WorkloadConfig};
@@ -152,7 +152,8 @@ pub fn run_rounding(options: &Fig4Options) -> Table {
             let denom = opt.evaluation.cost.max(1e-12);
 
             // Numerators: independent roundings of the shared relaxation.
-            let relaxation = solve_rlspm_relaxation(&instance, &accepted, &SolveOptions::default())
+            let relaxation = RlspmSolver::new(&instance)
+                .solve(&accepted, &SolveOptions::default())
                 .expect("relaxation");
             let mut rng = ChaCha12Rng::seed_from_u64(seed);
             let mut ratios: Vec<f64> = (0..options.rounding_repeats)
@@ -186,7 +187,8 @@ pub fn run_rounding(options: &Fig4Options) -> Table {
             let requests = generate(&topo, &WorkloadConfig::paper(k, seed));
             let instance = SpmInstance::new(topo, requests, 12, 3);
             let accepted = vec![true; k];
-            let relaxation = solve_rlspm_relaxation(&instance, &accepted, &SolveOptions::default())
+            let relaxation = RlspmSolver::new(&instance)
+                .solve(&accepted, &SolveOptions::default())
                 .expect("relaxation");
             let denom = relaxation.cost.max(1e-12);
             let mut rng = ChaCha12Rng::seed_from_u64(seed);

@@ -19,7 +19,9 @@
 //! taken, so the returned schedule always satisfies BL-SPM's constraints
 //! (the estimator then only steers revenue).
 
-use metis_lp::{LpTrace, Problem, Relation, RowId, Sense, SolveError, SolveOptions, SolveStats};
+use metis_lp::{
+    Basis, LpTrace, Problem, Relation, RowId, Sense, SolveError, SolveOptions, SolveStats, VarId,
+};
 use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
 
@@ -27,7 +29,6 @@ use crate::chernoff::{chernoff_delta, select_mu};
 use crate::instance::SpmInstance;
 use crate::parallel;
 use crate::schedule::{Evaluation, Schedule};
-use crate::warm::WarmBasis;
 
 /// Fan the per-request decision-tree candidate evaluation across workers
 /// only when the request touches at least this many (cell, S) terms; below
@@ -72,24 +73,6 @@ pub struct TaaResult {
     pub mu: Option<f64>,
 }
 
-/// Builds and solves the relaxed BL-SPM linear program.
-///
-/// # Errors
-///
-/// Propagates LP solver failures; the LP is always feasible (declining
-/// everything is a solution), so `Infeasible` indicates numerical trouble.
-///
-/// # Panics
-///
-/// Panics if `capacities.len()` differs from the edge count.
-pub fn solve_blspm_relaxation(
-    instance: &SpmInstance,
-    capacities: &[f64],
-    lp_options: &SolveOptions,
-) -> Result<BlspmRelaxation, SolveError> {
-    BlspmWarmSolver::new(instance).solve(capacities, lp_options)
-}
-
 /// Identifies the `(edge, slot)` cells reachable by candidate paths and
 /// maps them to dense indices.
 struct CellIndex {
@@ -128,6 +111,7 @@ impl CellIndex {
 }
 
 /// Runs TAA: relax → scale by `μ` → derandomized decision-tree walk.
+/// The relaxation is one cold solve of a fresh [`BlspmSolver`].
 ///
 /// The returned schedule respects `capacities` at every `(edge, slot)`.
 ///
@@ -165,15 +149,15 @@ pub fn taa(
         capacities,
         options,
         1,
-        None,
+        &mut BlspmSolver::new(instance),
         &Telemetry::disabled(),
     )
 }
 
 /// Runs TAA like [`taa`] with the walk's independent work fanned across
-/// `threads` workers, recording telemetry into `tele`; with `Some` solver
-/// the relaxation warm-starts from that [`BlspmWarmSolver`]'s previous
-/// basis (the Metis alternation rounds).
+/// `threads` workers, solving the relaxation with `solver` and recording
+/// telemetry into `tele`. The solver's kept basis, if any, warm-starts
+/// the relaxation (the Metis alternation rounds).
 ///
 /// The walk itself is inherently sequential (each level conditions on the
 /// previous choice), but the candidate branches at one level are
@@ -200,15 +184,12 @@ pub(crate) fn taa_instrumented(
     capacities: &[f64],
     options: &TaaOptions,
     threads: usize,
-    solver: Option<&mut BlspmWarmSolver>,
+    solver: &mut BlspmSolver,
     tele: &Telemetry,
 ) -> Result<TaaResult, SolveError> {
     let relaxation = {
         let mut relax = tele.span(names::SPAN_TAA_RELAX);
-        let relaxation = match solver {
-            Some(s) => s.solve(capacities, &options.lp)?,
-            None => solve_blspm_relaxation(instance, capacities, &options.lp)?,
-        };
+        let relaxation = solver.solve(capacities, &options.lp)?;
         relax.arg(names::ARG_LP_ITERATIONS, relaxation.stats.iterations as f64);
         relaxation
     };
@@ -511,25 +492,25 @@ fn taa_from_relaxation(
     }
 }
 
-/// Re-solvable BL-SPM relaxation with simplex warm starts.
+/// The relaxed BL-SPM program of one instance, built once and re-solved
+/// for every capacity vector.
 ///
-/// The BL-SPM program's *structure* — variables, rows, objective, bounds —
+/// The program's *structure* — variables, rows, objective, bounds —
 /// depends only on the instance; the capacity vector appears purely as
 /// the right-hand side of the load rows. This solver builds the program
 /// once, records the [`RowId`] of every load row, and on each
-/// [`BlspmWarmSolver::solve`] call overwrites the right-hand sides with
+/// [`BlspmSolver::solve`] call overwrites the right-hand sides with
 /// [`Problem::set_rhs`] and restarts the simplex from the previous
-/// optimum's [`metis_lp::Basis`]. Between Metis rounds the capacities
-/// only tighten a little, so the old basis is usually a few dual pivots
-/// from the new optimum. The optimum **value** always equals the cold
-/// rebuild's; the optimal **vertex** may be a different one of the tied
-/// optima. [`solve_blspm_relaxation`] is one cold solve of a fresh
-/// solver.
+/// optimum's [`Basis`], unless [`BlspmSolver::reset_basis`] dropped it
+/// first. Between Metis rounds the capacities only tighten a little, so
+/// the old basis is usually a few dual pivots from the new optimum. Warm
+/// and cold solves reach the same optimum **value**, but may stop at
+/// different tied vertices.
 ///
 /// # Examples
 ///
 /// ```
-/// use metis_core::{solve_blspm_relaxation, BlspmWarmSolver, SpmInstance};
+/// use metis_core::{BlspmSolver, SpmInstance};
 /// use metis_lp::SolveOptions;
 /// use metis_netsim::topologies;
 /// use metis_workload::{generate, WorkloadConfig};
@@ -538,30 +519,34 @@ fn taa_from_relaxation(
 /// let requests = generate(&topo, &WorkloadConfig::paper(10, 5));
 /// let instance = SpmInstance::new(topo, requests, 12, 3);
 ///
-/// let mut solver = BlspmWarmSolver::new(&instance);
+/// let mut solver = BlspmSolver::new(&instance);
 /// let opts = SolveOptions::default();
 /// let caps = vec![4.0; instance.topology().num_edges()];
+/// let cold = solver.solve(&caps, &opts)?;
+/// solver.solve(&vec![2.0; caps.len()], &opts)?;
 /// let warm = solver.solve(&caps, &opts)?;
-/// let cold = solve_blspm_relaxation(&instance, &caps, &opts)?;
+/// assert!(warm.stats.warm_started && !cold.stats.warm_started);
 /// assert!((warm.revenue - cold.revenue).abs() < 1e-6);
 /// # Ok::<(), metis_lp::SolveError>(())
 /// ```
 #[derive(Clone)]
-pub struct BlspmWarmSolver {
+pub struct BlspmSolver {
     problem: Problem,
-    xvars: Vec<Vec<metis_lp::VarId>>,
+    xvars: Vec<Vec<VarId>>,
     /// `(edge index, load row)` for every (edge, slot) cell with a row.
     cell_rows: Vec<(usize, RowId)>,
     num_edges: usize,
-    warm: WarmBasis,
+    /// The last solve's optimal basis; `None` before the first solve and
+    /// after [`BlspmSolver::reset_basis`].
+    basis: Option<Basis>,
 }
 
-impl BlspmWarmSolver {
+impl BlspmSolver {
     /// Builds the fixed-structure program for `instance`. Load rows start
-    /// with zero capacity; [`BlspmWarmSolver::solve`] sets the real ones.
+    /// with zero capacity; [`BlspmSolver::solve`] sets the real ones.
     pub fn new(instance: &SpmInstance) -> Self {
         let mut p = Problem::new(Sense::Maximize);
-        let mut xvars: Vec<Vec<metis_lp::VarId>> = Vec::with_capacity(instance.num_requests());
+        let mut xvars: Vec<Vec<VarId>> = Vec::with_capacity(instance.num_requests());
         for (r, paths) in instance.iter() {
             xvars.push(paths.iter().map(|_| p.add_var(r.value, 0.0, 1.0)).collect());
         }
@@ -574,22 +559,24 @@ impl BlspmWarmSolver {
             .map(|(e, terms)| (e, p.add_constraint(terms, Relation::Le, 0.0)))
             .collect();
 
-        BlspmWarmSolver {
+        BlspmSolver {
             problem: p,
             xvars,
             cell_rows,
             num_edges: instance.topology().num_edges(),
-            warm: WarmBasis::default(),
+            basis: None,
         }
     }
 
-    /// Solves the relaxation for `capacities`, warm-starting from the last
-    /// solve's basis when one exists. A failed warm restart discards the
-    /// basis and retries cold.
+    /// Solves the relaxation for `capacities`, starting from the last
+    /// solve's basis when one is kept. A failed warm start falls back to
+    /// a cold solve inside [`Problem::solve_with_basis`].
     ///
     /// # Errors
     ///
-    /// Propagates LP failures from the cold path.
+    /// Propagates LP failures from the cold path; the LP is always
+    /// feasible (declining everything is a solution), so `Infeasible`
+    /// indicates numerical trouble.
     ///
     /// # Panics
     ///
@@ -603,7 +590,9 @@ impl BlspmWarmSolver {
         for &(e, row) in &self.cell_rows {
             self.problem.set_rhs(row, capacities[e]);
         }
-        let sol = self.warm.solve(&self.problem, lp_options)?;
+        let warm = self.basis.take();
+        let (sol, basis) = self.problem.solve_with_basis(lp_options, warm.as_ref())?;
+        self.basis = Some(basis);
         let x: Vec<Vec<f64>> = self
             .xvars
             .iter()
@@ -617,19 +606,9 @@ impl BlspmWarmSolver {
         })
     }
 
-    /// Solves that started from a previous basis.
-    pub fn warm_solves(&self) -> usize {
-        self.warm.warm_solves
-    }
-
-    /// Solves that built a basis from scratch.
-    pub fn cold_solves(&self) -> usize {
-        self.warm.cold_solves
-    }
-
-    /// Drops the stored basis, forcing the next solve to start cold.
+    /// Drops the kept basis, so the next solve starts cold.
     pub fn reset_basis(&mut self) {
-        self.warm.reset();
+        self.basis = None;
     }
 }
 
@@ -649,7 +628,9 @@ mod tests {
     fn relaxation_upper_bounds_any_schedule() {
         let inst = instance(25, 1);
         let caps = vec![10.0; inst.topology().num_edges()];
-        let rel = solve_blspm_relaxation(&inst, &caps, &SolveOptions::default()).unwrap();
+        let rel = BlspmSolver::new(&inst)
+            .solve(&caps, &SolveOptions::default())
+            .unwrap();
         assert!(rel.revenue > 0.0);
         assert!(rel.revenue <= inst.total_value() + 1e-6);
         for xs in &rel.x {
@@ -746,7 +727,7 @@ mod tests {
                 &caps,
                 &TaaOptions::default(),
                 threads,
-                None,
+                &mut BlspmSolver::new(&inst),
                 &Telemetry::disabled(),
             )
             .unwrap();
@@ -759,12 +740,18 @@ mod tests {
     fn warm_solver_matches_cold_relaxation_revenue() {
         let inst = instance(30, 9);
         let opts = SolveOptions::default();
-        let mut solver = BlspmWarmSolver::new(&inst);
+        let mut solver = BlspmSolver::new(&inst);
         // A tightening capacity sequence like the Metis limiter produces.
-        for cap in [8.0, 5.0, 3.0, 2.0, 1.0] {
+        for (k, cap) in [8.0, 5.0, 3.0, 2.0, 1.0].into_iter().enumerate() {
             let caps = vec![cap; inst.topology().num_edges()];
             let warm = solver.solve(&caps, &opts).unwrap();
-            let cold = solve_blspm_relaxation(&inst, &caps, &opts).unwrap();
+            let cold = BlspmSolver::new(&inst).solve(&caps, &opts).unwrap();
+            assert_eq!(
+                warm.stats.warm_started,
+                k > 0,
+                "only the first solve is cold"
+            );
+            assert!(!cold.stats.warm_started);
             assert!(
                 (warm.revenue - cold.revenue).abs() < 1e-6,
                 "cap {cap}: warm {} vs cold {}",
@@ -776,14 +763,35 @@ mod tests {
                 assert!(s <= 1.0 + 1e-6);
             }
         }
-        assert_eq!(solver.cold_solves(), 1, "only the first solve is cold");
-        assert_eq!(solver.warm_solves(), 4);
+    }
+
+    #[test]
+    fn warm_solver_reset_forces_cold() {
+        let inst = instance(30, 12);
+        let opts = SolveOptions::default();
+        let edges = inst.topology().num_edges();
+        let mut solver = BlspmSolver::new(&inst);
+        solver.solve(&vec![6.0; edges], &opts).unwrap();
+        for cap in [4.0, 3.0, 2.0] {
+            let warm = solver.solve(&vec![cap; edges], &opts).unwrap();
+            assert!(warm.stats.warm_started);
+        }
+        let caps = vec![1.5; edges];
+        solver.reset_basis();
+        let reset = solver.solve(&caps, &opts).unwrap();
+        let fresh = BlspmSolver::new(&inst).solve(&caps, &opts).unwrap();
+        assert!(!reset.stats.warm_started);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let x_bits = |x: &[Vec<f64>]| x.iter().map(|row| bits(row)).collect::<Vec<_>>();
+        assert_eq!(x_bits(&reset.x), x_bits(&fresh.x));
+        assert_eq!(reset.revenue.to_bits(), fresh.revenue.to_bits());
+        assert_eq!(reset.stats, fresh.stats);
     }
 
     #[test]
     fn warm_taa_stays_feasible_and_bounded() {
         let inst = instance(50, 10);
-        let mut solver = BlspmWarmSolver::new(&inst);
+        let mut solver = BlspmSolver::new(&inst);
         for cap in [4.0, 2.0, 1.0] {
             let caps = vec![cap; inst.topology().num_edges()];
             let res = taa_instrumented(
@@ -791,7 +799,7 @@ mod tests {
                 &caps,
                 &TaaOptions::default(),
                 1,
-                Some(&mut solver),
+                &mut solver,
                 &Telemetry::disabled(),
             )
             .unwrap();

@@ -17,13 +17,13 @@ use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
 
 use crate::audit::{audit_capacities, audit_schedule, AuditReport};
-use crate::blspm::{taa_instrumented, BlspmWarmSolver, TaaOptions};
+use crate::blspm::{taa_instrumented, BlspmSolver, TaaOptions};
 use crate::error::MetisError;
 use crate::faults::FaultPlan;
 use crate::instance::SpmInstance;
 use crate::limiter::LimiterRule;
 use crate::parallel::ParallelConfig;
-use crate::rlspm::{maa_instrumented, MaaOptions, RlspmWarmSolver};
+use crate::rlspm::{maa_instrumented, MaaOptions, RlspmSolver};
 use crate::schedule::{Evaluation, Schedule};
 
 /// Configuration of one Metis run.
@@ -39,11 +39,13 @@ pub struct MetisConfig {
     /// and candidate scores come from per-index RNG streams / read-only
     /// state and are always reduced in index order.
     pub parallel: ParallelConfig,
-    /// Reuse each phase's simplex basis across alternation rounds
-    /// ([`RlspmWarmSolver`] / [`BlspmWarmSolver`]) instead of solving
-    /// every round's LP from scratch. Off by default: warm and cold runs
-    /// reach the same LP optima, but may pick different tied vertices and
-    /// therefore different (equally valid) schedules.
+    /// Start each round's relaxation from the simplex basis the phase's
+    /// previous solve ended at. Either way a run builds one
+    /// [`RlspmSolver`] and one [`BlspmSolver`] and re-solves them every
+    /// round; without this flag each solve first drops the kept basis and
+    /// starts cold. Off by default: warm and cold runs reach the same LP
+    /// optima, but may pick different tied vertices and therefore
+    /// different (equally valid) schedules.
     pub warm_start: bool,
     /// RL-SPM solver (MAA) options.
     pub maa: MaaOptions,
@@ -330,42 +332,32 @@ pub fn metis_instrumented(
     maa_opts.lp.verify = maa_opts.lp.verify || config.audit;
     let mut taa_opts = config.taa;
     taa_opts.lp.verify = taa_opts.lp.verify || config.audit;
-    let mut rl_solver = config.warm_start.then(|| RlspmWarmSolver::new(instance));
-    let mut bl_solver = config.warm_start.then(|| BlspmWarmSolver::new(instance));
+    // One program per phase for the whole run; a cold solve only drops
+    // the kept basis.
+    let mut rl_solver = RlspmSolver::new(instance);
+    let mut bl_solver = BlspmSolver::new(instance);
     let mut run_maa = |accepted: &[bool], cold: bool| {
-        if cold {
-            if let Some(solver) = rl_solver.as_mut() {
-                solver.reset_basis();
-            }
+        if cold || !config.warm_start {
+            rl_solver.reset_basis();
         }
-        maa_instrumented(
-            instance,
-            accepted,
-            &maa_opts,
-            threads,
-            rl_solver.as_mut(),
-            tele,
-        )
-        .map(|m| Step {
-            schedule: m.schedule,
-            evaluation: m.evaluation,
-            stats: m.relaxation.stats,
-            mu: None,
+        maa_instrumented(instance, accepted, &maa_opts, threads, &mut rl_solver, tele).map(|m| {
+            Step {
+                schedule: m.schedule,
+                evaluation: m.evaluation,
+                stats: m.relaxation.stats,
+                mu: None,
+            }
         })
     };
     let mut run_taa = |caps: &[f64], cold: bool| {
-        if cold {
-            if let Some(solver) = bl_solver.as_mut() {
-                solver.reset_basis();
-            }
+        if cold || !config.warm_start {
+            bl_solver.reset_basis();
         }
-        taa_instrumented(instance, caps, &taa_opts, threads, bl_solver.as_mut(), tele).map(|t| {
-            Step {
-                schedule: t.schedule,
-                evaluation: t.evaluation,
-                stats: t.relaxation.stats,
-                mu: t.mu,
-            }
+        taa_instrumented(instance, caps, &taa_opts, threads, &mut bl_solver, tele).map(|t| Step {
+            schedule: t.schedule,
+            evaluation: t.evaluation,
+            stats: t.relaxation.stats,
+            mu: t.mu,
         })
     };
 
@@ -768,8 +760,14 @@ mod tests {
                 .expect("mu series")
                 .points
                 .is_empty());
+            let warm_entries = run.round_trace.iter().filter(|t| t.warm_started).count();
             if warm_start {
                 assert!(s.counter(names::LP_WARM_BASIS_REUSE) > 0);
+                assert!(warm_entries > 0);
+            } else {
+                // Cold runs drop the kept basis before every solve.
+                assert_eq!(s.counter(names::LP_WARM_BASIS_REUSE), 0);
+                assert_eq!(warm_entries, 0);
             }
             assert_eq!(s.counter(names::INCIDENT_SOLVE_FAILED), 0);
             let round_span = s.span(names::SPAN_ROUND).expect("round span");

@@ -65,15 +65,12 @@ mod online;
 mod parallel;
 mod rlspm;
 mod schedule;
-mod warm;
 
 pub use analysis::{analyze, LinkOutcome, RequestOutcome, ScheduleAnalysis};
 pub use audit::{
     audit_capacities, audit_schedule, check_incident_agreement, AuditReport, AuditViolation,
 };
-pub use blspm::{
-    solve_blspm_relaxation, taa, BlspmRelaxation, BlspmWarmSolver, TaaOptions, TaaResult,
-};
+pub use blspm::{taa, BlspmRelaxation, BlspmSolver, TaaOptions, TaaResult};
 pub use error::{InstanceError, MetisError};
 pub use faults::FaultPlan;
 pub use framework::{
@@ -85,8 +82,5 @@ pub use online::{
     online_metis, online_metis_instrumented, EpochRecord, OnlineOptions, OnlineResult,
 };
 pub use parallel::ParallelConfig;
-pub use rlspm::{
-    maa, round_schedule, solve_rlspm_relaxation, MaaOptions, MaaResult, RlspmRelaxation,
-    RlspmWarmSolver,
-};
+pub use rlspm::{maa, round_schedule, MaaOptions, MaaResult, RlspmRelaxation, RlspmSolver};
 pub use schedule::{CapacityViolation, Evaluation, Schedule};

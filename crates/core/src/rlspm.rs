@@ -17,14 +17,15 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use metis_lp::{LpTrace, Problem, Relation, Sense, SolveError, SolveOptions, SolveStats};
+use metis_lp::{
+    Basis, LpTrace, Problem, Relation, Sense, SolveError, SolveOptions, SolveStats, VarId,
+};
 use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
 
 use crate::instance::SpmInstance;
 use crate::parallel;
 use crate::schedule::{Evaluation, Schedule};
-use crate::warm::WarmBasis;
 
 /// Options for [`maa`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -96,76 +97,10 @@ pub struct MaaResult {
     pub relaxation: RlspmRelaxation,
 }
 
-/// Builds and solves the relaxed RL-SPM linear program over the requests
-/// with `accepted[i] == true`.
+/// The relaxed RL-SPM program of one instance, built once and re-solved
+/// for every acceptance mask.
 ///
-/// # Errors
-///
-/// Propagates LP solver failures. The LP is feasible by construction
-/// whenever every accepted request has at least one candidate path (an
-/// [`SpmInstance`] invariant), so `Infeasible` indicates numerical
-/// breakdown.
-///
-/// # Panics
-///
-/// Panics if `accepted.len() != instance.num_requests()`.
-pub fn solve_rlspm_relaxation(
-    instance: &SpmInstance,
-    accepted: &[bool],
-    lp_options: &SolveOptions,
-) -> Result<RlspmRelaxation, SolveError> {
-    assert_eq!(accepted.len(), instance.num_requests(), "mask length");
-    let topo = instance.topology();
-
-    let mut p = Problem::new(Sense::Minimize);
-
-    // Path variables; declined requests get none, so no load terms.
-    let mut xvars: Vec<Vec<metis_lp::VarId>> = Vec::with_capacity(instance.num_requests());
-    for ((_, paths), &on) in instance.iter().zip(accepted) {
-        let n = if on { paths.len() } else { 0 };
-        xvars.push((0..n).map(|_| p.add_var(0.0, 0.0, 1.0)).collect());
-    }
-    // Charged-bandwidth variables (fractional in the relaxation).
-    let cvars: Vec<metis_lp::VarId> = topo
-        .edge_ids()
-        .map(|e| p.add_var(topo.price(e), 0.0, f64::INFINITY))
-        .collect();
-
-    // Σ_j x_{i,j} = 1 for accepted requests.
-    for (i, vars) in xvars.iter().enumerate() {
-        if accepted[i] {
-            p.add_constraint(vars.iter().map(|&v| (v, 1.0)), Relation::Eq, 1.0);
-        }
-    }
-
-    // Load rows: Σ r_i x_{i,j} − c_e ≤ 0 per reachable (edge, slot).
-    for (e, terms) in instance.load_rows(&xvars) {
-        let row = terms.into_iter().chain([(cvars[e], -1.0)]);
-        p.add_constraint(row, Relation::Le, 0.0);
-    }
-
-    let sol = p.solve_with(lp_options)?;
-    let x: Vec<Vec<f64>> = xvars
-        .iter()
-        .map(|vars| vars.iter().map(|&v| sol.value(v)).collect())
-        .collect();
-    let c: Vec<f64> = cvars.iter().map(|&v| sol.value(v)).collect();
-    Ok(RlspmRelaxation {
-        x,
-        c,
-        cost: sol.objective(),
-        stats: *sol.stats(),
-        lp_trace: sol.trace().clone(),
-    })
-}
-
-/// Re-solvable RL-SPM relaxation with simplex warm starts.
-///
-/// [`solve_rlspm_relaxation`] rebuilds its LP from scratch for every
-/// acceptance mask, so the structure (which variables and rows exist)
-/// depends on the mask and no simplex basis can carry over. This solver
-/// instead builds one **fixed-structure** program over *all* requests
-/// once:
+/// The program has a **fixed structure** over *all* requests:
 ///
 /// * `x_{i,j} ∈ [0,1]` for every request and candidate path,
 /// * `ĉ_e ≥ 0` per edge with objective `u_e`,
@@ -174,18 +109,19 @@ pub fn solve_rlspm_relaxation(
 /// * load rows `Σ r_i x_{i,j} − ĉ_e ≤ 0` over every reachable
 ///   (edge, slot) cell.
 ///
-/// Changing the mask only toggles the `y_i` bounds between `[0, 0]`
-/// (declined: all of `i`'s path variables are forced to zero) and `[1, 1]`
-/// (accepted: exactly one unit of flow), which keeps the previous round's
-/// [`metis_lp::Basis`] structurally valid — each re-solve starts from it and
-/// typically finishes in a handful of pivots. The optimum **value** always
-/// equals the per-mask LP's; the optimal **vertex** may be a different one
-/// of the tied optima than the cold rebuild finds.
+/// A mask only sets the `y_i` bounds: `[0, 0]` for a declined request
+/// (all of its path variables are forced to zero) and `[1, 1]` for an
+/// accepted one (exactly one unit of flow). The matrix never changes, so
+/// the previous solve's [`Basis`] stays structurally valid. Each solve
+/// starts from it, and typically finishes in a handful of pivots, unless
+/// [`RlspmSolver::reset_basis`] dropped it first. Warm and cold solves
+/// reach the same optimum **value**, but may stop at different tied
+/// vertices.
 ///
 /// # Examples
 ///
 /// ```
-/// use metis_core::{solve_rlspm_relaxation, RlspmWarmSolver, SpmInstance};
+/// use metis_core::{RlspmSolver, SpmInstance};
 /// use metis_lp::SolveOptions;
 /// use metis_netsim::topologies;
 /// use metis_workload::{generate, WorkloadConfig};
@@ -194,39 +130,45 @@ pub fn solve_rlspm_relaxation(
 /// let requests = generate(&topo, &WorkloadConfig::paper(10, 5));
 /// let instance = SpmInstance::new(topo, requests, 12, 3);
 ///
-/// let mut solver = RlspmWarmSolver::new(&instance);
+/// let mut solver = RlspmSolver::new(&instance);
 /// let opts = SolveOptions::default();
 /// let all = vec![true; 10];
+/// let cold = solver.solve(&all, &opts)?;
+/// let mut some = all.clone();
+/// some[3] = false;
+/// solver.solve(&some, &opts)?;
 /// let warm = solver.solve(&all, &opts)?;
-/// let cold = solve_rlspm_relaxation(&instance, &all, &opts)?;
+/// assert!(warm.stats.warm_started && !cold.stats.warm_started);
 /// assert!((warm.cost - cold.cost).abs() < 1e-6);
 /// # Ok::<(), metis_lp::SolveError>(())
 /// ```
 #[derive(Clone)]
-pub struct RlspmWarmSolver {
+pub struct RlspmSolver {
     problem: Problem,
-    xvars: Vec<Vec<metis_lp::VarId>>,
-    cvars: Vec<metis_lp::VarId>,
-    yvars: Vec<metis_lp::VarId>,
-    warm: WarmBasis,
+    xvars: Vec<Vec<VarId>>,
+    cvars: Vec<VarId>,
+    yvars: Vec<VarId>,
+    /// The last solve's optimal basis; `None` before the first solve and
+    /// after [`RlspmSolver::reset_basis`].
+    basis: Option<Basis>,
 }
 
-impl RlspmWarmSolver {
+impl RlspmSolver {
     /// Builds the fixed-structure program for `instance`. All requests
-    /// start declined; [`RlspmWarmSolver::solve`] sets the actual mask.
+    /// start declined; [`RlspmSolver::solve`] sets the actual mask.
     pub fn new(instance: &SpmInstance) -> Self {
         let topo = instance.topology();
 
         let mut p = Problem::new(Sense::Minimize);
-        let xvars: Vec<Vec<metis_lp::VarId>> = instance
+        let xvars: Vec<Vec<VarId>> = instance
             .iter()
             .map(|(_, paths)| paths.iter().map(|_| p.add_var(0.0, 0.0, 1.0)).collect())
             .collect();
-        let cvars: Vec<metis_lp::VarId> = topo
+        let cvars: Vec<VarId> = topo
             .edge_ids()
             .map(|e| p.add_var(topo.price(e), 0.0, f64::INFINITY))
             .collect();
-        let yvars: Vec<metis_lp::VarId> = (0..instance.num_requests())
+        let yvars: Vec<VarId> = (0..instance.num_requests())
             .map(|_| p.add_var(0.0, 0.0, 0.0))
             .collect();
 
@@ -247,23 +189,25 @@ impl RlspmWarmSolver {
             p.add_constraint(row, Relation::Le, 0.0);
         }
 
-        RlspmWarmSolver {
+        RlspmSolver {
             problem: p,
             xvars,
             cvars,
             yvars,
-            warm: WarmBasis::default(),
+            basis: None,
         }
     }
 
-    /// Solves the relaxation for `accepted`, warm-starting from the last
-    /// solve's basis when one exists. If the warm restart fails for any
-    /// reason (e.g. a singular restored factorization reported as
-    /// infeasibility), the basis is discarded and the solve retried cold.
+    /// Solves the relaxation for `accepted`, starting from the last
+    /// solve's basis when one is kept. A failed warm start falls back to
+    /// a cold solve inside [`Problem::solve_with_basis`].
     ///
     /// # Errors
     ///
-    /// Propagates LP failures from the cold path.
+    /// Propagates LP failures from the cold path. The LP is feasible by
+    /// construction whenever every accepted request has at least one
+    /// candidate path (an [`SpmInstance`] invariant), so `Infeasible`
+    /// indicates numerical breakdown.
     ///
     /// # Panics
     ///
@@ -279,7 +223,9 @@ impl RlspmWarmSolver {
             let b = if on { 1.0 } else { 0.0 };
             self.problem.set_bounds(self.yvars[i], b, b);
         }
-        let sol = self.warm.solve(&self.problem, lp_options)?;
+        let warm = self.basis.take();
+        let (sol, basis) = self.problem.solve_with_basis(lp_options, warm.as_ref())?;
+        self.basis = Some(basis);
         let x: Vec<Vec<f64>> = self
             .xvars
             .iter()
@@ -302,27 +248,16 @@ impl RlspmWarmSolver {
         })
     }
 
-    /// Solves that started from a previous basis (including ones the
-    /// simplex internally restarted cold after a numerical failure).
-    pub fn warm_solves(&self) -> usize {
-        self.warm.warm_solves
-    }
-
-    /// Solves that built a basis from scratch.
-    pub fn cold_solves(&self) -> usize {
-        self.warm.cold_solves
-    }
-
-    /// Drops the stored basis, forcing the next solve to start cold.
+    /// Drops the kept basis, so the next solve starts cold.
     pub fn reset_basis(&mut self) {
-        self.warm.reset();
+        self.basis = None;
     }
 }
 
 /// Runs MAA like [`maa`] with the rounding trials fanned across
-/// `threads` workers, recording telemetry into `tele`; with `Some` solver
-/// the relaxation warm-starts from that [`RlspmWarmSolver`]'s previous
-/// basis (the Metis alternation rounds).
+/// `threads` workers, solving the relaxation with `solver` and recording
+/// telemetry into `tele`. The solver's kept basis, if any, warm-starts
+/// the relaxation (the Metis alternation rounds).
 ///
 /// The relaxation solve runs under the `maa.relax` span, the rounding
 /// trials under `maa.rounding`, LP work counters land in the `lp.*`
@@ -344,15 +279,12 @@ pub(crate) fn maa_instrumented(
     accepted: &[bool],
     options: &MaaOptions,
     threads: usize,
-    solver: Option<&mut RlspmWarmSolver>,
+    solver: &mut RlspmSolver,
     tele: &Telemetry,
 ) -> Result<MaaResult, SolveError> {
     let relaxation = {
         let mut relax = tele.span(names::SPAN_MAA_RELAX);
-        let relaxation = match solver {
-            Some(s) => s.solve(accepted, &options.lp)?,
-            None => solve_rlspm_relaxation(instance, accepted, &options.lp)?,
-        };
+        let relaxation = solver.solve(accepted, &options.lp)?;
         relax.arg(names::ARG_LP_ITERATIONS, relaxation.stats.iterations as f64);
         relaxation
     };
@@ -364,7 +296,8 @@ pub(crate) fn maa_instrumented(
 }
 
 /// Runs MAA over the accepted requests: relax → round → ceil, on the
-/// calling thread.
+/// calling thread. The relaxation is one cold solve of a fresh
+/// [`RlspmSolver`].
 ///
 /// Every request with `accepted[i] == true` is routed on exactly one of
 /// its candidate paths; the others are declined in the returned schedule.
@@ -399,7 +332,14 @@ pub fn maa(
     accepted: &[bool],
     options: &MaaOptions,
 ) -> Result<MaaResult, SolveError> {
-    maa_instrumented(instance, accepted, options, 1, None, &Telemetry::disabled())
+    maa_instrumented(
+        instance,
+        accepted,
+        options,
+        1,
+        &mut RlspmSolver::new(instance),
+        &Telemetry::disabled(),
+    )
 }
 
 /// Rounding + ceiling stages of MAA, given an already-solved relaxation.
@@ -514,7 +454,9 @@ mod tests {
     fn relaxation_satisfies_demands() {
         let inst = instance(20, 1);
         let accepted = vec![true; 20];
-        let rel = solve_rlspm_relaxation(&inst, &accepted, &SolveOptions::default()).unwrap();
+        let rel = RlspmSolver::new(&inst)
+            .solve(&accepted, &SolveOptions::default())
+            .unwrap();
         for i in 0..20 {
             let sum: f64 = rel.x[i].iter().sum();
             assert!((sum - 1.0).abs() < 1e-6, "request {i} fractional sum {sum}");
@@ -528,7 +470,9 @@ mod tests {
         // ĉ_e must dominate the fractional load at every slot.
         let inst = instance(25, 7);
         let accepted = vec![true; 25];
-        let rel = solve_rlspm_relaxation(&inst, &accepted, &SolveOptions::default()).unwrap();
+        let rel = RlspmSolver::new(&inst)
+            .solve(&accepted, &SolveOptions::default())
+            .unwrap();
         let slots = inst.num_slots();
         let mut load = vec![0.0; inst.topology().num_edges() * slots];
         for (i, (r, paths)) in inst.iter().enumerate() {
@@ -634,7 +578,7 @@ mod tests {
                 &accepted,
                 &base,
                 threads,
-                None,
+                &mut RlspmSolver::new(&inst),
                 &Telemetry::disabled(),
             )
             .unwrap();
@@ -664,7 +608,7 @@ mod tests {
     fn warm_solver_matches_cold_relaxation_cost() {
         let inst = instance(20, 12);
         let opts = SolveOptions::default();
-        let mut solver = RlspmWarmSolver::new(&inst);
+        let mut solver = RlspmSolver::new(&inst);
 
         let mut masks = vec![vec![true; 20]];
         let mut partial = vec![true; 20];
@@ -675,9 +619,15 @@ mod tests {
         masks.push(vec![true; 20]); // back to full: basis reuse again
         masks.push(vec![false; 20]);
 
-        for mask in &masks {
+        for (k, mask) in masks.iter().enumerate() {
             let warm = solver.solve(mask, &opts).unwrap();
-            let cold = solve_rlspm_relaxation(&inst, mask, &opts).unwrap();
+            let cold = RlspmSolver::new(&inst).solve(mask, &opts).unwrap();
+            assert_eq!(
+                warm.stats.warm_started,
+                k > 0,
+                "only the first solve is cold"
+            );
+            assert!(!cold.stats.warm_started);
             assert!(
                 (warm.cost - cold.cost).abs() < 1e-6,
                 "warm {} vs cold {}",
@@ -693,8 +643,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(solver.cold_solves(), 1, "only the first solve is cold");
-        assert_eq!(solver.warm_solves(), masks.len() - 1);
     }
 
     #[test]
@@ -706,16 +654,20 @@ mod tests {
             rounding_repeats: 4,
             ..MaaOptions::default()
         };
-        let mut solver = RlspmWarmSolver::new(&inst);
+        let mut solver = RlspmSolver::new(&inst);
+        let mut some = accepted.clone();
+        some[2] = false;
+        solver.solve(&some, &options.lp).unwrap();
         let warm = maa_instrumented(
             &inst,
             &accepted,
             &options,
             1,
-            Some(&mut solver),
+            &mut solver,
             &Telemetry::disabled(),
         )
         .unwrap();
+        assert!(warm.relaxation.stats.warm_started);
         let cold = maa(&inst, &accepted, &options).unwrap();
         // Degenerate LP optima may differ vertex-wise, but the relaxation
         // value is unique and both pipelines must respect the LP bound.
@@ -726,14 +678,26 @@ mod tests {
 
     #[test]
     fn warm_solver_reset_forces_cold() {
-        let inst = instance(8, 14);
+        let inst = instance(12, 14);
         let opts = SolveOptions::default();
-        let mut solver = RlspmWarmSolver::new(&inst);
-        solver.solve(&[true; 8], &opts).unwrap();
+        let mut mask = vec![true; 12];
+        let mut solver = RlspmSolver::new(&inst);
+        solver.solve(&mask, &opts).unwrap();
+        for i in [2, 5, 9] {
+            mask[i] = false;
+            let warm = solver.solve(&mask, &opts).unwrap();
+            assert!(warm.stats.warm_started);
+        }
         solver.reset_basis();
-        solver.solve(&[true; 8], &opts).unwrap();
-        assert_eq!(solver.cold_solves(), 2);
-        assert_eq!(solver.warm_solves(), 0);
+        let reset = solver.solve(&mask, &opts).unwrap();
+        let fresh = RlspmSolver::new(&inst).solve(&mask, &opts).unwrap();
+        assert!(!reset.stats.warm_started);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let x_bits = |x: &[Vec<f64>]| x.iter().map(|row| bits(row)).collect::<Vec<_>>();
+        assert_eq!(x_bits(&reset.x), x_bits(&fresh.x));
+        assert_eq!(bits(&reset.c), bits(&fresh.c));
+        assert_eq!(reset.cost.to_bits(), fresh.cost.to_bits());
+        assert_eq!(reset.stats, fresh.stats);
     }
 
     #[test]

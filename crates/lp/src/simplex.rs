@@ -109,8 +109,9 @@ pub struct SolveOptions {
 }
 
 /// A snapshot of an optimal basis, reusable to warm-start the solve of a
-/// *related* problem (same rows and columns, different bounds) — the
-/// branch-and-bound pattern. Opaque; obtain one from
+/// *related* problem: same rows and columns, with bounds, right-hand
+/// sides or costs edited in place (the re-solve pattern of a
+/// fixed-structure program). Opaque; obtain one from
 /// [`Problem::solve_with_basis`].
 #[derive(Clone, Debug)]
 pub struct Basis {
@@ -145,19 +146,24 @@ impl Problem {
     }
 
     /// Solves the relaxation, optionally warm-starting from a [`Basis`]
-    /// snapshotted on a related problem (identical rows/columns; bounds
-    /// and costs may differ). Returns the solution together with the
-    /// final basis for further chaining.
+    /// snapshotted on a related problem (identical rows/columns; bounds,
+    /// right-hand sides and costs may differ). Returns the solution
+    /// together with the final basis for further chaining.
     ///
     /// When the supplied basis is dual-feasible for this problem — the
-    /// case after tightening a variable bound, as branch-and-bound does —
-    /// reoptimization runs the **dual simplex** and typically needs a
-    /// handful of pivots. Otherwise the solver falls back to a cold
-    /// start; the result is identical either way.
+    /// case after tightening a bound or a right-hand side — reoptimization
+    /// runs the **dual simplex** and typically needs a handful of pivots.
+    /// Otherwise the solver starts cold. Any failure of the warm attempt,
+    /// `Infeasible`, `Unbounded` and a rejected certificate included,
+    /// falls back to one cold solve, whose outcome is returned;
+    /// [`SolveStats::warm_started`](crate::SolveStats::warm_started)
+    /// tells the two paths apart. Warm and cold reach the same optimum
+    /// **value**, but when optima are tied they may stop at different
+    /// optimal vertices, so the returned solution can differ.
     ///
     /// # Errors
     ///
-    /// See [`Problem::solve`].
+    /// See [`Problem::solve`]; errors come from the cold path.
     pub fn solve_with_basis(
         &self,
         options: &SolveOptions,
@@ -165,14 +171,10 @@ impl Problem {
     ) -> Result<(Solution, Basis), SolveError> {
         if let Some(basis) = warm {
             let mut s = Simplex::new(self, options);
-            match s.run_from_basis(basis) {
-                Ok(done) => {
-                    self.certify_if_requested(options, &done.0)?;
+            if let Ok(done) = s.run_from_basis(basis) {
+                if self.certify_if_requested(options, &done.0).is_ok() {
                     return Ok(done);
                 }
-                Err(SolveError::Infeasible) => return Err(SolveError::Infeasible),
-                Err(SolveError::Unbounded) => return Err(SolveError::Unbounded),
-                Err(_) => { /* numerically unusable start: cold-start below */ }
             }
         }
         let mut s = Simplex::new(self, options);
@@ -2233,6 +2235,26 @@ mod tests {
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 6.0);
         let (sol, _) = p.solve_with_basis(&opts, Some(&alien)).unwrap();
         assert_close(sol.objective(), 11.0); // y = 5, x = 1
+    }
+
+    #[test]
+    fn a_silent_cold_restart_counts_as_cold() {
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var(1.0, 0.0, 10.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
+        let opts = SolveOptions::default();
+        let (first, basis) = p.solve_with_basis(&opts, None).unwrap();
+        assert!(!first.stats().warm_started);
+        // The old optimal basis is not dual-feasible for the flipped
+        // objective, so `solve_with_basis` restarts cold and returns Ok.
+        p.set_objective(x, -1.0);
+        let (sol, basis) = p.solve_with_basis(&opts, Some(&basis)).unwrap();
+        assert!(!sol.stats().warm_started);
+        assert_close(sol.objective(), 0.0);
+        // The same objective again reuses the basis.
+        let (sol, _) = p.solve_with_basis(&opts, Some(&basis)).unwrap();
+        assert!(sol.stats().warm_started);
+        assert_close(sol.objective(), 0.0);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 # stderr. Profit is printed with all its bits, so any change in a result,
 # an alternation round count or a simplex pivot count shows up.
 #
+# Prints, per workload and seed, how many instances are identical, how
+# many differ only in their pivot count, and how many differ in profit
+# or rounds; every differing line pair goes to stderr.
+#
 # Exits 1 on any difference or failed run, 2 on bad usage.
 #
 # Usage: scripts/same_results.sh BASE [SEED...]    (seeds default to 1 1001)
@@ -44,20 +48,35 @@ fingerprints() {
     grep '^  instance ' "$log"
 }
 
+# classify BASE HEAD: "identical pivots_only other" over paired lines
+# (`  instance NAME profit P rounds R pivots N`); a line one side lacks
+# counts as other.
+classify() {
+    awk 'NR == FNR { base[FNR] = $0; n = FNR; next }
+        {
+            m = FNR
+            split(base[FNR], b)
+            if ($0 == base[FNR]) same++
+            else if (b[2] == $2 && b[4] == $4 && b[6] == $6) pivots++
+            else other++
+        }
+        END { other += (n > m ? n - m : 0); printf "%d %d %d\n", same, pivots, other }' "$1" "$2"
+}
+
 status=0
 for w in $workloads; do
     for s in $seeds; do
         fingerprints "$tmp/base" "$w" "$s" >"$tmp/base.txt"
         fingerprints . "$w" "$s" >"$tmp/head.txt"
-        n="$(wc -l <"$tmp/base.txt")"
-        if [ "$n" -eq 0 ]; then
+        if [ ! -s "$tmp/base.txt" ]; then
             echo "$w seed $s: no instance lines" >&2
             status=1
-        elif diff "$tmp/base.txt" "$tmp/head.txt" >"$tmp/diff.txt"; then
-            echo "$w seed $s: $n instances identical"
-        else
-            echo "$w seed $s: DIFFERENT" >&2
-            cat "$tmp/diff.txt" >&2
+            continue
+        fi
+        set -- $(classify "$tmp/base.txt" "$tmp/head.txt")
+        echo "$w seed $s: $1 identical, $2 differ only in pivots, $3 differ in profit or rounds"
+        if [ "$2" -ne 0 ] || [ "$3" -ne 0 ]; then
+            diff "$tmp/base.txt" "$tmp/head.txt" >&2 || true
             status=1
         fi
     done

@@ -3,7 +3,7 @@
 
 use metis_suite::baselines::opt_rlspm;
 use metis_suite::core::chernoff::{chernoff_bound, chernoff_delta, select_mu};
-use metis_suite::core::{maa, solve_blspm_relaxation, taa, MaaOptions, SpmInstance, TaaOptions};
+use metis_suite::core::{maa, taa, BlspmSolver, MaaOptions, SpmInstance, TaaOptions};
 use metis_suite::lp::{IlpOptions, SolveOptions};
 use metis_suite::netsim::topologies;
 use metis_suite::workload::{generate, WorkloadConfig};
@@ -130,7 +130,9 @@ fn blspm_relaxation_is_internally_consistent() {
     let requests = generate(&topo, &WorkloadConfig::paper(60, 11));
     let inst = SpmInstance::new(topo, requests, 12, 3);
     let caps = vec![3.0; inst.topology().num_edges()];
-    let rel = solve_blspm_relaxation(&inst, &caps, &SolveOptions::default()).unwrap();
+    let rel = BlspmSolver::new(&inst)
+        .solve(&caps, &SolveOptions::default())
+        .unwrap();
     assert!(rel.revenue <= inst.total_value() + 1e-6);
 
     // Fractional load per (edge, slot) within capacity.
@@ -155,12 +157,14 @@ fn blspm_relaxation_is_internally_consistent() {
 /// request ends up on exactly one path, matching `Σ_j x̂ = 1`.
 #[test]
 fn rounding_respects_demand_rows() {
-    use metis_suite::core::{round_schedule, solve_rlspm_relaxation};
+    use metis_suite::core::{round_schedule, RlspmSolver};
     use rand_chacha::rand_core::SeedableRng;
 
     let inst = sub_b4_instance(30, 13);
     let accepted = vec![true; 30];
-    let rel = solve_rlspm_relaxation(&inst, &accepted, &SolveOptions::default()).unwrap();
+    let rel = RlspmSolver::new(&inst)
+        .solve(&accepted, &SolveOptions::default())
+        .unwrap();
     let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(5);
     for _ in 0..50 {
         let s = round_schedule(&inst, &accepted, &rel.x, &mut rng);
