@@ -12,9 +12,6 @@
 //! All baselines produce [`metis_core::Schedule`]s so they are evaluated
 //! under exactly the same peak-charging cost model as Metis.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod amoeba;
 mod ecoflow;
 mod mincost;

@@ -181,7 +181,10 @@ fn measure(p: &Problem, configs: &[Config], trials: usize) -> (Vec<Measured>, Ve
     let mut last = vec![None; configs.len()];
     for _ in 0..trials {
         for (k, c) in configs.iter().enumerate() {
-            // metis-lint: allow(DET-02): wall-clock benchmark harness; timings are the output
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock benchmark harness; timings are the output"
+            )]
             let t = Instant::now();
             let s = p
                 .solve_with(&c.opts)

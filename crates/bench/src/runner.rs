@@ -25,7 +25,10 @@ where
     let slots: Vec<Mutex<Option<R>>> = seeds.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            // metis-lint: allow(CONC-01): fans out whole independent experiments, not solver work
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "fans out whole independent experiments, not solver work"
+            )]
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= seeds.len() {

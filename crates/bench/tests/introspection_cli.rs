@@ -83,6 +83,10 @@ fn spm_serve_answers_live_scrapes() {
         }
     };
     // Drain the remaining output so the child never blocks on a full pipe.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "draining the child's pipe must not block the scrape"
+    )]
     let drain = std::thread::spawn(move || for _ in lines.by_ref() {});
 
     // Scrape immediately: mid-run and post-run snapshots are equally

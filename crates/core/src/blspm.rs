@@ -412,7 +412,10 @@ fn taa_from_relaxation(
                 }
             }
         }
-        // metis-lint: allow(PANIC-01): the loop above unconditionally scores the decline option
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop above unconditionally scores the decline option"
+        )]
         let decline_u = scores[num_paths].expect("decline always evaluates");
         if decline_u < best_u {
             chosen = None;

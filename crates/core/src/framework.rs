@@ -390,7 +390,10 @@ pub fn metis_instrumented(
         if round > 0 && caps.iter().all(|&c| c <= 0.0) {
             break;
         }
-        // metis-lint: allow(DET-02): gated behind tele.is_enabled(); never read in deterministic runs
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "gated behind tele.is_enabled(); never read in deterministic runs"
+        )]
         let round_start = tele.is_enabled().then(Instant::now);
         let round_span = tele.span(names::SPAN_ROUND);
         let stop = 'round: {

@@ -45,13 +45,16 @@ impl SpmInstance {
     /// Panics on the [`SpmInstance::try_new`] error conditions: a request
     /// fails validation against the topology and cycle length, a
     /// request's endpoints are disconnected, or the cycle has no slots.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking convenience wrapper over try_new"
+    )]
     pub fn new(
         topo: Topology,
         requests: Vec<Request>,
         num_slots: usize,
         paths_per_pair: usize,
     ) -> Self {
-        // metis-lint: allow(PANIC-01): documented panicking convenience wrapper over try_new
         Self::try_new(topo, requests, num_slots, paths_per_pair).unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -62,6 +62,14 @@ impl ParallelConfig {
 /// # Panics
 ///
 /// Propagates panics from `f`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned thread fan-out; results are reduced in index order"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned lock means a worker already panicked; the scope loop covers every index"
+)]
 pub(crate) fn run_indexed<R, F>(n: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -81,7 +89,6 @@ where
                     break;
                 }
                 let r = f(i);
-                // metis-lint: allow(PANIC-01): a poisoned lock means a worker already panicked
                 *slots[i].lock().expect("slot lock poisoned") = Some(r);
             });
         }
@@ -90,7 +97,7 @@ where
         .into_iter()
         .map(|m| {
             m.into_inner()
-                .expect("slot lock poisoned") // metis-lint: allow(PANIC-01): poisoned lock means a worker already panicked; the scope loop covers every index
+                .expect("slot lock poisoned")
                 .expect("every index produced a result")
         })
         .collect()

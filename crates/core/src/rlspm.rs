@@ -385,7 +385,10 @@ fn maa_from_relaxation(
             best = Some((cost, schedule));
         }
     }
-    // metis-lint: allow(PANIC-01): the assert above makes at least one rounding run
+    #[expect(
+        clippy::expect_used,
+        reason = "the assert above makes at least one rounding run"
+    )]
     let (_, schedule) = best.expect("at least one rounding ran");
     let evaluation = schedule.evaluate(instance);
     MaaResult {

@@ -1,4 +1,4 @@
-//! Cross-artifact consistency checks (`metis-lint --artifacts`).
+//! Cross-artifact consistency checks.
 //!
 //! The repo commits several *derived* artifacts that restate facts the
 //! code already encodes: the telemetry schema fixture, the DESIGN.md §7
@@ -31,8 +31,10 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use crate::engine::Diagnostic;
-use crate::lexer::{self, TokenKind};
+use metis_workload::json::Json;
+
+use crate::scan::{scan, Scan};
+use crate::{collect_files, Diagnostic};
 
 /// The telemetry name constants declared in
 /// `crates/telemetry/src/lib.rs`'s `names` module, classified by the
@@ -63,32 +65,30 @@ impl TelemetryNames {
 /// Extracts `pub const NAME: &str = "value";` declarations from the
 /// telemetry crate's source.
 pub fn extract_names(src: &str) -> TelemetryNames {
-    let toks = lexer::lex(src).tokens;
+    let Scan { code, strings, .. } = scan(src);
     let mut out = TelemetryNames::default();
-    for w in toks.windows(6) {
-        // `IDENT : & str = "…"` — the tail of a
-        // `pub const IDENT: &str = "…";` declaration; anchoring on the
-        // ident lets one window see both the name and the value.
-        if w[0].kind == TokenKind::Ident
-            && w[1].text == ":"
-            && w[2].text == "&"
-            && w[3].text == "str"
-            && w[4].text == "="
-            && w[5].kind == TokenKind::Literal
-            && w[5].text.starts_with('"')
-        {
-            let value = w[5].text.trim_matches('"').to_string();
-            let bucket = if w[0].text.starts_with("SPAN_") {
-                &mut out.spans
-            } else if w[0].text.starts_with("EVENT_") {
-                &mut out.events
-            } else if w[0].text.starts_with("ARG_") {
-                &mut out.args
-            } else {
-                &mut out.metrics
-            };
-            bucket.push(value);
-        }
+    for (idx, line) in code.lines().enumerate() {
+        // `IDENT: &str = "…"`, the tail of a `pub const` declaration;
+        // the value is the string literal opening on the same line.
+        let Some((head, _)) = line.split_once(": &str =") else {
+            continue;
+        };
+        let Some(ident) = head.split_whitespace().last() else {
+            continue;
+        };
+        let Some((_, value)) = strings.iter().find(|(l, _)| *l as usize == idx + 1) else {
+            continue;
+        };
+        let bucket = if ident.starts_with("SPAN_") {
+            &mut out.spans
+        } else if ident.starts_with("EVENT_") {
+            &mut out.events
+        } else if ident.starts_with("ARG_") {
+            &mut out.args
+        } else {
+            &mut out.metrics
+        };
+        bucket.push(value.clone());
     }
     out
 }
@@ -96,12 +96,10 @@ pub fn extract_names(src: &str) -> TelemetryNames {
 /// Extracts the `"--flag"` string literals a CLI binary matches on,
 /// `--help` excluded (it is conventional, not documented per binary).
 pub fn extract_cli_flags(src: &str) -> Vec<String> {
-    let mut flags: Vec<String> = lexer::lex(src)
-        .tokens
+    let mut flags: Vec<String> = scan(src)
+        .strings
         .iter()
-        .filter(|t| t.kind == TokenKind::Literal)
-        .filter_map(|t| {
-            let s = t.text.strip_prefix('"')?.strip_suffix('"')?;
+        .filter_map(|(_, s)| {
             let rest = s.strip_prefix("--")?;
             (!rest.is_empty()
                 && rest
@@ -151,8 +149,14 @@ pub fn check_schema_fixture(fixture: &str, names: &TelemetryNames) -> Vec<Diagno
         }
     };
     let mut out = Vec::new();
+    let keys = |section: &str| -> Vec<&str> {
+        json.get(section)
+            .and_then(Json::as_obj)
+            .map(|fields| fields.iter().map(|(k, _)| k.as_str()).collect())
+            .unwrap_or_default()
+    };
     for section in ["counters", "gauges", "histograms", "series"] {
-        for key in json.object_keys(section) {
+        for key in keys(section) {
             if !names.is_metric(key) {
                 out.push(finding(
                     FILE,
@@ -166,7 +170,7 @@ pub fn check_schema_fixture(fixture: &str, names: &TelemetryNames) -> Vec<Diagno
             }
         }
     }
-    for key in json.object_keys("spans") {
+    for key in keys("spans") {
         if !names.is_span(key) {
             out.push(finding(
                 FILE,
@@ -380,7 +384,12 @@ fn is_snake_case(s: &str) -> bool {
 /// symbols like `y_i`). Plain `//` comments do not count: they document
 /// nothing a reader of README.md or DESIGN.md can look up.
 pub fn code_words(src: &str) -> BTreeSet<String> {
-    let lexed = lexer::lex(src);
+    let Scan {
+        code,
+        strings,
+        docs,
+        ..
+    } = scan(src);
     let mut words = BTreeSet::new();
     let mut add_words = |text: &str| {
         words.extend(
@@ -389,13 +398,9 @@ pub fn code_words(src: &str) -> BTreeSet<String> {
                 .map(String::from),
         );
     };
-    for t in &lexed.tokens {
-        if matches!(t.kind, TokenKind::Ident | TokenKind::Literal) {
-            add_words(&t.text);
-        }
-    }
-    for c in lexed.comments.iter().filter(|c| c.doc) {
-        add_words(&c.text);
+    add_words(&code);
+    for text in strings.iter().map(|(_, s)| s).chain(&docs) {
+        add_words(text);
     }
     words
 }
@@ -439,7 +444,7 @@ pub fn run_artifacts(root: &Path) -> Result<Vec<Diagnostic>, String> {
     stems.sort();
     out.extend(check_family_docs(&design, &stems));
     let mut code = BTreeSet::new();
-    for path in crate::engine::collect_files(root) {
+    for path in collect_files(root) {
         let src = fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         code.extend(code_words(&src));
@@ -448,172 +453,6 @@ pub fn run_artifacts(root: &Path) -> Result<Vec<Diagnostic>, String> {
     out.extend(check_doc_identifiers("DESIGN.md", &design, &code));
     out.sort();
     Ok(out)
-}
-
-/// A just-enough JSON value for reading fixture shapes: objects keep
-/// key order, numbers are not interpreted (the checks only need keys).
-/// Hand-rolled so the lint crate keeps its zero-dependency property.
-enum Json {
-    Null,
-    Bool,
-    Num,
-    Str(String),
-    Arr,
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    /// Keys of the object stored under the top-level field `key`
-    /// (empty when absent or not an object).
-    fn object_keys(&self, key: &str) -> Vec<&str> {
-        let Json::Obj(fields) = self else {
-            return Vec::new();
-        };
-        match fields.iter().find(|(k, _)| k == key) {
-            Some((_, Json::Obj(inner))) => inner.iter().map(|(k, _)| k.as_str()).collect(),
-            _ => Vec::new(),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    let Some(&c) = b.get(*pos) else {
-        return Err("unexpected end of input".to_string());
-    };
-    match c {
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let Json::Str(key) = parse_value(b, pos)? else {
-                    return Err(format!("object key is not a string at offset {pos}"));
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected `:` at offset {pos}"));
-                }
-                *pos += 1;
-                fields.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at offset {pos}")),
-                }
-            }
-        }
-        b'[' => {
-            // Element values are validated but not kept — the checks
-            // only read object keys.
-            *pos += 1;
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr);
-            }
-            loop {
-                parse_value(b, pos)?;
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr);
-                    }
-                    _ => return Err(format!("expected `,` or `]` at offset {pos}")),
-                }
-            }
-        }
-        b'"' => {
-            *pos += 1;
-            let mut s = String::new();
-            while let Some(&c) = b.get(*pos) {
-                match c {
-                    b'"' => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    b'\\' => {
-                        // Keys in our fixtures are plain names; decode
-                        // the escapes structurally, keep `\u` verbatim.
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(&e) => s.push(e as char),
-                            None => return Err("unterminated escape".to_string()),
-                        }
-                        *pos += 1;
-                    }
-                    _ => {
-                        s.push(c as char);
-                        *pos += 1;
-                    }
-                }
-            }
-            Err("unterminated string".to_string())
-        }
-        b't' | b'f' => {
-            let (word, v) = if c == b't' {
-                ("true", Json::Bool)
-            } else {
-                ("false", Json::Bool)
-            };
-            if b[*pos..].starts_with(word.as_bytes()) {
-                *pos += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at offset {pos}"))
-            }
-        }
-        b'n' => {
-            if b[*pos..].starts_with(b"null") {
-                *pos += 4;
-                Ok(Json::Null)
-            } else {
-                Err(format!("bad literal at offset {pos}"))
-            }
-        }
-        b'-' | b'0'..=b'9' => {
-            while *pos < b.len()
-                && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            {
-                *pos += 1;
-            }
-            Ok(Json::Num)
-        }
-        other => Err(format!(
-            "unexpected byte `{}` at offset {pos}",
-            other as char
-        )),
-    }
 }
 
 #[cfg(test)]
@@ -768,13 +607,5 @@ mod tests {
             assert!(words.contains(w), "{w} missing from {words:?}");
         }
         assert!(!words.contains("plain_note"));
-    }
-
-    #[test]
-    fn json_parser_handles_fixture_shapes() {
-        let j = Json::parse(r#"{"a": {"x": [1, -2.5e3, true, null]}, "b": "s"}"#).unwrap();
-        assert_eq!(j.object_keys("a"), vec!["x"]);
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("{} extra").is_err());
     }
 }

@@ -1,44 +1,97 @@
-//! `metis-lint`: a syntax-aware workspace lint that mechanically
-//! enforces the Metis repo's determinism and accounting invariants.
+//! `metis-lint`: the workspace checks clippy and rustc cannot express.
 //!
 //! The paper's guarantees (MAA's approximation bound, TAA's Chernoff
 //! feasibility) survive only if the implementation keeps exact
-//! accounting and bit-identical determinism across thread counts. The
-//! code patterns that silently break those — unordered map iteration,
-//! NaN-unsafe float comparisons, order-sensitive float reductions,
-//! stray wall-clock reads, rogue thread spawns — are all syntactically
-//! recognizable, so this crate hand-rolls a small Rust lexer
-//! ([`lexer`]), a brace-matched token tree ([`tree`]), and a
-//! lightweight item parser ([`items`]), then runs the lexical rules
-//! ([`rules`]) and the syntax-aware rules ([`rules2`]) over every
-//! workspace source file ([`engine`]). A separate mode ([`artifacts`])
-//! cross-checks code against committed artifacts (telemetry schema
-//! fixture, DESIGN.md catalogs, README flag docs) so the prose can
-//! never silently drift from the machine. Findings also render as SARIF
-//! ([`sarif`]) for CI annotation upload.
+//! accounting and bit-identical determinism. Clippy and rustc enforce
+//! most of the code rules that protect them, through each crate's
+//! `[lints]` table and the root `clippy.toml` (DESIGN.md §8.1 maps every
+//! rule to its lint). This crate keeps the rest:
 //!
-//! Run it three ways:
+//! - [`artifacts`]: `ART-01`…`ART-05`, the committed docs and fixtures
+//!   against the code they describe;
+//! - [`checks`]: `FP-02` and `PANIC-02`, two line checks clippy has no
+//!   counterpart for.
+//!
+//! Both read source through [`scan`], which blanks comments and literals
+//! so no check matches prose. They run as tests:
 //!
 //! ```text
-//! cargo run -p metis-lint -- --workspace              # CLI, exit 1 on findings
-//! cargo run -p metis-lint -- --workspace --artifacts  # plus drift checks
-//! cargo test -p metis-lint                            # the same pass as a #[test]
+//! cargo test -p metis-lint
 //! ```
-//!
-//! Suppressions: inline `// metis-lint: allow(RULE): reason` (reason
-//! mandatory — a bare `allow` is itself the finding `LINT-00`), or a
-//! `lint.allow` file at the workspace root with `RULE path reason`
-//! lines. Suppressions must stay live: any allow that matches zero
-//! findings is itself the finding `LINT-01`. The rule catalog and
-//! policy live in `DESIGN.md` §8.
+
+use std::fs;
+use std::path::{Path, PathBuf};
 
 pub mod artifacts;
-pub mod engine;
-pub mod items;
-pub mod lexer;
-pub mod rules;
-pub mod rules2;
-pub mod sarif;
-pub mod tree;
+pub mod checks;
+pub mod scan;
 
-pub use engine::{check_source, run_workspace, Allowlist, Diagnostic};
+/// One finding.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Diagnostic {
+    /// Workspace-relative path, `/`-separated.
+    pub file: String,
+    /// 1-based line.
+    pub line: u32,
+    /// Rule id (`ART-01`, `FP-02`, …).
+    pub rule: &'static str,
+    /// Human-readable description.
+    pub message: String,
+}
+
+impl std::fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.message
+        )
+    }
+}
+
+/// The workspace's own `.rs` files (vendored crates, build output and
+/// test fixtures excluded), sorted.
+pub fn collect_files(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        let Ok(entries) = fs::read_dir(&dir) else {
+            continue;
+        };
+        for path in entries.flatten().map(|e| e.path()) {
+            let name = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or_default();
+            if path.is_dir() {
+                if !matches!(name, "vendor" | "target" | ".git" | "fixtures" | "results") {
+                    stack.push(path);
+                }
+            } else if name.ends_with(".rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// Runs [`checks::check_file`] over every workspace source file.
+///
+/// # Errors
+///
+/// Returns a message when a source file cannot be read.
+pub fn run_checks(root: &Path) -> Result<Vec<Diagnostic>, String> {
+    let mut out = Vec::new();
+    for path in collect_files(root) {
+        let src = fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        out.extend(checks::check_file(&rel, &scan::scan(&src)));
+    }
+    Ok(out)
+}

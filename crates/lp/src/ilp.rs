@@ -161,7 +161,10 @@ pub fn solve_ilp_with_start(
     options: &IlpOptions,
     start: Option<&[f64]>,
 ) -> Result<IlpSolution, SolveError> {
-    // metis-lint: allow(DET-02): feeds SolveStats timing only; node/iteration limits bound the search
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "feeds SolveStats timing only; node/iteration limits bound the search"
+    )]
     let started = Instant::now();
     let maximize = problem.sense() == Sense::Maximize;
     // Internal bookkeeping is in minimization sense.

@@ -33,8 +33,13 @@
 //! through [`solve_ilp`], which supports node/time limits and reports the
 //! proven bound so callers can use time-limited runs as baselines.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "FP-01 polices library code; tests assert exact expected values"
+    )
+)]
 
 mod error;
 mod factor;

@@ -272,9 +272,11 @@ struct Simplex<'p> {
 }
 
 /// Runtime basis representation behind [`BasisBackend`].
-// One representation lives per solve; the size skew between variants
-// is irrelevant next to the O(m²)/O(nnz) buffers each one owns.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one representation lives per solve; the size skew between variants \
+              is irrelevant next to the O(m²)/O(nnz) buffers each one owns"
+)]
 enum BasisRepr {
     /// Dense row-major `B⁻¹`, `m × m`.
     Dense { binv: Vec<f64> },
@@ -395,7 +397,10 @@ impl<'p> Simplex<'p> {
             VarState::AtLower => self.lower[j],
             VarState::AtUpper => self.upper[j],
             VarState::FreeZero => 0.0,
-            // metis-lint: allow(PANIC-01): callers filter to nonbasic states; enum invariant
+            #[expect(
+                clippy::unreachable,
+                reason = "callers filter to nonbasic states; enum invariant"
+            )]
             VarState::Basic(_) => unreachable!("basic variable has no resting value"),
         }
     }
@@ -747,8 +752,12 @@ impl<'p> Simplex<'p> {
         if basic_count != m {
             return Err(SolveError::Singular);
         }
-        // metis-lint: allow(PANIC-01): basic_count == m above guarantees every slot is filled
-        self.basis = basis.into_iter().map(|b| b.unwrap()).collect();
+        #[expect(
+            clippy::unwrap_used,
+            reason = "basic_count == m above guarantees every slot is filled"
+        )]
+        let filled = basis.into_iter().map(|b| b.unwrap()).collect();
+        self.basis = filled;
         if let BasisRepr::Dense { binv } = &mut self.repr {
             *binv = vec![0.0; m * m];
         }
@@ -784,7 +793,10 @@ impl<'p> Simplex<'p> {
                 VarState::AtLower => self.lower[j] >= self.upper[j] || d >= -tol,
                 VarState::AtUpper => self.lower[j] >= self.upper[j] || d <= tol,
                 VarState::FreeZero => d.abs() <= tol,
-                // metis-lint: allow(PANIC-01): the iteration skips basic columns; enum invariant
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the iteration skips basic columns; enum invariant"
+                )]
                 VarState::Basic(_) => unreachable!(),
             };
             if !ok {
@@ -1303,7 +1315,10 @@ impl<'p> Simplex<'p> {
             self.xb[i] -= step * dir * self.w[i];
         }
         let entering_start = match self.state[col] {
-            // metis-lint: allow(PANIC-01): pricing only selects nonbasic columns; enum invariant
+            #[expect(
+                clippy::unreachable,
+                reason = "pricing only selects nonbasic columns; enum invariant"
+            )]
             VarState::Basic(_) => unreachable!("entering variable is basic"),
             st => self.nonbasic_value(col, st),
         };

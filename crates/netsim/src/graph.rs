@@ -236,6 +236,10 @@ impl Topology {
                 continue;
             }
             drawn[i] = true;
+            #[expect(
+                clippy::float_cmp,
+                reason = "a twin is drawn as one edge only when both directions store the same price"
+            )]
             let twin = self
                 .find_edge(e.to, e.from)
                 .filter(|t| self.edges[t.index()].price == e.price && !drawn[t.index()]);

@@ -89,9 +89,13 @@ impl Telemetry {
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let tele = self.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the endpoint is a blocking I/O side channel, not solver fan-out; \
+                      it must not occupy a worker slot"
+        )]
         let handle = std::thread::Builder::new()
             .name("metis-metrics-http".to_string())
-            // metis-lint: allow(CONC-01): the endpoint is a blocking I/O side channel, not solver fan-out; it must not occupy a worker slot
             .spawn(move || accept_loop(&listener, &tele, &flag))?;
         Ok(MetricsServer {
             addr,

@@ -213,6 +213,10 @@ mod tests {
     fn lane_is_stable_per_thread_and_distinct_across_threads() {
         let here = current_lane();
         assert_eq!(current_lane(), here);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test needs a second OS thread to observe a second lane"
+        )]
         let other = std::thread::spawn(current_lane).join().expect("join");
         assert_ne!(here, other);
     }

@@ -84,7 +84,10 @@ impl PriceCache {
 
 /// Derives a request's bid under `model`, consuming exactly one RNG draw
 /// for the priced-path markup and none for the flat tariff.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent input of the bid; a struct would only rename them"
+)]
 pub(crate) fn value_of(
     rng: &mut ChaCha12Rng,
     model: &ValueModel,

@@ -484,6 +484,7 @@ mod tests {
         assert_eq!(Json::Num(8.0).to_pretty(), "8");
         assert_eq!(Json::Num(0.5).to_pretty(), "0.5");
         assert_eq!(Json::Num(-3.0).to_pretty(), "-3");
+        assert_eq!(Json::parse("-2.5e3").unwrap().as_f64(), Some(-2500.0));
     }
 
     #[test]

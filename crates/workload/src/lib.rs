@@ -24,9 +24,6 @@
 //! assert!(total_bid > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod families;
 mod generator;
 pub mod json;

@@ -27,9 +27,6 @@
 //! # Ok::<(), metis_suite::core::MetisError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use metis_baselines as baselines;
 pub use metis_core as core;
 pub use metis_lp as lp;

@@ -3,8 +3,10 @@
 //! documented values and panics on anything else, so a mistyped matrix
 //! value fails the leg instead of quietly testing another configuration.
 
-// Each suite compiles this module on its own and uses only some of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each suite compiles this module on its own and uses only some of it"
+)]
 
 use metis_suite::lp::BasisBackend;
 

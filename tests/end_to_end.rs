@@ -1,6 +1,11 @@
 //! Cross-crate integration: the full pipeline from workload generation
 //! through every scheduler, checked against the model's invariants.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "FP-01 polices library code; tests assert exact expected values"
+)]
+
 mod common;
 
 use metis_suite::baselines::{amoeba, ecoflow, mincost, opt_rlspm, opt_spm, opt_spm_with_start};

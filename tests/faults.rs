@@ -15,6 +15,11 @@
 //! unset, the solver default (sparse LU) applies. Any other value of
 //! either variable fails the suite.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "FP-01 polices library code; tests assert exact expected values"
+)]
+
 mod common;
 
 use metis_suite::core::{

@@ -15,6 +15,11 @@
 //!    profit history, attributed incidents sum to the incident list, and
 //!    the running record ends at the reported profit.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "FP-01 polices library code; tests assert exact expected values"
+)]
+
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -204,6 +209,10 @@ fn concurrent_scraping_preserves_bit_identity() {
     let addr = server.addr();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the scraper must run beside the solve on its own OS thread"
+    )]
     let scraper = std::thread::spawn(move || {
         let mut scrapes = 0u64;
         while !stop2.load(Ordering::Relaxed) {

@@ -2,6 +2,11 @@
 //! workloads: the invariants every scheduler must hold regardless of the
 //! input's shape.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "FP-01 polices library code; tests assert exact expected values"
+)]
+
 use proptest::prelude::*;
 
 use metis_suite::baselines::{amoeba, ecoflow, ecoflow_with, mincost, EcoflowCostModel};

@@ -17,6 +17,11 @@
 //! Regenerate the schema fixture after intentional metric changes with:
 //! `BLESS=1 cargo test --test telemetry -- schema`.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "FP-01 polices library code; tests assert exact expected values"
+)]
+
 use metis_suite::core::{
     metis, metis_instrumented, online_metis, online_metis_instrumented, FaultPlan, MetisConfig,
     OnlineOptions, ParallelConfig, SpmInstance,
