@@ -73,40 +73,106 @@ pub struct TaaResult {
     pub mu: Option<f64>,
 }
 
-/// Identifies the `(edge, slot)` cells reachable by candidate paths and
-/// maps them to dense indices.
-struct CellIndex {
-    /// `edge * slots + t → dense index` (`u32::MAX` = unused cell).
-    map: Vec<u32>,
-    /// Capacity per dense cell.
-    caps: Vec<f64>,
-    slots: usize,
+/// The structure of TAA's derandomized walk, which depends only on the
+/// instance: built once with the program, in flat arrays, and read by
+/// every round's walk. A round adds only the capacities and `S = μ·x̂`.
+#[derive(Clone, Debug, Default)]
+struct WalkPlan {
+    /// Edge of each dense `(edge, slot)` cell. Cells are numbered in the
+    /// order the requests' candidate paths first reach them, which is
+    /// the order the estimator's `Σ C_k` is summed in.
+    cell_edge: Vec<u32>,
+    /// Request `i`'s expectation cells, the union of its paths' cells in
+    /// ascending order, are `expect_cells[req_expect[i]..req_expect[i + 1]]`.
+    req_expect: Vec<u32>,
+    expect_cells: Vec<u32>,
+    /// `u64` words of path bits per expectation cell.
+    mask_words: usize,
+    /// Bit `j` of expectation cell `e`'s mask, in word
+    /// `e · mask_words + j / 64`, is set when the request's path `j`
+    /// crosses the cell.
+    path_mask: Vec<u64>,
+    /// The paths whose `μ·x̂` terms sum to expectation cell `e`'s `S`, in
+    /// summation order: `term_paths[term_start[e]..term_start[e + 1]]`.
+    term_start: Vec<u32>,
+    term_paths: Vec<u32>,
 }
 
-impl CellIndex {
-    fn build(instance: &SpmInstance, capacities: &[f64]) -> Self {
+impl WalkPlan {
+    fn new(instance: &SpmInstance) -> Self {
         let slots = instance.num_slots();
-        let mut map = vec![u32::MAX; instance.topology().num_edges() * slots];
-        let mut caps = Vec::new();
+        let max_paths = instance.iter().map(|(_, paths)| paths.len()).max();
+        let mut plan = WalkPlan {
+            mask_words: max_paths.unwrap_or(0).div_ceil(64),
+            req_expect: vec![0],
+            ..WalkPlan::default()
+        };
+        let mut dense = vec![u32::MAX; instance.topology().num_edges() * slots];
+        // `(cell, path)` incidences of one request. The path index rides
+        // in the `f64` slot because an unstable sort's order of equal
+        // keys may depend on the element type: sorting `(u32, f64)` pairs
+        // keeps each cell's `μ·x̂` terms in the order the pinned results
+        // (`tests/golden.rs`) sum them in.
+        let mut incidences: Vec<(u32, f64)> = Vec::new();
         for (r, paths) in instance.iter() {
-            for path in paths {
+            incidences.clear();
+            for (j, path) in paths.iter().enumerate() {
                 for &e in path.edges() {
                     for t in r.start..=r.end {
-                        let idx = e.index() * slots + t;
-                        if map[idx] == u32::MAX {
-                            map[idx] = caps.len() as u32;
-                            caps.push(capacities[e.index()]);
+                        // INDEX: e < num_edges and t ≤ r.end < slots by instance validation.
+                        let cell = &mut dense[e.index() * slots + t];
+                        if *cell == u32::MAX {
+                            *cell = plan.cell_edge.len() as u32;
+                            plan.cell_edge.push(e.index() as u32);
                         }
+                        incidences.push((*cell, f64::from_bits(j as u64)));
                     }
                 }
             }
+            incidences.sort_unstable_by_key(|&(c, _)| c);
+            let first = plan.expect_cells.len();
+            for &(cell, j) in &incidences {
+                if plan.expect_cells.len() == first || plan.expect_cells.last() != Some(&cell) {
+                    plan.expect_cells.push(cell);
+                    plan.term_start.push(plan.term_paths.len() as u32);
+                    plan.path_mask
+                        .resize(plan.path_mask.len() + plan.mask_words, 0);
+                }
+                let j = j.to_bits() as usize;
+                let e = plan.expect_cells.len() - 1;
+                // INDEX: cell e's mask_words words were just appended, and j / 64 < mask_words.
+                plan.path_mask[e * plan.mask_words + j / 64] |= 1 << (j % 64);
+                plan.term_paths.push(j as u32);
+            }
+            plan.req_expect.push(plan.expect_cells.len() as u32);
         }
-        CellIndex { map, caps, slots }
+        plan.term_start.push(plan.term_paths.len() as u32);
+        plan
     }
 
-    fn cell(&self, edge: usize, t: usize) -> usize {
-        // INDEX: edge < num_edges and t < slots, the map's construction domain.
-        self.map[edge * self.slots + t] as usize
+    /// Request `i`'s expectation cells, as indices into `expect_cells`.
+    fn expect(&self, i: usize) -> std::ops::Range<usize> {
+        // INDEX: req_expect holds one boundary per request plus the final one.
+        self.req_expect[i] as usize..self.req_expect[i + 1] as usize
+    }
+
+    /// Whether the request's path `j` crosses expectation cell `e`.
+    fn on_path(&self, e: usize, j: usize) -> bool {
+        // INDEX: mask_words words per expectation cell, and j / 64 < mask_words.
+        self.path_mask[e * self.mask_words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// The dense cells request `i`'s path `j` crosses.
+    fn path_cells(&self, i: usize, j: usize) -> impl Iterator<Item = usize> + '_ {
+        self.expect(i)
+            .filter(move |&e| self.on_path(e, j))
+            .map(|e| self.expect_cells[e] as usize)
+    }
+
+    /// The paths whose `μ·x̂` terms sum to expectation cell `e`'s `S`.
+    fn terms(&self, e: usize) -> &[u32] {
+        // INDEX: term_start holds one boundary per expectation cell plus the final one.
+        &self.term_paths[self.term_start[e] as usize..self.term_start[e + 1] as usize]
     }
 }
 
@@ -161,8 +227,9 @@ pub fn taa(
 ///
 /// The walk itself is inherently sequential (each level conditions on the
 /// previous choice), but the candidate branches at one level are
-/// independent, as is the per-request cell precomputation, so results
-/// are bit-identical for any thread count.
+/// independent, so results are bit-identical for any thread count. The
+/// walk's per-request cell structure comes with `solver`, built once per
+/// instance, so only the branch scoring fans out.
 ///
 /// The relaxation solve runs under the `taa.relax` span, the derandomized
 /// walk under `taa.walk`, LP work counters land in the `lp.*` metrics,
@@ -196,16 +263,23 @@ pub(crate) fn taa_instrumented(
     crate::obs::record_lp_stats(tele, &relaxation.stats);
     crate::obs::record_lp_trace(tele, &relaxation.lp_trace);
     Ok(taa_from_relaxation(
-        instance, capacities, threads, relaxation, tele,
+        instance,
+        capacities,
+        threads,
+        relaxation,
+        &solver.walk,
+        tele,
     ))
 }
 
-/// Scaling + derandomized walk, given an already-solved relaxation.
+/// Scaling + derandomized walk, given an already-solved relaxation and
+/// the instance's walk plan.
 fn taa_from_relaxation(
     instance: &SpmInstance,
     capacities: &[f64],
     threads: usize,
     relaxation: BlspmRelaxation,
+    plan: &WalkPlan,
     tele: &Telemetry,
 ) -> TaaResult {
     let _walk = tele.span(names::SPAN_TAA_WALK);
@@ -251,8 +325,11 @@ fn taa_from_relaxation(
     };
     tele.push(names::TAA_MU, mu);
 
-    let cells = CellIndex::build(instance, capacities);
-    let n_cells = cells.caps.len();
+    let cell_caps: Vec<f64> = plan
+        .cell_edge
+        .iter()
+        .map(|&e| capacities[e as usize])
+        .collect();
     let t_k = (1.0 + (1.0 - mu) / mu).ln(); // = ln(1/μ)
 
     // Revenue-tail parameters: I_S = μ·Î (normalized), γ = D(I_S, 1/(N+1)).
@@ -260,45 +337,6 @@ fn taa_from_relaxation(
     let gamma = chernoff_delta(i_s, 1.0 / (topo.num_edges() as f64 + 1.0)).min(1.0);
     let i_b = i_s * (1.0 - gamma);
     let t_0 = (1.0 + gamma).ln();
-
-    // Per-request precomputation, fanned across workers (each request's
-    // cell sets depend only on the instance and the relaxation, so the
-    // fan-out is invisible in the output).
-    // `cells_of_path[i][j]`: dense cells covered by path j while active.
-    // `expect_cells[i]`: (cell, S_ik) with S_ik = μ Σ_{j crossing k} x̂_ij.
-    let precomputed = parallel::run_indexed(k, threads, |i| {
-        let id = RequestId(i as u32);
-        let r = instance.request(id);
-        let paths = instance.paths(id);
-        let mut per_path = Vec::with_capacity(paths.len());
-        let mut acc: Vec<(u32, f64)> = Vec::new();
-        for (j, path) in paths.iter().enumerate() {
-            let mut cs = Vec::new();
-            for &e in path.edges() {
-                for t in r.start..=r.end {
-                    let c = cells.cell(e.index(), t) as u32;
-                    cs.push(c);
-                    acc.push((c, mu * relaxation.x[i][j]));
-                }
-            }
-            per_path.push(cs);
-        }
-        acc.sort_unstable_by_key(|&(c, _)| c);
-        let mut merged: Vec<(u32, f64)> = Vec::with_capacity(acc.len());
-        for (c, s) in acc {
-            match merged.last_mut() {
-                Some((lc, ls)) if *lc == c => *ls += s,
-                _ => merged.push((c, s)),
-            }
-        }
-        (per_path, merged)
-    });
-    let mut cells_of_path: Vec<Vec<Vec<u32>>> = Vec::with_capacity(k);
-    let mut expect_cells: Vec<Vec<(u32, f64)>> = Vec::with_capacity(k);
-    for (per_path, merged) in precomputed {
-        cells_of_path.push(per_path);
-        expect_cells.push(merged);
-    }
 
     // Estimator state.
     // Revenue product term R = e^{t0·I_B} Π_i f_rev_i.
@@ -324,23 +362,25 @@ fn taa_from_relaxation(
     }
 
     // Constraint terms C_k = e^{−t_k·c̃_k} Π_i f_cons_{i,k}.
-    let mut c_term: Vec<f64> = cells
-        .caps
+    let mut c_term: Vec<f64> = cell_caps
         .iter()
         .map(|&c| (-t_k * c / r_scale).exp())
         .collect();
-    // Current factor of request i in cell k, stored sparsely alongside
-    // `expect_cells` (same order).
-    let mut f_cons: Vec<Vec<f64>> = Vec::with_capacity(k);
-    for i in 0..k {
-        let fs: Vec<f64> = expect_cells[i]
-            .iter()
-            .map(|&(_, s)| 1.0 + s * (a_exp[i] - 1.0))
-            .collect();
-        for (&(cell, _), &f) in expect_cells[i].iter().zip(&fs) {
-            c_term[cell as usize] *= f;
+    // `f_cons[e]`: the current factor of expectation cell `e`'s request
+    // in that cell, initially 1 + S·(a_i − 1) with S = μ Σ_{j crossing} x̂_ij.
+    let mut f_cons: Vec<f64> = Vec::with_capacity(plan.expect_cells.len());
+    for (i, (x, &a)) in relaxation.x.iter().zip(&a_exp).enumerate() {
+        for e in plan.expect(i) {
+            let s = plan
+                .terms(e)
+                .iter()
+                .map(|&j| mu * x[j as usize])
+                .reduce(|s, term| s + term)
+                .unwrap_or(0.0);
+            let f = 1.0 + s * (a - 1.0);
+            c_term[plan.expect_cells[e] as usize] *= f;
+            f_cons.push(f);
         }
-        f_cons.push(fs);
     }
     let mut total_c: f64 = c_term.iter().sum();
     // Initial pessimistic-estimator value at the root of the decision
@@ -348,14 +388,18 @@ fn taa_from_relaxation(
     tele.push(names::TAA_U_ROOT, r_term + total_c);
 
     // Residual feasibility tracking.
-    let mut cell_load = vec![0.0_f64; n_cells];
+    let mut cell_load = vec![0.0_f64; cell_caps.len()];
     let mut schedule = Schedule::decline_all(k);
+    let fits = |cell_load: &[f64], i: usize, j: usize, rate: f64| {
+        plan.path_cells(i, j)
+            .all(|c| cell_load[c] + rate <= cell_caps[c] + 1e-9)
+    };
 
     // Walk the decision tree level by level (Algorithm 2, lines 4–12).
     for i in 0..k {
         let req = instance.request(RequestId(i as u32));
-        let paths = &cells_of_path[i];
-        let num_paths = paths.len();
+        let num_paths = relaxation.x[i].len();
+        let cells = plan.expect(i);
 
         // Evaluate u' for each candidate branch. Option `j < num_paths`
         // routes on path j (`None` when it would overload a cell); option
@@ -364,41 +408,34 @@ fn taa_from_relaxation(
         // worker threads with bit-identical results.
         let eval_option = |opt: usize| -> Option<f64> {
             if opt < num_paths {
-                let pcells = &paths[opt];
                 // Hard feasibility: every cell on the path must fit.
-                let fits = pcells
-                    .iter()
-                    .all(|&c| cell_load[c as usize] + req.rate <= cells.caps[c as usize] + 1e-9);
-                if !fits {
+                if !fits(&cell_load, i, opt, req.rate) {
                     return None;
                 }
                 // u' = R·(g_rev/f_rev) + total_C + Σ_{k affected} C_k·(g/f − 1).
                 let mut u = r_term * (rev_assign[i] / f_rev[i]) + total_c;
                 // Cells in the expectation set change factor: to a_i on
-                // this path's cells, to 1 elsewhere. Path cells outside
-                // the expectation set cannot exist: every path cell
-                // carries S ≥ 0 and is inserted during precompute.
-                for (idx, &(cell, _)) in expect_cells[i].iter().enumerate() {
-                    let on_path = pcells.contains(&cell);
-                    let g = if on_path { a_exp[i] } else { 1.0 };
-                    u += c_term[cell as usize] * (g / f_cons[i][idx] - 1.0);
+                // this path's cells, to 1 elsewhere. Every path cell is
+                // in the expectation set, which is the paths' union.
+                for e in cells.clone() {
+                    let g = if plan.on_path(e, opt) { a_exp[i] } else { 1.0 };
+                    u += c_term[plan.expect_cells[e] as usize] * (g / f_cons[e] - 1.0);
                 }
                 Some(u)
             } else {
                 // Decline: g_rev = 1, every g = 1.
                 let mut u = r_term * (1.0 / f_rev[i]) + total_c;
-                for (idx, &(cell, _)) in expect_cells[i].iter().enumerate() {
-                    u += c_term[cell as usize] * (1.0 / f_cons[i][idx] - 1.0);
+                for e in cells.clone() {
+                    u += c_term[plan.expect_cells[e] as usize] * (1.0 / f_cons[e] - 1.0);
                 }
                 Some(u)
             }
         };
-        let scores: Vec<Option<f64>> =
-            if threads > 1 && expect_cells[i].len() >= PARALLEL_EVAL_MIN_CELLS {
-                parallel::run_indexed(num_paths + 1, threads, eval_option)
-            } else {
-                (0..=num_paths).map(eval_option).collect()
-            };
+        let scores: Vec<Option<f64>> = if threads > 1 && cells.len() >= PARALLEL_EVAL_MIN_CELLS {
+            parallel::run_indexed(num_paths + 1, threads, eval_option)
+        } else {
+            (0..=num_paths).map(eval_option).collect()
+        };
 
         // Strict minimum wins, paths scanned first, so ties favor earlier
         // (cheaper) paths and routing beats an equal-score decline.
@@ -428,31 +465,30 @@ fn taa_from_relaxation(
                 let ratio = rev_assign[i] / f_rev[i];
                 r_term *= ratio;
                 f_rev[i] = rev_assign[i];
-                for idx in 0..expect_cells[i].len() {
-                    let (cell, _) = expect_cells[i][idx];
-                    let on_path = paths[j].contains(&cell);
-                    let g = if on_path { a_exp[i] } else { 1.0 };
-                    let old = c_term[cell as usize];
-                    let new = old * g / f_cons[i][idx];
-                    c_term[cell as usize] = new;
+                for e in cells {
+                    let g = if plan.on_path(e, j) { a_exp[i] } else { 1.0 };
+                    let cell = plan.expect_cells[e] as usize;
+                    let old = c_term[cell];
+                    let new = old * g / f_cons[e];
+                    c_term[cell] = new;
                     total_c += new - old;
-                    f_cons[i][idx] = g;
+                    f_cons[e] = g;
                 }
-                for &c in &paths[j] {
-                    cell_load[c as usize] += req.rate;
+                for c in plan.path_cells(i, j) {
+                    cell_load[c] += req.rate;
                 }
             }
             None => {
                 let ratio = 1.0 / f_rev[i];
                 r_term *= ratio;
                 f_rev[i] = 1.0;
-                for idx in 0..expect_cells[i].len() {
-                    let (cell, _) = expect_cells[i][idx];
-                    let old = c_term[cell as usize];
-                    let new = old / f_cons[i][idx];
-                    c_term[cell as usize] = new;
+                for e in cells {
+                    let cell = plan.expect_cells[e] as usize;
+                    let old = c_term[cell];
+                    let new = old / f_cons[e];
+                    c_term[cell] = new;
                     total_c += new - old;
-                    f_cons[i][idx] = 1.0;
+                    f_cons[e] = 1.0;
                 }
             }
         }
@@ -471,15 +507,11 @@ fn taa_from_relaxation(
             .total_cmp(&instance.requests()[a].value)
     });
     for i in by_value {
-        let req = instance.request(RequestId(i as u32));
-        let fit = cells_of_path[i].iter().position(|pcells| {
-            pcells
-                .iter()
-                .all(|&c| cell_load[c as usize] + req.rate <= cells.caps[c as usize] + 1e-9)
-        });
+        let rate = instance.request(RequestId(i as u32)).rate;
+        let fit = (0..relaxation.x[i].len()).find(|&j| fits(&cell_load, i, j, rate));
         if let Some(j) = fit {
-            for &c in &cells_of_path[i][j] {
-                cell_load[c as usize] += req.rate;
+            for c in plan.path_cells(i, j) {
+                cell_load[c] += rate;
             }
             schedule.set(RequestId(i as u32), Some(j));
         }
@@ -510,6 +542,13 @@ fn taa_from_relaxation(
 /// and cold solves reach the same optimum **value**, but may stop at
 /// different tied vertices.
 ///
+/// Next to the program the solver builds TAA's walk plan: the part of
+/// the derandomized walk that depends only on the instance (the dense
+/// `(edge, slot)` cell numbering, each request's cells and which of its
+/// paths cross each one). Every TAA round run with this solver reads
+/// it, so a round computes only what its capacities and relaxation
+/// change.
+///
 /// # Examples
 ///
 /// ```
@@ -539,14 +578,17 @@ pub struct BlspmSolver {
     /// `(edge index, load row)` for every (edge, slot) cell with a row.
     cell_rows: Vec<(usize, RowId)>,
     num_edges: usize,
+    /// TAA's walk structure for this instance.
+    walk: WalkPlan,
     /// The last solve's optimal basis; `None` before the first solve and
     /// after [`BlspmSolver::reset_basis`].
     basis: Option<Basis>,
 }
 
 impl BlspmSolver {
-    /// Builds the fixed-structure program for `instance`. Load rows start
-    /// with zero capacity; [`BlspmSolver::solve`] sets the real ones.
+    /// Builds the fixed-structure program for `instance`, and TAA's walk
+    /// plan next to it. Load rows start with zero capacity;
+    /// [`BlspmSolver::solve`] sets the real ones.
     pub fn new(instance: &SpmInstance) -> Self {
         let mut p = Problem::new(Sense::Maximize);
         let mut xvars: Vec<Vec<VarId>> = Vec::with_capacity(instance.num_requests());
@@ -567,6 +609,7 @@ impl BlspmSolver {
             xvars,
             cell_rows,
             num_edges: instance.topology().num_edges(),
+            walk: WalkPlan::new(instance),
             basis: None,
         }
     }
@@ -811,6 +854,34 @@ mod tests {
                 .unwrap_or_else(|v| panic!("cap {cap}: {v}"));
             assert!(res.evaluation.revenue <= res.relaxation.revenue + 1e-6);
         }
+    }
+
+    #[test]
+    fn one_walk_plan_serves_every_round() {
+        // The plan built with the solver must walk each capacity vector
+        // exactly as a plan built for that vector alone would.
+        let inst = instance(80, 11);
+        let edges = inst.topology().num_edges();
+        let opts = TaaOptions::default();
+        let mut solver = BlspmSolver::new(&inst);
+        let mut declined_some = false;
+        for base in [4.0, 2.0, 1.5, 1.0, 0.75] {
+            let caps: Vec<f64> = (0..edges)
+                .map(|e| base * (1.0 + (e % 3) as f64 * 0.5))
+                .collect();
+            solver.reset_basis();
+            let reused =
+                taa_instrumented(&inst, &caps, &opts, 1, &mut solver, &Telemetry::disabled())
+                    .unwrap();
+            let fresh = taa(&inst, &caps, &opts).unwrap();
+            assert_eq!(reused.schedule, fresh.schedule, "base {base}");
+            assert_eq!(reused.mu.map(f64::to_bits), fresh.mu.map(f64::to_bits));
+            let bits = |e: &Evaluation| [e.revenue, e.cost, e.profit].map(f64::to_bits);
+            assert_eq!(bits(&reused.evaluation), bits(&fresh.evaluation));
+            assert!(reused.mu.is_some(), "base {base}: the walk runs");
+            declined_some |= reused.schedule.num_accepted() < 80;
+        }
+        assert!(declined_some, "some round must decline a request");
     }
 
     #[test]

@@ -425,6 +425,13 @@ impl LuFactors {
         }
     }
 
+    /// These factors without the elimination workspace: the part worth
+    /// keeping once the solve that built them is over.
+    pub(crate) fn without_workspace(mut self) -> Self {
+        self.work = Workspace::default();
+        self
+    }
+
     /// Nonzeros stored in the `L` factor (off-diagonal).
     pub(crate) fn l_nnz(&self) -> usize {
         self.l.nnz()
@@ -493,6 +500,11 @@ impl EtaFile {
     /// Drops all updates (after a refactorization).
     pub(crate) fn clear(&mut self) {
         self.etas.clear();
+    }
+
+    /// Whether no update was appended since the last refactorization.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.etas.is_empty()
     }
 
     /// Records the pivot that replaced basis slot `slot` with the column

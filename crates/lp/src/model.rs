@@ -332,7 +332,7 @@ impl Problem {
 
     /// The standard-form matrix `[A | I]` and its transpose, built in
     /// one counting pass over the entries on first use.
-    pub(crate) fn standard_form(&self) -> &StandardForm {
+    pub(crate) fn standard_form(&self) -> &Arc<StandardForm> {
         self.standard.get_or_init(|| {
             let m = self.rows.len();
             let mut a = CscMatrix::from_triplets(m, self.vars.len(), &self.entries);

@@ -53,11 +53,12 @@
 //!   from the slack basis, and transportation-style LPs fall back.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use crate::error::SolveError;
 use crate::factor::{EtaFile, LuFactors};
 use crate::matrix::CscMatrix;
-use crate::model::{Problem, Relation, Sense};
+use crate::model::{Problem, Relation, Sense, StandardForm};
 use crate::solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
 
 /// How the simplex represents (the inverse of) the basis matrix.
@@ -113,12 +114,25 @@ pub struct SolveOptions {
 /// sides or costs edited in place (the re-solve pattern of a
 /// fixed-structure program). Opaque; obtain one from
 /// [`Problem::solve_with_basis`].
+///
+/// A basis may also carry the sparse LU factors of its own basis matrix.
+/// It does so only when they are a fresh factorization of exactly that
+/// basis: the solve that produced it made no pivot after its last
+/// refactorization and added no artificial column. A warm start from
+/// it on a problem that shares the same cached standard form (a
+/// re-solve after editing bounds, right-hand sides or costs, or a
+/// clone of such a problem) copies those factors instead of
+/// refactorizing. The factorization is deterministic in the matrix and
+/// the basis, so this saves time and changes no result; any other
+/// problem refactorizes as usual.
 #[derive(Clone, Debug)]
 pub struct Basis {
     /// Status of every structural variable and slack (artificials are
     /// never snapshotted).
     state: Vec<VarState>,
     n_struct: usize,
+    /// Fresh LU factors of this basis and the standard form they factor.
+    factors: Option<(Arc<StandardForm>, LuFactors)>,
 }
 
 impl Problem {
@@ -171,17 +185,16 @@ impl Problem {
     ) -> Result<(Solution, Basis), SolveError> {
         if let Some(basis) = warm {
             let mut s = Simplex::new(self, options);
-            if let Ok(done) = s.run_from_basis(basis) {
-                if self.certify_if_requested(options, &done.0).is_ok() {
-                    return Ok(done);
+            if let Ok(solution) = s.run_from_basis(basis) {
+                if self.certify_if_requested(options, &solution).is_ok() {
+                    return Ok((solution, s.into_basis()));
                 }
             }
         }
         let mut s = Simplex::new(self, options);
         let solution = s.run()?;
         self.certify_if_requested(options, &solution)?;
-        let basis = s.snapshot();
-        Ok((solution, basis))
+        Ok((solution, s.into_basis()))
     }
 
     /// Runs [`crate::verify`] on a freshly produced solution when
@@ -210,6 +223,9 @@ enum VarState {
 }
 
 struct Simplex<'p> {
+    /// The problem's cached standard form, which `a` and `at` borrow
+    /// until phase 1 appends artificials.
+    standard: &'p Arc<StandardForm>,
     /// Full standard-form matrix: structural | slacks | artificials.
     /// Borrowed from the problem's cache; owned once phase 1 appends
     /// artificials.
@@ -229,6 +245,9 @@ struct Simplex<'p> {
     basis: Vec<u32>,
     /// Basis representation: dense explicit inverse or sparse LU + etas.
     repr: BasisRepr,
+    /// The basis the sparse LU factors were last computed for (empty
+    /// before the first factorization and after a failed one).
+    factored: Vec<u32>,
     /// Values of basic variables, per row.
     xb: Vec<f64>,
 
@@ -348,6 +367,7 @@ impl<'p> Simplex<'p> {
         };
 
         Simplex {
+            standard,
             a: Cow::Borrowed(&standard.a),
             at: Cow::Borrowed(&standard.at),
             d: vec![0.0; n + m],
@@ -361,6 +381,7 @@ impl<'p> Simplex<'p> {
             state: Vec::new(),
             basis: Vec::new(),
             repr,
+            factored: Vec::new(),
             xb: Vec::new(),
             opts: *opts,
             iterations: 0,
@@ -683,11 +704,15 @@ impl<'p> Simplex<'p> {
         false
     }
 
-    /// Snapshots the current basis over structural + slack columns.
+    /// Snapshots the final basis over structural + slack columns.
     /// Rows whose basic variable is an artificial are remapped to their
     /// slack when possible; when not, the snapshot is unusable and a
     /// warm start from it will fall back to a cold start.
-    fn snapshot(&self) -> Basis {
+    ///
+    /// The sparse LU factors go with the snapshot when they are a fresh
+    /// factorization of exactly this basis: no pivot since the last
+    /// refactorization and no artificial column.
+    fn into_basis(self) -> Basis {
         let nm = self.n_struct + self.n_slack;
         let mut state: Vec<VarState> = self.state[..nm].to_vec();
         for (r, &bj) in self.basis.iter().enumerate() {
@@ -698,18 +723,29 @@ impl<'p> Simplex<'p> {
                 }
             }
         }
+        let fresh = matches!(self.a, Cow::Borrowed(_)) && self.factored == self.basis;
+        let factors = match self.repr {
+            BasisRepr::Sparse { lu, etas } if fresh && etas.is_empty() => {
+                Some((Arc::clone(self.standard), lu.without_workspace()))
+            }
+            _ => None,
+        };
         Basis {
             state,
             n_struct: self.n_struct,
+            factors,
         }
     }
 
     /// Attempts a warm-started solve from a snapshotted basis: restore →
-    /// dual simplex (restores primal feasibility) → primal simplex.
+    /// dual simplex (restores primal feasibility) → primal simplex. The
+    /// restored basis reuses the snapshot's kept LU factors when they
+    /// factor this problem's standard form, and is refactorized
+    /// otherwise.
     ///
     /// Errors other than `Infeasible`/`Unbounded` mean "basis unusable";
     /// the caller cold-starts.
-    fn run_from_basis(&mut self, warm: &Basis) -> Result<(Solution, Basis), SolveError> {
+    fn run_from_basis(&mut self, warm: &Basis) -> Result<Solution, SolveError> {
         let m = self.m();
         let nm = self.n_struct + self.n_slack;
         if warm.n_struct != self.n_struct || warm.state.len() != nm {
@@ -762,7 +798,20 @@ impl<'p> Simplex<'p> {
             *binv = vec![0.0; m * m];
         }
         self.xb = vec![0.0; m];
-        self.refresh()?; // factorizes B and recomputes xb
+        match (&mut self.repr, &warm.factors) {
+            (BasisRepr::Sparse { lu, .. }, Some((standard, kept)))
+                if Arc::ptr_eq(standard, self.standard) =>
+            {
+                // `kept` is what factorizing this basis of this matrix
+                // would compute again.
+                lu.clone_from(kept);
+                self.lu_l_nnz = lu.l_nnz();
+                self.lu_u_nnz = lu.u_nnz();
+                self.factored.clone_from(&self.basis);
+                self.compute_xb();
+            }
+            _ => self.refresh()?, // factorizes B and recomputes xb
+        }
 
         // The warm basis must be dual-feasible (reduced costs consistent
         // with the nonbasic statuses); bound changes preserve this, other
@@ -775,9 +824,7 @@ impl<'p> Simplex<'p> {
         self.dual_optimize()?;
         // Polish with the primal (usually zero pivots).
         self.optimize()?;
-        let solution = self.extract_solution()?;
-        let basis = self.snapshot();
-        Ok((solution, basis))
+        self.extract_solution()
     }
 
     /// Whether every nonbasic reduced cost is consistent with its status.
@@ -1185,13 +1232,16 @@ impl<'p> Simplex<'p> {
             repr,
             a,
             basis,
+            factored,
             lu_l_nnz,
             lu_u_nnz,
             ..
         } = self;
         match repr {
             BasisRepr::Sparse { lu, etas } => {
+                factored.clear();
                 lu.factor(a, basis, 1e-12)?;
+                factored.clone_from(basis);
                 etas.clear();
                 *lu_l_nnz = lu.l_nnz();
                 *lu_u_nnz = lu.u_nnz();
@@ -1400,7 +1450,13 @@ impl<'p> Simplex<'p> {
             BasisBackend::Dense => self.refresh_dense()?,
             BasisBackend::SparseLu => self.factorize_sparse()?,
         }
-        // xb = B^{-1} (b − N x_N)
+        self.compute_xb();
+        Ok(())
+    }
+
+    /// Recomputes the basic values `xb = B⁻¹ (b − N x_N)` from a basis
+    /// representation with an empty eta file.
+    fn compute_xb(&mut self) {
         let mut resid = self.rhs.clone();
         for (j, &st) in self.state.iter().enumerate() {
             if matches!(st, VarState::Basic(_)) {
@@ -1427,11 +1483,10 @@ impl<'p> Simplex<'p> {
                 }
             }
             BasisRepr::Sparse { lu, .. } => {
-                // The eta file was just cleared; the factors alone are B.
+                // The eta file is empty; the factors alone are B.
                 lu.ftran(&resid, xb, lubuf);
             }
         }
-        Ok(())
     }
 
     /// Recomputes the dense explicit `B⁻¹` by Gauss-Jordan elimination.
@@ -1501,7 +1556,7 @@ impl<'p> Simplex<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Problem, Relation, RowId, Sense, StandardForm, VarId};
+    use crate::model::{Problem, Relation, RowId, Sense, VarId};
     use rand::Rng;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -2252,6 +2307,105 @@ mod tests {
         assert_close(sol.objective(), 11.0); // y = 5, x = 1
     }
 
+    /// `classic_2d_max` with `c` as the coefficient of `y` in its last
+    /// row, and its row ids. Its optimal basis, `{x, y, s₁}`, stays
+    /// optimal for `c ∈ [2, 3)`.
+    fn classic_lp(c: f64) -> (Problem, Vec<RowId>) {
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var(3.0, 0.0, f64::INFINITY);
+        let y = p.add_var(5.0, 0.0, f64::INFINITY);
+        let rows = vec![
+            p.add_constraint([(x, 1.0)], Relation::Le, 4.0),
+            p.add_constraint([(y, 2.0)], Relation::Le, 12.0),
+            p.add_constraint([(x, 3.0), (y, c)], Relation::Le, 18.0),
+        ];
+        (p, rows)
+    }
+
+    /// A basis that carries fresh factors: the warm re-solve of an
+    /// unchanged problem pivots zero times after its refactorization.
+    fn basis_with_factors(p: &Problem, opts: &SolveOptions) -> Basis {
+        let (_, cold) = p.solve_with_basis(opts, None).unwrap();
+        let (again, basis) = p.solve_with_basis(opts, Some(&cold)).unwrap();
+        assert!(again.stats().warm_started);
+        assert_eq!(again.iterations(), 0);
+        assert!(
+            basis.factors.is_some(),
+            "no pivot since the refactorization"
+        );
+        basis
+    }
+
+    #[test]
+    fn kept_factors_give_the_same_bits_as_a_refactorization() {
+        let (mut p, rows) = classic_lp(2.0);
+        let opts = SolveOptions::default();
+        let kept = basis_with_factors(&p, &opts);
+        let mut stripped = kept.clone();
+        stripped.factors = None;
+        // A right-hand-side edit keeps the standard form, and so the
+        // factors, but moves the optimum (y = 10 would need x < 0): the
+        // warm solves must pivot.
+        p.set_rhs(rows[1], 20.0);
+        let (reused, _) = p.solve_with_basis(&opts, Some(&kept)).unwrap();
+        let (refactored, _) = p.solve_with_basis(&opts, Some(&stripped)).unwrap();
+        assert!(reused.stats().warm_started && refactored.stats().warm_started);
+        assert!(reused.iterations() > 0, "the edit moves the optimum");
+        assert_eq!(reused.stats().refreshes + 1, refactored.stats().refreshes);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(reused.values()), bits(refactored.values()));
+        assert_eq!(
+            reused.objective().to_bits(),
+            refactored.objective().to_bits()
+        );
+        assert_eq!(
+            bits(reused.duals().unwrap()),
+            bits(refactored.duals().unwrap())
+        );
+        assert_eq!(reused.iterations(), refactored.iterations());
+    }
+
+    #[test]
+    fn factors_of_another_problem_are_never_reused() {
+        let opts = SolveOptions {
+            verify: true,
+            ..SolveOptions::default()
+        };
+        // Same shape, other coefficients: the same basis is optimal for
+        // both, but its matrix differs. Reusing `p`'s factors would put
+        // `q` at `p`'s vertex (2, 6), which violates `q`'s last row.
+        let (p, _) = classic_lp(2.0);
+        let (q, _) = classic_lp(2.5);
+        let foreign = basis_with_factors(&p, &opts);
+        let (warm, _) = q.solve_with_basis(&opts, Some(&foreign)).unwrap();
+        let cold = q.solve_with(&opts).unwrap();
+        assert!(warm.stats().warm_started);
+        assert_eq!(warm.stats().refreshes, 1, "the warm start refactorized");
+        crate::verify::verify(&q, &warm, TOL * 10.0).unwrap();
+        assert_close(warm.objective(), cold.objective());
+    }
+
+    #[test]
+    fn a_basis_with_basic_artificials_carries_no_factors() {
+        // x + y = 2 and its double, with x, y ≤ 1: the crash finds no
+        // column for the first row, and phase 1 leaves an artificial of
+        // the redundant pair basic at zero.
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var(1.0, 0.0, 1.0);
+        let y = p.add_var(1.0, 0.0, 1.0);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 2.0);
+        p.add_constraint([(x, 2.0), (y, 2.0)], Relation::Eq, 4.0);
+        let mut s = Simplex::new(&p, &SolveOptions::default());
+        let sol = s.run().unwrap();
+        assert_close(sol.objective(), 2.0);
+        let nm = s.n_struct + s.n_slack;
+        assert!(s.basis.iter().any(|&bj| bj as usize >= nm));
+        // Even factors fresh for this basis stay behind: the snapshot
+        // swaps the artificial for its row's slack.
+        s.refresh().unwrap();
+        assert!(s.into_basis().factors.is_none());
+    }
+
     #[test]
     fn a_silent_cold_restart_counts_as_cold() {
         let mut p = Problem::new(Sense::Maximize);
@@ -2321,10 +2475,10 @@ mod tests {
             for opts in backends() {
                 let mut p = build(seed);
                 let (_, basis) = p.solve_with_basis(&opts, None).unwrap();
-                let cached: *const StandardForm = p.standard_form();
+                let cached = Arc::as_ptr(p.standard_form());
                 edit(&mut p, 100 + seed);
                 assert!(
-                    std::ptr::eq(cached, p.standard_form()),
+                    std::ptr::eq(cached, Arc::as_ptr(p.standard_form())),
                     "edits keep the form"
                 );
                 let mut fresh = build(seed);

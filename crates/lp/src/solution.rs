@@ -19,7 +19,9 @@ pub struct SolveStats {
     pub dual_iterations: usize,
     /// Ratio tests that ended in a bound flip instead of a pivot.
     pub bound_flips: usize,
-    /// Basis refactorizations (periodic refresh plus warm-start setup).
+    /// Basis refactorizations (periodic refresh plus warm-start setup; a
+    /// warm start that reuses its [`Basis`](crate::Basis)'s kept LU
+    /// factors does not count).
     pub refreshes: usize,
     /// Whether this solve reoptimized from a supplied basis rather than
     /// starting cold.

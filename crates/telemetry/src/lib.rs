@@ -78,7 +78,8 @@ pub mod names {
     pub const LP_SIMPLEX_DUAL: &str = "lp.simplex.dual_iterations";
     /// Counter: bound-flip ratio-test outcomes.
     pub const LP_SIMPLEX_BOUND_FLIPS: &str = "lp.simplex.bound_flips";
-    /// Counter: basis refactorizations.
+    /// Counter: basis refactorizations (a warm start that reuses kept
+    /// LU factors does not count).
     pub const LP_SIMPLEX_REFRESHES: &str = "lp.simplex.refactorizations";
     /// Counter: product-form eta updates between refactorizations
     /// (sparse LU backend).

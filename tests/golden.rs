@@ -13,7 +13,7 @@
 //! degenerate zero-profit/zero-accepted outcome, which would regress
 //! nothing.
 
-use metis_suite::core::{metis, MetisConfig, SpmInstance};
+use metis_suite::core::{metis, online_metis, MetisConfig, OnlineOptions, SpmInstance};
 use metis_suite::netsim::topologies;
 use metis_suite::workload::{generate, ValueModel, WorkloadConfig};
 
@@ -32,6 +32,15 @@ const GOLDEN_WARM_PROFIT: f64 = 15.297028551237;
 const GOLDEN_WARM_ACCEPTED: usize = 35;
 
 const TOL: f64 = 1e-6;
+
+/// Bit pattern of the warm pipeline's profit (15.297028551237261).
+const GOLDEN_WARM_PROFIT_BITS: u64 = 0x402e_9814_2053_15a8;
+/// Simplex iterations of every round of the warm pipeline, in order
+/// (MAA, TAA, MAA, …): round 1 of each phase is cold, later ones warm.
+const GOLDEN_WARM_LP_ITERATIONS: [usize; 13] = [35, 45, 0, 4, 1, 5, 12, 4, 3, 1, 0, 7, 4];
+/// Bit pattern of the warm four-epoch online run's profit
+/// (6.976825227866442).
+const GOLDEN_ONLINE_WARM_PROFIT_BITS: u64 = 0x401b_e844_df5e_6060;
 
 fn fixture() -> SpmInstance {
     let topo = topologies::b4();
@@ -77,6 +86,42 @@ fn golden_b4_forty_requests() {
         (cold.evaluation.profit - (cold.evaluation.revenue - cold.evaluation.cost)).abs() < 1e-9
     );
     assert!(cold.evaluation.profit >= 0.0 && warm.evaluation.profit >= 0.0);
+}
+
+/// The warm pipeline pinned to the bit, pivots included: a change that
+/// only makes warm re-solves cheaper must leave every number here alone.
+#[test]
+fn golden_b4_forty_requests_warm_bits() {
+    let inst = fixture();
+    let warm = MetisConfig {
+        warm_start: true,
+        ..MetisConfig::with_theta(THETA)
+    };
+    let run = metis(&inst, &warm).unwrap();
+    assert_eq!(
+        run.evaluation.profit.to_bits(),
+        GOLDEN_WARM_PROFIT_BITS,
+        "warm profit {} moved",
+        run.evaluation.profit
+    );
+    assert_eq!(run.evaluation.accepted, GOLDEN_WARM_ACCEPTED);
+    let iterations: Vec<usize> = run.round_trace.iter().map(|t| t.lp_iterations).collect();
+    assert_eq!(iterations, GOLDEN_WARM_LP_ITERATIONS);
+
+    let online = online_metis(
+        &inst,
+        &OnlineOptions {
+            epochs: 4,
+            metis: warm,
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        online.evaluation.profit.to_bits(),
+        GOLDEN_ONLINE_WARM_PROFIT_BITS,
+        "online warm profit {} moved",
+        online.evaluation.profit
+    );
 }
 
 /// Same fixture, with the LP basis backend pinned explicitly on both
