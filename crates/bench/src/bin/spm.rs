@@ -343,16 +343,10 @@ fn main() {
             }
         });
 
-    let mut config = MetisConfig {
+    let config = MetisConfig {
         audit: args.audit,
         ..MetisConfig::with_theta(scenario.theta)
     };
-    if want_tele {
-        // Per-iteration LP traces are read-only observation: the pivot
-        // sequence (and therefore the schedule) is unchanged.
-        config.maa.lp.trace = true;
-        config.taa.lp.trace = true;
-    }
     let mut result = metis_instrumented(&instance, &config, &FaultPlan::none(), &tele)
         .unwrap_or_else(|e| {
             eprintln!("metis failed: {e}");

@@ -123,7 +123,6 @@ pub fn rounding_repeats_sweep(options: &AblationOptions) -> Table {
                 &MaaOptions {
                     rounding_repeats: repeats,
                     seed,
-                    ..MaaOptions::default()
                 },
             )
             .expect("maa");

@@ -15,7 +15,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use metis_baselines::{amoeba, mincost, mincost_exclusive_evaluation, opt_rlspm};
-use metis_core::{maa, taa, MaaOptions, RlspmSolver, SpmInstance, TaaOptions};
+use metis_core::{maa, taa, MaaOptions, RlspmSolver, SpmInstance};
 use metis_lp::{IlpOptions, SolveOptions};
 use metis_netsim::{topologies, Topology};
 use metis_workload::{generate, WorkloadConfig};
@@ -105,7 +105,6 @@ pub fn run_cost(options: &Fig4Options) -> Table {
                 &MaaOptions {
                     rounding_repeats: options.maa_repeats,
                     seed,
-                    ..MaaOptions::default()
                 },
             )
             .expect("maa");
@@ -232,7 +231,7 @@ pub fn run_revenue(options: &Fig4Options) -> (Table, Table) {
             let requests = generate(&topo, &WorkloadConfig::paper(k, seed));
             let instance = SpmInstance::new(topo, requests, 12, 3);
             let caps = vec![options.capacity_units; instance.topology().num_edges()];
-            let t = taa(&instance, &caps, &TaaOptions::default()).expect("taa");
+            let t = taa(&instance, &caps).expect("taa");
             let a = amoeba(&instance, &caps).evaluate(&instance);
             (
                 t.evaluation.revenue,

@@ -20,7 +20,7 @@
 //! (the estimator then only steers revenue).
 
 use metis_lp::{
-    Basis, LpTrace, Problem, Relation, RowId, Sense, SolveError, SolveOptions, SolveStats, VarId,
+    Basis, Problem, Relation, RowId, Sense, SolveError, SolveOptions, SolveStats, VarId,
 };
 use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
@@ -35,13 +35,6 @@ use crate::schedule::{Evaluation, Schedule};
 /// that, thread handoff costs more than the arithmetic it distributes.
 const PARALLEL_EVAL_MIN_CELLS: usize = 64;
 
-/// Options for [`taa`].
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub struct TaaOptions {
-    /// LP solver options.
-    pub lp: SolveOptions,
-}
-
 /// Fractional optimum of the relaxed BL-SPM.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BlspmRelaxation {
@@ -52,9 +45,6 @@ pub struct BlspmRelaxation {
     pub revenue: f64,
     /// Work counters from the LP solve that produced this relaxation.
     pub stats: SolveStats,
-    /// Per-iteration simplex trace (empty unless
-    /// [`SolveOptions::trace`] was set on the LP options).
-    pub lp_trace: LpTrace,
 }
 
 /// Result of one TAA run.
@@ -177,7 +167,8 @@ impl WalkPlan {
 }
 
 /// Runs TAA: relax → scale by `μ` → derandomized decision-tree walk.
-/// The relaxation is one cold solve of a fresh [`BlspmSolver`].
+/// The relaxation is one cold solve of a fresh [`BlspmSolver`] under the
+/// default [`SolveOptions`].
 ///
 /// The returned schedule respects `capacities` at every `(edge, slot)`.
 ///
@@ -192,7 +183,7 @@ impl WalkPlan {
 /// # Examples
 ///
 /// ```
-/// use metis_core::{taa, SpmInstance, TaaOptions};
+/// use metis_core::{taa, SpmInstance};
 /// use metis_netsim::topologies;
 /// use metis_workload::{generate, WorkloadConfig};
 ///
@@ -200,20 +191,16 @@ impl WalkPlan {
 /// let requests = generate(&topo, &WorkloadConfig::paper(30, 5));
 /// let caps = vec![10.0; topo.num_edges()]; // 100 Gbps per link
 /// let instance = SpmInstance::new(topo, requests, 12, 3);
-/// let result = taa(&instance, &caps, &TaaOptions::default())?;
+/// let result = taa(&instance, &caps)?;
 /// assert!(result.schedule.check_capacities(&instance, &caps).is_ok());
 /// assert!(result.evaluation.revenue <= result.relaxation.revenue + 1e-6);
 /// # Ok::<(), metis_lp::SolveError>(())
 /// ```
-pub fn taa(
-    instance: &SpmInstance,
-    capacities: &[f64],
-    options: &TaaOptions,
-) -> Result<TaaResult, SolveError> {
+pub fn taa(instance: &SpmInstance, capacities: &[f64]) -> Result<TaaResult, SolveError> {
     taa_instrumented(
         instance,
         capacities,
-        options,
+        &SolveOptions::default(),
         1,
         &mut BlspmSolver::new(instance),
         &Telemetry::disabled(),
@@ -221,9 +208,10 @@ pub fn taa(
 }
 
 /// Runs TAA like [`taa`] with the walk's independent work fanned across
-/// `threads` workers, solving the relaxation with `solver` and recording
-/// telemetry into `tele`. The solver's kept basis, if any, warm-starts
-/// the relaxation (the Metis alternation rounds).
+/// `threads` workers, solving the relaxation with `solver` under
+/// `lp_options` and recording telemetry into `tele`. The solver's kept
+/// basis, if any, warm-starts the relaxation (the Metis alternation
+/// rounds).
 ///
 /// The walk itself is inherently sequential (each level conditions on the
 /// previous choice), but the candidate branches at one level are
@@ -249,19 +237,18 @@ pub fn taa(
 pub(crate) fn taa_instrumented(
     instance: &SpmInstance,
     capacities: &[f64],
-    options: &TaaOptions,
+    lp_options: &SolveOptions,
     threads: usize,
     solver: &mut BlspmSolver,
     tele: &Telemetry,
 ) -> Result<TaaResult, SolveError> {
     let relaxation = {
         let mut relax = tele.span(names::SPAN_TAA_RELAX);
-        let relaxation = solver.solve(capacities, &options.lp)?;
+        let relaxation = solver.solve(capacities, lp_options)?;
         relax.arg(names::ARG_LP_ITERATIONS, relaxation.stats.iterations as f64);
         relaxation
     };
     crate::obs::record_lp_stats(tele, &relaxation.stats);
-    crate::obs::record_lp_trace(tele, &relaxation.lp_trace);
     Ok(taa_from_relaxation(
         instance,
         capacities,
@@ -648,7 +635,6 @@ impl BlspmSolver {
             x,
             revenue: sol.objective(),
             stats: *sol.stats(),
-            lp_trace: sol.trace().clone(),
         })
     }
 
@@ -689,7 +675,7 @@ mod tests {
     fn generous_capacity_accepts_everything() {
         let inst = instance(20, 2);
         let caps = vec![1000.0; inst.topology().num_edges()];
-        let res = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let res = taa(&inst, &caps).unwrap();
         assert_eq!(
             res.schedule.num_accepted(),
             20,
@@ -703,7 +689,7 @@ mod tests {
         for seed in 0..4 {
             let inst = instance(60, seed);
             let caps = vec![2.0; inst.topology().num_edges()];
-            let res = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+            let res = taa(&inst, &caps).unwrap();
             res.schedule
                 .check_capacities(&inst, &caps)
                 .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
@@ -714,7 +700,7 @@ mod tests {
     fn zero_capacity_declines_all() {
         let inst = instance(10, 3);
         let caps = vec![0.0; inst.topology().num_edges()];
-        let res = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let res = taa(&inst, &caps).unwrap();
         assert_eq!(res.schedule.num_accepted(), 0);
         assert_eq!(res.mu, None);
         assert_eq!(res.evaluation.revenue, 0.0);
@@ -728,7 +714,7 @@ mod tests {
         // Some(1e-12) factor the old select_mu returned.
         let inst = instance(10, 3);
         let caps = vec![0.05; inst.topology().num_edges()];
-        let res = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let res = taa(&inst, &caps).unwrap();
         assert_eq!(res.mu, None, "no μ satisfies inequality (6) at c ≈ 0.1");
         assert_eq!(res.schedule.num_accepted(), 0);
         assert_eq!(res.evaluation.revenue, 0.0);
@@ -739,7 +725,7 @@ mod tests {
     fn revenue_bounded_by_relaxation() {
         let inst = instance(40, 4);
         let caps = vec![5.0; inst.topology().num_edges()];
-        let res = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let res = taa(&inst, &caps).unwrap();
         assert!(res.evaluation.revenue <= res.relaxation.revenue + 1e-6);
         assert!(res.mu.unwrap() > 0.0 && res.mu.unwrap() < 1.0);
     }
@@ -748,7 +734,7 @@ mod tests {
     fn tight_capacity_declines_some() {
         let inst = instance(80, 5);
         let caps = vec![1.0; inst.topology().num_edges()];
-        let res = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let res = taa(&inst, &caps).unwrap();
         assert!(res.schedule.num_accepted() < 80);
         assert!(res.schedule.num_accepted() > 0);
     }
@@ -757,8 +743,8 @@ mod tests {
     fn deterministic() {
         let inst = instance(30, 6);
         let caps = vec![3.0; inst.topology().num_edges()];
-        let a = taa(&inst, &caps, &TaaOptions::default()).unwrap();
-        let b = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let a = taa(&inst, &caps).unwrap();
+        let b = taa(&inst, &caps).unwrap();
         assert_eq!(a.schedule, b.schedule);
     }
 
@@ -766,12 +752,12 @@ mod tests {
     fn parallel_walk_bit_identical_across_thread_counts() {
         let inst = instance(40, 8);
         let caps = vec![3.0; inst.topology().num_edges()];
-        let serial = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let serial = taa(&inst, &caps).unwrap();
         for threads in [2, 8] {
             let par = taa_instrumented(
                 &inst,
                 &caps,
-                &TaaOptions::default(),
+                &SolveOptions::default(),
                 threads,
                 &mut BlspmSolver::new(&inst),
                 &Telemetry::disabled(),
@@ -843,7 +829,7 @@ mod tests {
             let res = taa_instrumented(
                 &inst,
                 &caps,
-                &TaaOptions::default(),
+                &SolveOptions::default(),
                 1,
                 &mut solver,
                 &Telemetry::disabled(),
@@ -862,7 +848,7 @@ mod tests {
         // exactly as a plan built for that vector alone would.
         let inst = instance(80, 11);
         let edges = inst.topology().num_edges();
-        let opts = TaaOptions::default();
+        let opts = SolveOptions::default();
         let mut solver = BlspmSolver::new(&inst);
         let mut declined_some = false;
         for base in [4.0, 2.0, 1.5, 1.0, 0.75] {
@@ -873,7 +859,7 @@ mod tests {
             let reused =
                 taa_instrumented(&inst, &caps, &opts, 1, &mut solver, &Telemetry::disabled())
                     .unwrap();
-            let fresh = taa(&inst, &caps, &opts).unwrap();
+            let fresh = taa(&inst, &caps).unwrap();
             assert_eq!(reused.schedule, fresh.schedule, "base {base}");
             assert_eq!(reused.mu.map(f64::to_bits), fresh.mu.map(f64::to_bits));
             let bits = |e: &Evaluation| [e.revenue, e.cost, e.profit].map(f64::to_bits);
@@ -889,8 +875,8 @@ mod tests {
         // Revenue should (weakly) increase as capacity grows. Greedy
         // derandomization is not strictly monotone, so allow 5% slack.
         let inst = instance(50, 7);
-        let lo = taa(&inst, &vec![1.0; 38], &TaaOptions::default()).unwrap();
-        let hi = taa(&inst, &vec![10.0; 38], &TaaOptions::default()).unwrap();
+        let lo = taa(&inst, &vec![1.0; 38]).unwrap();
+        let hi = taa(&inst, &vec![10.0; 38]).unwrap();
         assert!(hi.evaluation.revenue >= lo.evaluation.revenue * 0.95);
     }
 }

@@ -12,12 +12,12 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use metis_lp::{SolveError, SolveStats};
+use metis_lp::{BasisBackend, SolveError, SolveOptions, SolveStats};
 use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
 
 use crate::audit::{audit_capacities, audit_schedule, AuditReport};
-use crate::blspm::{taa_instrumented, BlspmSolver, TaaOptions};
+use crate::blspm::{taa_instrumented, BlspmSolver};
 use crate::error::MetisError;
 use crate::faults::FaultPlan;
 use crate::instance::SpmInstance;
@@ -47,10 +47,11 @@ pub struct MetisConfig {
     /// optima, but may pick different tied vertices and therefore
     /// different (equally valid) schedules.
     pub warm_start: bool,
-    /// RL-SPM solver (MAA) options.
+    /// MAA's rounding options.
     pub maa: MaaOptions,
-    /// BL-SPM solver (TAA) options.
-    pub taa: TaaOptions,
+    /// Basis representation of every LP the run solves, MAA's RL-SPM
+    /// and TAA's BL-SPM relaxations alike.
+    pub lp_basis: BasisBackend,
     /// Audit every solve: certify each LP solution independently
     /// ([`metis_lp::SolveOptions::verify`]) and re-derive each recorded
     /// schedule's load, peaks, and accounting from scratch
@@ -328,10 +329,10 @@ pub fn metis_instrumented(
     let k = instance.num_requests();
 
     let threads = config.parallel.effective_threads();
-    let mut maa_opts = config.maa;
-    maa_opts.lp.verify = maa_opts.lp.verify || config.audit;
-    let mut taa_opts = config.taa;
-    taa_opts.lp.verify = taa_opts.lp.verify || config.audit;
+    let lp = SolveOptions {
+        basis: config.lp_basis,
+        verify: config.audit,
+    };
     // One program per phase for the whole run; a cold solve only drops
     // the kept basis.
     let mut rl_solver = RlspmSolver::new(instance);
@@ -340,20 +341,27 @@ pub fn metis_instrumented(
         if cold || !config.warm_start {
             rl_solver.reset_basis();
         }
-        maa_instrumented(instance, accepted, &maa_opts, threads, &mut rl_solver, tele).map(|m| {
-            Step {
-                schedule: m.schedule,
-                evaluation: m.evaluation,
-                stats: m.relaxation.stats,
-                mu: None,
-            }
+        maa_instrumented(
+            instance,
+            accepted,
+            &config.maa,
+            &lp,
+            threads,
+            &mut rl_solver,
+            tele,
+        )
+        .map(|m| Step {
+            schedule: m.schedule,
+            evaluation: m.evaluation,
+            stats: m.relaxation.stats,
+            mu: None,
         })
     };
     let mut run_taa = |caps: &[f64], cold: bool| {
         if cold || !config.warm_start {
             bl_solver.reset_basis();
         }
-        taa_instrumented(instance, caps, &taa_opts, threads, &mut bl_solver, tele).map(|t| Step {
+        taa_instrumented(instance, caps, &lp, threads, &mut bl_solver, tele).map(|t| Step {
             schedule: t.schedule,
             evaluation: t.evaluation,
             stats: t.relaxation.stats,
@@ -699,7 +707,6 @@ mod tests {
                 maa: MaaOptions {
                     rounding_repeats: 8,
                     seed: 5,
-                    ..MaaOptions::default()
                 },
                 ..MetisConfig::default()
             };
@@ -775,6 +782,38 @@ mod tests {
             assert_eq!(s.counter(names::INCIDENT_SOLVE_FAILED), 0);
             let round_span = s.span(names::SPAN_ROUND).expect("round span");
             assert_eq!(round_span.parent.as_deref(), Some(names::SPAN_METIS));
+        }
+    }
+
+    #[test]
+    fn one_lp_basis_drives_both_phases() {
+        // The dense backend never appends an eta update, so one eta from
+        // either phase means that phase solved under the sparse default.
+        let inst = instance(30, 10);
+        for lp_basis in [BasisBackend::Dense, BasisBackend::SparseLu] {
+            let cfg = MetisConfig {
+                theta: 3,
+                lp_basis,
+                ..MetisConfig::default()
+            };
+            let tele = Telemetry::enabled();
+            let run = metis_instrumented(&inst, &cfg, &FaultPlan::none(), &tele).unwrap();
+            for phase in [Phase::Maa, Phase::Taa] {
+                assert!(
+                    run.round_trace
+                        .iter()
+                        .any(|t| t.phase == phase && t.lp_iterations > 0),
+                    "{lp_basis:?}: {phase} pivots"
+                );
+            }
+            let etas = tele
+                .snapshot()
+                .expect("enabled handle snapshots")
+                .counter(names::LP_LU_ETA_UPDATES);
+            match lp_basis {
+                BasisBackend::Dense => assert_eq!(etas, 0),
+                BasisBackend::SparseLu => assert!(etas > 0),
+            }
         }
     }
 

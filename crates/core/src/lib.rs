@@ -76,7 +76,7 @@ pub use analysis::{analyze, LinkOutcome, RequestOutcome, ScheduleAnalysis};
 pub use audit::{
     audit_capacities, audit_schedule, check_incident_agreement, AuditReport, AuditViolation,
 };
-pub use blspm::{taa, BlspmRelaxation, BlspmSolver, TaaOptions, TaaResult};
+pub use blspm::{taa, BlspmRelaxation, BlspmSolver, TaaResult};
 pub use error::{InstanceError, MetisError};
 pub use faults::FaultPlan;
 pub use framework::{

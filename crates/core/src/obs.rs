@@ -1,6 +1,6 @@
 //! Internal glue between the pipeline and the telemetry layer.
 
-use metis_lp::{LpTrace, SolveStats};
+use metis_lp::SolveStats;
 use metis_telemetry::{names, Telemetry};
 
 use crate::framework::RoundTrace;
@@ -26,17 +26,6 @@ pub(crate) fn record_lp_stats(tele: &Telemetry, stats: &SolveStats) {
     } else {
         tele.incr(names::LP_COLD_SOLVES);
     }
-}
-
-/// Records one LP solve's per-iteration trace volume. The trace is only
-/// populated when [`metis_lp::SolveOptions::trace`] was set, so on
-/// default-configured runs this records nothing.
-pub(crate) fn record_lp_trace(tele: &Telemetry, trace: &LpTrace) {
-    if !tele.is_enabled() || trace.total() == 0 {
-        return;
-    }
-    tele.add(names::LP_TRACE_RECORDS, trace.records.len() as u64);
-    tele.add(names::LP_TRACE_DROPPED, trace.dropped);
 }
 
 /// Pushes one convergence-trace entry onto the trace series, so the

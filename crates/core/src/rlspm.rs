@@ -17,9 +17,7 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use metis_lp::{
-    Basis, LpTrace, Problem, Relation, Sense, SolveError, SolveOptions, SolveStats, VarId,
-};
+use metis_lp::{Basis, Problem, Relation, Sense, SolveError, SolveOptions, SolveStats, VarId};
 use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
 
@@ -39,8 +37,6 @@ pub struct MaaOptions {
     /// hence the kept schedule — does not depend on how many worker
     /// threads execute them.
     pub seed: u64,
-    /// LP solver options.
-    pub lp: SolveOptions,
 }
 
 impl Default for MaaOptions {
@@ -48,7 +44,6 @@ impl Default for MaaOptions {
         MaaOptions {
             rounding_repeats: 1,
             seed: 0,
-            lp: SolveOptions::default(),
         }
     }
 }
@@ -65,9 +60,6 @@ pub struct RlspmRelaxation {
     pub cost: f64,
     /// Work counters from the LP solve that produced this relaxation.
     pub stats: SolveStats,
-    /// Per-iteration simplex trace (empty unless
-    /// [`SolveOptions::trace`] was set on the LP options).
-    pub lp_trace: LpTrace,
 }
 
 impl RlspmRelaxation {
@@ -244,7 +236,6 @@ impl RlspmSolver {
             c,
             cost: sol.objective(),
             stats: *sol.stats(),
-            lp_trace: sol.trace().clone(),
         })
     }
 
@@ -255,9 +246,10 @@ impl RlspmSolver {
 }
 
 /// Runs MAA like [`maa`] with the rounding trials fanned across
-/// `threads` workers, solving the relaxation with `solver` and recording
-/// telemetry into `tele`. The solver's kept basis, if any, warm-starts
-/// the relaxation (the Metis alternation rounds).
+/// `threads` workers, solving the relaxation with `solver` under
+/// `lp_options` and recording telemetry into `tele`. The solver's kept
+/// basis, if any, warm-starts the relaxation (the Metis alternation
+/// rounds).
 ///
 /// The relaxation solve runs under the `maa.relax` span, the rounding
 /// trials under `maa.rounding`, LP work counters land in the `lp.*`
@@ -278,18 +270,18 @@ pub(crate) fn maa_instrumented(
     instance: &SpmInstance,
     accepted: &[bool],
     options: &MaaOptions,
+    lp_options: &SolveOptions,
     threads: usize,
     solver: &mut RlspmSolver,
     tele: &Telemetry,
 ) -> Result<MaaResult, SolveError> {
     let relaxation = {
         let mut relax = tele.span(names::SPAN_MAA_RELAX);
-        let relaxation = solver.solve(accepted, &options.lp)?;
+        let relaxation = solver.solve(accepted, lp_options)?;
         relax.arg(names::ARG_LP_ITERATIONS, relaxation.stats.iterations as f64);
         relaxation
     };
     crate::obs::record_lp_stats(tele, &relaxation.stats);
-    crate::obs::record_lp_trace(tele, &relaxation.lp_trace);
     Ok(maa_from_relaxation(
         instance, accepted, options, threads, relaxation, tele,
     ))
@@ -297,7 +289,7 @@ pub(crate) fn maa_instrumented(
 
 /// Runs MAA over the accepted requests: relax → round → ceil, on the
 /// calling thread. The relaxation is one cold solve of a fresh
-/// [`RlspmSolver`].
+/// [`RlspmSolver`] under the default [`SolveOptions`].
 ///
 /// Every request with `accepted[i] == true` is routed on exactly one of
 /// its candidate paths; the others are declined in the returned schedule.
@@ -336,6 +328,7 @@ pub fn maa(
         instance,
         accepted,
         options,
+        &SolveOptions::default(),
         1,
         &mut RlspmSolver::new(instance),
         &Telemetry::disabled(),
@@ -548,7 +541,6 @@ mod tests {
             &MaaOptions {
                 rounding_repeats: 1,
                 seed: 11,
-                ..MaaOptions::default()
             },
         )
         .unwrap();
@@ -558,7 +550,6 @@ mod tests {
             &MaaOptions {
                 rounding_repeats: 16,
                 seed: 11,
-                ..MaaOptions::default()
             },
         )
         .unwrap();
@@ -572,7 +563,6 @@ mod tests {
         let base = MaaOptions {
             rounding_repeats: 8,
             seed: 42,
-            ..MaaOptions::default()
         };
         let serial = maa(&inst, &accepted, &base).unwrap();
         for threads in [2, 8] {
@@ -580,6 +570,7 @@ mod tests {
                 &inst,
                 &accepted,
                 &base,
+                &SolveOptions::default(),
                 threads,
                 &mut RlspmSolver::new(&inst),
                 &Telemetry::disabled(),
@@ -655,16 +646,16 @@ mod tests {
         let options = MaaOptions {
             seed: 7,
             rounding_repeats: 4,
-            ..MaaOptions::default()
         };
         let mut solver = RlspmSolver::new(&inst);
         let mut some = accepted.clone();
         some[2] = false;
-        solver.solve(&some, &options.lp).unwrap();
+        solver.solve(&some, &SolveOptions::default()).unwrap();
         let warm = maa_instrumented(
             &inst,
             &accepted,
             &options,
+            &SolveOptions::default(),
             1,
             &mut solver,
             &Telemetry::disabled(),

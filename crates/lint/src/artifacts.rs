@@ -15,7 +15,7 @@
 //! | `ART-02` | DESIGN.md §7 metric catalog | bidirectional with metric + event constants |
 //! | `ART-03` | README.md | every `spm`/`zoo` CLI flag must be documented |
 //! | `ART-04` | DESIGN.md §5b | every `crates/workload/src/families/` module must be described |
-//! | `ART-05` | README.md, DESIGN.md | every backticked snake_case identifier, and each snake_case segment of a backticked `::` path, must occur in workspace Rust source |
+//! | `ART-05` | README.md, DESIGN.md | every backticked snake_case identifier, and each snake_case segment of a backticked `::` path, must occur in workspace Rust source; every backticked repo path must exist |
 //!
 //! The fixture check is deliberately one-directional: the schema
 //! fixture pins the snapshot of one golden offline run, which touches
@@ -332,13 +332,33 @@ fn section_5b(design: &str) -> &str {
     }
 }
 
+/// Top-level directories whose backticked paths `ART-05` resolves.
+const REPO_DIRS: [&str; 6] = [
+    "crates/",
+    "tests/",
+    "scripts/",
+    "examples/",
+    "scenarios/",
+    "metisbench/",
+];
+
 /// `ART-05`: every backticked snake_case identifier in a prose document
 /// (inline code spans; fenced code blocks are skipped) must occur as a
 /// word of the workspace's Rust source — a deleted or renamed function,
 /// field, or crate must not live on in the docs. A path span like
 /// `Type::member` is checked segment by segment. `code` holds those
 /// words (see [`code_words`]).
-pub fn check_doc_identifiers(file: &str, doc: &str, code: &BTreeSet<String>) -> Vec<Diagnostic> {
+///
+/// A span that starts with a top-level repo directory (`crates/`,
+/// `tests/`, …) must name a path for which `path_exists` holds, so a
+/// moved or renamed file or crate directory is caught too. Glob spans
+/// (containing `*`) are skipped.
+pub fn check_doc_identifiers(
+    file: &str,
+    doc: &str,
+    code: &BTreeSet<String>,
+    path_exists: &dyn Fn(&str) -> bool,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut in_fence = false;
     for (idx, line) in doc.lines().enumerate() {
@@ -351,6 +371,20 @@ pub fn check_doc_identifiers(file: &str, doc: &str, code: &BTreeSet<String>) -> 
         }
         // Odd segments between backticks are inline code spans.
         for span in line.split('`').skip(1).step_by(2) {
+            if REPO_DIRS.iter().any(|d| span.starts_with(d))
+                && !span.contains('*')
+                && !path_exists(span)
+            {
+                out.push(finding(
+                    file,
+                    (idx + 1) as u32,
+                    "ART-05",
+                    format!(
+                        "paths.{span}: `{span}` is backticked in {file} but no such path exists \
+in the repo — rename or remove it"
+                    ),
+                ));
+            }
             for word in span.split("::") {
                 if is_snake_case(word) && !code.contains(word) {
                     out.push(finding(
@@ -449,8 +483,10 @@ pub fn run_artifacts(root: &Path) -> Result<Vec<Diagnostic>, String> {
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         code.extend(code_words(&src));
     }
-    out.extend(check_doc_identifiers("README.md", &readme, &code));
-    out.extend(check_doc_identifiers("DESIGN.md", &design, &code));
+    let path_exists = |rel: &str| root.join(rel).exists();
+    for (file, doc) in [("README.md", &readme), ("DESIGN.md", &design)] {
+        out.extend(check_doc_identifiers(file, doc, &code, &path_exists));
+    }
     out.sort();
     Ok(out)
 }
@@ -571,7 +607,7 @@ mod tests {
                    Then `ghost_helper` explains it.\n\
                    ```text\nfenced_only_name\n```\n\
                    Read `MetisResult::round_trace`, `metis_lp::Problem`, `Config::gone_field`.\n";
-        let out = check_doc_identifiers("README.md", doc, &code);
+        let out = check_doc_identifiers("README.md", doc, &code, &|_| true);
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(out.iter().all(|d| d.rule == "ART-05"));
         assert_eq!(out[0].line, 2);
@@ -593,7 +629,25 @@ mod tests {
         let code: BTreeSet<String> = ["try_subset", "round_trace"].map(String::from).into();
         let doc = "Use `try_subset` and `round_trace`; `metis.round` is a span.\n\
                    ```rust\nlet x = `not_a_span`;\n```\n";
-        assert!(check_doc_identifiers("DESIGN.md", doc, &code).is_empty());
+        assert!(check_doc_identifiers("DESIGN.md", doc, &code, &|_| true).is_empty());
+    }
+
+    #[test]
+    fn doc_path_check_flags_missing_repo_paths() {
+        let code = BTreeSet::new();
+        let exists = |p: &str| ["crates/core", "tests/golden.rs"].contains(&p);
+        let doc = "The core is `crates/core`, pinned by `tests/golden.rs`.\n\
+                   Row 5 still names `crates/metis-core`.\n\
+                   Every `scenarios/*.json` and the `target/` dir are not checked.\n";
+        let out = check_doc_identifiers("DESIGN.md", doc, &code, &exists);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "ART-05");
+        assert_eq!(out[0].line, 2);
+        assert!(
+            out[0].message.contains("paths.crates/metis-core"),
+            "{}",
+            out[0]
+        );
     }
 
     #[test]

@@ -269,7 +269,7 @@ pub fn solve_ilp_with_start(
                 }
                 Err(e) => return Err(e),
             };
-            total_iters += lp.iterations();
+            total_iters += lp.stats().iterations;
             let node_obj = to_internal(lp.objective());
 
             if let Some((inc, _)) = &incumbent {

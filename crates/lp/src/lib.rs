@@ -44,7 +44,7 @@
 mod error;
 mod factor;
 pub mod ilp;
-pub mod matrix;
+mod matrix;
 mod model;
 mod simplex;
 mod solution;
@@ -54,5 +54,5 @@ pub use error::SolveError;
 pub use ilp::{solve_ilp, solve_ilp_with_start, IlpOptions, IlpSolution, IlpStatus};
 pub use model::{Problem, Relation, RowId, Sense, VarId};
 pub use simplex::{Basis, BasisBackend, SolveOptions};
-pub use solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
+pub use solution::{Solution, SolveStats};
 pub use verify::{certify, Certificate};

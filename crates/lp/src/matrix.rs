@@ -6,15 +6,15 @@
 //! as its transpose (the same matrix row-major), because pricing needs
 //! the whole vector `Aᵀy`: `CscMatrix::mul_vec_into` on the transpose
 //! visits only the rows where `yᵢ ≠ 0`, and adds each column's terms in
-//! the order [`CscMatrix::dot_col`] would, so the result is bit-identical
+//! the order `CscMatrix::dot_col` would, so the result is bit-identical
 //! to one dot product per column.
 
 use std::fmt;
 
 /// An immutable sparse matrix in compressed-sparse-column form.
 ///
-/// Built through [`CscBuilder`]; rows within a column are sorted and
-/// duplicate entries are coalesced by summation.
+/// Built by [`CscMatrix::from_triplets`]; rows within a column are
+/// sorted and duplicate entries are coalesced by summation.
 #[derive(Clone, PartialEq)]
 pub struct CscMatrix {
     nrows: usize,
@@ -31,6 +31,7 @@ impl CscMatrix {
     }
 
     /// Number of columns.
+    #[cfg(test)]
     pub fn ncols(&self) -> usize {
         self.ncols
     }
@@ -73,6 +74,7 @@ impl CscMatrix {
     /// # Panics
     ///
     /// Panics if `j` is out of range or `y.len() != self.nrows()`.
+    #[cfg(test)]
     pub fn dot_col(&self, j: usize, y: &[f64]) -> f64 {
         assert_eq!(y.len(), self.nrows, "dense vector length mismatch");
         let c = self.col(j);
@@ -85,7 +87,7 @@ impl CscMatrix {
 
     /// Builds an `nrows × ncols` matrix from `(row, col, value)`
     /// triplets in one counting pass. Each column sees its triplets in
-    /// slice order and then gets exactly [`CscBuilder`]'s treatment:
+    /// slice order and then gets exactly `CscBuilder`'s treatment:
     /// zero values dropped, rows sorted, duplicates summed, zero sums
     /// dropped.
     pub(crate) fn from_triplets(nrows: usize, ncols: usize, entries: &[(u32, u32, f64)]) -> Self {
@@ -409,7 +411,9 @@ impl SparseTriangular {
     }
 }
 
-/// Incremental builder for a [`CscMatrix`], filled column by column.
+/// Incremental builder for a [`CscMatrix`], filled column by column: the
+/// reference [`CscMatrix::from_triplets`] is tested against.
+#[cfg(test)]
 #[derive(Clone, Debug, Default)]
 pub struct CscBuilder {
     nrows: usize,
@@ -421,6 +425,7 @@ pub struct CscBuilder {
     open: bool,
 }
 
+#[cfg(test)]
 impl CscBuilder {
     /// Creates a builder for a matrix with `nrows` rows and no columns yet.
     pub fn new(nrows: usize) -> Self {
@@ -473,11 +478,6 @@ impl CscBuilder {
             self.push(r, v);
         }
         self.finish_col();
-    }
-
-    /// Number of completed columns so far.
-    pub fn ncols(&self) -> usize {
-        self.col_ptr.len() - 1
     }
 
     /// Finalizes the matrix.

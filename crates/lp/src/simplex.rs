@@ -59,7 +59,7 @@ use crate::error::SolveError;
 use crate::factor::{EtaFile, LuFactors};
 use crate::matrix::CscMatrix;
 use crate::model::{Problem, Relation, Sense, StandardForm};
-use crate::solution::{LpTrace, Solution, SolveStats, TracePricing, TraceRecord};
+use crate::solution::{Solution, SolveStats};
 
 /// How the simplex represents (the inverse of) the basis matrix.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -100,13 +100,6 @@ pub struct SolveOptions {
     /// disagreement. Always on under `debug_assertions`; this flag forces
     /// it in release builds (`MetisConfig::audit` sets it).
     pub verify: bool,
-    /// Record a per-iteration trace (entering/leaving column, objective,
-    /// pivot magnitude, pricing rule) into a bounded ring returned via
-    /// [`Solution::trace`]. Off by default: each traced step costs an
-    /// `O(m + n)` objective evaluation. Tracing is read-only — it never
-    /// changes the pivot sequence, so a traced solve returns exactly
-    /// the solution an untraced one does.
-    pub trace: bool,
 }
 
 /// A snapshot of an optimal basis, reusable to warm-start the solve of a
@@ -270,13 +263,6 @@ struct Simplex<'p> {
     lu_l_nnz: usize,
     lu_u_nnz: usize,
 
-    /// Per-iteration ring buffer, filled only when `opts.trace` is set.
-    /// `trace[trace_start..]` then `trace[..trace_start]` is the
-    /// chronological order once the ring has wrapped.
-    trace: Vec<TraceRecord>,
-    trace_start: usize,
-    trace_dropped: u64,
-
     // Scratch buffers reused across iterations.
     y: Vec<f64>,
     w: Vec<f64>,
@@ -397,9 +383,6 @@ impl<'p> Simplex<'p> {
             eta_updates: 0,
             lu_l_nnz: 0,
             lu_u_nnz: 0,
-            trace: Vec::new(),
-            trace_start: 0,
-            trace_dropped: 0,
             y: vec![0.0; m],
             w: vec![0.0; m],
             alpha: Vec::new(),
@@ -947,7 +930,6 @@ impl<'p> Simplex<'p> {
                 return Err(SolveError::Singular); // sign bookkeeping broke
             }
             self.apply_pivot(col, dir, row, step.max(0.0), at_upper)?;
-            self.trace_step(col, Some(bj), wr.abs(), TracePricing::Dual);
         }
     }
 
@@ -990,58 +972,9 @@ impl<'p> Simplex<'p> {
             lu_l_nnz: self.lu_l_nnz,
             lu_u_nnz: self.lu_u_nnz,
         };
-        let trace = self.take_trace();
         Ok(Solution::new(obj, x, self.iterations)
             .with_stats(stats)
-            .with_duals(duals)
-            .with_trace(trace))
-    }
-
-    /// Appends one step to the bounded trace ring. No-op unless
-    /// `opts.trace` is set, so untraced solves pay a single branch.
-    /// Call *after* the step was applied: the recorded objective is the
-    /// post-step value (phase-1 steps record the phase-1 objective —
-    /// total artificial infeasibility — which is what a convergence
-    /// plot of feasibility restoration wants).
-    fn trace_step(
-        &mut self,
-        entering: usize,
-        leaving: Option<usize>,
-        pivot: f64,
-        pricing: TracePricing,
-    ) {
-        if !self.opts.trace {
-            return;
-        }
-        let mut objective = self.current_objective();
-        if self.maximize {
-            objective = -objective;
-        }
-        let record = TraceRecord {
-            iteration: self.iterations,
-            entering,
-            leaving,
-            objective,
-            pivot,
-            pricing,
-        };
-        if self.trace.len() < LpTrace::CAPACITY {
-            self.trace.push(record);
-        } else {
-            self.trace[self.trace_start] = record;
-            self.trace_start = (self.trace_start + 1) % LpTrace::CAPACITY;
-            self.trace_dropped += 1;
-        }
-    }
-
-    /// Drains the trace ring into chronological order for the solution.
-    fn take_trace(&mut self) -> LpTrace {
-        let mut records = std::mem::take(&mut self.trace);
-        records.rotate_left(self.trace_start);
-        self.trace_start = 0;
-        let dropped = self.trace_dropped;
-        self.trace_dropped = 0;
-        LpTrace { records, dropped }
+            .with_duals(duals))
     }
 
     /// Objective of the current basic solution under `self.cost`.
@@ -1065,11 +998,6 @@ impl<'p> Simplex<'p> {
                 return Err(SolveError::IterationLimit);
             }
             let bland = self.degenerate_streak >= BLAND_AFTER;
-            let rule = if bland {
-                TracePricing::Bland
-            } else {
-                TracePricing::Dantzig
-            };
             match self.price(bland) {
                 PriceStep::Optimal => return Ok(()),
                 PriceStep::Enter { col, dir } => {
@@ -1080,7 +1008,6 @@ impl<'p> Simplex<'p> {
                         Ratio::BoundFlip { step } => {
                             self.apply_bound_flip(col, dir, step);
                             self.degenerate_streak = 0;
-                            self.trace_step(col, None, 0.0, rule);
                         }
                         Ratio::Pivot {
                             row,
@@ -1092,10 +1019,7 @@ impl<'p> Simplex<'p> {
                             } else {
                                 self.degenerate_streak = 0;
                             }
-                            let leaving = self.basis[row] as usize;
-                            let pivot_mag = self.w[row].abs();
                             self.apply_pivot(col, dir, row, step, to_upper)?;
-                            self.trace_step(col, Some(leaving), pivot_mag, rule);
                         }
                     }
                 }
@@ -1188,7 +1112,7 @@ impl<'p> Simplex<'p> {
     /// Computes the duals `y = c_Bᵀ B⁻¹` and from them the reduced cost
     /// `dⱼ = cⱼ − aⱼ·y` of every column into `self.d`. `Aᵀy` is taken by
     /// rows over the nonzero duals only, and is bit-identical to one
-    /// [`CscMatrix::dot_col`] per column (see
+    /// `CscMatrix::dot_col` per column (see
     /// [`CscMatrix::mul_vec_into`]).
     fn price_all(&mut self) {
         self.compute_duals();
@@ -1615,79 +1539,6 @@ mod tests {
         let x = p.add_var(1.0, 0.0, 1.0);
         p.add_constraint([(x, 1.0)], Relation::Ge, 2.0);
         assert_eq!(p.solve().unwrap_err(), SolveError::Infeasible);
-    }
-
-    #[test]
-    fn trace_is_read_only_and_complete() {
-        let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var(3.0, 0.0, f64::INFINITY);
-        let y = p.add_var(5.0, 0.0, f64::INFINITY);
-        p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
-        p.add_constraint([(y, 2.0)], Relation::Le, 12.0);
-        p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
-
-        let plain = p.solve().unwrap();
-        let traced = p
-            .solve_with(&SolveOptions {
-                trace: true,
-                ..SolveOptions::default()
-            })
-            .unwrap();
-
-        // Tracing never changes the pivot sequence or the answer.
-        assert_eq!(plain.values(), traced.values());
-        assert_eq!(plain.objective(), traced.objective());
-        assert_eq!(plain.stats(), traced.stats());
-        assert!(plain.trace().records.is_empty(), "untraced solve is clean");
-
-        let trace = traced.trace();
-        assert_eq!(trace.dropped, 0);
-        // One record per pivot or bound flip.
-        assert_eq!(
-            trace.total() as usize,
-            traced.stats().iterations + traced.stats().bound_flips
-        );
-        // Iteration indices are 1-based, strictly increasing, and the
-        // last record lands on the solve's final objective.
-        for (k, r) in trace.records.iter().enumerate() {
-            if k > 0 {
-                assert!(r.iteration > trace.records[k - 1].iteration);
-            }
-            assert!(r.leaving.is_some() || r.pivot == 0.0);
-        }
-        let last = trace.records.last().unwrap();
-        assert!((last.objective - traced.objective()).abs() < 1e-9);
-        assert_eq!(last.pricing, TracePricing::Dantzig);
-    }
-
-    #[test]
-    fn trace_records_dual_pivots_on_warm_restarts() {
-        // Solve, tighten a bound so the old basis is primal-infeasible
-        // but dual-feasible, and reoptimize warm with tracing on.
-        let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var(3.0, 0.0, f64::INFINITY);
-        let y = p.add_var(5.0, 0.0, f64::INFINITY);
-        p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
-        p.add_constraint([(y, 2.0)], Relation::Le, 12.0);
-        p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
-        let opts = SolveOptions {
-            trace: true,
-            ..SolveOptions::default()
-        };
-        let (sol, basis) = p.solve_with_basis(&opts, None).unwrap();
-        assert!(sol.trace().total() > 0);
-
-        let mut q = p.clone();
-        q.set_bounds(y, 0.0, 2.0);
-        let (resol, _) = q.solve_with_basis(&opts, Some(&basis)).unwrap();
-        assert!(resol.stats().warm_started);
-        if resol.stats().dual_iterations > 0 {
-            assert!(resol
-                .trace()
-                .records
-                .iter()
-                .any(|r| r.pricing == TracePricing::Dual));
-        }
     }
 
     /// Both basis backends.
@@ -2328,7 +2179,7 @@ mod tests {
         let (_, cold) = p.solve_with_basis(opts, None).unwrap();
         let (again, basis) = p.solve_with_basis(opts, Some(&cold)).unwrap();
         assert!(again.stats().warm_started);
-        assert_eq!(again.iterations(), 0);
+        assert_eq!(again.stats().iterations, 0);
         assert!(
             basis.factors.is_some(),
             "no pivot since the refactorization"
@@ -2350,7 +2201,7 @@ mod tests {
         let (reused, _) = p.solve_with_basis(&opts, Some(&kept)).unwrap();
         let (refactored, _) = p.solve_with_basis(&opts, Some(&stripped)).unwrap();
         assert!(reused.stats().warm_started && refactored.stats().warm_started);
-        assert!(reused.iterations() > 0, "the edit moves the optimum");
+        assert!(reused.stats().iterations > 0, "the edit moves the optimum");
         assert_eq!(reused.stats().refreshes + 1, refactored.stats().refreshes);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(reused.values()), bits(refactored.values()));
@@ -2362,7 +2213,7 @@ mod tests {
             bits(reused.duals().unwrap()),
             bits(refactored.duals().unwrap())
         );
-        assert_eq!(reused.iterations(), refactored.iterations());
+        assert_eq!(reused.stats().iterations, refactored.stats().iterations);
     }
 
     #[test]
@@ -2506,7 +2357,7 @@ mod tests {
         let (cold, basis) = p.solve_with_basis(&opts, None).unwrap();
         let cs = cold.stats();
         assert!(cs.iterations > 0);
-        assert_eq!(cs.iterations, cold.iterations());
+        assert_eq!(cs.iterations, cold.stats().iterations);
         assert!(!cs.warm_started);
         assert_eq!(cs.dual_iterations, 0);
 

@@ -37,71 +37,6 @@ pub struct SolveStats {
     pub lu_u_nnz: usize,
 }
 
-/// Which rule chose the entering column of a traced pivot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TracePricing {
-    /// Full Dantzig sweep over all reduced costs.
-    Dantzig,
-    /// Bland's anti-cycling rule (degeneracy fallback).
-    Bland,
-    /// Dual simplex (the *row* was priced; the column came from the
-    /// dual ratio test).
-    Dual,
-}
-
-impl TracePricing {
-    /// Stable lowercase label for reports and JSON.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TracePricing::Dantzig => "dantzig",
-            TracePricing::Bland => "bland",
-            TracePricing::Dual => "dual",
-        }
-    }
-}
-
-/// One recorded simplex step (opt-in via
-/// [`crate::SolveOptions::trace`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TraceRecord {
-    /// 1-based pivot index within this solve, counted across phases
-    /// (phase 1, primal, and dual share the counter).
-    pub iteration: usize,
-    /// Entering column, standard-form index.
-    pub entering: usize,
-    /// Leaving column, standard-form index; `None` for a bound flip
-    /// (the entering variable moved to its opposite bound without a
-    /// basis change).
-    pub leaving: Option<usize>,
-    /// Objective value after the step, in the problem's own sense.
-    pub objective: f64,
-    /// Magnitude of the pivot element (0 for a bound flip).
-    pub pivot: f64,
-    /// Rule that selected the step.
-    pub pricing: TracePricing,
-}
-
-/// Bounded per-iteration trace of one solve: the last
-/// [`LpTrace::CAPACITY`] steps, with earlier ones counted as dropped.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LpTrace {
-    /// Retained steps, oldest first.
-    pub records: Vec<TraceRecord>,
-    /// Steps evicted once the ring filled (these were the earliest).
-    pub dropped: u64,
-}
-
-impl LpTrace {
-    /// Ring capacity: enough for every pivot of the workspace's LPs,
-    /// while bounding memory for adversarial instances.
-    pub const CAPACITY: usize = 4_096;
-
-    /// Total steps the solve performed (retained + dropped).
-    pub fn total(&self) -> u64 {
-        self.records.len() as u64 + self.dropped
-    }
-}
-
 /// An optimal (or, for MILP with limits, best-found) solution.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Solution {
@@ -109,7 +44,6 @@ pub struct Solution {
     values: Vec<f64>,
     duals: Option<Vec<f64>>,
     stats: SolveStats,
-    trace: LpTrace,
 }
 
 impl Solution {
@@ -122,7 +56,6 @@ impl Solution {
                 iterations,
                 ..SolveStats::default()
             },
-            trace: LpTrace::default(),
         }
     }
 
@@ -133,11 +66,6 @@ impl Solution {
 
     pub(crate) fn with_stats(mut self, stats: SolveStats) -> Self {
         self.stats = stats;
-        self
-    }
-
-    pub(crate) fn with_trace(mut self, trace: LpTrace) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -179,20 +107,8 @@ impl Solution {
         &self.values
     }
 
-    /// Number of simplex pivots performed (summed over phases; for MILP,
-    /// over all nodes).
-    pub fn iterations(&self) -> usize {
-        self.stats.iterations
-    }
-
     /// Detailed work counters for this solve.
     pub fn stats(&self) -> &SolveStats {
         &self.stats
-    }
-
-    /// Per-iteration trace (empty unless
-    /// [`crate::SolveOptions::trace`] was set).
-    pub fn trace(&self) -> &LpTrace {
-        &self.trace
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! A simplex solve does a sparse LU refactorization plus FTRAN/BTRAN
 //! triangular solves per pivot (or `O(m²)` dense-inverse updates on the
-//! [`crate::BasisBackend::Dense`] fallback); checking its answer is one
+//! [`crate::BasisBackend::Dense`] reference backend the sparse one is
+//! tested against); checking its answer is one
 //! sparse matrix-vector product. This module recomputes, from the
 //! [`Problem`] alone, everything a [`Solution`] claims — row activities,
 //! bound satisfaction, and the objective value — and compares against

@@ -143,10 +143,6 @@ pub mod names {
     pub const TRACE_LP_ITERATIONS: &str = "alternation.trace.lp_iterations";
     /// Counter: convergence-trace entries dropped past the bound.
     pub const TRACE_ROUNDS_DROPPED: &str = "alternation.trace.dropped";
-    /// Counter: per-iteration LP trace records kept (across solves).
-    pub const LP_TRACE_RECORDS: &str = "lp.trace.records";
-    /// Counter: per-iteration LP trace records dropped by the ring.
-    pub const LP_TRACE_DROPPED: &str = "lp.trace.dropped";
     /// Span arg: LP pivots of the relaxation solved under the span.
     pub const ARG_LP_ITERATIONS: &str = "lp.iterations";
 

@@ -10,7 +10,7 @@
 //! ```
 
 use metis_suite::baselines::amoeba;
-use metis_suite::core::{taa, SpmInstance, TaaOptions};
+use metis_suite::core::{taa, SpmInstance};
 use metis_suite::lp::SolveError;
 use metis_suite::netsim::topologies;
 use metis_suite::workload::{generate, WorkloadConfig};
@@ -27,7 +27,7 @@ fn main() -> Result<(), SolveError> {
         let instance = SpmInstance::new(topo, requests, 12, 3);
         let caps = vec![capacity_units; instance.topology().num_edges()];
 
-        let t = taa(&instance, &caps, &TaaOptions::default())?;
+        let t = taa(&instance, &caps)?;
         t.schedule
             .check_capacities(&instance, &caps)
             .expect("TAA schedules are always feasible");

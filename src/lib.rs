@@ -33,3 +33,9 @@ pub use metis_lp as lp;
 pub use metis_netsim as netsim;
 pub use metis_telemetry as telemetry;
 pub use metis_workload as workload;
+
+/// Compiles and runs README.md's Rust examples as doctests, so the README
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

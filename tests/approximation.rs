@@ -3,7 +3,7 @@
 
 use metis_suite::baselines::opt_rlspm;
 use metis_suite::core::chernoff::{chernoff_bound, chernoff_delta, select_mu};
-use metis_suite::core::{maa, taa, BlspmSolver, MaaOptions, SpmInstance, TaaOptions};
+use metis_suite::core::{maa, taa, BlspmSolver, MaaOptions, SpmInstance};
 use metis_suite::lp::{IlpOptions, SolveOptions};
 use metis_suite::netsim::topologies;
 use metis_suite::workload::{generate, WorkloadConfig};
@@ -82,7 +82,7 @@ fn taa_revenue_meets_theorem_6_bound() {
         let requests = generate(&topo, &WorkloadConfig::paper(100, seed));
         let inst = SpmInstance::new(topo, requests, 12, 3);
         let caps = vec![10.0; inst.topology().num_edges()];
-        let t = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let t = taa(&inst, &caps).unwrap();
         let Some(mu) = t.mu else {
             panic!("capacity exists, μ must too");
         };

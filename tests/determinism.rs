@@ -26,22 +26,17 @@ fn b4_instance(k: usize, seed: u64) -> SpmInstance {
 }
 
 fn config(threads: usize, warm_start: bool) -> MetisConfig {
-    let mut cfg = MetisConfig {
+    MetisConfig {
         theta: 4,
         warm_start,
         parallel: ParallelConfig { threads },
         maa: MaaOptions {
             rounding_repeats: 6,
             seed: 2024,
-            ..MaaOptions::default()
         },
+        lp_basis: common::lp_basis().unwrap_or_default(),
         ..MetisConfig::default()
-    };
-    if let Some(basis) = common::lp_basis() {
-        cfg.maa.lp.basis = basis;
-        cfg.taa.lp.basis = basis;
     }
-    cfg
 }
 
 #[test]

@@ -9,9 +9,7 @@
 mod common;
 
 use metis_suite::baselines::{amoeba, ecoflow, mincost, opt_rlspm, opt_spm, opt_spm_with_start};
-use metis_suite::core::{
-    maa, metis, taa, MaaOptions, MetisConfig, Schedule, SpmInstance, TaaOptions,
-};
+use metis_suite::core::{maa, metis, taa, MaaOptions, MetisConfig, Schedule, SpmInstance};
 use metis_suite::lp::IlpOptions;
 use metis_suite::netsim::topologies;
 use metis_suite::workload::{generate, RequestId, WorkloadConfig};
@@ -63,10 +61,7 @@ fn every_scheduler_produces_valid_schedules() {
                 .unwrap()
                 .schedule,
         ),
-        (
-            "taa",
-            taa(&inst, &caps, &TaaOptions::default()).unwrap().schedule,
-        ),
+        ("taa", taa(&inst, &caps).unwrap().schedule),
         ("metis", run_metis(&inst, 4).schedule),
     ];
     for (name, s) in schedules {
@@ -99,7 +94,7 @@ fn capacity_constrained_schedulers_respect_capacities() {
     for seed in 0..3 {
         let inst = b4_instance(150, seed);
         let caps = vec![2.0; inst.topology().num_edges()];
-        let t = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let t = taa(&inst, &caps).unwrap();
         t.schedule.check_capacities(&inst, &caps).unwrap();
         let a = amoeba(&inst, &caps);
         a.check_capacities(&inst, &caps).unwrap();
@@ -181,7 +176,7 @@ fn lp_relaxations_bracket_integral_solutions() {
     assert!(m.relaxation.cost <= m.evaluation.cost + 1e-6);
     // BL-SPM: fractional revenue upper-bounds any feasible revenue.
     let caps = vec![5.0; inst.topology().num_edges()];
-    let t = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+    let t = taa(&inst, &caps).unwrap();
     assert!(t.relaxation.revenue >= t.evaluation.revenue - 1e-6);
 }
 

@@ -40,22 +40,17 @@ fn instance(k: usize, seed: u64) -> SpmInstance {
 }
 
 fn config(threads: usize, warm_start: bool) -> MetisConfig {
-    let mut cfg = MetisConfig {
+    MetisConfig {
         theta: THETA,
         warm_start,
         parallel: ParallelConfig { threads },
         maa: MaaOptions {
             rounding_repeats: 4,
             seed: 99,
-            ..MaaOptions::default()
         },
+        lp_basis: common::lp_basis().unwrap_or_default(),
         ..MetisConfig::default()
-    };
-    if let Some(basis) = common::lp_basis() {
-        cfg.maa.lp.basis = basis;
-        cfg.taa.lp.basis = basis;
     }
-    cfg
 }
 
 /// A schedule is well-formed when every accepted request routes on one of

@@ -134,12 +134,11 @@ fn golden_b4_forty_requests_on_both_lp_backends() {
     let inst = fixture();
     for backend in [BasisBackend::SparseLu, BasisBackend::Dense] {
         for warm_start in [false, true] {
-            let mut cfg = MetisConfig {
+            let cfg = MetisConfig {
                 warm_start,
+                lp_basis: backend,
                 ..MetisConfig::with_theta(THETA)
             };
-            cfg.maa.lp.basis = backend;
-            cfg.taa.lp.basis = backend;
             let run = metis(&inst, &cfg).unwrap();
             assert!(
                 (run.evaluation.profit - GOLDEN_PROFIT).abs() <= TOL,

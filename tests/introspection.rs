@@ -51,15 +51,6 @@ fn fixture() -> SpmInstance {
 
 const THETA: usize = 6;
 
-/// A Metis config with LP tracing on, as `spm --serve`/`--telemetry`
-/// enables it.
-fn traced_config() -> MetisConfig {
-    let mut cfg = MetisConfig::with_theta(THETA);
-    cfg.maa.lp.trace = true;
-    cfg.taa.lp.trace = true;
-    cfg
-}
-
 /// Minimal HTTP/1.1 GET against the metrics endpoint; returns
 /// `(status, head, body)`.
 fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String, String)> {
@@ -88,7 +79,13 @@ fn endpoints_round_trip_on_live_server() {
     let inst = fixture();
     let tele = Telemetry::enabled();
     let server = tele.serve("127.0.0.1:0").expect("bind an ephemeral port");
-    let result = metis_instrumented(&inst, &traced_config(), &FaultPlan::none(), &tele).unwrap();
+    let result = metis_instrumented(
+        &inst,
+        &MetisConfig::with_theta(THETA),
+        &FaultPlan::none(),
+        &tele,
+    )
+    .unwrap();
     let addr = server.addr();
 
     let (status, head, body) = http_get(addr, "/metrics").unwrap();
@@ -97,7 +94,6 @@ fn endpoints_round_trip_on_live_server() {
     validate_prometheus(&body).expect("live /metrics must satisfy the line format");
     assert!(body.contains("metis_lp_simplex_iterations"));
     assert!(body.contains("metis_telemetry_http_requests"));
-    assert!(body.contains("metis_lp_trace_records"));
 
     let (status, head, body) = http_get(addr, "/snapshot.json").unwrap();
     assert_eq!(status, 200);
@@ -228,7 +224,7 @@ fn concurrent_scraping_preserves_bit_identity() {
     for threads in [1usize, 2, 8] {
         let cfg = MetisConfig {
             parallel: ParallelConfig { threads },
-            ..traced_config()
+            ..MetisConfig::with_theta(THETA)
         };
         let plain = metis(&inst, &cfg).unwrap();
         let scraped = metis_instrumented(&inst, &cfg, &FaultPlan::none(), &tele).unwrap();
@@ -247,7 +243,13 @@ fn concurrent_scraping_preserves_bit_identity() {
 fn chrome_trace_export_is_well_formed() {
     let inst = fixture();
     let tele = Telemetry::enabled();
-    let _ = metis_instrumented(&inst, &traced_config(), &FaultPlan::none(), &tele).unwrap();
+    let _ = metis_instrumented(
+        &inst,
+        &MetisConfig::with_theta(THETA),
+        &FaultPlan::none(),
+        &tele,
+    )
+    .unwrap();
     let trace = tele.chrome_trace().expect("enabled handle records spans");
     assert_trace_events_well_formed(&trace);
     // The relax spans carry the LP effort as an argument.
@@ -271,7 +273,13 @@ fn chrome_trace_export_is_well_formed() {
 fn round_trace_agrees_with_reported_result() {
     let inst = fixture();
     let tele = Telemetry::enabled();
-    let result = metis_instrumented(&inst, &traced_config(), &FaultPlan::none(), &tele).unwrap();
+    let result = metis_instrumented(
+        &inst,
+        &MetisConfig::with_theta(THETA),
+        &FaultPlan::none(),
+        &tele,
+    )
+    .unwrap();
 
     // Each entry's record is the best completed profit so far.
     let mut best = 0.0_f64;
@@ -288,16 +296,7 @@ fn round_trace_agrees_with_reported_result() {
     let last = result.round_trace.last().expect("round 0 always traced");
     assert_eq!(last.best_profit, result.evaluation.profit);
 
-    // The LP per-iteration ring was live and flowed into the registry.
     let snap = tele.snapshot().expect("enabled handle snapshots");
-    assert!(snap.counter(names::LP_TRACE_RECORDS) > 0);
-    // One trace record per pivot or bound flip, across every solve.
-    let traced_steps =
-        snap.counter(names::LP_TRACE_RECORDS) + snap.counter(names::LP_TRACE_DROPPED);
-    assert_eq!(
-        traced_steps,
-        snap.counter(names::LP_SIMPLEX_ITERATIONS) + snap.counter(names::LP_SIMPLEX_BOUND_FLIPS)
-    );
     let lp_series = snap
         .series(names::TRACE_LP_ITERATIONS)
         .expect("trace lp series");

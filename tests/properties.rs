@@ -11,8 +11,7 @@ use proptest::prelude::*;
 
 use metis_suite::baselines::{amoeba, ecoflow, ecoflow_with, mincost, EcoflowCostModel};
 use metis_suite::core::{
-    maa, metis, online_metis, taa, LimiterRule, MaaOptions, MetisConfig, OnlineOptions,
-    SpmInstance, TaaOptions,
+    maa, metis, online_metis, taa, LimiterRule, MaaOptions, MetisConfig, OnlineOptions, SpmInstance,
 };
 use metis_suite::netsim::{
     ceil_units, units_to_gbps, EdgeId, LoadMatrix, Region, Topology, CEIL_EPS,
@@ -107,7 +106,7 @@ proptest! {
         cap in prop_oneof![Just(0.0), 1.0f64..20.0],
     ) {
         let caps = vec![cap; inst.topology().num_edges()];
-        let t = taa(&inst, &caps, &TaaOptions::default()).unwrap();
+        let t = taa(&inst, &caps).unwrap();
         prop_assert!(t.schedule.check_capacities(&inst, &caps).is_ok());
         prop_assert!(t.evaluation.revenue <= t.relaxation.revenue + 1e-6);
         if cap == 0.0 {
@@ -324,7 +323,7 @@ fn degenerate_zero_capacity_is_limiter_fixed_point() {
         let tightened = rule.apply(inst.topology(), &no_load, &zeros);
         assert_eq!(tightened, zeros, "{rule:?} must keep the fixed point");
     }
-    let t = taa(&inst, &zeros, &TaaOptions::default()).unwrap();
+    let t = taa(&inst, &zeros).unwrap();
     assert_eq!(t.schedule.num_accepted(), 0);
     assert_degrades_gracefully(&inst, "zero-capacity");
 }

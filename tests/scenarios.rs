@@ -97,20 +97,17 @@ fn config(
     warm_start: bool,
     basis: BasisBackend,
 ) -> MetisConfig {
-    let mut cfg = MetisConfig {
+    MetisConfig {
         theta: scenario.theta,
         warm_start,
         parallel: ParallelConfig { threads },
         maa: MaaOptions {
             rounding_repeats: 4,
             seed: 99,
-            ..MaaOptions::default()
         },
+        lp_basis: basis,
         ..MetisConfig::default()
-    };
-    cfg.maa.lp.basis = basis;
-    cfg.taa.lp.basis = basis;
-    cfg
+    }
 }
 
 #[test]
