@@ -40,11 +40,8 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--dir" => parsed.dir = value(&mut args, "--dir"),
             "--serve" => parsed.serve = Some(value(&mut args, "--serve")),
-            "--quick" => {} // accepted for CI symmetry; the zoo is already quick
             other => {
-                eprintln!(
-                    "unknown flag {other}\nusage: zoo [--dir scenarios] [--serve ADDR] [--quick]"
-                );
+                eprintln!("unknown flag {other}\nusage: zoo [--dir scenarios] [--serve ADDR]");
                 std::process::exit(2);
             }
         }

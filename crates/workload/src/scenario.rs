@@ -80,6 +80,10 @@ pub const SCENARIO_VERSION: u64 = 1;
 /// BL-SPM LP is too large for any interactive or CI use.
 pub const MAX_HORIZON_SLOTS: usize = 10_000;
 
+/// Hard cap on a random topology's `nodes`: the generator allocates per
+/// node, so an unchecked count lets a small file exhaust memory.
+pub const MAX_RANDOM_NODES: u32 = 1_000;
+
 /// A malformed scenario document: the offending field and what is wrong
 /// with it.
 ///
@@ -771,7 +775,9 @@ fn parse_topology(ctx: &Ctx<'_>) -> Result<TopologySpec, ScenarioError> {
                     return Err(c.err(format!("need at least three nodes, found {n}")));
                 }
                 let n = u32::try_from(n)
-                    .map_err(|_| c.err(format!("at most {} nodes, found {n}", u32::MAX)))?;
+                    .ok()
+                    .filter(|&n| n <= MAX_RANDOM_NODES)
+                    .ok_or_else(|| c.err(format!("at most {MAX_RANDOM_NODES} nodes, found {n}")))?;
                 nodes = Some(n);
             }
             "extra_links" => extra_links = Some(c.usize()?),
@@ -780,10 +786,22 @@ fn parse_topology(ctx: &Ctx<'_>) -> Result<TopologySpec, ScenarioError> {
         }
         Ok(true)
     })?;
+    let nodes = nodes.ok_or_else(|| rctx.field_err("nodes", "missing required field"))?;
+    let extra_links =
+        extra_links.ok_or_else(|| rctx.field_err("extra_links", "missing required field"))?;
+    // The node pairs an n-cycle leaves unlinked (n ≥ 3 was checked).
+    let max_chords = nodes as usize * (nodes as usize - 3) / 2;
+    if extra_links > max_chords {
+        return Err(rctx.field_err(
+            "extra_links",
+            format!(
+                "a {nodes}-node ring has room for at most {max_chords} chords, found {extra_links}"
+            ),
+        ));
+    }
     Ok(TopologySpec::Random {
-        nodes: nodes.ok_or_else(|| rctx.field_err("nodes", "missing required field"))?,
-        extra_links: extra_links
-            .ok_or_else(|| rctx.field_err("extra_links", "missing required field"))?,
+        nodes,
+        extra_links,
         seed: seed.ok_or_else(|| rctx.field_err("seed", "missing required field"))?,
     })
 }
@@ -1244,6 +1262,39 @@ mod tests {
         let e = Scenario::from_json_text(&text).unwrap_err();
         assert_eq!(e.path, "scenario.horizon");
         assert!(e.message.contains("too large"), "{e}");
+    }
+
+    #[test]
+    fn random_topology_caps() {
+        let random = |nodes: &str, extra: &str| {
+            minimal().replace(
+                "\"topology\": \"sub-b4\"",
+                &format!(
+                    "\"topology\": {{\"random\": {{\"nodes\": {nodes}, \"extra_links\": {extra}, \"seed\": 1}}}}"
+                ),
+            )
+        };
+        for (nodes, extra, field, needle) in [
+            ("4294967295", "0", "nodes", "at most 1000 nodes"),
+            ("1001", "0", "nodes", "at most 1000 nodes"),
+            ("3", "1", "extra_links", "at most 0 chords"),
+            ("10", "36", "extra_links", "at most 35 chords"),
+            (
+                "1000",
+                "9007199254740992",
+                "extra_links",
+                "at most 498500 chords",
+            ),
+        ] {
+            let e = Scenario::from_json_text(&random(nodes, extra)).unwrap_err();
+            assert_eq!(e.path, format!("scenario.topology.random.{field}"), "{e}");
+            assert!(e.message.contains(needle), "{e}");
+        }
+        // The limits themselves parse.
+        for (nodes, extra) in [("10", "35"), ("1000", "498500")] {
+            let s = Scenario::from_json_text(&random(nodes, extra)).unwrap();
+            assert_eq!(s.topology.label(), format!("random({nodes},{extra},1)"));
+        }
     }
 
     #[test]

@@ -12,8 +12,14 @@
 //! outbid B4's peak-billed integer unit charges and every run pins to the
 //! degenerate zero-profit/zero-accepted outcome, which would regress
 //! nothing.
+//!
+//! Below the fixture, the LP engine alone is pinned the same way: pivot
+//! counts and objective bits of two synthetic LP families under both
+//! basis backends. The two larger instances run only in release builds
+//! (`cargo test --release --test golden`).
 
 use metis_suite::core::{metis, online_metis, MetisConfig, OnlineOptions, SpmInstance};
+use metis_suite::lp::{BasisBackend, Problem, Relation, Sense, SolveOptions, VarId};
 use metis_suite::netsim::topologies;
 use metis_suite::workload::{generate, ValueModel, WorkloadConfig};
 
@@ -129,8 +135,6 @@ fn golden_b4_forty_requests_warm_bits() {
 /// must both land on the pinned golden outcome, warm and cold.
 #[test]
 fn golden_b4_forty_requests_on_both_lp_backends() {
-    use metis_suite::lp::BasisBackend;
-
     let inst = fixture();
     for backend in [BasisBackend::SparseLu, BasisBackend::Dense] {
         for warm_start in [false, true] {
@@ -151,4 +155,154 @@ fn golden_b4_forty_requests_on_both_lp_backends() {
             );
         }
     }
+}
+
+// --- LP pivot fingerprints -------------------------------------------
+//
+// Two synthetic LP families, each solved under both basis backends with
+// certificates on. The pivot counts and the objective's bits are
+// deterministic on any hardware, so any change to them means the
+// simplex's pivot sequence changed: update the table deliberately when
+// that is intended, and say so in the commit message. The transportation
+// family starts infeasible at the slack basis (most of its pivots are
+// phase 1); the packing family is feasible at the origin (no phase 1).
+// The backends need not agree on the pivot count: each row pins its own.
+
+/// A dense-ish transportation-style LP with `n` supplies and `n`
+/// demands (`m = 2n` rows).
+fn transportation_lp(n: usize) -> Problem {
+    let mut p = Problem::new(Sense::Minimize);
+    let mut vars = Vec::with_capacity(n * n);
+    for i in 0..n {
+        for j in 0..n {
+            let cost = 1.0 + ((i * 7 + j * 13) % 17) as f64;
+            vars.push(p.add_var(cost, 0.0, f64::INFINITY));
+        }
+    }
+    for i in 0..n {
+        p.add_constraint(
+            (0..n).map(|j| (vars[i * n + j], 1.0)),
+            Relation::Le,
+            10.0 + (i % 3) as f64,
+        );
+    }
+    for j in 0..n {
+        p.add_constraint(
+            (0..n).map(|i| (vars[i * n + j], 1.0)),
+            Relation::Ge,
+            5.0 + (j % 4) as f64,
+        );
+    }
+    p
+}
+
+/// A genuinely sparse packing LP with `m` rows and `2m` variables,
+/// 4–7 nonzeros per row. Even-indexed variables carry negative costs
+/// and unbounded uppers; each anchors exactly one `≤` row (positive
+/// coefficients, finite rhs), so the LP is feasible at the origin (the
+/// slack basis starts phase 2 directly — no artificials at any size)
+/// and bounded (every profitable column is capped by its anchor row).
+/// Deterministic via a seeded LCG, same generator family as the
+/// proptest suite.
+fn sparse_packing_lp(m: usize, seed: u64) -> Problem {
+    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let n = 2 * m;
+    let mut p = Problem::new(Sense::Minimize);
+    let vars: Vec<_> = (0..n)
+        .map(|j| {
+            if j % 2 == 0 {
+                // Profitable, capped only through the rows.
+                p.add_var(-(1.0 + (j / 2 % 5) as f64 * 0.5), 0.0, f64::INFINITY)
+            } else {
+                p.add_var(1.0 + (j % 23) as f64 * 0.25, 0.0, 50.0)
+            }
+        })
+        .collect();
+    for i in 0..m {
+        let k = 3 + next() % 4; // 3..=6 extra nonzeros
+        let mut terms: Vec<(VarId, f64)> = Vec::with_capacity(k + 1);
+        // Anchor row i on profitable variable 2i: every row is nonempty
+        // and every unbounded column is capped by at least one row.
+        terms.push((vars[(2 * i) % n], 1.0 + (i % 5) as f64 * 0.5));
+        for _ in 0..k {
+            let j = next() % n;
+            if terms.iter().all(|&(v, _)| v != vars[j]) {
+                terms.push((vars[j], 0.5 + (next() % 8) as f64 * 0.5));
+            }
+        }
+        p.add_constraint(terms, Relation::Le, 20.0 + (i % 11) as f64);
+    }
+    p
+}
+
+/// One backend's pinned outcome on one instance: total simplex
+/// iterations, phase-1 iterations, and the objective's bit pattern.
+type Fingerprint = (BasisBackend, usize, usize, u64);
+
+/// Solves `p` under each backend of `pinned`, certificate-verified, and
+/// asserts that backend's counts and objective bits exactly.
+fn assert_fingerprints(name: &str, p: &Problem, pinned: &[Fingerprint]) {
+    for &(basis, iterations, phase1, objective_bits) in pinned {
+        let s = p
+            .solve_with(&SolveOptions {
+                basis,
+                verify: true,
+            })
+            .unwrap_or_else(|e| panic!("{name} {basis:?}: {e:?}"));
+        let st = s.stats();
+        assert_eq!(
+            (st.iterations, st.phase1_iterations, s.objective().to_bits()),
+            (iterations, phase1, objective_bits),
+            "{name} {basis:?}: (iterations, phase1, objective bits) moved; objective {}",
+            s.objective()
+        );
+    }
+}
+
+#[test]
+fn lp_fingerprint_transportation_m100() {
+    // Objective 323.
+    const OBJ: u64 = 0x4074_3000_0000_0000;
+    assert_fingerprints(
+        "transportation_lp(50)",
+        &transportation_lp(50),
+        &[
+            (BasisBackend::Dense, 932, 781, OBJ),
+            (BasisBackend::SparseLu, 932, 781, OBJ),
+        ],
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
+fn lp_fingerprint_transportation_m300() {
+    // Objective 973.
+    const OBJ: u64 = 0x408e_6800_0000_0000;
+    assert_fingerprints(
+        "transportation_lp(150)",
+        &transportation_lp(150),
+        &[
+            (BasisBackend::Dense, 7377, 6772, OBJ),
+            (BasisBackend::SparseLu, 7377, 6772, OBJ),
+        ],
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
+fn lp_fingerprint_sparse_packing_m1000() {
+    assert_fingerprints(
+        "sparse_packing_lp(1000, 0x5eed)",
+        &sparse_packing_lp(1000, 0x5eed),
+        &[
+            (BasisBackend::Dense, 1547, 0, 0xc0c0_c2ac_a7e7_6eae),
+            (BasisBackend::SparseLu, 1673, 0, 0xc0c0_c2ac_a7e7_6eb1),
+        ],
+    );
 }
