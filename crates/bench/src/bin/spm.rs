@@ -15,7 +15,7 @@ use metis_lp::IlpOptions;
 use metis_telemetry::{to_prometheus, Telemetry};
 use metis_workload::json::{obj, Json};
 use metis_workload::{
-    FamilySpec, Horizon, RequestId, Scenario, TopologySpec, UniformSpec, ValueModel,
+    FamilySpec, Horizon, RequestId, Scenario, TopologySpec, UniformSpec, ValueModel, MAX_REQUESTS,
     SCENARIO_VERSION,
 };
 
@@ -81,7 +81,11 @@ fn parse_args() -> Result<Args, String> {
             "--requests" => {
                 args.requests = value("--requests")?
                     .parse()
-                    .map_err(|e| format!("--requests: {e}"))?
+                    .map_err(|e| format!("--requests: {e}"))?;
+                // Same cap as a scenario file's `num_requests` field.
+                if args.requests > MAX_REQUESTS {
+                    return Err(format!("--requests: at most {MAX_REQUESTS}"));
+                }
             }
             "--seed" => {
                 args.seed = value("--seed")?

@@ -13,6 +13,7 @@ fn malformed_flags_exit_2_without_panicking() {
     for (bin, bad) in [
         (spm, &["--paths", "0"][..]),
         (spm, &["--requests", "x"]),
+        (spm, &["--requests", "18446744073709551615"]),
         (spm, &["--seed"]),
         (spm, &["--bogus"]),
         (spm, &["--opt-seconds", "-1"]),

@@ -1,7 +1,7 @@
 //! Lightweight observability for the Metis pipeline: timed spans with
-//! parent/child nesting, a lock-free metrics registry (counters,
-//! gauges, fixed-bucket histograms, bounded series), an event stream
-//! for incidents, and JSON / Prometheus snapshot export.
+//! parent/child nesting, a metrics registry (counters, gauges,
+//! fixed-bucket histograms, bounded series), an event stream for
+//! incidents, and JSON / Prometheus snapshot export.
 //!
 //! # Design constraints
 //!
@@ -11,11 +11,14 @@
 //! - **Never perturbs results.** Recording is a write-only side
 //!   channel: nothing in the pipeline reads telemetry state, so a run
 //!   with telemetry on is bit-identical to one with it off.
-//! - **Lock-free hot path.** Metric cells live in fixed-capacity
-//!   open-addressed tables claimed via `OnceLock`; updates are relaxed
-//!   atomics. Only span raw records and events take a (cold-path)
-//!   mutex, and both logs are bounded — overflow is counted, not
-//!   grown.
+//! - **One lock, whole snapshots.** The pipeline records only on the
+//!   calling thread, after each parallel region's index-ordered
+//!   reduction, so the one party that ever runs concurrently with a
+//!   recording is a reader such as the live HTTP endpoint. Everything
+//!   a collector holds therefore sits behind one uncontended mutex:
+//!   each recording is one short critical section, and a snapshot
+//!   copies every metric whole. The span and event logs are bounded;
+//!   overflow is counted, not grown.
 //!
 //! # Example
 //!
@@ -49,9 +52,9 @@ mod snapshot;
 mod span;
 mod trace;
 
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 pub use metrics::{bucket_index, BUCKET_COUNT, HISTOGRAM_BOUNDS, SERIES_CAPACITY};
@@ -63,8 +66,8 @@ pub use snapshot::{
 };
 pub use trace::TraceSpan;
 
-use metrics::Registry;
-use span::{SpanCollector, SpanRecord};
+use metrics::{Histogram, Series};
+use span::{SpanAgg, RAW_CAPACITY};
 
 /// Well-known metric and span names recorded by the workspace, so the
 /// producers (core, lp glue, bench) and consumers (tests, reports)
@@ -175,12 +178,98 @@ struct Event {
     message: String,
 }
 
+/// Everything an enabled collector has recorded.
+#[derive(Default)]
+struct State {
+    counters: BTreeMap<&'static str, u64>,
+    gauges: BTreeMap<&'static str, f64>,
+    histograms: BTreeMap<&'static str, Histogram>,
+    series: BTreeMap<&'static str, Series>,
+    spans: BTreeMap<&'static str, SpanAgg>,
+    /// Finished spans in finishing order, at most [`RAW_CAPACITY`].
+    raw_spans: Vec<TraceSpan>,
+    /// At most [`EVENT_CAPACITY`] events.
+    events: Vec<Event>,
+    dropped: DroppedCounts,
+}
+
+impl State {
+    fn record_span(&mut self, span: TraceSpan) {
+        self.spans
+            .entry(span.name)
+            .or_insert_with(|| SpanAgg::new(span.parent))
+            .add(span.duration_us, span.depth);
+        if self.raw_spans.len() < RAW_CAPACITY {
+            self.raw_spans.push(span);
+        } else {
+            self.dropped.span_records += 1;
+        }
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        // Surface buffer saturation as first-class counters (always
+        // present, usually 0) so a truncated span log or event stream
+        // is visible on /metrics instead of silently reading as
+        // "covered everything". The names are reserved: these values
+        // replace any recording made under them.
+        let mut counters = self.counters.clone();
+        counters.insert(names::TELEMETRY_SPANS_DROPPED, self.dropped.span_records);
+        counters.insert(names::TELEMETRY_EVENTS_DROPPED, self.dropped.events);
+        Snapshot {
+            counters: counters
+                .into_iter()
+                .map(|(name, value)| CounterSnapshot {
+                    name: name.to_string(),
+                    value,
+                })
+                .collect(),
+            gauges: self
+                .gauges
+                .iter()
+                .map(|(name, &value)| GaugeSnapshot {
+                    name: name.to_string(),
+                    value,
+                })
+                .collect(),
+            histograms: self
+                .histograms
+                .iter()
+                .map(|(name, h)| h.snapshot(name))
+                .collect(),
+            series: self
+                .series
+                .iter()
+                .map(|(name, s)| s.snapshot(name))
+                .collect(),
+            spans: self
+                .spans
+                .iter()
+                .map(|(name, a)| a.snapshot(name))
+                .collect(),
+            events: self
+                .events
+                .iter()
+                .enumerate()
+                .map(|(i, e)| EventSnapshot {
+                    seq: i as u64,
+                    kind: e.kind.to_string(),
+                    message: e.message.clone(),
+                })
+                .collect(),
+            max_span_depth: self
+                .spans
+                .values()
+                .map(SpanAgg::max_depth)
+                .max()
+                .unwrap_or(0),
+            dropped: self.dropped,
+        }
+    }
+}
+
 /// The shared backing store of an enabled [`Telemetry`] handle.
 struct Collector {
-    registry: Registry,
-    spans: SpanCollector,
-    events: Mutex<Vec<Event>>,
-    events_dropped: AtomicU64,
+    state: Mutex<State>,
     /// Trace epoch: span start offsets are measured from here.
     epoch: Instant,
 }
@@ -192,12 +281,17 @@ impl Collector {
     )]
     fn new() -> Self {
         Collector {
-            registry: Registry::new(),
-            spans: SpanCollector::new(),
-            events: Mutex::new(Vec::new()),
-            events_dropped: AtomicU64::new(0),
+            state: Mutex::new(State::default()),
             epoch: Instant::now(),
         }
+    }
+
+    /// Locks the collector's state. A recorder that panicked while
+    /// holding the lock (an event's message closure) had not yet
+    /// written anything, and no other update can panic part way, so a
+    /// poisoned state is still whole and recording carries on.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -239,7 +333,7 @@ impl Telemetry {
     }
 
     /// The backing collector, for in-crate exporters.
-    pub(crate) fn collector(&self) -> Option<&Collector> {
+    fn collector(&self) -> Option<&Collector> {
         self.inner.as_deref()
     }
 
@@ -252,8 +346,8 @@ impl Telemetry {
             clippy::disallowed_methods,
             reason = "telemetry is the clock home: spans read the clock only when recording"
         )]
-        let active = self.inner.as_deref().map(|c| {
-            let (parent, depth) = c.spans.enter(name);
+        let active = self.collector().map(|c| {
+            let (parent, depth) = span::enter(name);
             ActiveSpan {
                 collector: c,
                 name,
@@ -271,10 +365,8 @@ impl Telemetry {
 
     /// Adds `delta` to the counter `name`.
     pub fn add(&self, name: &'static str, delta: u64) {
-        if let Some(c) = self.inner.as_deref() {
-            if let Some(cell) = c.registry.counters.slot(name) {
-                cell.add(delta);
-            }
+        if let Some(c) = self.collector() {
+            *c.state().counters.entry(name).or_default() += delta;
         }
     }
 
@@ -285,189 +377,43 @@ impl Telemetry {
 
     /// Sets the gauge `name` to `value` (last write wins).
     pub fn gauge(&self, name: &'static str, value: f64) {
-        if let Some(c) = self.inner.as_deref() {
-            if let Some(cell) = c.registry.gauges.slot(name) {
-                cell.set(value);
-            }
+        if let Some(c) = self.collector() {
+            c.state().gauges.insert(name, value);
         }
     }
 
     /// Observes `value` into the histogram `name`.
     pub fn observe(&self, name: &'static str, value: f64) {
-        if let Some(c) = self.inner.as_deref() {
-            if let Some(cell) = c.registry.histograms.slot(name) {
-                cell.observe(value);
-            }
+        if let Some(c) = self.collector() {
+            c.state().histograms.entry(name).or_default().observe(value);
         }
     }
 
     /// Appends `value` to the series `name`.
     pub fn push(&self, name: &'static str, value: f64) {
-        if let Some(c) = self.inner.as_deref() {
-            if let Some(cell) = c.registry.series.slot(name) {
-                cell.push(value);
-            }
+        if let Some(c) = self.collector() {
+            c.state().series.entry(name).or_default().push(value);
         }
     }
 
     /// Pushes an event. The message closure only runs when enabled,
-    /// so disabled handles never pay for formatting.
+    /// so disabled handles never pay for formatting. It runs under the
+    /// collector's lock, so it must not record into the same handle.
     pub fn event(&self, kind: &'static str, message: impl FnOnce() -> String) {
-        if let Some(c) = self.inner.as_deref() {
-            let mut events = match c.events.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if events.len() < EVENT_CAPACITY {
-                events.push(Event {
-                    kind,
-                    message: message(),
-                });
+        if let Some(c) = self.collector() {
+            let mut state = c.state();
+            if state.events.len() < EVENT_CAPACITY {
+                let message = message();
+                state.events.push(Event { kind, message });
             } else {
-                c.events_dropped.fetch_add(1, Ordering::Relaxed);
+                state.dropped.events += 1;
             }
         }
     }
 
     /// Takes a consistent snapshot, or `None` for a disabled handle.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        let c = self.inner.as_deref()?;
-
-        let mut counters: Vec<CounterSnapshot> = c
-            .registry
-            .counters
-            .iter()
-            .map(|(name, cell)| CounterSnapshot {
-                name: name.to_string(),
-                value: cell.get(),
-            })
-            .collect();
-        // Surface buffer saturation as first-class counters (always
-        // present, usually 0) so a truncated span log or event stream
-        // is visible on /metrics instead of silently reading as
-        // "covered everything". The names are reserved: the registry
-        // has no slots for them, so they cannot collide with organic
-        // counters.
-        counters.push(CounterSnapshot {
-            name: names::TELEMETRY_SPANS_DROPPED.to_string(),
-            value: c.spans.dropped(),
-        });
-        counters.push(CounterSnapshot {
-            name: names::TELEMETRY_EVENTS_DROPPED.to_string(),
-            value: c.events_dropped.load(Ordering::Relaxed),
-        });
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-
-        let mut gauges: Vec<GaugeSnapshot> = c
-            .registry
-            .gauges
-            .iter()
-            .map(|(name, cell)| GaugeSnapshot {
-                name: name.to_string(),
-                value: cell.get(),
-            })
-            .collect();
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
-
-        let mut histograms: Vec<HistogramSnapshot> = c
-            .registry
-            .histograms
-            .iter()
-            .map(|(name, cell)| {
-                let (buckets, count, sum, min, max) = cell.read();
-                HistogramSnapshot {
-                    name: name.to_string(),
-                    buckets,
-                    count,
-                    sum,
-                    min,
-                    max,
-                }
-            })
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-
-        let mut series: Vec<SeriesSnapshot> = c
-            .registry
-            .series
-            .iter()
-            .map(|(name, cell)| {
-                let (points, dropped) = cell.read();
-                SeriesSnapshot {
-                    name: name.to_string(),
-                    points,
-                    dropped,
-                }
-            })
-            .collect();
-        series.sort_by(|a, b| a.name.cmp(&b.name));
-
-        // First-seen parent per span name, from the raw log.
-        let records = c.spans.records();
-        let mut spans: Vec<SpanSnapshot> = c
-            .spans
-            .aggregates
-            .iter()
-            .map(|(name, agg)| {
-                let parent = records
-                    .iter()
-                    .find(|r| r.name == name)
-                    .and_then(|r| r.parent)
-                    .map(str::to_string);
-                let count = agg.count.load(Ordering::Relaxed);
-                SpanSnapshot {
-                    name: name.to_string(),
-                    parent,
-                    count,
-                    total_us: agg.total_us.load(Ordering::Relaxed),
-                    min_us: if count == 0 {
-                        0
-                    } else {
-                        agg.min_us.load(Ordering::Relaxed)
-                    },
-                    max_us: agg.max_us.load(Ordering::Relaxed),
-                    max_depth: agg.max_depth.load(Ordering::Relaxed) as u32,
-                }
-            })
-            .collect();
-        spans.sort_by(|a, b| a.name.cmp(&b.name));
-
-        let events: Vec<EventSnapshot> = {
-            let guard = match c.events.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard
-                .iter()
-                .enumerate()
-                .map(|(i, e)| EventSnapshot {
-                    seq: i as u64,
-                    kind: e.kind.to_string(),
-                    message: e.message.clone(),
-                })
-                .collect()
-        };
-
-        let dropped = DroppedCounts {
-            metrics: c.registry.counters.overflow()
-                + c.registry.gauges.overflow()
-                + c.registry.histograms.overflow()
-                + c.registry.series.overflow()
-                + c.spans.aggregates.overflow(),
-            span_records: c.spans.dropped(),
-            events: c.events_dropped.load(Ordering::Relaxed),
-        };
-
-        Some(Snapshot {
-            counters,
-            gauges,
-            histograms,
-            series,
-            spans,
-            events,
-            max_span_depth: c.spans.max_depth(),
-            dropped,
-        })
+        Some(self.collector()?.state().snapshot())
     }
 }
 
@@ -508,20 +454,20 @@ impl Drop for Span<'_> {
                 reason = "telemetry is the clock home: spans read the clock only when recording"
             )]
             let end = Instant::now();
-            let duration_us = end.saturating_duration_since(a.start).as_micros() as u64;
-            let start_us = a
-                .start
-                .saturating_duration_since(a.collector.epoch)
-                .as_micros() as u64;
-            a.collector.spans.exit(SpanRecord {
+            span::exit(a.name);
+            let finished = TraceSpan {
                 name: a.name,
                 parent: a.parent,
                 depth: a.depth,
                 lane: span::current_lane(),
-                start_us,
-                duration_us,
+                start_us: a
+                    .start
+                    .saturating_duration_since(a.collector.epoch)
+                    .as_micros() as u64,
+                duration_us: end.saturating_duration_since(a.start).as_micros() as u64,
                 args: a.args,
-            });
+            };
+            a.collector.state().record_span(finished);
         }
     }
 }
@@ -601,5 +547,73 @@ mod tests {
         assert!(prom.contains("metis_a_count"));
         assert!(prom.contains("metis_a_hist_bucket{le=\"+Inf\"}"));
         assert!(prom.contains("metis_span_calls_total{span=\"a.span\"}"));
+    }
+
+    #[test]
+    fn full_raw_log_keeps_counting_and_first_seen_parents() {
+        let t = Telemetry::enabled();
+        for _ in 0..(RAW_CAPACITY + 5) {
+            let _s = t.span("hot");
+        }
+        // The first occurrence of a nested name arrives after the raw
+        // log is full: its aggregate still names the parent.
+        {
+            let _outer = t.span("outer");
+            let _inner = t.span("inner");
+        }
+        assert_eq!(t.raw_spans().expect("enabled").len(), RAW_CAPACITY);
+        let s = t.snapshot().expect("enabled");
+        assert_eq!(s.dropped.span_records, 7);
+        assert_eq!(s.counter(names::TELEMETRY_SPANS_DROPPED), 7);
+        assert_eq!(
+            s.span("hot").map(|a| a.count),
+            Some(RAW_CAPACITY as u64 + 5)
+        );
+        let inner = s.span("inner").expect("inner aggregate");
+        assert_eq!(inner.parent.as_deref(), Some("outer"));
+        assert_eq!(inner.max_depth, 2);
+        assert_eq!(s.span("outer").and_then(|a| a.parent.clone()), None);
+        assert_eq!(s.max_span_depth, 2);
+    }
+
+    #[test]
+    fn snapshots_are_whole_under_a_concurrent_writer() {
+        // A few thousand recordings keep this quick under Miri.
+        const N: usize = 1_000;
+        let t = Telemetry::enabled();
+        let writer = t.clone();
+        let check = |s: &Snapshot| {
+            for h in &s.histograms {
+                assert_eq!(h.buckets.iter().sum::<u64>(), h.count, "{}", h.name);
+                assert!(h.min <= h.max, "{h:?}");
+            }
+            if let Some(series) = s.series("s") {
+                for (i, &p) in series.points.iter().enumerate() {
+                    assert_eq!(p, i as f64, "series points are a prefix of the pushes");
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test needs a second OS thread to record while this one reads"
+            )]
+            let recording = scope.spawn(move || {
+                for i in 0..N {
+                    writer.observe("h", (i % 97) as f64);
+                    writer.push("s", i as f64);
+                    writer.add("c", 1);
+                }
+            });
+            while !recording.is_finished() {
+                check(&t.snapshot().expect("enabled"));
+            }
+        });
+        let s = t.snapshot().expect("enabled");
+        check(&s);
+        assert_eq!(s.counter("c"), N as u64);
+        assert_eq!(s.histogram("h").map(|h| h.count), Some(N as u64));
+        let series = s.series("s").expect("series");
+        assert_eq!(series.points.len() as u64 + series.dropped, N as u64);
     }
 }

@@ -1,15 +1,11 @@
-//! Lock-free metric primitives: counters, gauges, fixed-bucket
+//! Metric primitives: the shared histogram bucket grid, fixed-bucket
 //! histograms, and bounded series.
 //!
-//! All cells live in fixed-capacity open-addressed tables whose slots
-//! are claimed on first use via [`OnceLock`]; after a slot is claimed
-//! every update is a relaxed atomic operation, so recording from
-//! worker threads never takes a lock and never allocates. Tables that
-//! fill up count the overflow instead of failing — a snapshot reports
-//! how many distinct names were dropped.
+//! They are plain values with no synchronization of their own: the
+//! collector keeps every metric behind its one lock (see
+//! [`crate::Telemetry`]), so a snapshot reads each of them whole.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use crate::snapshot::{HistogramSnapshot, SeriesSnapshot};
 
 /// Upper bounds of the shared histogram bucket grid (a 1–2–5
 /// logarithmic ladder from `1e-6` to `5e8`). A final implicit `+Inf`
@@ -43,255 +39,71 @@ pub fn bucket_index(value: f64) -> usize {
     HISTOGRAM_BOUNDS.partition_point(|b| *b < value)
 }
 
-/// FNV-1a over the name bytes; only used to pick a starting probe slot.
-fn hash_name(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h as usize
-}
-
-/// A named slot in a fixed table.
-struct Named<T> {
-    name: OnceLock<&'static str>,
-    value: T,
-}
-
-/// Fixed-capacity open-addressed table of named metric cells.
-///
-/// `capacity` must be a power of two. Lookup claims an empty slot for
-/// an unknown name; a full table counts the miss in `overflow`.
-pub(crate) struct Table<T> {
-    slots: Vec<Named<T>>,
-    overflow: AtomicU64,
-}
-
-impl<T> Table<T> {
-    pub(crate) fn new(capacity: usize, mut make: impl FnMut() -> T) -> Self {
-        debug_assert!(capacity.is_power_of_two());
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push(Named {
-                name: OnceLock::new(),
-                value: make(),
-            });
-        }
-        Table {
-            slots,
-            overflow: AtomicU64::new(0),
-        }
-    }
-
-    /// The cell registered under `name`, claiming a free slot on first
-    /// use. Returns `None` (and counts the overflow) once the table is
-    /// full of other names.
-    pub(crate) fn slot(&self, name: &'static str) -> Option<&T> {
-        let mask = self.slots.len() - 1;
-        let mut idx = hash_name(name) & mask;
-        let mut probes = 0;
-        while probes < self.slots.len() {
-            let s = &self.slots[idx];
-            if let Some(&claimed) = s.name.get() {
-                if claimed == name {
-                    return Some(&s.value);
-                }
-                idx = (idx + 1) & mask;
-                probes += 1;
-            } else if s.name.set(name).is_ok() {
-                return Some(&s.value);
-            }
-            // Lost a claim race: re-read the same slot, now named.
-        }
-        self.overflow.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Recording attempts that found the table full.
-    pub(crate) fn overflow(&self) -> u64 {
-        self.overflow.load(Ordering::Relaxed)
-    }
-
-    /// Claimed `(name, cell)` pairs in unspecified order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, &T)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.name.get().map(|&n| (n, &s.value)))
-    }
-}
-
-/// Adds `v` to an `f64` stored as bits in an [`AtomicU64`].
-fn f64_fetch_add(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + v).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Lowers a bits-encoded `f64` minimum (or raises a maximum).
-fn f64_fetch_extreme(cell: &AtomicU64, v: f64, want_min: bool) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let current = f64::from_bits(cur);
-        let improves = if want_min { v < current } else { v > current };
-        if !improves {
-            return;
-        }
-        match cell.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Monotonic `u64` counter.
-#[derive(Default)]
-pub(crate) struct CounterCell {
-    value: AtomicU64,
-}
-
-impl CounterCell {
-    pub(crate) fn add(&self, delta: u64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    pub(crate) fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins `f64` gauge.
-pub(crate) struct GaugeCell {
-    bits: AtomicU64,
-}
-
-impl Default for GaugeCell {
-    fn default() -> Self {
-        GaugeCell {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-}
-
-impl GaugeCell {
-    pub(crate) fn set(&self, value: f64) {
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    pub(crate) fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
 /// Fixed-bucket histogram over the shared [`HISTOGRAM_BOUNDS`] grid.
-pub(crate) struct HistogramCell {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
+/// The collector creates one at its first observation, so it is never
+/// empty.
+pub(crate) struct Histogram {
+    buckets: [u64; BUCKET_COUNT],
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
 }
 
-impl Default for HistogramCell {
+impl Default for Histogram {
     fn default() -> Self {
-        HistogramCell {
-            buckets: (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+        Histogram {
+            buckets: [0; BUCKET_COUNT],
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
         }
     }
 }
 
-impl HistogramCell {
-    pub(crate) fn observe(&self, value: f64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        f64_fetch_add(&self.sum_bits, value);
-        f64_fetch_extreme(&self.min_bits, value, true);
-        f64_fetch_extreme(&self.max_bits, value, false);
+impl Histogram {
+    pub(crate) fn observe(&mut self, value: f64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
-    /// `(buckets, count, sum, min, max)`; min/max are `0` when empty.
-    pub(crate) fn read(&self) -> (Vec<u64>, u64, f64, f64, f64) {
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count = self.count.load(Ordering::Relaxed);
-        let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
-        let (min, max) = if count == 0 {
-            (0.0, 0.0)
+    pub(crate) fn snapshot(&self, name: &str) -> HistogramSnapshot {
+        HistogramSnapshot {
+            name: name.to_string(),
+            buckets: self.buckets.to_vec(),
+            count: self.count,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+        }
+    }
+}
+
+/// Append-only sequence of at most [`SERIES_CAPACITY`] points.
+#[derive(Default)]
+pub(crate) struct Series {
+    points: Vec<f64>,
+    dropped: u64,
+}
+
+impl Series {
+    pub(crate) fn push(&mut self, value: f64) {
+        if self.points.len() < SERIES_CAPACITY {
+            self.points.push(value);
         } else {
-            (
-                f64::from_bits(self.min_bits.load(Ordering::Relaxed)),
-                f64::from_bits(self.max_bits.load(Ordering::Relaxed)),
-            )
-        };
-        (buckets, count, sum, min, max)
-    }
-}
-
-/// Append-only bounded sequence of `f64` points.
-pub(crate) struct SeriesCell {
-    len: AtomicU64,
-    values: Vec<AtomicU64>,
-    dropped: AtomicU64,
-}
-
-impl Default for SeriesCell {
-    fn default() -> Self {
-        SeriesCell {
-            len: AtomicU64::new(0),
-            values: (0..SERIES_CAPACITY).map(|_| AtomicU64::new(0)).collect(),
-            dropped: AtomicU64::new(0),
-        }
-    }
-}
-
-impl SeriesCell {
-    pub(crate) fn push(&self, value: f64) {
-        let at = self.len.fetch_add(1, Ordering::Relaxed) as usize;
-        if at < SERIES_CAPACITY {
-            self.values[at].store(value.to_bits(), Ordering::Relaxed);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped += 1;
         }
     }
 
-    /// `(points, dropped)`.
-    pub(crate) fn read(&self) -> (Vec<f64>, u64) {
-        let len = (self.len.load(Ordering::Relaxed) as usize).min(SERIES_CAPACITY);
-        let points = self.values[..len]
-            .iter()
-            .map(|v| f64::from_bits(v.load(Ordering::Relaxed)))
-            .collect();
-        (points, self.dropped.load(Ordering::Relaxed))
-    }
-}
-
-/// The full metric registry: one table per cell kind.
-pub(crate) struct Registry {
-    pub(crate) counters: Table<CounterCell>,
-    pub(crate) gauges: Table<GaugeCell>,
-    pub(crate) histograms: Table<HistogramCell>,
-    pub(crate) series: Table<SeriesCell>,
-}
-
-impl Registry {
-    pub(crate) fn new() -> Self {
-        Registry {
-            counters: Table::new(128, CounterCell::default),
-            gauges: Table::new(64, GaugeCell::default),
-            histograms: Table::new(64, HistogramCell::default),
-            series: Table::new(64, SeriesCell::default),
+    pub(crate) fn snapshot(&self, name: &str) -> SeriesSnapshot {
+        SeriesSnapshot {
+            name: name.to_string(),
+            points: self.points.clone(),
+            dropped: self.dropped,
         }
     }
 }
@@ -318,52 +130,30 @@ mod tests {
     }
 
     #[test]
-    fn table_claims_and_finds_slots() {
-        let t: Table<CounterCell> = Table::new(4, CounterCell::default);
-        t.slot("a").unwrap().add(1);
-        t.slot("b").unwrap().add(2);
-        t.slot("a").unwrap().add(1);
-        let mut names: Vec<_> = t.iter().map(|(n, c)| (n, c.get())).collect();
-        names.sort();
-        assert_eq!(names, vec![("a", 2), ("b", 2)]);
-        assert_eq!(t.overflow(), 0);
-    }
-
-    #[test]
-    fn full_table_counts_overflow() {
-        let t: Table<CounterCell> = Table::new(2, CounterCell::default);
-        assert!(t.slot("a").is_some());
-        assert!(t.slot("b").is_some());
-        assert!(t.slot("c").is_none());
-        assert_eq!(t.overflow(), 1);
-        // Existing names still resolve.
-        assert!(t.slot("a").is_some());
-    }
-
-    #[test]
     fn histogram_tracks_count_sum_min_max() {
-        let h = HistogramCell::default();
+        let mut h = Histogram::default();
         h.observe(2.0);
         h.observe(8.0);
-        let (buckets, count, sum, min, max) = h.read();
-        assert_eq!(count, 2);
-        assert!((sum - 10.0).abs() < 1e-12);
-        assert_eq!(min, 2.0);
-        assert_eq!(max, 8.0);
-        assert_eq!(buckets.iter().sum::<u64>(), 2);
-        assert_eq!(buckets[bucket_index(2.0)], 1);
-        assert_eq!(buckets[bucket_index(8.0)], 1);
+        let s = h.snapshot("h");
+        assert_eq!(s.count, 2);
+        assert!((s.sum - 10.0).abs() < 1e-12);
+        assert_eq!(s.min, 2.0);
+        assert_eq!(s.max, 8.0);
+        assert_eq!(s.buckets.len(), BUCKET_COUNT);
+        assert_eq!(s.buckets.iter().sum::<u64>(), 2);
+        assert_eq!(s.buckets[bucket_index(2.0)], 1);
+        assert_eq!(s.buckets[bucket_index(8.0)], 1);
     }
 
     #[test]
     fn series_caps_and_counts_drops() {
-        let s = SeriesCell::default();
+        let mut s = Series::default();
         for i in 0..(SERIES_CAPACITY + 3) {
             s.push(i as f64);
         }
-        let (points, dropped) = s.read();
-        assert_eq!(points.len(), SERIES_CAPACITY);
-        assert_eq!(dropped, 3);
-        assert_eq!(points[0], 0.0);
+        let s = s.snapshot("s");
+        assert_eq!(s.points.len(), SERIES_CAPACITY);
+        assert_eq!(s.dropped, 3);
+        assert_eq!(s.points[0], 0.0);
     }
 }

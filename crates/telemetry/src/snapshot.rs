@@ -91,8 +91,6 @@ pub struct EventSnapshot {
 /// How much recording the bounded collector had to drop.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DroppedCounts {
-    /// Metric recordings that found their table full.
-    pub metrics: u64,
     /// Raw span records beyond the log capacity.
     pub span_records: u64,
     /// Events beyond the event-log capacity.
@@ -290,8 +288,6 @@ impl Snapshot {
 
         w.key("dropped");
         w.open_obj();
-        w.key("metrics");
-        w.num_u64(self.dropped.metrics, schema);
         w.key("span_records");
         w.num_u64(self.dropped.span_records, schema);
         w.key("events");

@@ -7,17 +7,18 @@
 //! collector can attribute each span to its parent and report the
 //! maximum nesting depth observed.
 //!
-//! Each raw record also carries a start offset (microseconds since the
-//! collector was created) and a process-wide *lane* id for the
-//! recording thread, which is what lets the bounded raw log be
-//! re-exported as a Chrome trace (see [`crate::TraceSpan`]) with one
-//! timeline row per thread.
+//! A finished span is recorded under the collector's one lock, twice:
+//! into its name's [`SpanAgg`], which keeps the parent of the name's
+//! first occurrence, and verbatim into the bounded raw log. Each raw
+//! record carries a start offset (microseconds since the collector was
+//! created) and a process-wide *lane* id for the recording thread, which
+//! is what lets the log be re-exported as a Chrome trace (see
+//! [`crate::TraceSpan`]) with one timeline row per thread.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::metrics::Table;
+use crate::snapshot::SpanSnapshot;
 
 /// Raw span records kept verbatim before aggregation.
 pub(crate) const RAW_CAPACITY: usize = 16_384;
@@ -39,122 +40,74 @@ pub(crate) fn current_lane() -> u32 {
     LANE.with(|l| *l)
 }
 
-/// One finished span occurrence.
-#[derive(Clone, Debug)]
-pub(crate) struct SpanRecord {
-    pub(crate) name: &'static str,
-    pub(crate) parent: Option<&'static str>,
-    pub(crate) depth: u32,
-    pub(crate) lane: u32,
-    pub(crate) start_us: u64,
-    pub(crate) duration_us: u64,
-    pub(crate) args: Vec<(&'static str, f64)>,
+/// Pushes `name` onto this thread's span stack and returns
+/// `(parent, depth)` for the new span (depth of the outermost span
+/// is 1).
+pub(crate) fn enter(name: &'static str) -> (Option<&'static str>, u32) {
+    SPAN_STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        let parent = stack.last().copied();
+        stack.push(name);
+        (parent, stack.len() as u32)
+    })
 }
 
-/// Per-name aggregate of finished spans.
-pub(crate) struct SpanAggCell {
-    pub(crate) count: AtomicU64,
-    pub(crate) total_us: AtomicU64,
-    pub(crate) min_us: AtomicU64,
-    pub(crate) max_us: AtomicU64,
-    pub(crate) max_depth: AtomicU64,
+/// Pops `name` off this thread's span stack.
+pub(crate) fn exit(name: &'static str) {
+    SPAN_STACK.with(|stack| {
+        let popped = stack.borrow_mut().pop();
+        debug_assert_eq!(popped, Some(name), "span guards dropped out of order");
+    });
 }
 
-impl Default for SpanAggCell {
-    fn default() -> Self {
-        SpanAggCell {
-            count: AtomicU64::new(0),
-            total_us: AtomicU64::new(0),
-            min_us: AtomicU64::new(u64::MAX),
-            max_us: AtomicU64::new(0),
-            max_depth: AtomicU64::new(0),
-        }
-    }
+/// Per-name aggregate of finished spans. The collector creates one at
+/// its name's first finished occurrence and adds that occurrence under
+/// the same lock, so a snapshot never sees one empty.
+pub(crate) struct SpanAgg {
+    /// Parent of the first finished occurrence.
+    parent: Option<&'static str>,
+    count: u64,
+    total_us: u64,
+    min_us: u64,
+    max_us: u64,
+    max_depth: u32,
 }
 
-fn fetch_max(cell: &AtomicU64, v: u64) {
-    cell.fetch_max(v, Ordering::Relaxed);
-}
-
-fn fetch_min(cell: &AtomicU64, v: u64) {
-    cell.fetch_min(v, Ordering::Relaxed);
-}
-
-/// Collects finished spans: per-name aggregates plus a bounded raw log.
-pub(crate) struct SpanCollector {
-    pub(crate) aggregates: Table<SpanAggCell>,
-    records: Mutex<Vec<SpanRecord>>,
-    dropped: AtomicU64,
-    max_depth: AtomicU64,
-}
-
-impl SpanCollector {
-    pub(crate) fn new() -> Self {
-        SpanCollector {
-            aggregates: Table::new(64, SpanAggCell::default),
-            records: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-            max_depth: AtomicU64::new(0),
+impl SpanAgg {
+    /// An aggregate with no occurrences yet, whose name was first seen
+    /// under `parent`.
+    pub(crate) fn new(parent: Option<&'static str>) -> Self {
+        SpanAgg {
+            parent,
+            count: 0,
+            total_us: 0,
+            min_us: u64::MAX,
+            max_us: 0,
+            max_depth: 0,
         }
     }
 
-    /// Pushes `name` onto this thread's span stack and returns
-    /// `(parent, depth)` for the new span (depth of the outermost
-    /// span is 1).
-    pub(crate) fn enter(&self, name: &'static str) -> (Option<&'static str>, u32) {
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let parent = stack.last().copied();
-            stack.push(name);
-            (parent, stack.len() as u32)
-        })
+    pub(crate) fn add(&mut self, duration_us: u64, depth: u32) {
+        self.count += 1;
+        self.total_us += duration_us;
+        self.min_us = self.min_us.min(duration_us);
+        self.max_us = self.max_us.max(duration_us);
+        self.max_depth = self.max_depth.max(depth);
     }
 
-    /// Pops this thread's span stack and records the finished span.
-    pub(crate) fn exit(&self, record: SpanRecord) {
-        SPAN_STACK.with(|stack| {
-            let popped = stack.borrow_mut().pop();
-            debug_assert_eq!(
-                popped,
-                Some(record.name),
-                "span guards dropped out of order"
-            );
-        });
-        fetch_max(&self.max_depth, u64::from(record.depth));
-        if let Some(agg) = self.aggregates.slot(record.name) {
-            agg.count.fetch_add(1, Ordering::Relaxed);
-            agg.total_us
-                .fetch_add(record.duration_us, Ordering::Relaxed);
-            fetch_min(&agg.min_us, record.duration_us);
-            fetch_max(&agg.max_us, record.duration_us);
-            fetch_max(&agg.max_depth, u64::from(record.depth));
-        }
-        let mut records = match self.records.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if records.len() < RAW_CAPACITY {
-            records.push(record);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Deepest nesting seen by any thread.
     pub(crate) fn max_depth(&self) -> u32 {
-        self.max_depth.load(Ordering::Relaxed) as u32
+        self.max_depth
     }
 
-    /// Raw records dropped once the bounded log filled up.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the raw record log.
-    pub(crate) fn records(&self) -> Vec<SpanRecord> {
-        match self.records.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
+    pub(crate) fn snapshot(&self, name: &str) -> SpanSnapshot {
+        SpanSnapshot {
+            name: name.to_string(),
+            parent: self.parent.map(str::to_string),
+            count: self.count,
+            total_us: self.total_us,
+            min_us: self.min_us,
+            max_us: self.max_us,
+            max_depth: self.max_depth,
         }
     }
 }
@@ -163,50 +116,28 @@ impl SpanCollector {
 mod tests {
     use super::*;
 
-    fn record(name: &'static str, parent: Option<&'static str>, depth: u32) -> SpanRecord {
-        SpanRecord {
-            name,
-            parent,
-            depth,
-            lane: current_lane(),
-            start_us: 0,
-            duration_us: 7,
-            args: Vec::new(),
-        }
-    }
-
     #[test]
     fn enter_exit_tracks_nesting() {
-        let c = SpanCollector::new();
-        let (p1, d1) = c.enter("outer");
-        assert_eq!((p1, d1), (None, 1));
-        let (p2, d2) = c.enter("inner");
-        assert_eq!((p2, d2), (Some("outer"), 2));
-        c.exit(record("inner", p2, d2));
-        c.exit(record("outer", p1, d1));
-        assert_eq!(c.max_depth(), 2);
-        let recs = c.records();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].name, "inner");
-        assert_eq!(recs[0].parent, Some("outer"));
+        assert_eq!(enter("outer"), (None, 1));
+        assert_eq!(enter("inner"), (Some("outer"), 2));
+        exit("inner");
+        assert_eq!(enter("sibling"), (Some("outer"), 2));
+        exit("sibling");
+        exit("outer");
+        assert_eq!(enter("again"), (None, 1));
+        exit("again");
     }
 
     #[test]
     fn aggregates_accumulate_per_name() {
-        let c = SpanCollector::new();
-        for _ in 0..3 {
-            let (p, d) = c.enter("loop");
-            c.exit(record("loop", p, d));
+        let mut agg = SpanAgg::new(Some("root"));
+        for (duration_us, depth) in [(7, 2), (3, 2), (11, 3)] {
+            agg.add(duration_us, depth);
         }
-        let (_, agg) = c
-            .aggregates
-            .iter()
-            .find(|(n, _)| *n == "loop")
-            .expect("aggregate exists");
-        assert_eq!(agg.count.load(Ordering::Relaxed), 3);
-        assert_eq!(agg.total_us.load(Ordering::Relaxed), 21);
-        assert_eq!(agg.min_us.load(Ordering::Relaxed), 7);
-        assert_eq!(agg.max_us.load(Ordering::Relaxed), 7);
+        let s = agg.snapshot("loop");
+        assert_eq!(s.parent.as_deref(), Some("root"));
+        assert_eq!((s.count, s.total_us, s.min_us, s.max_us), (3, 21, 3, 11));
+        assert_eq!(s.max_depth, 3);
     }
 
     #[test]
@@ -219,16 +150,5 @@ mod tests {
         )]
         let other = std::thread::spawn(current_lane).join().expect("join");
         assert_ne!(here, other);
-    }
-
-    #[test]
-    fn raw_log_saturates_and_counts_drops() {
-        let c = SpanCollector::new();
-        for _ in 0..(RAW_CAPACITY + 5) {
-            let (p, d) = c.enter("hot");
-            c.exit(record("hot", p, d));
-        }
-        assert_eq!(c.records().len(), RAW_CAPACITY);
-        assert_eq!(c.dropped(), 5);
     }
 }

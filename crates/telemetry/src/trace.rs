@@ -12,7 +12,6 @@
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::snapshot::JsonWriter;
-use crate::span::SpanRecord;
 use crate::Telemetry;
 
 /// One finished span from the raw log, in export-ready form.
@@ -38,27 +37,11 @@ pub struct TraceSpan {
     pub args: Vec<(&'static str, f64)>,
 }
 
-impl From<SpanRecord> for TraceSpan {
-    fn from(r: SpanRecord) -> Self {
-        TraceSpan {
-            name: r.name,
-            parent: r.parent,
-            depth: r.depth,
-            lane: r.lane,
-            start_us: r.start_us,
-            duration_us: r.duration_us,
-            args: r.args,
-        }
-    }
-}
-
 impl Telemetry {
     /// The raw span log in deterministic order (by start offset, then
     /// lane, then depth, then name), or `None` for a disabled handle.
     pub fn raw_spans(&self) -> Option<Vec<TraceSpan>> {
-        let c = self.collector()?;
-        let mut spans: Vec<TraceSpan> =
-            c.spans.records().into_iter().map(TraceSpan::from).collect();
+        let mut spans = self.collector()?.state().raw_spans.clone();
         spans.sort_by(|a, b| {
             (a.start_us, a.lane, a.depth, a.name).cmp(&(b.start_us, b.lane, b.depth, b.name))
         });

@@ -34,5 +34,5 @@ pub use generator::{generate, ValueModel, WorkloadConfig, DEFAULT_SLOTS};
 pub use request::{Request, RequestId};
 pub use scenario::{
     AuctionSpec, BurstSpec, DiurnalSpec, FamilySpec, GeoLocalitySpec, Horizon, HoseSpec, Scenario,
-    ScenarioError, TopologySpec, UniformSpec, SCENARIO_VERSION,
+    ScenarioError, TopologySpec, UniformSpec, MAX_REQUESTS, SCENARIO_VERSION,
 };

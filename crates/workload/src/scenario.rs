@@ -84,6 +84,11 @@ pub const MAX_HORIZON_SLOTS: usize = 10_000;
 /// node, so an unchecked count lets a small file exhaust memory.
 pub const MAX_RANDOM_NODES: u32 = 1_000;
 
+/// Hard cap on a workload's `num_requests`: the generators allocate per
+/// request up front, so an unchecked count lets a small file exhaust
+/// memory. A million keeps the largest workloads expressible.
+pub const MAX_REQUESTS: usize = 1_000_000;
+
 /// A malformed scenario document: the offending field and what is wrong
 /// with it.
 ///
@@ -921,6 +926,12 @@ fn require_requests(ctx: &Ctx<'_>, k: Option<usize>) -> Result<usize, ScenarioEr
     if k == 0 {
         return Err(ctx.field_err("num_requests", "must be at least 1"));
     }
+    if k > MAX_REQUESTS {
+        return Err(ctx.field_err(
+            "num_requests",
+            format!("at most {MAX_REQUESTS} requests, found {k}"),
+        ));
+    }
     Ok(k)
 }
 
@@ -1295,6 +1306,27 @@ mod tests {
             let s = Scenario::from_json_text(&random(nodes, extra)).unwrap();
             assert_eq!(s.topology.label(), format!("random({nodes},{extra},1)"));
         }
+    }
+
+    #[test]
+    fn request_count_cap() {
+        let with =
+            |k: &str| minimal().replace("\"num_requests\": 5", &format!("\"num_requests\": {k}"));
+        for (k, needle) in [
+            ("18446744073709551615", "must be a non-negative integer"),
+            ("9007199254740992", "at most 1000000 requests"),
+            ("1000001", "at most 1000000 requests"),
+        ] {
+            let e = Scenario::from_json_text(&with(k)).unwrap_err();
+            assert_eq!(e.path, "scenario.workload.uniform.num_requests", "{e}");
+            assert!(e.message.contains(needle), "{e}");
+        }
+        // The limit itself parses; nothing is generated.
+        let s = Scenario::from_json_text(&with(&MAX_REQUESTS.to_string())).unwrap();
+        let FamilySpec::Uniform(spec) = s.workload else {
+            panic!("uniform workload expected");
+        };
+        assert_eq!(spec.num_requests, MAX_REQUESTS);
     }
 
     #[test]

@@ -211,14 +211,22 @@ fn concurrent_scraping_preserves_bit_identity() {
     )]
     let scraper = std::thread::spawn(move || {
         let mut scrapes = 0u64;
+        let mut invalid = Vec::new();
         while !stop2.load(Ordering::Relaxed) {
             for path in ["/metrics", "/snapshot.json", "/trace.json"] {
-                if http_get(addr, path).is_ok_and(|(status, _, _)| status == 200) {
+                if let Ok((200, _, body)) = http_get(addr, path) {
                     scrapes += 1;
+                    // A scrape taken mid-run must still be a whole
+                    // snapshot: every histogram's buckets sum to its count.
+                    if path == "/metrics" {
+                        if let Err(e) = validate_prometheus(&body) {
+                            invalid.push(e);
+                        }
+                    }
                 }
             }
         }
-        scrapes
+        (scrapes, invalid)
     });
 
     for threads in [1usize, 2, 8] {
@@ -235,8 +243,14 @@ fn concurrent_scraping_preserves_bit_identity() {
     }
 
     stop.store(true, Ordering::Relaxed);
-    let scrapes = scraper.join().expect("scraper thread");
+    let (scrapes, invalid) = scraper.join().expect("scraper thread");
     assert!(scrapes > 0, "scraper never completed a request");
+    assert!(
+        invalid.is_empty(),
+        "{} of the /metrics bodies failed validation, first: {}",
+        invalid.len(),
+        invalid[0]
+    );
 }
 
 #[test]
