@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use metis_lp::{BasisBackend, SolveError, SolveOptions, SolveStats};
+use metis_lp::{SolveError, SolveOptions, SolveStats};
 use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
 
@@ -49,9 +49,6 @@ pub struct MetisConfig {
     pub warm_start: bool,
     /// MAA's rounding options.
     pub maa: MaaOptions,
-    /// Basis representation of every LP the run solves, MAA's RL-SPM
-    /// and TAA's BL-SPM relaxations alike.
-    pub lp_basis: BasisBackend,
     /// Audit every solve: certify each LP solution independently
     /// ([`metis_lp::SolveOptions::verify`]) and re-derive each recorded
     /// schedule's load, peaks, and accounting from scratch
@@ -330,7 +327,6 @@ pub fn metis_instrumented(
 
     let threads = config.parallel.effective_threads();
     let lp = SolveOptions {
-        basis: config.lp_basis,
         verify: config.audit,
     };
     // One program per phase for the whole run; a cold solve only drops
@@ -782,38 +778,6 @@ mod tests {
             assert_eq!(s.counter(names::INCIDENT_SOLVE_FAILED), 0);
             let round_span = s.span(names::SPAN_ROUND).expect("round span");
             assert_eq!(round_span.parent.as_deref(), Some(names::SPAN_METIS));
-        }
-    }
-
-    #[test]
-    fn one_lp_basis_drives_both_phases() {
-        // The dense backend never appends an eta update, so one eta from
-        // either phase means that phase solved under the sparse default.
-        let inst = instance(30, 10);
-        for lp_basis in [BasisBackend::Dense, BasisBackend::SparseLu] {
-            let cfg = MetisConfig {
-                theta: 3,
-                lp_basis,
-                ..MetisConfig::default()
-            };
-            let tele = Telemetry::enabled();
-            let run = metis_instrumented(&inst, &cfg, &FaultPlan::none(), &tele).unwrap();
-            for phase in [Phase::Maa, Phase::Taa] {
-                assert!(
-                    run.round_trace
-                        .iter()
-                        .any(|t| t.phase == phase && t.lp_iterations > 0),
-                    "{lp_basis:?}: {phase} pivots"
-                );
-            }
-            let etas = tele
-                .snapshot()
-                .expect("enabled handle snapshots")
-                .counter(names::LP_LU_ETA_UPDATES);
-            match lp_basis {
-                BasisBackend::Dense => assert_eq!(etas, 0),
-                BasisBackend::SparseLu => assert!(etas > 0),
-            }
         }
     }
 

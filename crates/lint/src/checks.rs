@@ -17,13 +17,6 @@ use crate::Diagnostic;
 /// Directories whose non-test code `PANIC-02` polices.
 const INDEX_PATHS: &[&str] = &["crates/core/src/", "crates/lp/src/"];
 
-/// The one file exempt from `PANIC-02`: its dense-basis kernels index
-/// flat `m × m` arrays (`binv[i * m + k]`, augmented Gauss-Jordan
-/// tableaus) in tight loops whose `row, col < m` bound is the
-/// representation invariant; per-site `INDEX:` comments would drown the
-/// arithmetic.
-const INDEX_EXEMPT: &str = "crates/lp/src/simplex.rs";
-
 /// Words before a `[` that start a type or pattern, not an index.
 const NOT_AN_OPERAND: &[&str] = &[
     "mut", "dyn", "ref", "in", "as", "return", "break", "else", "impl", "where", "const", "static",
@@ -33,7 +26,7 @@ const NOT_AN_OPERAND: &[&str] = &[
 /// Runs both checks on one file at workspace-relative path `rel`.
 pub fn check_file(rel: &str, scan: &Scan) -> Vec<Diagnostic> {
     let mut out = fp02_partial_cmp_unwrap(rel, scan);
-    if INDEX_PATHS.iter().any(|p| rel.starts_with(p)) && rel != INDEX_EXEMPT {
+    if INDEX_PATHS.iter().any(|p| rel.starts_with(p)) {
         out.extend(panic02_computed_indices(rel, scan));
     }
     out
@@ -236,7 +229,7 @@ mod tests {
         assert_eq!(rules("crates/lp/src/x.rs", fail), ["PANIC-02"]);
         assert_eq!(rules("crates/core/src/x.rs", fail), ["PANIC-02"]);
         assert!(rules("crates/bench/src/x.rs", fail).is_empty());
-        assert!(rules("crates/lp/src/simplex.rs", fail).is_empty());
+        assert_eq!(rules("crates/lp/src/simplex.rs", fail), ["PANIC-02"]);
         let len = "fn last(a: &[f64]) -> f64 { a[a.len() - 1] }\n";
         assert_eq!(rules("crates/lp/src/x.rs", len), ["PANIC-02"]);
         let paren = "fn f(a: &[f64], i: usize) -> f64 { a[(i + 1)] }\n";

@@ -53,6 +53,6 @@ pub mod verify;
 pub use error::SolveError;
 pub use ilp::{solve_ilp, solve_ilp_with_start, IlpOptions, IlpSolution, IlpStatus};
 pub use model::{Problem, Relation, RowId, Sense, VarId};
-pub use simplex::{Basis, BasisBackend, SolveOptions};
+pub use simplex::{Basis, SolveOptions};
 pub use solution::{Solution, SolveStats};
 pub use verify::{certify, Certificate};

@@ -20,10 +20,7 @@
 //!   (`cᵦᵀB⁻¹`) cost time proportional to the factor nonzeros rather
 //!   than `O(m²)`. Each pivot appends a **product-form eta**; the
 //!   factorization is rebuilt every [`REFRESH_EVERY`]
-//!   pivots. The historical dense explicit `B⁻¹` (elementary row
-//!   updates per pivot, Gauss-Jordan refresh) remains available behind
-//!   [`SolveOptions::basis`]`=`[`BasisBackend::Dense`] as the reference
-//!   implementation the sparse backend is tested against.
+//!   pivots.
 //! * Pricing is **Dantzig** over every column: the most violating
 //!   reduced cost enters, earliest index on ties. An automatic switch
 //!   to Bland's rule after a run of degenerate pivots guarantees
@@ -61,29 +58,12 @@ use crate::matrix::CscMatrix;
 use crate::model::{Problem, Relation, Sense, StandardForm};
 use crate::solution::{Solution, SolveStats};
 
-/// How the simplex represents (the inverse of) the basis matrix.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BasisBackend {
-    /// Sparse LU factorization with Markowitz ordering and product-form
-    /// eta updates between refactorizations: pivots cost time
-    /// proportional to the factor nonzeros. The default.
-    #[default]
-    SparseLu,
-    /// Dense explicit `m×m` inverse, updated by elementary row
-    /// operations (`O(m²)` per pivot) and recomputed by Gauss-Jordan
-    /// (`O(m³)`). Kept as the reference the sparse backend is checked
-    /// against.
-    Dense,
-}
-
 /// Feasibility / optimality tolerance.
 const TOL: f64 = 1e-7;
 /// Smallest pivot magnitude accepted in the ratio test.
 const PIVOT_TOL: f64 = 1e-9;
-/// Refactorization cadence: the basis representation is rebuilt from
-/// scratch every this many pivots. For [`BasisBackend::SparseLu`] this
-/// also bounds the eta-file length; for [`BasisBackend::Dense`] it bounds
-/// drift of the explicit inverse.
+/// Refactorization cadence: the LU factors are rebuilt from scratch
+/// every this many pivots, which bounds the eta-file length.
 const REFRESH_EVERY: usize = 300;
 /// Consecutive degenerate pivots before pricing switches to Bland's rule.
 const BLAND_AFTER: usize = 200;
@@ -91,9 +71,6 @@ const BLAND_AFTER: usize = 200;
 /// Options for one simplex solve.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveOptions {
-    /// Basis representation; see [`BasisBackend`]. Both backends accept
-    /// and produce the same warm-start [`Basis`] snapshots.
-    pub basis: BasisBackend,
     /// Independently certify every returned solution via
     /// [`crate::verify`] (recomputed residuals, bounds, objective) and
     /// fail the solve with [`SolveError::CertificateRejected`] on
@@ -108,7 +85,7 @@ pub struct SolveOptions {
 /// fixed-structure program). Opaque; obtain one from
 /// [`Problem::solve_with_basis`].
 ///
-/// A basis may also carry the sparse LU factors of its own basis matrix.
+/// A basis may also carry the LU factors of its own basis matrix.
 /// It does so only when they are a fresh factorization of exactly that
 /// basis: the solve that produced it made no pivot after its last
 /// refactorization and added no artificial column. A warm start from
@@ -146,7 +123,7 @@ impl Problem {
     ///
     /// See [`Problem::solve`].
     pub fn solve_with(&self, options: &SolveOptions) -> Result<Solution, SolveError> {
-        let mut s = Simplex::new(self, options);
+        let mut s = Simplex::new(self);
         let solution = s.run()?;
         self.certify_if_requested(options, &solution)?;
         Ok(solution)
@@ -177,14 +154,14 @@ impl Problem {
         warm: Option<&Basis>,
     ) -> Result<(Solution, Basis), SolveError> {
         if let Some(basis) = warm {
-            let mut s = Simplex::new(self, options);
+            let mut s = Simplex::new(self);
             if let Ok(solution) = s.run_from_basis(basis) {
                 if self.certify_if_requested(options, &solution).is_ok() {
                     return Ok((solution, s.into_basis()));
                 }
             }
         }
-        let mut s = Simplex::new(self, options);
+        let mut s = Simplex::new(self);
         let solution = s.run()?;
         self.certify_if_requested(options, &solution)?;
         Ok((solution, s.into_basis()))
@@ -236,15 +213,17 @@ struct Simplex<'p> {
 
     state: Vec<VarState>,
     basis: Vec<u32>,
-    /// Basis representation: dense explicit inverse or sparse LU + etas.
-    repr: BasisRepr,
-    /// The basis the sparse LU factors were last computed for (empty
+    /// Sparse LU factors of the basis matrix as of the last
+    /// refactorization.
+    lu: LuFactors,
+    /// Product-form etas of the pivots applied since then.
+    etas: EtaFile,
+    /// The basis `lu` was last computed for (empty
     /// before the first factorization and after a failed one).
     factored: Vec<u32>,
     /// Values of basic variables, per row.
     xb: Vec<f64>,
 
-    opts: SolveOptions,
     iterations: usize,
     /// Hard cap on pivots across both phases, `1000 + 50·(m + n)`.
     max_iterations: usize,
@@ -276,20 +255,6 @@ struct Simplex<'p> {
     lubuf: Vec<f64>,
 }
 
-/// Runtime basis representation behind [`BasisBackend`].
-#[expect(
-    clippy::large_enum_variant,
-    reason = "one representation lives per solve; the size skew between variants \
-              is irrelevant next to the O(m²)/O(nnz) buffers each one owns"
-)]
-enum BasisRepr {
-    /// Dense row-major `B⁻¹`, `m × m`.
-    Dense { binv: Vec<f64> },
-    /// Sparse LU factors of `B` plus the eta file of pivots applied
-    /// since the last refactorization.
-    Sparse { lu: LuFactors, etas: EtaFile },
-}
-
 /// Outcome of one pricing step.
 enum PriceStep {
     Optimal,
@@ -310,7 +275,7 @@ enum Ratio {
 }
 
 impl<'p> Simplex<'p> {
-    fn new(problem: &'p Problem, opts: &SolveOptions) -> Self {
+    fn new(problem: &'p Problem) -> Self {
         let m = problem.num_constraints();
         let n = problem.num_vars();
         let maximize = problem.sense() == Sense::Maximize;
@@ -344,14 +309,6 @@ impl<'p> Simplex<'p> {
         }
         let rhs: Vec<f64> = problem.rows.iter().map(|r| r.rhs).collect();
 
-        let repr = match opts.basis {
-            BasisBackend::Dense => BasisRepr::Dense { binv: Vec::new() },
-            BasisBackend::SparseLu => BasisRepr::Sparse {
-                lu: LuFactors::identity(m),
-                etas: EtaFile::default(),
-            },
-        };
-
         Simplex {
             standard,
             a: Cow::Borrowed(&standard.a),
@@ -366,10 +323,10 @@ impl<'p> Simplex<'p> {
             maximize,
             state: Vec::new(),
             basis: Vec::new(),
-            repr,
+            lu: LuFactors::identity(m),
+            etas: EtaFile::default(),
             factored: Vec::new(),
             xb: Vec::new(),
-            opts: *opts,
             iterations: 0,
             max_iterations: 1000 + 50 * (m + n),
             refresh_every: REFRESH_EVERY,
@@ -465,14 +422,6 @@ impl<'p> Simplex<'p> {
         let m = self.m();
         let n_total = self.n_struct + self.n_slack;
 
-        // B = I for the slack basis.
-        if let BasisRepr::Dense { binv } = &mut self.repr {
-            *binv = vec![0.0; m * m];
-            for i in 0..m {
-                binv[i * m + i] = 1.0;
-            }
-        }
-
         // --- Phase 1: add artificials for rows whose slack can't absorb
         // the residual. ---
         // (row, ±1) of each artificial's unit column.
@@ -490,10 +439,6 @@ impl<'p> Simplex<'p> {
                 self.state[sj] = VarState::AtLower;
                 self.xb[i] = sl - r;
                 arts.push((i, -1.0));
-                // B gets a −1 on this diagonal, so B⁻¹ does too.
-                if let BasisRepr::Dense { binv } = &mut self.repr {
-                    binv[i * m + i] = -1.0;
-                }
             } else {
                 self.xb[i] = r.clamp(sl.min(su), su.max(sl));
             }
@@ -517,7 +462,7 @@ impl<'p> Simplex<'p> {
                 self.basis[row] = aj as u32;
             }
 
-            self.factorize_sparse()?;
+            self.factorize()?;
             self.optimize()?;
             self.phase1_iterations = self.iterations;
 
@@ -540,7 +485,7 @@ impl<'p> Simplex<'p> {
             self.cost = saved_cost;
             self.cost.resize(n_total + n_art, 0.0);
         } else {
-            self.factorize_sparse()?;
+            self.factorize()?;
         }
         Ok(())
     }
@@ -569,8 +514,6 @@ impl<'p> Simplex<'p> {
     /// path and makes each charge column basic at its peak load.
     fn crash(&mut self, resid: &[f64]) -> bool {
         let m = self.m();
-        let ns = self.n_struct;
-        let slack_range = |s: &Self, i: usize| (s.lower[ns + i], s.upper[ns + i]);
         if (0..m).all(|i| self.slack_absorbs(i, resid[i])) {
             return false;
         }
@@ -582,7 +525,7 @@ impl<'p> Simplex<'p> {
             if self.slack_absorbs(i, resid[i]) || self.slack_absorbs(i, r[i]) {
                 continue;
             }
-            let (sl, su) = slack_range(self, i);
+            let (sl, su) = self.slack_range(i);
             let to_upper = r[i] > su;
             let excess = r[i] - if to_upper { su } else { sl };
             let pick = self.structural_row(i).find(|&(j, v)| {
@@ -601,10 +544,14 @@ impl<'p> Simplex<'p> {
 
         // Pass 2.
         for i in 0..m {
-            if self.basis[i] as usize != ns + i || self.slack_absorbs(i, r[i]) {
+            if self.basis[i] as usize != self.slack(i) || self.slack_absorbs(i, r[i]) {
                 continue;
             }
-            let sign = if r[i] < self.lower[ns + i] { -1.0 } else { 1.0 };
+            let sign = if r[i] < self.slack_range(i).0 {
+                -1.0
+            } else {
+                1.0
+            };
             let pick = self.structural_row(i).find(|&(j, v)| {
                 v * sign > PIVOT_TOL
                     && self.state[j] == VarState::AtLower
@@ -613,7 +560,7 @@ impl<'p> Simplex<'p> {
                         .a
                         .col(j)
                         .iter()
-                        .all(|(k, _)| self.basis[k] as usize == ns + k)
+                        .all(|(k, _)| self.basis[k] as usize == self.slack(k))
             });
             let Some((j, _)) = pick else {
                 return self.crash_fallback(saved_state);
@@ -621,7 +568,7 @@ impl<'p> Simplex<'p> {
             // The step each of the column's rows needs; the largest wins.
             let mut best: Option<(usize, f64, bool)> = None; // (row, step, to_upper)
             for (k, v) in self.a.col(j).iter() {
-                let (kl, ku) = slack_range(self, k);
+                let (kl, ku) = self.slack_range(k);
                 let need = if v < 0.0 && r[k] < kl {
                     Some(((kl - r[k]) / -v, false))
                 } else if v > 0.0 && r[k] > ku {
@@ -660,17 +607,30 @@ impl<'p> Simplex<'p> {
         self.at.col(i).iter().take_while(move |&(j, _)| j < ns)
     }
 
+    /// Standard-form column of row `i`'s slack.
+    fn slack(&self, i: usize) -> usize {
+        debug_assert!(i < self.n_slack, "row {i} has no slack");
+        self.n_struct + i
+    }
+
+    /// Bounds `(lower, upper)` of row `i`'s slack.
+    fn slack_range(&self, i: usize) -> (f64, f64) {
+        let s = self.slack(i);
+        (self.lower[s], self.upper[s])
+    }
+
     /// Whether row `i`'s slack can take the value `x` within its bounds.
     fn slack_absorbs(&self, i: usize, x: f64) -> bool {
-        let s = self.n_struct + i;
-        x <= self.upper[s] + TOL && x >= self.lower[s] - TOL
+        let (sl, su) = self.slack_range(i);
+        x <= su + TOL && x >= sl - TOL
     }
 
     /// Makes structural column `j` basic in `row`, retiring the row's
     /// slack to the bound it hit.
     fn make_crash_basic(&mut self, j: usize, row: usize, slack_to_upper: bool) {
         self.state[j] = VarState::Basic(row as u32);
-        self.state[self.n_struct + row] = if slack_to_upper {
+        let slack = self.slack(row);
+        self.state[slack] = if slack_to_upper {
             VarState::AtUpper
         } else {
             VarState::AtLower
@@ -679,8 +639,7 @@ impl<'p> Simplex<'p> {
     }
 
     /// Undoes a rejected crash: restores the slack basis and the saved
-    /// `state`. Phase 1 rebuilds `xb` and the basis representation (the
-    /// dense inverse included) from those two.
+    /// `state`. Phase 1 rebuilds `xb` and the factors from those two.
     fn crash_fallback(&mut self, state: Vec<VarState>) -> bool {
         self.state = state;
         self.basis = (0..self.m()).map(|i| (self.n_struct + i) as u32).collect();
@@ -707,12 +666,8 @@ impl<'p> Simplex<'p> {
             }
         }
         let fresh = matches!(self.a, Cow::Borrowed(_)) && self.factored == self.basis;
-        let factors = match self.repr {
-            BasisRepr::Sparse { lu, etas } if fresh && etas.is_empty() => {
-                Some((Arc::clone(self.standard), lu.without_workspace()))
-            }
-            _ => None,
-        };
+        let factors = (fresh && self.etas.is_empty())
+            .then(|| (Arc::clone(self.standard), self.lu.without_workspace()));
         Basis {
             state,
             n_struct: self.n_struct,
@@ -777,19 +732,14 @@ impl<'p> Simplex<'p> {
         )]
         let filled = basis.into_iter().map(|b| b.unwrap()).collect();
         self.basis = filled;
-        if let BasisRepr::Dense { binv } = &mut self.repr {
-            *binv = vec![0.0; m * m];
-        }
         self.xb = vec![0.0; m];
-        match (&mut self.repr, &warm.factors) {
-            (BasisRepr::Sparse { lu, .. }, Some((standard, kept)))
-                if Arc::ptr_eq(standard, self.standard) =>
-            {
+        match &warm.factors {
+            Some((standard, kept)) if Arc::ptr_eq(standard, self.standard) => {
                 // `kept` is what factorizing this basis of this matrix
                 // would compute again.
-                lu.clone_from(kept);
-                self.lu_l_nnz = lu.l_nnz();
-                self.lu_u_nnz = lu.u_nnz();
+                self.lu.clone_from(kept);
+                self.lu_l_nnz = self.lu.l_nnz();
+                self.lu_u_nnz = self.lu.u_nnz();
                 self.factored.clone_from(&self.basis);
                 self.compute_xb();
             }
@@ -1072,41 +1022,13 @@ impl<'p> Simplex<'p> {
 
     /// Computes the duals `y = c_Bᵀ B⁻¹` into `self.y` (row space).
     fn compute_duals(&mut self) {
-        let m = self.rhs.len();
-        let Simplex {
-            repr,
-            y,
-            cost,
-            basis,
-            rowbuf,
-            lubuf,
-            ..
-        } = self;
-        match repr {
-            BasisRepr::Dense { binv } => {
-                for yj in y.iter_mut() {
-                    *yj = 0.0;
-                }
-                for (i, &bj) in basis.iter().enumerate() {
-                    let cb = cost[bj as usize];
-                    if cb != 0.0 {
-                        let row = &binv[i * m..(i + 1) * m];
-                        for (yj, &bij) in y.iter_mut().zip(row) {
-                            *yj += cb * bij;
-                        }
-                    }
-                }
-            }
-            BasisRepr::Sparse { lu, etas } => {
-                // c_B in slot space, pushed back through the etas, then
-                // through the factors.
-                for (ci, &bj) in rowbuf.iter_mut().zip(basis.iter()) {
-                    *ci = cost[bj as usize];
-                }
-                etas.btran(rowbuf);
-                lu.btran(rowbuf, y, lubuf);
-            }
+        // c_B in slot space, pushed back through the etas, then through
+        // the factors.
+        for (ci, &bj) in self.rowbuf.iter_mut().zip(&self.basis) {
+            *ci = self.cost[bj as usize];
         }
+        self.etas.btran(&mut self.rowbuf);
+        self.lu.btran(&self.rowbuf, &mut self.y, &mut self.lubuf);
     }
 
     /// Computes the duals `y = c_Bᵀ B⁻¹` and from them the reduced cost
@@ -1126,87 +1048,34 @@ impl<'p> Simplex<'p> {
     /// ratio test: `ρ = B⁻ᵀ e_row` (in `self.w`, which the following
     /// FTRAN overwrites), then `αⱼ = aⱼ·ρ` by rows over the nonzero `ρᵢ`.
     fn pivot_row(&mut self, row: usize) {
-        let m = self.rhs.len();
-        let Simplex {
-            repr,
-            at,
-            w: rho,
-            alpha,
-            rowbuf,
-            lubuf,
-            ..
-        } = self;
-        match repr {
-            BasisRepr::Dense { binv } => rho.copy_from_slice(&binv[row * m..(row + 1) * m]),
-            BasisRepr::Sparse { lu, etas } => {
-                rowbuf.fill(0.0);
-                rowbuf[row] = 1.0;
-                etas.btran(rowbuf);
-                lu.btran(rowbuf, rho, lubuf);
-            }
-        }
-        alpha.resize(at.nrows(), 0.0);
-        at.mul_vec_into(rho, alpha);
+        self.rowbuf.fill(0.0);
+        self.rowbuf[row] = 1.0;
+        self.etas.btran(&mut self.rowbuf);
+        self.lu.btran(&self.rowbuf, &mut self.w, &mut self.lubuf);
+        self.alpha.resize(self.at.nrows(), 0.0);
+        self.at.mul_vec_into(&self.w, &mut self.alpha);
     }
 
-    /// Rebuilds the sparse factorization from the current basis and
-    /// drops the accumulated updates. No-op on the dense backend.
-    fn factorize_sparse(&mut self) -> Result<(), SolveError> {
-        let Simplex {
-            repr,
-            a,
-            basis,
-            factored,
-            lu_l_nnz,
-            lu_u_nnz,
-            ..
-        } = self;
-        match repr {
-            BasisRepr::Sparse { lu, etas } => {
-                factored.clear();
-                lu.factor(a, basis, 1e-12)?;
-                factored.clone_from(basis);
-                etas.clear();
-                *lu_l_nnz = lu.l_nnz();
-                *lu_u_nnz = lu.u_nnz();
-            }
-            BasisRepr::Dense { .. } => {}
-        }
+    /// Rebuilds the LU factorization from the current basis and drops
+    /// the accumulated etas.
+    fn factorize(&mut self) -> Result<(), SolveError> {
+        self.factored.clear();
+        self.lu.factor(&self.a, &self.basis, 1e-12)?;
+        self.factored.clone_from(&self.basis);
+        self.etas.clear();
+        self.lu_l_nnz = self.lu.l_nnz();
+        self.lu_u_nnz = self.lu.u_nnz();
         Ok(())
     }
 
     /// `w = B⁻¹ · A[:, col]`.
     fn compute_direction(&mut self, col: usize) {
-        let m = self.rhs.len();
-        let Simplex {
-            repr,
-            a,
-            w,
-            rowbuf,
-            lubuf,
-            ..
-        } = self;
-        match repr {
-            BasisRepr::Dense { binv } => {
-                for wi in w.iter_mut() {
-                    *wi = 0.0;
-                }
-                for (r, v) in a.col(col).iter() {
-                    // w += v * B^{-1}[:, r]
-                    for i in 0..m {
-                        w[i] += v * binv[i * m + r];
-                    }
-                }
-            }
-            BasisRepr::Sparse { lu, etas } => {
-                rowbuf.fill(0.0);
-                for (r, v) in a.col(col).iter() {
-                    rowbuf[r] = v;
-                }
-                lu.ftran(rowbuf, w, lubuf);
-                etas.ftran(w);
-            }
+        self.rowbuf.fill(0.0);
+        for (r, v) in self.a.col(col).iter() {
+            self.rowbuf[r] = v;
         }
+        self.lu.ftran(&self.rowbuf, &mut self.w, &mut self.lubuf);
+        self.etas.ftran(&mut self.w);
     }
 
     /// Finds the blocking constraint for the entering column moving by
@@ -1321,37 +1190,10 @@ impl<'p> Simplex<'p> {
         self.state[col] = VarState::Basic(row as u32);
         self.xb[row] = entering_value;
 
-        match &mut self.repr {
-            BasisRepr::Dense { binv } => {
-                // Elementary row update of B^{-1}: pivot row divided by
-                // w_row, others eliminated.
-                let inv_pivot = 1.0 / pivot;
-                // Split borrow: copy pivot row once.
-                let prow: Vec<f64> = binv[row * m..(row + 1) * m]
-                    .iter()
-                    .map(|&v| v * inv_pivot)
-                    .collect();
-                for i in 0..m {
-                    if i == row {
-                        continue;
-                    }
-                    let wi = self.w[i];
-                    if wi != 0.0 {
-                        let base = i * m;
-                        for (k, &pv) in prow.iter().enumerate() {
-                            binv[base + k] -= wi * pv;
-                        }
-                    }
-                }
-                binv[row * m..(row + 1) * m].copy_from_slice(&prow);
-            }
-            BasisRepr::Sparse { etas, .. } => {
-                // Product-form update: B' = B·E with E the identity whose
-                // column `row` is the entering direction w.
-                etas.push(row, &self.w);
-                self.eta_updates += 1;
-            }
-        }
+        // Product-form update: B' = B·E with E the identity whose column
+        // `row` is the entering direction w.
+        self.etas.push(row, &self.w);
+        self.eta_updates += 1;
 
         self.pivots_since_refresh += 1;
         if self.pivots_since_refresh >= self.refresh_every {
@@ -1360,8 +1202,8 @@ impl<'p> Simplex<'p> {
         Ok(())
     }
 
-    /// Rebuilds the basis representation from scratch (refactorization)
-    /// and recomputes the basic values.
+    /// Refactorizes the basis from scratch and recomputes the basic
+    /// values.
     fn refresh(&mut self) -> Result<(), SolveError> {
         self.refreshes += 1;
         self.pivots_since_refresh = 0;
@@ -1370,16 +1212,13 @@ impl<'p> Simplex<'p> {
 
     /// Factorizes the current basis and recomputes the basic values.
     fn refactor(&mut self) -> Result<(), SolveError> {
-        match self.opts.basis {
-            BasisBackend::Dense => self.refresh_dense()?,
-            BasisBackend::SparseLu => self.factorize_sparse()?,
-        }
+        self.factorize()?;
         self.compute_xb();
         Ok(())
     }
 
-    /// Recomputes the basic values `xb = B⁻¹ (b − N x_N)` from a basis
-    /// representation with an empty eta file.
+    /// Recomputes the basic values `xb = B⁻¹ (b − N x_N)` from fresh
+    /// factors (an empty eta file).
     fn compute_xb(&mut self) {
         let mut resid = self.rhs.clone();
         for (j, &st) in self.state.iter().enumerate() {
@@ -1391,89 +1230,8 @@ impl<'p> Simplex<'p> {
                 self.a.axpy_col(j, -v, &mut resid);
             }
         }
-        let m = self.m();
-        let Simplex {
-            repr, xb, lubuf, ..
-        } = self;
-        match repr {
-            BasisRepr::Dense { binv } => {
-                for (i, xi) in xb.iter_mut().enumerate() {
-                    let base = i * m;
-                    *xi = binv[base..base + m]
-                        .iter()
-                        .zip(&resid)
-                        .map(|(b, r)| b * r)
-                        .sum();
-                }
-            }
-            BasisRepr::Sparse { lu, .. } => {
-                // The eta file is empty; the factors alone are B.
-                lu.ftran(&resid, xb, lubuf);
-            }
-        }
-    }
-
-    /// Recomputes the dense explicit `B⁻¹` by Gauss-Jordan elimination.
-    fn refresh_dense(&mut self) -> Result<(), SolveError> {
-        let m = self.m();
-        // Assemble B column-wise into an augmented [B | I] dense matrix and
-        // run Gauss-Jordan with partial pivoting.
-        let mut aug = vec![0.0; m * 2 * m];
-        let width = 2 * m;
-        for (i, &bj) in self.basis.iter().enumerate() {
-            for (r, v) in self.a.col(bj as usize).iter() {
-                aug[r * width + i] = v;
-            }
-        }
-        for i in 0..m {
-            aug[i * width + m + i] = 1.0;
-        }
-        for col in 0..m {
-            // Partial pivot.
-            let mut best = col;
-            let mut best_abs = aug[col * width + col].abs();
-            for r in (col + 1)..m {
-                let a = aug[r * width + col].abs();
-                if a > best_abs {
-                    best_abs = a;
-                    best = r;
-                }
-            }
-            if best_abs < 1e-12 {
-                return Err(SolveError::Singular);
-            }
-            if best != col {
-                for k in 0..width {
-                    aug.swap(col * width + k, best * width + k);
-                }
-            }
-            let inv = 1.0 / aug[col * width + col];
-            for k in 0..width {
-                aug[col * width + k] *= inv;
-            }
-            for r in 0..m {
-                if r == col {
-                    continue;
-                }
-                let f = aug[r * width + col];
-                if f != 0.0 {
-                    for k in 0..width {
-                        aug[r * width + k] -= f * aug[col * width + k];
-                    }
-                }
-            }
-        }
-        if let BasisRepr::Dense { binv } = &mut self.repr {
-            if binv.len() != m * m {
-                *binv = vec![0.0; m * m];
-            }
-            for i in 0..m {
-                for k in 0..m {
-                    binv[i * m + k] = aug[i * width + m + k];
-                }
-            }
-        }
-        Ok(())
+        // The eta file is empty; the factors alone are B.
+        self.lu.ftran(&resid, &mut self.xb, &mut self.lubuf);
     }
 }
 
@@ -1541,14 +1299,6 @@ mod tests {
         assert_eq!(p.solve().unwrap_err(), SolveError::Infeasible);
     }
 
-    /// Both basis backends.
-    fn backends() -> [SolveOptions; 2] {
-        [BasisBackend::SparseLu, BasisBackend::Dense].map(|basis| SolveOptions {
-            basis,
-            ..SolveOptions::default()
-        })
-    }
-
     /// A small RL-SPM relaxation: three requests with two candidate paths
     /// each (`Σ x = 1`), load rows `Σ r·x − c_e ≤ 0` per (edge, slot), and
     /// one charge column per edge with upper bound `charge_cap`.
@@ -1596,11 +1346,9 @@ mod tests {
         // so that copy of the LP runs phase 1 and gives the reference.
         let reference = rlspm_shaped(1e3).solve().unwrap();
         assert!(reference.stats().phase1_iterations > 0);
-        for opts in backends() {
-            let s = rlspm_shaped(f64::INFINITY).solve_with(&opts).unwrap();
-            assert_eq!(s.stats().phase1_iterations, 0, "{:?}", opts.basis);
-            assert_close(s.objective(), reference.objective());
-        }
+        let s = rlspm_shaped(f64::INFINITY).solve().unwrap();
+        assert_eq!(s.stats().phase1_iterations, 0);
+        assert_close(s.objective(), reference.objective());
     }
 
     #[test]
@@ -1621,15 +1369,13 @@ mod tests {
         let y0 = q.add_var(1.0, 0.0, 2.0);
         let y1 = q.add_var(2.0, 0.0, 2.0);
         q.add_constraint([(y0, 1.0), (y1, 1.0)], Relation::Eq, 3.0);
-        for opts in backends() {
-            let s = p.solve_with(&opts).unwrap();
-            assert!(s.stats().phase1_iterations > 0, "{:?}", opts.basis);
-            assert_close(s.objective(), 0.6);
-            assert_close(s.value(c), 1.0);
-            let s = q.solve_with(&opts).unwrap();
-            assert!(s.stats().phase1_iterations > 0, "{:?}", opts.basis);
-            assert_close(s.objective(), 4.0);
-        }
+        let s = p.solve().unwrap();
+        assert!(s.stats().phase1_iterations > 0);
+        assert_close(s.objective(), 0.6);
+        assert_close(s.value(c), 1.0);
+        let s = q.solve().unwrap();
+        assert!(s.stats().phase1_iterations > 0);
+        assert_close(s.objective(), 4.0);
     }
 
     /// A seeded RL-SPM-shaped LP: `k` requests with two or three paths
@@ -1759,7 +1505,7 @@ mod tests {
                 seeded_sparse(&mut rng, 10 + round, 8 + round),
             ];
             for p in &problems {
-                let s = Simplex::new(p, &SolveOptions::default());
+                let s = Simplex::new(p);
                 for _ in 0..4 {
                     assert_rowwise_is_dot_col(&s, &mixed_vector(&mut rng, s.m()));
                 }
@@ -1789,21 +1535,19 @@ mod tests {
         for j in 0..4 {
             p.add_constraint(v.iter().map(|row| (row[j], 1.0)), Relation::Ge, 6.0);
         }
-        for opts in backends() {
-            let mut s = Simplex::new(&p, &opts);
-            let sol = s.run().unwrap();
-            assert!(sol.stats().phase1_iterations > 0);
-            assert!(s.a.ncols() > s.n_struct + s.n_slack, "artificials appended");
-            assert_eq!(*s.at, s.a.transpose());
-            for _ in 0..8 {
-                assert_rowwise_is_dot_col(&s, &mixed_vector(&mut rng, s.m()));
-            }
-            // The final reduced costs, as pricing saw them.
-            s.price_all();
-            for j in 0..s.a.ncols() {
-                let d = s.cost[j] - s.a.dot_col(j, &s.y);
-                assert_eq!(s.d[j].to_bits(), d.to_bits(), "column {j}");
-            }
+        let mut s = Simplex::new(&p);
+        let sol = s.run().unwrap();
+        assert!(sol.stats().phase1_iterations > 0);
+        assert!(s.a.ncols() > s.n_struct + s.n_slack, "artificials appended");
+        assert_eq!(*s.at, s.a.transpose());
+        for _ in 0..8 {
+            assert_rowwise_is_dot_col(&s, &mixed_vector(&mut rng, s.m()));
+        }
+        // The final reduced costs, as pricing saw them.
+        s.price_all();
+        for j in 0..s.a.ncols() {
+            let d = s.cost[j] - s.a.dot_col(j, &s.y);
+            assert_eq!(s.d[j].to_bits(), d.to_bits(), "column {j}");
         }
     }
 
@@ -1917,13 +1661,11 @@ mod tests {
         }
         // Optimal: x11=8, x13=2, x22=7, x23=8 → 32+18+21+64 = 135. The
         // crash has no negative column to repair the overdrawn supply
-        // rows, so both backends fall back to phase 1.
-        for opts in backends() {
-            let s = p.solve_with(&opts).unwrap();
-            assert_close(s.objective(), 135.0);
-            assert!(p.max_violation(s.values()) < 1e-6);
-            assert!(s.stats().phase1_iterations > 0, "{:?}", opts.basis);
-        }
+        // rows, so the solver falls back to phase 1.
+        let s = p.solve().unwrap();
+        assert_close(s.objective(), 135.0);
+        assert!(p.max_violation(s.values()) < 1e-6);
+        assert!(s.stats().phase1_iterations > 0);
     }
 
     #[test]
@@ -1963,7 +1705,7 @@ mod tests {
         let x = p.add_var(1.0, 0.0, f64::INFINITY);
         let y = p.add_var(1.0, 0.0, f64::INFINITY);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 10.0);
-        let mut s = Simplex::new(&p, &SolveOptions::default());
+        let mut s = Simplex::new(&p);
         s.max_iterations = 1;
         // One pivot is not enough to reach optimality here.
         assert_eq!(s.run().unwrap_err(), SolveError::IterationLimit);
@@ -2034,7 +1776,7 @@ mod tests {
         }
         let s = p.solve().unwrap();
         assert!(p.max_violation(s.values()) < 1e-6);
-        let mut frequent = Simplex::new(&p, &SolveOptions::default());
+        let mut frequent = Simplex::new(&p);
         frequent.refresh_every = 5;
         let s2 = frequent.run().unwrap();
         assert_close(s.objective(), s2.objective());
@@ -2218,10 +1960,7 @@ mod tests {
 
     #[test]
     fn factors_of_another_problem_are_never_reused() {
-        let opts = SolveOptions {
-            verify: true,
-            ..SolveOptions::default()
-        };
+        let opts = SolveOptions { verify: true };
         // Same shape, other coefficients: the same basis is optimal for
         // both, but its matrix differs. Reusing `p`'s factors would put
         // `q` at `p`'s vertex (2, 6), which violates `q`'s last row.
@@ -2246,7 +1985,7 @@ mod tests {
         let y = p.add_var(1.0, 0.0, 1.0);
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 2.0);
         p.add_constraint([(x, 2.0), (y, 2.0)], Relation::Eq, 4.0);
-        let mut s = Simplex::new(&p, &SolveOptions::default());
+        let mut s = Simplex::new(&p);
         let sol = s.run().unwrap();
         assert_close(sol.objective(), 2.0);
         let nm = s.n_struct + s.n_slack;
@@ -2322,25 +2061,24 @@ mod tests {
         };
         let build = |seed: u64| seeded_blspm(&mut ChaCha8Rng::seed_from_u64(seed), 30, 6, 4);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let opts = SolveOptions::default();
         for seed in 0..8 {
-            for opts in backends() {
-                let mut p = build(seed);
-                let (_, basis) = p.solve_with_basis(&opts, None).unwrap();
-                let cached = Arc::as_ptr(p.standard_form());
-                edit(&mut p, 100 + seed);
-                assert!(
-                    std::ptr::eq(cached, Arc::as_ptr(p.standard_form())),
-                    "edits keep the form"
-                );
-                let mut fresh = build(seed);
-                edit(&mut fresh, 100 + seed);
-                for warm in [None, Some(&basis)] {
-                    let (got, _) = p.solve_with_basis(&opts, warm).unwrap();
-                    let (want, _) = fresh.solve_with_basis(&opts, warm).unwrap();
-                    assert_eq!(bits(got.values()), bits(want.values()));
-                    assert_eq!(bits(got.duals().unwrap()), bits(want.duals().unwrap()));
-                    assert_eq!(got.stats(), want.stats());
-                }
+            let mut p = build(seed);
+            let (_, basis) = p.solve_with_basis(&opts, None).unwrap();
+            let cached = Arc::as_ptr(p.standard_form());
+            edit(&mut p, 100 + seed);
+            assert!(
+                std::ptr::eq(cached, Arc::as_ptr(p.standard_form())),
+                "edits keep the form"
+            );
+            let mut fresh = build(seed);
+            edit(&mut fresh, 100 + seed);
+            for warm in [None, Some(&basis)] {
+                let (got, _) = p.solve_with_basis(&opts, warm).unwrap();
+                let (want, _) = fresh.solve_with_basis(&opts, warm).unwrap();
+                assert_eq!(bits(got.values()), bits(want.values()));
+                assert_eq!(bits(got.duals().unwrap()), bits(want.duals().unwrap()));
+                assert_eq!(got.stats(), want.stats());
             }
         }
     }
@@ -2389,7 +2127,7 @@ mod tests {
         };
         let s_default = build().solve().unwrap();
         let p = build();
-        let mut every_pivot = Simplex::new(&p, &SolveOptions::default());
+        let mut every_pivot = Simplex::new(&p);
         every_pivot.refresh_every = 1;
         let s_refresh = every_pivot.run().unwrap();
         assert_close(s_default.objective(), s_refresh.objective());

@@ -26,14 +26,12 @@ pub struct SolveStats {
     /// Whether this solve reoptimized from a supplied basis rather than
     /// starting cold.
     pub warm_started: bool,
-    /// Product-form eta updates appended between refactorizations
-    /// (0 on the dense backend, which updates `B⁻¹` in place).
+    /// Product-form eta updates appended between refactorizations.
     pub eta_updates: usize,
-    /// Nonzeros in the `L` factor of the last sparse refactorization
-    /// (0 on the dense backend).
+    /// Nonzeros in the `L` factor of the last refactorization.
     pub lu_l_nnz: usize,
-    /// Nonzeros in the `U` factor (diagonal included) of the last sparse
-    /// refactorization (0 on the dense backend).
+    /// Nonzeros in the `U` factor (diagonal included) of the last
+    /// refactorization.
     pub lu_u_nnz: usize,
 }
 

@@ -1,10 +1,8 @@
 //! Independent certification of reported LP solutions.
 //!
 //! A simplex solve does a sparse LU refactorization plus FTRAN/BTRAN
-//! triangular solves per pivot (or `O(m²)` dense-inverse updates on the
-//! [`crate::BasisBackend::Dense`] reference backend the sparse one is
-//! tested against); checking its answer is one
-//! sparse matrix-vector product. This module recomputes, from the
+//! triangular solves per pivot; checking its answer is one sparse
+//! matrix-vector product. This module recomputes, from the
 //! [`Problem`] alone, everything a [`Solution`] claims — row activities,
 //! bound satisfaction, and the objective value — and compares against
 //! the reported figures. It shares no state with the solver: the row
@@ -194,10 +192,7 @@ mod tests {
     #[test]
     fn verify_option_is_exercised_on_the_solve_path() {
         let p = toy();
-        let opts = SolveOptions {
-            verify: true,
-            ..SolveOptions::default()
-        };
+        let opts = SolveOptions { verify: true };
         let s = p.solve_with(&opts).unwrap();
         assert!((s.objective() - 36.0).abs() < 1e-6);
     }

@@ -34,7 +34,7 @@
 //!
 //! Every scenario checked into `scenarios/` is swept by the
 //! `tests/scenarios.rs` conformance harness: schema validation, generator
-//! invariants, thread/backend determinism, fault injection, audits, and a
+//! invariants, thread determinism, fault injection, audits, and a
 //! pinned golden outcome.
 //!
 //! # Examples
@@ -84,9 +84,10 @@ pub const MAX_HORIZON_SLOTS: usize = 10_000;
 /// node, so an unchecked count lets a small file exhaust memory.
 pub const MAX_RANDOM_NODES: u32 = 1_000;
 
-/// Hard cap on a workload's `num_requests`: the generators allocate per
-/// request up front, so an unchecked count lets a small file exhaust
-/// memory. A million keeps the largest workloads expressible.
+/// Hard cap on the requests a workload may emit
+/// ([`FamilySpec::max_requests`]): the generators allocate per request,
+/// so an unchecked count lets a small file exhaust memory. A million
+/// keeps the largest workloads expressible.
 pub const MAX_REQUESTS: usize = 1_000_000;
 
 /// A malformed scenario document: the offending field and what is wrong
@@ -348,6 +349,22 @@ impl FamilySpec {
             FamilySpec::Diurnal(s) => s.rate_gbps,
             FamilySpec::Auction(s) => s.rate_gbps,
             FamilySpec::Hose(s) => s.hose_gbps,
+        }
+    }
+
+    /// The most requests the family can emit: its `num_requests`, or for
+    /// hose an uplink and a downlink per non-hub member of `clusters`
+    /// clusters of `endpoints.1` members. Saturates rather than overflow.
+    pub fn max_requests(&self) -> usize {
+        match self {
+            FamilySpec::Uniform(s) => s.num_requests,
+            FamilySpec::GeoLocality(s) => s.num_requests,
+            FamilySpec::Diurnal(s) => s.num_requests,
+            FamilySpec::Auction(s) => s.num_requests,
+            FamilySpec::Hose(s) => s
+                .clusters
+                .saturating_mul(2)
+                .saturating_mul(s.endpoints.1.saturating_sub(1)),
         }
     }
 }
@@ -749,6 +766,17 @@ fn cross_validate(s: &Scenario, workload_ctx: &Ctx<'_>) -> Result<(), ScenarioEr
         }
         FamilySpec::Uniform(_) | FamilySpec::Auction(_) => {}
     }
+    let most = s.workload.max_requests();
+    if most > MAX_REQUESTS {
+        let (field, found) = match &s.workload {
+            FamilySpec::Hose(_) => ("clusters", format!("up to {most}")),
+            _ => ("num_requests", most.to_string()),
+        };
+        return Err(ScenarioError {
+            path: fctx(field),
+            message: format!("at most {MAX_REQUESTS} requests, found {found}"),
+        });
+    }
     Ok(())
 }
 
@@ -925,12 +953,6 @@ fn require_requests(ctx: &Ctx<'_>, k: Option<usize>) -> Result<usize, ScenarioEr
     let k = k.ok_or_else(|| ctx.field_err("num_requests", "missing required field"))?;
     if k == 0 {
         return Err(ctx.field_err("num_requests", "must be at least 1"));
-    }
-    if k > MAX_REQUESTS {
-        return Err(ctx.field_err(
-            "num_requests",
-            format!("at most {MAX_REQUESTS} requests, found {k}"),
-        ));
     }
     Ok(k)
 }
@@ -1327,6 +1349,19 @@ mod tests {
             panic!("uniform workload expected");
         };
         assert_eq!(spec.num_requests, MAX_REQUESTS);
+    }
+
+    #[test]
+    fn hose_request_count_cap() {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/hose_b4.json");
+        let hose = std::fs::read_to_string(path).unwrap();
+        let s = Scenario::from_json_text(&hose).unwrap();
+        assert_eq!(s.workload.max_requests(), 6 * 2 * 4);
+        let huge = hose.replace("\"clusters\": 6", "\"clusters\": 9007199254740992");
+        let e = Scenario::from_json_text(&huge).unwrap_err();
+        assert_eq!(e.path, "scenario.workload.hose.clusters", "{e}");
+        assert!(e.message.contains("at most 1000000 requests"), "{e}");
     }
 
     #[test]

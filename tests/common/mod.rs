@@ -8,8 +8,6 @@
     reason = "each suite compiles this module on its own and uses only some of it"
 )]
 
-use metis_suite::lp::BasisBackend;
-
 /// Reads `var`: `None` when unset, otherwise the value paired with its
 /// setting in `allowed`.
 ///
@@ -29,18 +27,6 @@ fn switch<T: Copy>(var: &str, allowed: &[(&str, T)]) -> Option<T> {
             panic!("{var}={value:?} is not one of {}", names.join(", "))
         }
     }
-}
-
-/// `METIS_LP_BASIS=dense|sparse-lu` pins the LP basis backend; unset, the
-/// solver default applies.
-pub fn lp_basis() -> Option<BasisBackend> {
-    switch(
-        "METIS_LP_BASIS",
-        &[
-            ("dense", BasisBackend::Dense),
-            ("sparse-lu", BasisBackend::SparseLu),
-        ],
-    )
 }
 
 /// `METIS_FAULTS_WARM_START=0|1` restricts the warm-start modes to

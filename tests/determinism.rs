@@ -6,12 +6,6 @@
 //! scoring) is structured as indexed families of independent computations
 //! reduced in index order, so the thread count can only change *when*
 //! work happens, never *what* is computed.
-//!
-//! Set `METIS_LP_BASIS=dense` or `=sparse-lu` to pin the LP basis
-//! backend (CI runs the suite once per backend); unset, the solver
-//! default (sparse LU) applies. Any other value fails the suite.
-
-mod common;
 
 use std::path::Path;
 
@@ -34,7 +28,6 @@ fn config(threads: usize, warm_start: bool) -> MetisConfig {
             rounding_repeats: 6,
             seed: 2024,
         },
-        lp_basis: common::lp_basis().unwrap_or_default(),
         ..MetisConfig::default()
     }
 }

@@ -10,10 +10,8 @@
 //! warm and cold.
 //!
 //! Set `METIS_FAULTS_WARM_START=0` or `=1` to restrict the warm-start
-//! modes exercised (the CI matrix does); unset, both run. Set
-//! `METIS_LP_BASIS=dense` or `=sparse-lu` to pin the LP basis backend;
-//! unset, the solver default (sparse LU) applies. Any other value of
-//! either variable fails the suite.
+//! modes exercised (the CI matrix does); unset, both run. Any other
+//! value fails the suite.
 
 #![expect(
     clippy::float_cmp,
@@ -48,7 +46,6 @@ fn config(threads: usize, warm_start: bool) -> MetisConfig {
             rounding_repeats: 4,
             seed: 99,
         },
-        lp_basis: common::lp_basis().unwrap_or_default(),
         ..MetisConfig::default()
     }
 }

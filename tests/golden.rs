@@ -14,12 +14,12 @@
 //! nothing.
 //!
 //! Below the fixture, the LP engine alone is pinned the same way: pivot
-//! counts and objective bits of two synthetic LP families under both
-//! basis backends. The two larger instances run only in release builds
-//! (`cargo test --release --test golden`).
+//! counts and objective bits of two synthetic LP families. The two
+//! larger instances run only in release builds (`cargo test --release
+//! --test golden`).
 
 use metis_suite::core::{metis, online_metis, MetisConfig, OnlineOptions, SpmInstance};
-use metis_suite::lp::{BasisBackend, Problem, Relation, Sense, SolveOptions, VarId};
+use metis_suite::lp::{Problem, Relation, Sense, SolveOptions, VarId};
 use metis_suite::netsim::topologies;
 use metis_suite::workload::{generate, ValueModel, WorkloadConfig};
 
@@ -130,43 +130,15 @@ fn golden_b4_forty_requests_warm_bits() {
     );
 }
 
-/// Same fixture, with the LP basis backend pinned explicitly on both
-/// sides of the A/B switch: the sparse-LU and dense-inverse backends
-/// must both land on the pinned golden outcome, warm and cold.
-#[test]
-fn golden_b4_forty_requests_on_both_lp_backends() {
-    let inst = fixture();
-    for backend in [BasisBackend::SparseLu, BasisBackend::Dense] {
-        for warm_start in [false, true] {
-            let cfg = MetisConfig {
-                warm_start,
-                lp_basis: backend,
-                ..MetisConfig::with_theta(THETA)
-            };
-            let run = metis(&inst, &cfg).unwrap();
-            assert!(
-                (run.evaluation.profit - GOLDEN_PROFIT).abs() <= TOL,
-                "{backend:?} warm_start={warm_start}: profit {} != pinned {GOLDEN_PROFIT}",
-                run.evaluation.profit
-            );
-            assert_eq!(
-                run.evaluation.accepted, GOLDEN_ACCEPTED,
-                "{backend:?} warm_start={warm_start}: accepted count drifted"
-            );
-        }
-    }
-}
-
 // --- LP pivot fingerprints -------------------------------------------
 //
-// Two synthetic LP families, each solved under both basis backends with
-// certificates on. The pivot counts and the objective's bits are
-// deterministic on any hardware, so any change to them means the
-// simplex's pivot sequence changed: update the table deliberately when
-// that is intended, and say so in the commit message. The transportation
-// family starts infeasible at the slack basis (most of its pivots are
-// phase 1); the packing family is feasible at the origin (no phase 1).
-// The backends need not agree on the pivot count: each row pins its own.
+// Two synthetic LP families, each solved with certificates on. The
+// pivot counts and the objective's bits are deterministic on any
+// hardware, so any change to them means the simplex's pivot sequence
+// changed: update the table deliberately when that is intended, and say
+// so in the commit message. The transportation family starts infeasible
+// at the slack basis (most of its pivots are phase 1); the packing
+// family is feasible at the origin (no phase 1).
 
 /// A dense-ish transportation-style LP with `n` supplies and `n`
 /// demands (`m = 2n` rows).
@@ -241,41 +213,33 @@ fn sparse_packing_lp(m: usize, seed: u64) -> Problem {
     p
 }
 
-/// One backend's pinned outcome on one instance: total simplex
-/// iterations, phase-1 iterations, and the objective's bit pattern.
-type Fingerprint = (BasisBackend, usize, usize, u64);
+/// The pinned outcome on one instance: total simplex iterations,
+/// phase-1 iterations, and the objective's bit pattern.
+type Fingerprint = (usize, usize, u64);
 
-/// Solves `p` under each backend of `pinned`, certificate-verified, and
-/// asserts that backend's counts and objective bits exactly.
-fn assert_fingerprints(name: &str, p: &Problem, pinned: &[Fingerprint]) {
-    for &(basis, iterations, phase1, objective_bits) in pinned {
-        let s = p
-            .solve_with(&SolveOptions {
-                basis,
-                verify: true,
-            })
-            .unwrap_or_else(|e| panic!("{name} {basis:?}: {e:?}"));
-        let st = s.stats();
-        assert_eq!(
-            (st.iterations, st.phase1_iterations, s.objective().to_bits()),
-            (iterations, phase1, objective_bits),
-            "{name} {basis:?}: (iterations, phase1, objective bits) moved; objective {}",
-            s.objective()
-        );
-    }
+/// Solves `p` certificate-verified and asserts its counts and objective
+/// bits exactly.
+fn assert_fingerprint(name: &str, p: &Problem, pinned: Fingerprint) {
+    let s = p
+        .solve_with(&SolveOptions { verify: true })
+        .unwrap_or_else(|e| panic!("{name}: {e:?}"));
+    let st = s.stats();
+    assert_eq!(
+        (st.iterations, st.phase1_iterations, s.objective().to_bits()),
+        pinned,
+        "{name}: (iterations, phase1, objective bits) moved; objective {}",
+        s.objective()
+    );
 }
 
 #[test]
 fn lp_fingerprint_transportation_m100() {
     // Objective 323.
     const OBJ: u64 = 0x4074_3000_0000_0000;
-    assert_fingerprints(
+    assert_fingerprint(
         "transportation_lp(50)",
         &transportation_lp(50),
-        &[
-            (BasisBackend::Dense, 932, 781, OBJ),
-            (BasisBackend::SparseLu, 932, 781, OBJ),
-        ],
+        (932, 781, OBJ),
     );
 }
 
@@ -284,25 +248,19 @@ fn lp_fingerprint_transportation_m100() {
 fn lp_fingerprint_transportation_m300() {
     // Objective 973.
     const OBJ: u64 = 0x408e_6800_0000_0000;
-    assert_fingerprints(
+    assert_fingerprint(
         "transportation_lp(150)",
         &transportation_lp(150),
-        &[
-            (BasisBackend::Dense, 7377, 6772, OBJ),
-            (BasisBackend::SparseLu, 7377, 6772, OBJ),
-        ],
+        (7377, 6772, OBJ),
     );
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
 fn lp_fingerprint_sparse_packing_m1000() {
-    assert_fingerprints(
+    assert_fingerprint(
         "sparse_packing_lp(1000, 0x5eed)",
         &sparse_packing_lp(1000, 0x5eed),
-        &[
-            (BasisBackend::Dense, 1547, 0, 0xc0c0_c2ac_a7e7_6eae),
-            (BasisBackend::SparseLu, 1673, 0, 0xc0c0_c2ac_a7e7_6eb1),
-        ],
+        (1673, 0, 0xc0c0_c2ac_a7e7_6eb1),
     );
 }

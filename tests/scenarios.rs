@@ -12,12 +12,8 @@
 //!    [`Request::validate`], rates stay inside the family's declared
 //!    Gbps envelope, arrivals land inside the horizon, the stream is
 //!    sorted by start slot with sequential ids.
-//! 3. **Determinism** — within a (backend, warm-start) cell the solve is
-//!    bit-identical across 1/2/8 worker threads. Across the two LP basis
-//!    backends the heuristic may legitimately land on *different* tied
-//!    LP vertices and therefore different rounded outcomes, so backends
-//!    are only required to stay within `BACKEND_GAP` of each other here —
-//!    their exact outcomes are pinned per backend by the golden fixture.
+//! 3. **Determinism** — within a warm-start mode the solve is
+//!    bit-identical across 1/2/8 worker threads.
 //! 4. **Fault tolerance** — single-point and random [`FaultPlan`]s
 //!    degrade the run, never kill it.
 //! 5. **Audit** — a fully audited solve reports a clean certificate.
@@ -39,20 +35,14 @@ use metis_suite::core::{
     metis, metis_instrumented, FaultPlan, MaaOptions, MetisConfig, MetisResult, ParallelConfig,
     Phase, SpmInstance,
 };
-use metis_suite::lp::BasisBackend;
 use metis_suite::netsim::units_to_gbps;
 use metis_suite::telemetry::Telemetry;
 use metis_suite::workload::json::Json;
 use metis_suite::workload::{RequestId, Scenario};
 
-/// Tolerance against the per-backend pinned golden profits (same
-/// tolerance as `tests/golden.rs`).
+/// Tolerance against the pinned golden profits (same tolerance as
+/// `tests/golden.rs`).
 const PROFIT_TOL: f64 = 1e-6;
-
-/// Gross-divergence guard across LP basis backends: tied LP vertices may
-/// round differently, but the heuristics solve the same instance and a
-/// gap beyond half the better profit means one backend broke.
-const BACKEND_GAP: f64 = 0.5;
 
 fn scenario_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios")
@@ -91,12 +81,7 @@ fn instance_of(scenario: &Scenario) -> (SpmInstance, usize) {
     )
 }
 
-fn config(
-    scenario: &Scenario,
-    threads: usize,
-    warm_start: bool,
-    basis: BasisBackend,
-) -> MetisConfig {
+fn config(scenario: &Scenario, threads: usize, warm_start: bool) -> MetisConfig {
     MetisConfig {
         theta: scenario.theta,
         warm_start,
@@ -105,7 +90,6 @@ fn config(
             rounding_repeats: 4,
             seed: 99,
         },
-        lp_basis: basis,
         ..MetisConfig::default()
     }
 }
@@ -172,7 +156,7 @@ fn generated_workloads_satisfy_the_conformance_invariants() {
 }
 
 #[test]
-fn every_scenario_is_deterministic_across_threads_and_backends() {
+fn every_scenario_is_deterministic_across_threads() {
     for (path, scenario) in all_scenarios() {
         let label = path.display();
         let topo = scenario.build_topology();
@@ -184,34 +168,18 @@ fn every_scenario_is_deterministic_across_threads_and_backends() {
         );
 
         let (inst, _) = instance_of(&scenario);
-        let mut profits: Vec<(BasisBackend, f64)> = Vec::new();
-        for backend in [BasisBackend::SparseLu, BasisBackend::Dense] {
-            for warm_start in common::warm_modes() {
-                let reference = metis(&inst, &config(&scenario, 1, warm_start, backend)).unwrap();
-                for threads in [2, 8] {
-                    let run =
-                        metis(&inst, &config(&scenario, threads, warm_start, backend)).unwrap();
-                    assert_eq!(
-                        run.schedule, reference.schedule,
-                        "{label}: {backend:?} warm={warm_start} threads={threads}"
-                    );
-                    assert_eq!(run.round_trace, reference.round_trace, "{label}");
-                    assert_eq!(run.evaluation, reference.evaluation, "{label}");
-                }
-                profits.push((backend, reference.evaluation.profit));
+        for warm_start in common::warm_modes() {
+            let reference = metis(&inst, &config(&scenario, 1, warm_start)).unwrap();
+            for threads in [2, 8] {
+                let run = metis(&inst, &config(&scenario, threads, warm_start)).unwrap();
+                assert_eq!(
+                    run.schedule, reference.schedule,
+                    "{label}: warm={warm_start} threads={threads}"
+                );
+                assert_eq!(run.round_trace, reference.round_trace, "{label}");
+                assert_eq!(run.evaluation, reference.evaluation, "{label}");
             }
         }
-        // Across backends, exact outcomes are pinned per backend by the
-        // golden fixture; here only gross divergence is flagged.
-        let (min, max) = profits
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &(_, p)| {
-                (lo.min(p), hi.max(p))
-            });
-        assert!(
-            max - min <= BACKEND_GAP * max.max(1.0),
-            "{label}: backend profits diverge grossly: {profits:?}"
-        );
     }
 }
 
@@ -221,7 +189,7 @@ fn every_scenario_survives_fault_injection() {
         let label = path.display();
         let (inst, k) = instance_of(&scenario);
         for warm_start in common::warm_modes() {
-            let cfg = config(&scenario, 1, warm_start, BasisBackend::SparseLu);
+            let cfg = config(&scenario, 1, warm_start);
             let mut plans: Vec<(String, FaultPlan)> = vec![
                 ("maa@0".into(), FaultPlan::none().fail_at(Phase::Maa, 0)),
                 ("taa@0".into(), FaultPlan::none().fail_at(Phase::Taa, 0)),
@@ -285,7 +253,7 @@ fn every_scenario_passes_a_full_audit() {
         for warm_start in common::warm_modes() {
             let cfg = MetisConfig {
                 audit: true,
-                ..config(&scenario, 1, warm_start, BasisBackend::SparseLu)
+                ..config(&scenario, 1, warm_start)
             };
             let run = metis(&inst, &cfg).unwrap();
             let report = run
@@ -312,40 +280,27 @@ fn golden_path() -> PathBuf {
 /// One audited cold solve per scenario — the configuration the fixture
 /// pins (thread count does not matter: determinism across threads is
 /// checked separately).
-fn golden_run(scenario: &Scenario, basis: BasisBackend) -> (usize, MetisResult) {
+fn golden_run(scenario: &Scenario) -> (usize, MetisResult) {
     let (inst, k) = instance_of(scenario);
-    let run = metis(&inst, &config(scenario, 1, false, basis)).unwrap();
+    let run = metis(&inst, &config(scenario, 1, false)).unwrap();
     (k, run)
 }
 
-/// The two basis backends, with the keys they pin under in the fixture.
-/// Pinning each backend separately makes the differential behavior part
-/// of the record: where the keys agree the backends land on the same
-/// vertex, where they differ the tie-break divergence is documented.
-const BACKENDS: [(BasisBackend, &str); 2] = [
-    (BasisBackend::SparseLu, "sparse_lu"),
-    (BasisBackend::Dense, "dense"),
-];
-
 #[test]
-fn golden_outcomes_are_pinned_per_scenario_and_backend() {
+fn golden_outcomes_are_pinned_per_scenario() {
     let path = golden_path();
     if std::env::var_os("BLESS").is_some() {
         let mut rows = Vec::new();
         for (_, scenario) in all_scenarios() {
-            let mut entry = Vec::new();
-            for (basis, key) in BACKENDS {
-                let (k, run) = golden_run(&scenario, basis);
-                entry.push((
-                    key.to_string(),
-                    Json::Obj(vec![
-                        ("requests".into(), Json::Num(k as f64)),
-                        ("profit".into(), Json::Num(run.evaluation.profit)),
-                        ("accepted".into(), Json::Num(run.evaluation.accepted as f64)),
-                    ]),
-                ));
-            }
-            rows.push((scenario.name.clone(), Json::Obj(entry)));
+            let (k, run) = golden_run(&scenario);
+            rows.push((
+                scenario.name.clone(),
+                Json::Obj(vec![
+                    ("requests".into(), Json::Num(k as f64)),
+                    ("profit".into(), Json::Num(run.evaluation.profit)),
+                    ("accepted".into(), Json::Num(run.evaluation.accepted as f64)),
+                ]),
+            ));
         }
         std::fs::write(&path, Json::Obj(rows).to_pretty() + "\n").unwrap();
         return;
@@ -367,48 +322,28 @@ fn golden_outcomes_are_pinned_per_scenario_and_backend() {
         scenarios.len()
     );
     for (_, scenario) in &scenarios {
-        let entry = fixture.get(&scenario.name).unwrap_or_else(|| {
+        let pin = fixture.get(&scenario.name).unwrap_or_else(|| {
             panic!(
                 "{}: missing from the golden fixture; regenerate with BLESS=1",
                 scenario.name
             )
         });
-        // The simplex's feasibility crash gives both backends the same
-        // start basis, and they pin the same outcome on every scenario.
+        let want_k = pin.get("requests").and_then(Json::as_usize).unwrap();
+        let want_profit = pin.get("profit").and_then(Json::as_f64).unwrap();
+        let want_accepted = pin.get("accepted").and_then(Json::as_usize).unwrap();
+        let (k, run) = golden_run(scenario);
+        assert_eq!(k, want_k, "{}: request count drifted", scenario.name);
+        assert!(
+            (run.evaluation.profit - want_profit).abs() <= PROFIT_TOL,
+            "{}: profit {} != pinned {want_profit}; if the change \
+             is intended, regenerate with BLESS=1 and say so in the commit message",
+            scenario.name,
+            run.evaluation.profit
+        );
         assert_eq!(
-            entry.get("sparse_lu"),
-            entry.get("dense"),
-            "{}: the backends pin different outcomes",
+            run.evaluation.accepted, want_accepted,
+            "{}: accepted count drifted",
             scenario.name
         );
-        for (basis, key) in BACKENDS {
-            let pin = entry.get(key).unwrap_or_else(|| {
-                panic!(
-                    "{}: missing backend {key}; regenerate with BLESS=1",
-                    scenario.name
-                )
-            });
-            let want_k = pin.get("requests").and_then(Json::as_usize).unwrap();
-            let want_profit = pin.get("profit").and_then(Json::as_f64).unwrap();
-            let want_accepted = pin.get("accepted").and_then(Json::as_usize).unwrap();
-            let (k, run) = golden_run(scenario, basis);
-            assert_eq!(
-                k, want_k,
-                "{} [{key}]: request count drifted",
-                scenario.name
-            );
-            assert!(
-                (run.evaluation.profit - want_profit).abs() <= PROFIT_TOL,
-                "{} [{key}]: profit {} != pinned {want_profit}; if the change \
-                 is intended, regenerate with BLESS=1 and say so in the commit message",
-                scenario.name,
-                run.evaluation.profit
-            );
-            assert_eq!(
-                run.evaluation.accepted, want_accepted,
-                "{} [{key}]: accepted count drifted",
-                scenario.name
-            );
-        }
     }
 }
