@@ -13,8 +13,24 @@
 //! with **Markowitz pivot ordering** — each elimination step picks the
 //! candidate minimizing the fill-in bound `(col_count−1)·(row_count−1)`,
 //! subject to a relative threshold (`|pivot| ≥ 0.1 · max|column|`) for
-//! numerical stability — and then answers both maps with four sparse
-//! triangular substitutions in `O(nnz(L) + nnz(U) + m)`.
+//! numerical stability — and then answers both maps with sparse
+//! triangular substitutions. A dense right-hand side costs
+//! `O(nnz(L) + nnz(U) + m)`: the duals, the dual simplex's pivot row and
+//! the basic values are such solves.
+//!
+//! The pivot direction `w = B⁻¹ a_q` is **hypersparse**: its right-hand
+//! side is one matrix column with a handful of nonzeros, and on the
+//! RL-SPM/BL-SPM bases `w` itself has a few dozen nonzeros out of
+//! hundreds of rows. [`LuFactors::ftran_col`] therefore solves only
+//! where a nonzero can arise (Gilbert–Peierls): it scatters the column
+//! into elimination-step space, closes that set of steps under `L`'s
+//! column pattern, runs the forward substitution over the closure in
+//! ascending order, closes the result under `U`'s column pattern (kept
+//! per factorization in [`Pattern`]), and runs `U`'s unchanged row
+//! gathers over it in descending order. Each reached position sees the
+//! same floating-point operations in the same order as in the dense
+//! solve, so its value is bit-identical; see [`SparseVec`] for why the
+//! zeros left unwritten change nothing.
 //!
 //! Pivot selection is **deterministic**: singleton columns are consumed
 //! smallest-index-first, and the Markowitz scan breaks merit ties by
@@ -37,16 +53,20 @@
 //! entering direction `w = B⁻¹ a_q` replacing slot `r`, the new basis is
 //! `B' = B·E` where `E` is the identity with column `r` replaced by `w`.
 //! FTRAN applies `E⁻¹` oldest-to-newest after the LU solve; BTRAN
-//! applies `E⁻ᵀ` newest-to-oldest before it. The `w` vectors are FTRAN
-//! outputs and tend to fill in, so the file grows by up to `m` nonzeros
-//! per pivot until the simplex's fixed refactorization cadence (every
-//! 300 pivots) refactorizes and clears it.
+//! applies `E⁻ᵀ` newest-to-oldest before it. The file is one arena: a
+//! slot, a pivot and an entry span per update, and the off-pivot
+//! nonzeros of all `w`s in fixed blocks that a refactorization empties
+//! without freeing. It grows by `nnz(w)` per pivot until the simplex's
+//! fixed refactorization cadence (every 300 pivots) refactorizes and
+//! clears it. Its sparse FTRAN ([`EtaFile::ftran_sparse`]) visits an
+//! update's entries only when the update's pivot slot is nonzero, and
+//! tracks the nonzeros it creates.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::error::SolveError;
-use crate::matrix::{CscMatrix, SparseTriangular};
+use crate::matrix::{ColView, CscMatrix, Pattern, SparseTriangular};
 
 /// Relative threshold for Markowitz pivot admissibility: a candidate
 /// must reach this fraction of its column's largest magnitude. Balances
@@ -66,12 +86,18 @@ pub(crate) struct LuFactors {
     m: usize,
     /// `perm_row[k]` = constraint row eliminated at step `k`.
     perm_row: Vec<u32>,
+    /// `row_step[r]` = step at which constraint row `r` is eliminated
+    /// (the inverse of `perm_row`).
+    row_step: Vec<u32>,
     /// `perm_col[k]` = basis slot eliminated at step `k`.
     perm_col: Vec<u32>,
     /// Unit lower factor; group `k` is column `k` (positions `> k`).
     l: SparseTriangular,
     /// Strict upper factor; group `k` is row `k` (positions `> k`).
     u: SparseTriangular,
+    /// `U`'s column patterns: group `p` lists the rows `k < p` with a
+    /// stored `U[k, p]`.
+    u_cols: Pattern,
     /// Diagonal of `U` (the pivots), by elimination step.
     u_diag: Vec<f64>,
     work: Workspace,
@@ -92,8 +118,7 @@ struct Workspace {
     /// Singleton columns, popped smallest index first; an index may be
     /// queued twice, and stale entries are skipped when popped.
     singles: BinaryHeap<Reverse<u32>>,
-    /// Elimination step of each row and each slot.
-    row_pos: Vec<u32>,
+    /// Elimination step of each slot.
     col_pos: Vec<u32>,
     /// The pivot column without its pivot entry.
     lower: Vec<(u32, f64)>,
@@ -197,9 +222,11 @@ impl LuFactors {
         let LuFactors {
             m: dim,
             perm_row,
+            row_step,
             perm_col,
             l,
             u,
+            u_cols,
             u_diag,
             work,
         } = self;
@@ -209,7 +236,6 @@ impl LuFactors {
             row_count,
             col_alive,
             singles,
-            row_pos,
             col_pos,
             lower,
             merged,
@@ -253,8 +279,8 @@ impl LuFactors {
                 .filter(|&j| cols.get(j).len() == 1)
                 .map(|j| Reverse(j as u32)),
         );
-        row_pos.clear();
-        row_pos.resize(m, 0);
+        row_step.clear();
+        row_step.resize(m, 0);
         col_pos.clear();
         col_pos.resize(m, 0);
 
@@ -318,7 +344,7 @@ impl LuFactors {
             perm_col.push(pj as u32);
             perm_row.push(pr);
             col_pos[pj] = k as u32;
-            row_pos[pr as usize] = k as u32;
+            row_step[pr as usize] = k as u32;
             col_alive[pj] = false;
             u_diag.push(pv);
             for &(r, _) in pivot_col {
@@ -406,20 +432,26 @@ impl LuFactors {
         // Remap the factors from original indices into elimination
         // positions, sorted so substitution order (and therefore float
         // summation order) is reproducible.
-        l.remap_sorted(row_pos, group);
+        l.remap_sorted(row_step, group);
         u.remap_sorted(col_pos, group);
+        u_cols.transpose_of(u);
         Ok(())
     }
 
     /// Factors of the `m×m` identity: a placeholder for a solver whose
     /// basis has not been factorized yet.
     pub(crate) fn identity(m: usize) -> Self {
+        let u = SparseTriangular::from_groups(vec![Vec::new(); m]);
+        let mut u_cols = Pattern::default();
+        u_cols.transpose_of(&u);
         LuFactors {
             m,
             perm_row: (0..m as u32).collect(),
+            row_step: (0..m as u32).collect(),
             perm_col: (0..m as u32).collect(),
             l: SparseTriangular::from_groups(vec![Vec::new(); m]),
-            u: SparseTriangular::from_groups(vec![Vec::new(); m]),
+            u,
+            u_cols,
             u_diag: vec![1.0; m],
             work: Workspace::default(),
         }
@@ -442,9 +474,10 @@ impl LuFactors {
         self.u.nnz() + self.u_diag.len()
     }
 
-    /// FTRAN: solves `B x = b`, reading `b` in constraint-row space and
-    /// writing `x` in basis-slot space. `work` is caller-owned scratch
-    /// of length `m`.
+    /// FTRAN: solves `B x = b` for a dense `b`, reading `b` in
+    /// constraint-row space and writing `x` in basis-slot space. `work`
+    /// is caller-owned scratch of length `m`. A sparse `b` goes through
+    /// [`Self::ftran_col`].
     ///
     /// # Panics
     ///
@@ -458,6 +491,54 @@ impl LuFactors {
         for k in 0..self.m {
             x[self.perm_col[k] as usize] = work[k];
         }
+    }
+
+    /// Sparse FTRAN of one matrix column: solves `B w = a` for the
+    /// column `a` (row space) into `w` (slot space), touching only the
+    /// elimination steps a nonzero can reach (see the module docs).
+    /// Every value this writes is bit-identical to [`Self::ftran`]'s on
+    /// the dense copy of `a`; the slots it does not write hold zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` has a row outside the basis dimension or `w` was
+    /// made for a smaller one.
+    pub(crate) fn ftran_col(&self, a: ColView<'_>, w: &mut SparseVec) {
+        let SparseVec {
+            val,
+            nz,
+            x,
+            seen,
+            reach,
+        } = w;
+        for &i in nz.iter() {
+            val[i as usize] = 0.0;
+        }
+        nz.clear();
+        // Scatter `a` into step space; its steps seed the closure.
+        for (r, v) in a.iter() {
+            let k = self.row_step[r] as usize;
+            x[k] = v;
+            seen.insert(k);
+            reach.push(k as u32);
+        }
+        close(reach, seen, |k| self.l.positions(k));
+        seen.list(reach);
+        self.l.solve_forward_over(reach, None, x);
+        close(reach, seen, |p| self.u_cols.group(p));
+        seen.drain(reach, |_| true);
+        self.u.solve_backward_over(reach, Some(&self.u_diag), x);
+        for &k in reach.iter() {
+            let k = k as usize;
+            let slot = self.perm_col[k] as usize;
+            val[slot] = x[k];
+            if x[k] != 0.0 {
+                seen.insert(slot);
+            }
+            x[k] = 0.0;
+        }
+        reach.clear();
+        seen.drain(nz, |_| true);
     }
 
     /// BTRAN: solves `Bᵀ y = c`, reading `c` in basis-slot space and
@@ -479,73 +560,274 @@ impl LuFactors {
     }
 }
 
-/// One product-form update: the identity with slot column `slot`
-/// replaced by the entering direction `w = B⁻¹ a_q`.
-#[derive(Clone, Debug)]
-struct Eta {
-    slot: u32,
-    pivot: f64,
-    /// Nonzeros of `w` excluding the pivot slot.
-    entries: Vec<(u32, f64)>,
+/// Appends to `list` every position reachable from it through `edges`
+/// (position `k` → each of `edges(k)`), adding each to `seen`. Every
+/// position already listed must be in `seen`.
+fn close<'a>(list: &mut Vec<u32>, seen: &mut BitSet, edges: impl Fn(usize) -> &'a [u32]) {
+    let mut next = 0;
+    while let Some(&k) = list.get(next) {
+        next += 1;
+        for &p in edges(k as usize) {
+            if !seen.contains(p as usize) {
+                seen.insert(p as usize);
+                list.push(p);
+            }
+        }
+    }
 }
 
+/// A set of positions below `m`, one bit each. Listing it gives its
+/// members in ascending order in `O(m/64 + members)`, which is how the
+/// sparse solves order the steps and slots they reach.
+#[derive(Clone, Debug)]
+struct BitSet {
+    words: Vec<u64>,
+}
+
+/// Appends to `out`, ascending, the positions of word `w` whose bits are
+/// set in `word` and that `keep` accepts.
+fn push_bits(w: usize, mut word: u64, out: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+    while word != 0 {
+        let i = 64 * w + word.trailing_zeros() as usize;
+        if keep(i) {
+            out.push(i as u32);
+        }
+        word &= word - 1;
+    }
+}
+
+impl BitSet {
+    /// The empty set over positions `0..m`.
+    fn new(m: usize) -> Self {
+        BitSet {
+            words: vec![0; m.div_ceil(64)],
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        // INDEX: i < m, and there are ⌈m/64⌉ words.
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn insert(&mut self, i: usize) {
+        // INDEX: i < m, and there are ⌈m/64⌉ words.
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Replaces `out` with the members, ascending.
+    fn list(&self, out: &mut Vec<u32>) {
+        out.clear();
+        for (w, &word) in self.words.iter().enumerate() {
+            push_bits(w, word, out, |_| true);
+        }
+    }
+
+    /// Replaces `out` with the members that `keep` accepts, ascending,
+    /// and empties the set.
+    fn drain(&mut self, out: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+        out.clear();
+        for (w, word) in self.words.iter_mut().enumerate() {
+            push_bits(w, std::mem::take(word), out, &keep);
+        }
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+}
+
+/// A slot-space vector stored densely but zero outside a short list of
+/// slots: the pivot direction `w`, as [`LuFactors::ftran_col`] and
+/// [`EtaFile::ftran_sparse`] compute it, with the scratch they reuse.
+///
+/// The dense solves write a zero of either sign, `±0.0`, into the
+/// entries no nonzero reaches; the sparse solves leave those entries as
+/// they were, a zero of possibly the other sign. No consumer of `w` can
+/// tell: the ratio test and the eta file keep only entries `!= 0.0`, the
+/// dual simplex rejects a pivot `w[r]` that small, and the basic values
+/// only ever have `w`'s entries subtracted from them, which a zero
+/// changes by at most the sign of a zero basic value. Comparisons and
+/// sums with a nonzero do not see that sign.
+#[derive(Clone, Debug)]
+pub(crate) struct SparseVec {
+    /// Values by slot: zero at every slot not in `nz`.
+    pub(crate) val: Vec<f64>,
+    /// The slots whose value is `!= 0.0`, ascending.
+    pub(crate) nz: Vec<u32>,
+    /// Step-space values of the LU solve; `+0.0` between solves.
+    x: Vec<f64>,
+    /// The steps (in the LU solve) or slots (in the eta solve) reached
+    /// so far; empty between solves.
+    seen: BitSet,
+    /// The steps the LU solve reaches.
+    reach: Vec<u32>,
+}
+
+impl SparseVec {
+    /// The zero vector over `m` slots.
+    pub(crate) fn new(m: usize) -> Self {
+        SparseVec {
+            val: vec![0.0; m],
+            nz: Vec::new(),
+            x: vec![0.0; m],
+            seen: BitSet::new(m),
+            reach: Vec::new(),
+        }
+    }
+}
+
+/// Fewest entries an eta-file block holds.
+const ETA_BLOCK: usize = 4096;
+
 /// The eta file: product-form updates appended since the last
-/// refactorization, applied around the LU solves.
-#[derive(Clone, Debug, Default)]
+/// refactorization, applied around the LU solves. Update `e` is the
+/// identity with slot column `slot[e]` replaced by that pivot's entering
+/// direction `w`: `w[slot[e]] = pivot[e]`, and its other nonzeros, as
+/// `(slot, value)` with slots ascending, are `blocks[b][lo..hi]` for
+/// `(b, lo, hi) = span[e]`.
+///
+/// The entries live in an arena of blocks, each allocated once with
+/// room for `max(ETA_BLOCK, m)` entries and never grown, so one update
+/// always fits in one block and no entry is ever copied. [`Self::clear`]
+/// empties the blocks for reuse. One entry array grown by doubling
+/// instead raised the anchor benchmark's peak resident memory by about
+/// 0.45 MiB under glibc, whose allocator served each doubled copy from
+/// the heap and kept the old one's pages.
+#[derive(Clone, Debug)]
 pub(crate) struct EtaFile {
-    etas: Vec<Eta>,
+    slot: Vec<u32>,
+    pivot: Vec<f64>,
+    span: Vec<(u32, u32, u32)>,
+    blocks: Vec<Vec<(u32, f64)>>,
+    /// Blocks holding entries; the last of them takes the next update
+    /// when it has room.
+    used: usize,
+    /// Room per block.
+    room: usize,
 }
 
 impl EtaFile {
-    /// Drops all updates (after a refactorization).
+    /// An empty file for a basis of dimension `m`.
+    pub(crate) fn new(m: usize) -> Self {
+        EtaFile {
+            slot: Vec::new(),
+            pivot: Vec::new(),
+            span: Vec::new(),
+            blocks: Vec::new(),
+            used: 0,
+            room: ETA_BLOCK.max(m),
+        }
+    }
+
+    /// Drops all updates (after a refactorization), keeping the blocks.
     pub(crate) fn clear(&mut self) {
-        self.etas.clear();
+        self.slot.clear();
+        self.pivot.clear();
+        self.span.clear();
+        for b in &mut self.blocks[..self.used] {
+            b.clear();
+        }
+        self.used = 0;
     }
 
     /// Whether no update was appended since the last refactorization.
     pub(crate) fn is_empty(&self) -> bool {
-        self.etas.is_empty()
+        self.slot.is_empty()
+    }
+
+    /// The off-pivot entries of the update with span `(b, lo, hi)`.
+    fn entries(&self, (b, lo, hi): (u32, u32, u32)) -> &[(u32, f64)] {
+        &self.blocks[b as usize][lo as usize..hi as usize]
     }
 
     /// Records the pivot that replaced basis slot `slot` with the column
-    /// whose direction is `w` (dense, slot space, `w[slot]` = pivot).
-    pub(crate) fn push(&mut self, slot: usize, w: &[f64]) {
-        let entries: Vec<(u32, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != slot && v != 0.0)
-            .map(|(i, &v)| (i as u32, v))
-            .collect();
-        self.etas.push(Eta {
-            slot: slot as u32,
-            pivot: w[slot],
-            entries,
-        });
+    /// whose direction is `w` (`w[slot]` = pivot).
+    pub(crate) fn push(&mut self, slot: usize, w: &SparseVec) {
+        let fits = self.used > 0 && {
+            // INDEX: used > 0 was just checked and used <= blocks.len().
+            self.blocks[self.used - 1].len() + w.nz.len() <= self.room
+        };
+        if !fits {
+            if self.used == self.blocks.len() {
+                self.blocks.push(Vec::with_capacity(self.room));
+            }
+            self.used += 1;
+        }
+        let b = self.used - 1;
+        let block = &mut self.blocks[b];
+        let lo = block.len();
+        for &i in &w.nz {
+            if i as usize != slot {
+                block.push((i, w.val[i as usize]));
+            }
+        }
+        self.span.push((b as u32, lo as u32, block.len() as u32));
+        self.slot.push(slot as u32);
+        self.pivot.push(w.val[slot]);
     }
 
-    /// Applies `Eₖ⁻¹ ⋯ E₁⁻¹` in place (FTRAN tail), oldest update first.
+    /// Applies `Eₖ⁻¹ ⋯ E₁⁻¹` in place (FTRAN tail), oldest update first:
+    /// the dense reference [`Self::ftran_sparse`] is tested against.
+    #[cfg(test)]
     pub(crate) fn ftran(&self, x: &mut [f64]) {
-        for eta in &self.etas {
-            let slot = eta.slot as usize;
-            let t = x[slot] / eta.pivot;
+        for ((&slot, &pivot), &span) in self.slot.iter().zip(&self.pivot).zip(&self.span) {
+            let slot = slot as usize;
+            let t = x[slot] / pivot;
             x[slot] = t;
             if t != 0.0 {
-                for &(i, v) in &eta.entries {
+                for &(i, v) in self.entries(span) {
                     x[i as usize] -= v * t;
                 }
             }
         }
     }
 
+    /// Applies `Eₖ⁻¹ ⋯ E₁⁻¹` to `w` in place, oldest update first, with
+    /// the dense FTRAN tail's operations on every nonzero: an update
+    /// whose pivot slot holds zero is skipped (the dense tail would only
+    /// rewrite that zero), and each slot an update makes nonzero joins
+    /// `w`'s list.
+    pub(crate) fn ftran_sparse(&self, w: &mut SparseVec) {
+        if self.is_empty() {
+            return;
+        }
+        let SparseVec { val, nz, seen, .. } = w;
+        for &i in nz.iter() {
+            seen.insert(i as usize);
+        }
+        for ((&slot, &pivot), &span) in self.slot.iter().zip(&self.pivot).zip(&self.span) {
+            let slot = slot as usize;
+            if val[slot] == 0.0 {
+                continue;
+            }
+            let t = val[slot] / pivot;
+            val[slot] = t;
+            if t != 0.0 {
+                for &(i, v) in self.entries(span) {
+                    let i = i as usize;
+                    // A slot that is zero here is either unlisted or was
+                    // listed and cancelled; one that is not is in `seen`.
+                    if val[i] == 0.0 {
+                        seen.insert(i);
+                    }
+                    val[i] -= v * t;
+                }
+            }
+        }
+        seen.drain(nz, |i| val[i] != 0.0);
+    }
+
     /// Applies `E₁⁻ᵀ ⋯ Eₖ⁻ᵀ` in place (BTRAN head), newest update first.
     pub(crate) fn btran(&self, x: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            let slot = eta.slot as usize;
+        let updates = self.slot.iter().zip(&self.pivot).zip(&self.span);
+        for ((&slot, &pivot), &span) in updates.rev() {
             let mut acc = 0.0;
-            for &(i, v) in &eta.entries {
+            for &(i, v) in self.entries(span) {
                 acc += v * x[i as usize];
             }
-            x[slot] = (x[slot] - acc) / eta.pivot;
+            let slot = slot as usize;
+            x[slot] = (x[slot] - acc) / pivot;
         }
     }
 }
@@ -787,15 +1069,11 @@ mod tests {
         let mut work = vec![0.0; m];
 
         // Direction w = B⁻¹ a₄, then replace slot 1.
-        let mut dense = vec![0.0; m];
-        for (r, v) in a.col(4).iter() {
-            dense[r] = v;
-        }
-        let mut w = vec![0.0; m];
-        lu.ftran(&dense, &mut w, &mut work);
-        let mut etas = EtaFile::default();
+        let mut w = SparseVec::new(m);
+        lu.ftran_col(a.col(4), &mut w);
+        let mut etas = EtaFile::new(m);
         etas.push(1, &w);
-        assert_eq!(etas.etas.len(), 1);
+        assert_eq!(etas.slot.len(), 1);
 
         let new_basis: Vec<u32> = vec![0, 4, 2, 3];
         let fresh = factor(&a, &new_basis).expect("nonsingular");
@@ -819,6 +1097,169 @@ mod tests {
         fresh.btran(&cost, &mut direct_y, &mut work);
         for (e, d) in via_eta_y.iter().zip(&direct_y) {
             assert!((e - d).abs() < 1e-9, "eta BTRAN {e} vs fresh {d}");
+        }
+    }
+
+    /// `x` densified: the right-hand side [`LuFactors::ftran`] takes.
+    fn dense_col(a: &CscMatrix, j: usize) -> Vec<f64> {
+        let mut b = vec![0.0; a.nrows()];
+        for (r, v) in a.col(j).iter() {
+            b[r] = v;
+        }
+        b
+    }
+
+    /// The sparse direction equals the dense one: the same bits at every
+    /// nonzero, a zero elsewhere, `nz` exactly the slots where the dense
+    /// one is `!= 0.0`, and the scratch left clean for the next solve.
+    fn assert_same_direction(sparse: &SparseVec, dense: &[f64], what: &str) {
+        for (i, (&got, &want)) in sparse.val.iter().zip(dense).enumerate() {
+            if want != 0.0 {
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: slot {i}");
+            } else {
+                assert_eq!(got, 0.0, "{what}: slot {i}");
+            }
+        }
+        let nonzero: Vec<u32> = (0..dense.len() as u32)
+            .filter(|&i| dense[i as usize] != 0.0)
+            .collect();
+        assert_eq!(sparse.nz, nonzero, "{what}");
+        assert!(
+            sparse.x.iter().all(|v| v.to_bits() == 0),
+            "{what}: step scratch"
+        );
+        assert!(sparse.seen.is_empty(), "{what}: seen");
+        assert!(sparse.reach.is_empty(), "{what}: reach");
+    }
+
+    #[test]
+    fn sparse_ftran_is_bit_identical_to_the_dense_one() {
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        // (m, structural columns, density): slack-heavy to dense.
+        let shapes = [
+            (1, 1, 1.0),
+            (6, 2, 0.3),
+            (25, 10, 0.1),
+            (40, 40, 0.05),
+            (60, 20, 0.08),
+            (30, 30, 0.5),
+            (80, 50, 0.03),
+        ];
+        for (step, &(m, k, density)) in shapes.iter().enumerate() {
+            let (a, basis) = random_basis(&mut rng, m, k, density);
+            let lu = factor(&a, &basis).expect("nonsingular");
+            // Entering candidates: every column of `a` (a basic one gives
+            // a unit direction) and sparse random columns.
+            let mut b = CscBuilder::new(m);
+            for _ in 0..2 * m {
+                let rows: Vec<usize> = (0..rng.gen_range(1..4))
+                    .map(|_| rng.gen_range(0..m))
+                    .collect();
+                b.add_col(rows.into_iter().map(|r| (r, rng.gen_range(-3.0..3.0))));
+            }
+            let cand = b.build();
+            let mut work = vec![0.0; m];
+            let mut w = SparseVec::new(m);
+            let mut etas = EtaFile::new(m);
+            // Up to m pivots, each checked against the dense solves with
+            // the eta file as it then stands.
+            for pivot in 0..=m {
+                let mut dense = vec![0.0; m];
+                for (mat, j) in (0..a.ncols())
+                    .map(|j| (&a, j))
+                    .chain((0..cand.ncols()).map(|j| (&cand, j)))
+                {
+                    lu.ftran(&dense_col(mat, j), &mut dense, &mut work);
+                    etas.ftran(&mut dense);
+                    lu.ftran_col(mat.col(j), &mut w);
+                    etas.ftran_sparse(&mut w);
+                    assert_same_direction(&w, &dense, &format!("basis {step}, pivot {pivot}"));
+                }
+                // Pivot a random candidate into a slot where its
+                // direction is large, as the ratio test would.
+                let j = rng.gen_range(0..cand.ncols());
+                lu.ftran_col(cand.col(j), &mut w);
+                etas.ftran_sparse(&mut w);
+                let big = w.val.iter().fold(0.0f64, |mx, v| mx.max(v.abs()));
+                let slots: Vec<u32> =
+                    w.nz.iter()
+                        .copied()
+                        .filter(|&i| w.val[i as usize].abs() >= 0.5 * big)
+                        .collect();
+                if slots.is_empty() {
+                    break;
+                }
+                let r = slots[rng.gen_range(0..slots.len())] as usize;
+                etas.push(r, &w);
+            }
+            assert!(etas.slot.len() > m / 2, "basis {step}: too few pivots");
+        }
+    }
+
+    #[test]
+    fn eta_tail_keeps_the_list_sorted_when_a_listed_slot_cancels() {
+        // The update replacing slot 1 creates a nonzero at slot 0 and
+        // cancels slot 3 exactly: the list gains a lower slot but no
+        // length.
+        let sparse = |val: Vec<f64>| {
+            let mut w = SparseVec::new(val.len());
+            w.nz = (0..val.len() as u32)
+                .filter(|&i| val[i as usize] != 0.0)
+                .collect();
+            w.val = val;
+            w
+        };
+        let mut etas = EtaFile::new(4);
+        etas.push(1, &sparse(vec![5.0, 1.0, 0.0, 2.0]));
+        let mut w = sparse(vec![0.0, 1.0, 0.0, 2.0]);
+        let mut dense = w.val.clone();
+        etas.ftran(&mut dense);
+        etas.ftran_sparse(&mut w);
+        assert_eq!(dense, [-5.0, 1.0, 0.0, 0.0]);
+        assert_same_direction(&w, &dense, "cancelling update");
+    }
+
+    #[test]
+    fn eta_blocks_roll_over_and_are_reused_after_clear() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let m = 12;
+        let (a, basis) = random_basis(&mut rng, m, 4, 0.3);
+        let lu = factor(&a, &basis).expect("nonsingular");
+        let mut w = SparseVec::new(m);
+        // `small` holds one direction per block at most; `one` puts all
+        // of them in one block. Both must compute the same bits.
+        let mut small = EtaFile::new(m);
+        small.room = m;
+        let mut one = EtaFile::new(m);
+        for round in 0..2 {
+            for j in 0..a.ncols() {
+                lu.ftran_col(a.col(j), &mut w);
+                let r =
+                    w.nz.iter().copied().max_by(|&p, &q| {
+                        w.val[p as usize].abs().total_cmp(&w.val[q as usize].abs())
+                    });
+                let r = r.expect("a nonzero column has a nonzero direction") as usize;
+                small.push(r, &w);
+                one.push(r, &w);
+            }
+            assert!(small.used > 1 && one.used == 1, "round {round}");
+            let v: Vec<f64> = (0..m).map(|i| i as f64 - 4.5).collect();
+            for apply in [EtaFile::ftran, EtaFile::btran] {
+                let (mut x, mut y) = (v.clone(), v.clone());
+                apply(&small, &mut x);
+                apply(&one, &mut y);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x), bits(&y), "round {round}");
+            }
+            let blocks = small.blocks.len();
+            small.clear();
+            one.clear();
+            assert!(small.is_empty() && small.used == 0 && small.span.is_empty());
+            assert_eq!(small.blocks.len(), blocks, "clear keeps the blocks");
+            // With no updates the sparse tail changes nothing.
+            let before = (w.val.clone(), w.nz.clone());
+            small.ftran_sparse(&mut w);
+            assert_eq!((w.val.clone(), w.nz.clone()), before);
         }
     }
 }

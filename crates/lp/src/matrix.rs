@@ -271,8 +271,11 @@ impl<'a> ColView<'a> {
 ///   transpose) is upper triangular and the groups are its rows:
 ///   gather each row's sparse dot product, last position first.
 ///
-/// Work is proportional to the stored nonzeros plus one pass over the
-/// dense right-hand side — never `O(m²)`.
+/// A full substitution is proportional to the stored nonzeros plus one
+/// pass over the dense right-hand side — never `O(m²)`. The `_over`
+/// variants run the same steps on a caller-given list of positions only
+/// (the positions a sparse right-hand side can reach), so their work is
+/// proportional to that list and the groups it visits.
 #[derive(Clone, Debug, Default)]
 pub struct SparseTriangular {
     /// Group boundaries, length `m + 1`.
@@ -357,6 +360,12 @@ impl SparseTriangular {
         self.ptr.len() - 1
     }
 
+    /// Group `k`'s positions.
+    pub(crate) fn positions(&self, k: usize) -> &[u32] {
+        // INDEX: ptr has dim()+1 entries (CSR invariant), so k+1 is in range for k < dim().
+        &self.idx[self.ptr[k]..self.ptr[k + 1]]
+    }
+
     /// In-place forward substitution: solves `T x = b` where `T` is
     /// lower triangular, `b` arrives in `x`, the groups are `T`'s
     /// columns, and the diagonal is `diag` (unit when `None`).
@@ -366,18 +375,29 @@ impl SparseTriangular {
     /// Panics if `x` (or a supplied `diag`) is shorter than
     /// [`SparseTriangular::dim`].
     pub fn solve_forward(&self, diag: Option<&[f64]>, x: &mut [f64]) {
-        let m = self.dim();
-        for k in 0..m {
+        self.forward(0..self.dim(), diag, x);
+    }
+
+    /// [`Self::solve_forward`]'s steps at `steps` only, in the order
+    /// given. With `steps` ascending and holding every position that
+    /// can become nonzero, every such position gets the bits the full
+    /// substitution gives it; the others are left untouched.
+    pub(crate) fn solve_forward_over(&self, steps: &[u32], diag: Option<&[f64]>, x: &mut [f64]) {
+        self.forward(steps.iter().map(|&k| k as usize), diag, x);
+    }
+
+    /// Forward substitution steps, in the order given: resolve position
+    /// `k`, then scatter it into the positions after it.
+    fn forward(&self, steps: impl Iterator<Item = usize>, diag: Option<&[f64]>, x: &mut [f64]) {
+        for k in steps {
             if let Some(d) = diag {
                 x[k] /= d[k];
             }
             let xk = x[k];
             if xk != 0.0 {
                 // INDEX: ptr has dim()+1 entries (CSR invariant), so k+1 is in range for k < dim().
-                for (&p, &v) in self.idx[self.ptr[k]..self.ptr[k + 1]]
-                    .iter()
-                    .zip(&self.val[self.ptr[k]..self.ptr[k + 1]])
-                {
+                let (lo, hi) = (self.ptr[k], self.ptr[k + 1]);
+                for (&p, &v) in self.idx[lo..hi].iter().zip(&self.val[lo..hi]) {
                     x[p as usize] -= v * xk;
                 }
             }
@@ -393,14 +413,25 @@ impl SparseTriangular {
     /// Panics if `x` (or a supplied `diag`) is shorter than
     /// [`SparseTriangular::dim`].
     pub fn solve_backward(&self, diag: Option<&[f64]>, x: &mut [f64]) {
-        let m = self.dim();
-        for k in (0..m).rev() {
+        self.backward((0..self.dim()).rev(), diag, x);
+    }
+
+    /// [`Self::solve_backward`]'s steps at `steps` only, last listed
+    /// first. With `steps` ascending and holding every position that can
+    /// become nonzero, every such position gets the bits the full
+    /// substitution gives it; the others are left untouched.
+    pub(crate) fn solve_backward_over(&self, steps: &[u32], diag: Option<&[f64]>, x: &mut [f64]) {
+        self.backward(steps.iter().rev().map(|&k| k as usize), diag, x);
+    }
+
+    /// Backward substitution steps, in the order given: gather row `k`'s
+    /// sparse dot product into position `k`.
+    fn backward(&self, steps: impl Iterator<Item = usize>, diag: Option<&[f64]>, x: &mut [f64]) {
+        for k in steps {
             let mut acc = x[k];
             // INDEX: ptr has dim()+1 entries (CSR invariant), so k+1 is in range for k < dim().
-            for (&p, &v) in self.idx[self.ptr[k]..self.ptr[k + 1]]
-                .iter()
-                .zip(&self.val[self.ptr[k]..self.ptr[k + 1]])
-            {
+            let (lo, hi) = (self.ptr[k], self.ptr[k + 1]);
+            for (&p, &v) in self.idx[lo..hi].iter().zip(&self.val[lo..hi]) {
                 acc -= v * x[p as usize];
             }
             x[k] = match diag {
@@ -408,6 +439,55 @@ impl SparseTriangular {
                 None => acc,
             };
         }
+    }
+}
+
+/// The positions of a [`SparseTriangular`] regrouped the other way:
+/// group `p` lists, ascending, every group `k` of the source that holds
+/// position `p`. For the upper factor `U`, stored by rows, these are its
+/// columns' patterns.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Pattern {
+    /// Group boundaries, length `dim + 1`.
+    ptr: Vec<usize>,
+    /// Source group indices, ascending within each group.
+    idx: Vec<u32>,
+}
+
+impl Pattern {
+    /// Rebuilds this pattern as the transpose of `t`'s, keeping the
+    /// allocations.
+    pub(crate) fn transpose_of(&mut self, t: &SparseTriangular) {
+        let m = t.dim();
+        self.ptr.clear();
+        self.ptr.resize(m + 1, 0);
+        for &p in &t.idx {
+            // INDEX: every stored position p < dim, within ptr's dim+1 entries.
+            self.ptr[p as usize + 1] += 1;
+        }
+        for p in 0..m {
+            // INDEX: p+1 <= dim, within ptr's dim+1 entries.
+            self.ptr[p + 1] += self.ptr[p];
+        }
+        // Fill with ptr[p] as group p's cursor; afterwards ptr[p] is group
+        // p's end, so shift every boundary one group up.
+        self.idx.clear();
+        self.idx.resize(t.idx.len(), 0);
+        for k in 0..m {
+            for &p in t.positions(k) {
+                let at = &mut self.ptr[p as usize];
+                self.idx[*at] = k as u32;
+                *at += 1;
+            }
+        }
+        self.ptr.copy_within(0..m, 1);
+        self.ptr[0] = 0;
+    }
+
+    /// Group `p`.
+    pub(crate) fn group(&self, p: usize) -> &[u32] {
+        // INDEX: ptr has dim+1 entries, so p+1 is in range for p < dim.
+        &self.idx[self.ptr[p]..self.ptr[p + 1]]
     }
 }
 

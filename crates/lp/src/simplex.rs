@@ -21,11 +21,20 @@
 //!   than `O(m²)`. Each pivot appends a **product-form eta**; the
 //!   factorization is rebuilt every [`REFRESH_EVERY`]
 //!   pivots.
+//! * The entering direction `w = B⁻¹aⱼ` is **hypersparse**: a few dozen
+//!   nonzeros out of hundreds of rows on the RL-SPM/BL-SPM bases. Its
+//!   FTRAN solves only where a nonzero can arise
+//!   ([`LuFactors::ftran_col`], [`EtaFile::ftran_sparse`]) and returns
+//!   the sorted list of its nonzero rows, and the ratio test, the
+//!   basic-value update and the eta push visit only that list. Every
+//!   value is bit-identical to the dense solve's.
 //! * Pricing is **Dantzig** over every column: the most violating
 //!   reduced cost enters, earliest index on ties. An automatic switch
 //!   to Bland's rule after a run of degenerate pivots guarantees
-//!   termination. The reduced costs `c − Aᵀy` come from one row-wise
-//!   product over the transpose of the standard-form matrix, scattering
+//!   termination. One pass computes each reduced cost and scores it
+//!   with per-column movability multipliers instead of branching on
+//!   the column's state. The reduced costs `c − Aᵀy` come from one
+//!   row-wise product over the transpose of the standard-form matrix, scattering
 //!   only the rows whose dual `yᵢ` is nonzero. The matrix `[A | I]` and
 //!   its transpose are cached on the [`Problem`], built by its first
 //!   solve and shared by later solves and clones until a variable or
@@ -53,7 +62,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::error::SolveError;
-use crate::factor::{EtaFile, LuFactors};
+use crate::factor::{EtaFile, LuFactors, SparseVec};
 use crate::matrix::CscMatrix;
 use crate::model::{Problem, Relation, Sense, StandardForm};
 use crate::solution::{Solution, SolveStats};
@@ -211,7 +220,13 @@ struct Simplex<'p> {
     n_slack: usize,
     maximize: bool,
 
+    /// Written only through [`Self::set_state`], which keeps `movable`
+    /// in step.
     state: Vec<VarState>,
+    /// `[up, down]` per column: `1.0` where pricing may move the column
+    /// up (nonbasic at a lower bound below its upper, or free) or down
+    /// (at an upper bound above its lower, or free), else `0.0`.
+    movable: Vec<[f64; 2]>,
     basis: Vec<u32>,
     /// Sparse LU factors of the basis matrix as of the last
     /// refactorization.
@@ -244,11 +259,15 @@ struct Simplex<'p> {
 
     // Scratch buffers reused across iterations.
     y: Vec<f64>,
-    w: Vec<f64>,
-    /// Reduced costs `c − Aᵀy` of every column, from [`Self::price_all`].
+    /// The entering direction `B⁻¹aⱼ`, from [`Self::compute_direction`].
+    w: SparseVec,
+    /// Reduced costs `c − Aᵀy` of every column, from [`Self::price`] or
+    /// [`Self::price_all`].
     d: Vec<f64>,
-    /// Dual-simplex pivot row `(B⁻¹A)[r, :]`, from [`Self::pivot_row`].
+    /// Dual-simplex pivot row `(B⁻¹A)[r, :]`, from [`Self::pivot_row`],
+    /// and the BTRAN `ρ = B⁻ᵀe_r` it is taken from.
     alpha: Vec<f64>,
+    rho: Vec<f64>,
     /// Row-space scratch (FTRAN right-hand sides, BTRAN outputs).
     rowbuf: Vec<f64>,
     /// Permuted-space scratch handed to [`LuFactors`] solves.
@@ -322,9 +341,10 @@ impl<'p> Simplex<'p> {
             n_slack: m,
             maximize,
             state: Vec::new(),
+            movable: Vec::new(),
             basis: Vec::new(),
             lu: LuFactors::identity(m),
-            etas: EtaFile::default(),
+            etas: EtaFile::new(m),
             factored: Vec::new(),
             xb: Vec::new(),
             iterations: 0,
@@ -341,8 +361,9 @@ impl<'p> Simplex<'p> {
             lu_l_nnz: 0,
             lu_u_nnz: 0,
             y: vec![0.0; m],
-            w: vec![0.0; m],
+            w: SparseVec::new(m),
             alpha: Vec::new(),
+            rho: vec![0.0; m],
             rowbuf: vec![0.0; m],
             lubuf: vec![0.0; m],
         }
@@ -377,12 +398,34 @@ impl<'p> Simplex<'p> {
         }
     }
 
+    /// Puts column `j` in state `st` and updates its pricing
+    /// multipliers from its current bounds.
+    fn set_state(&mut self, j: usize, st: VarState) {
+        let fixed = self.lower[j] >= self.upper[j];
+        self.movable[j] = match st {
+            VarState::AtLower if !fixed => [1.0, 0.0],
+            VarState::AtUpper if !fixed => [0.0, 1.0],
+            VarState::FreeZero => [1.0, 1.0],
+            _ => [0.0, 0.0],
+        };
+        self.state[j] = st;
+    }
+
+    /// Replaces every column's state, through [`Self::set_state`].
+    fn set_states(&mut self, states: Vec<VarState>) {
+        self.state = states;
+        self.movable.resize(self.state.len(), [0.0; 2]);
+        for j in 0..self.state.len() {
+            self.set_state(j, self.state[j]);
+        }
+    }
+
     fn run(&mut self) -> Result<Solution, SolveError> {
         let m = self.m();
         let n_total = self.n_struct + self.n_slack;
 
         // --- Initial point: structural vars at a bound, slacks basic. ---
-        self.state = (0..n_total)
+        let states = (0..n_total)
             .map(|j| {
                 if j < self.n_struct {
                     self.initial_state(j)
@@ -391,6 +434,7 @@ impl<'p> Simplex<'p> {
                 }
             })
             .collect();
+        self.set_states(states);
         self.basis = (0..m).map(|i| (self.n_struct + i) as u32).collect();
 
         // Row residuals with all structural vars at their resting values.
@@ -432,11 +476,11 @@ impl<'p> Simplex<'p> {
             let (sl, su) = (self.lower[sj], self.upper[sj]);
             if r > su + TOL {
                 // Slack pinned at its upper bound; artificial absorbs r − su.
-                self.state[sj] = VarState::AtUpper;
+                self.set_state(sj, VarState::AtUpper);
                 self.xb[i] = r - su;
                 arts.push((i, 1.0));
             } else if r < sl - TOL {
-                self.state[sj] = VarState::AtLower;
+                self.set_state(sj, VarState::AtLower);
                 self.xb[i] = sl - r;
                 arts.push((i, -1.0));
             } else {
@@ -451,12 +495,14 @@ impl<'p> Simplex<'p> {
             let n_art = arts.len();
             self.d.resize(n_total + n_art, 0.0);
             let saved_cost = std::mem::replace(&mut self.cost, vec![0.0; n_total + n_art]);
+            self.state.resize(n_total + n_art, VarState::AtLower);
+            self.movable.resize(n_total + n_art, [0.0; 2]);
             for (k, &(row, _)) in arts.iter().enumerate() {
                 let aj = n_total + k;
                 self.cost[aj] = 1.0;
                 self.lower.push(0.0);
                 self.upper.push(f64::INFINITY);
-                self.state.push(VarState::Basic(row as u32));
+                self.set_state(aj, VarState::Basic(row as u32));
                 // The artificial replaces the slack as the basic variable
                 // of its row; xb[row] was already set above.
                 self.basis[row] = aj as u32;
@@ -478,7 +524,7 @@ impl<'p> Simplex<'p> {
                 self.lower[aj] = 0.0;
                 self.upper[aj] = 0.0;
                 if !matches!(self.state[aj], VarState::Basic(_)) {
-                    self.state[aj] = VarState::AtLower;
+                    self.set_state(aj, VarState::AtLower);
                 }
             }
             // Restore the real objective (zero on artificials).
@@ -628,20 +674,21 @@ impl<'p> Simplex<'p> {
     /// Makes structural column `j` basic in `row`, retiring the row's
     /// slack to the bound it hit.
     fn make_crash_basic(&mut self, j: usize, row: usize, slack_to_upper: bool) {
-        self.state[j] = VarState::Basic(row as u32);
+        self.set_state(j, VarState::Basic(row as u32));
         let slack = self.slack(row);
-        self.state[slack] = if slack_to_upper {
+        let st = if slack_to_upper {
             VarState::AtUpper
         } else {
             VarState::AtLower
         };
+        self.set_state(slack, st);
         self.basis[row] = j as u32;
     }
 
     /// Undoes a rejected crash: restores the slack basis and the saved
     /// `state`. Phase 1 rebuilds `xb` and the factors from those two.
     fn crash_fallback(&mut self, state: Vec<VarState>) -> bool {
-        self.state = state;
+        self.set_states(state);
         self.basis = (0..self.m()).map(|i| (self.n_struct + i) as u32).collect();
         false
     }
@@ -693,7 +740,7 @@ impl<'p> Simplex<'p> {
         // Restore statuses, reconciling nonbasic states with the current
         // bounds (a tightened bound may have invalidated the old resting
         // side).
-        self.state = warm.state.clone();
+        self.set_states(warm.state.clone());
         let mut basis: Vec<Option<u32>> = vec![None; m];
         let mut basic_count = 0;
         for j in 0..nm {
@@ -707,18 +754,20 @@ impl<'p> Simplex<'p> {
                     basic_count += 1;
                 }
                 VarState::AtLower if !self.lower[j].is_finite() => {
-                    self.state[j] = if self.upper[j].is_finite() {
+                    let st = if self.upper[j].is_finite() {
                         VarState::AtUpper
                     } else {
                         VarState::FreeZero
                     };
+                    self.set_state(j, st);
                 }
                 VarState::AtUpper if !self.upper[j].is_finite() => {
-                    self.state[j] = if self.lower[j].is_finite() {
+                    let st = if self.lower[j].is_finite() {
                         VarState::AtLower
                     } else {
                         VarState::FreeZero
                     };
+                    self.set_state(j, st);
                 }
                 _ => {}
             }
@@ -871,7 +920,7 @@ impl<'p> Simplex<'p> {
             };
 
             self.compute_direction(col);
-            let wr = self.w[row];
+            let wr = self.w.val[row];
             if wr.abs() < PIVOT_TOL {
                 return Err(SolveError::Singular);
             }
@@ -977,47 +1026,43 @@ impl<'p> Simplex<'p> {
         }
     }
 
-    /// Prices every column ([`Self::price_all`]) and picks an entering
-    /// one.
+    /// Prices every column and picks an entering one, in one pass that
+    /// computes each reduced cost `dⱼ = cⱼ − (Aᵀy)ⱼ` into `self.d` (the
+    /// bits [`Self::price_all`] gives) and scores it.
     ///
     /// Dantzig pricing scans every column: the most violating reduced
     /// cost wins, earliest index on ties. Under Bland's rule the first
     /// improving index enters instead (the anti-cycling guarantee needs
-    /// the global minimum index).
+    /// the global minimum index). A column's score is
+    /// `max(−dⱼ·up, dⱼ·down)` with its [`Self::movable`] multipliers, the
+    /// rate at which moving it improves the objective; it is a candidate
+    /// when the score exceeds `TOL`, and enters upward when `−dⱼ·up`
+    /// does.
     fn price(&mut self, bland: bool) -> PriceStep {
-        self.price_all();
-        let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
-        for j in 0..self.state.len() {
-            let Some((dir, score)) = self.price_candidate(j) else {
-                continue;
-            };
-            if bland {
-                return PriceStep::Enter { col: j, dir };
+        self.compute_duals();
+        self.at.mul_vec_into(&self.y, &mut self.d);
+        debug_assert!(self.d.len() == self.cost.len() && self.d.len() == self.movable.len());
+        let mut best_score = TOL;
+        let mut best = PriceStep::Optimal;
+        for (j, ((dj, &cj), &[up, down])) in self
+            .d
+            .iter_mut()
+            .zip(&self.cost)
+            .zip(&self.movable)
+            .enumerate()
+        {
+            let d = cj - *dj;
+            *dj = d;
+            let (rise, fall) = (-d * up, d * down);
+            let score = rise.max(fall);
+            if score > best_score {
+                // Under Bland's rule the first candidate is final.
+                best_score = if bland { f64::INFINITY } else { score };
+                let dir = if rise > TOL { 1.0 } else { -1.0 };
+                best = PriceStep::Enter { col: j, dir };
             }
-            match best {
-                Some((_, _, s)) if s >= score => {}
-                _ => best = Some((j, dir, score)),
-            }
         }
-        match best {
-            Some((col, dir, _)) => PriceStep::Enter { col, dir },
-            None => PriceStep::Optimal,
-        }
-    }
-
-    /// Reduced-cost test for one column against `self.d`:
-    /// `Some((dir, score))` when `j` is nonbasic, not fixed, and moving
-    /// it in direction `dir` improves the objective by rate `score`.
-    fn price_candidate(&self, j: usize) -> Option<(f64, f64)> {
-        let d = self.d[j];
-        let fixed = self.lower[j] >= self.upper[j];
-        match self.state[j] {
-            VarState::AtLower if !fixed && d < -TOL => Some((1.0, -d)),
-            VarState::AtUpper if !fixed && d > TOL => Some((-1.0, d)),
-            VarState::FreeZero if d < -TOL => Some((1.0, -d)),
-            VarState::FreeZero if d > TOL => Some((-1.0, d)),
-            _ => None,
-        }
+        best
     }
 
     /// Computes the duals `y = c_Bᵀ B⁻¹` into `self.y` (row space).
@@ -1045,15 +1090,15 @@ impl<'p> Simplex<'p> {
     }
 
     /// Row `row` of `B⁻¹A` into `self.alpha`, for the dual simplex
-    /// ratio test: `ρ = B⁻ᵀ e_row` (in `self.w`, which the following
-    /// FTRAN overwrites), then `αⱼ = aⱼ·ρ` by rows over the nonzero `ρᵢ`.
+    /// ratio test: `ρ = B⁻ᵀ e_row` into `self.rho`, then `αⱼ = aⱼ·ρ` by
+    /// rows over the nonzero `ρᵢ`.
     fn pivot_row(&mut self, row: usize) {
         self.rowbuf.fill(0.0);
         self.rowbuf[row] = 1.0;
         self.etas.btran(&mut self.rowbuf);
-        self.lu.btran(&self.rowbuf, &mut self.w, &mut self.lubuf);
+        self.lu.btran(&self.rowbuf, &mut self.rho, &mut self.lubuf);
         self.alpha.resize(self.at.nrows(), 0.0);
-        self.at.mul_vec_into(&self.w, &mut self.alpha);
+        self.at.mul_vec_into(&self.rho, &mut self.alpha);
     }
 
     /// Rebuilds the LU factorization from the current basis and drops
@@ -1068,18 +1113,17 @@ impl<'p> Simplex<'p> {
         Ok(())
     }
 
-    /// `w = B⁻¹ · A[:, col]`.
+    /// `w = B⁻¹ · A[:, col]`, by the sparse FTRAN: the LU solve over
+    /// the steps the column reaches, then the eta file over the nonzeros.
     fn compute_direction(&mut self, col: usize) {
-        self.rowbuf.fill(0.0);
-        for (r, v) in self.a.col(col).iter() {
-            self.rowbuf[r] = v;
-        }
-        self.lu.ftran(&self.rowbuf, &mut self.w, &mut self.lubuf);
-        self.etas.ftran(&mut self.w);
+        self.lu.ftran_col(self.a.col(col), &mut self.w);
+        self.etas.ftran_sparse(&mut self.w);
     }
 
     /// Finds the blocking constraint for the entering column moving by
-    /// `t ≥ 0` in direction `dir` (basics change by `−t·dir·w`).
+    /// `t ≥ 0` in direction `dir` (basics change by `−t·dir·w`). Only
+    /// `w`'s nonzero rows can block; they are visited in ascending
+    /// order, so ties still go to the lowest row.
     fn ratio_test(&self, col: usize, dir: f64) -> Ratio {
         let range = self.upper[col] - self.lower[col];
         let mut t_best = if range.is_finite() {
@@ -1089,8 +1133,9 @@ impl<'p> Simplex<'p> {
         };
         let mut blocking: Option<(usize, bool)> = None; // (row, leaves_at_upper)
 
-        for i in 0..self.m() {
-            let delta = -dir * self.w[i];
+        for &i in &self.w.nz {
+            let i = i as usize;
+            let delta = -dir * self.w.val[i];
             let bj = self.basis[i] as usize;
             if delta > PIVOT_TOL {
                 // Basic variable increases; blocked by its upper bound.
@@ -1129,14 +1174,21 @@ impl<'p> Simplex<'p> {
     /// variable blocking: flip it to the opposite bound.
     fn apply_bound_flip(&mut self, col: usize, dir: f64, step: f64) {
         self.bound_flips += 1;
-        for i in 0..self.m() {
-            self.xb[i] -= step * dir * self.w[i];
-        }
-        self.state[col] = match self.state[col] {
+        self.update_xb(step * dir);
+        let st = match self.state[col] {
             VarState::AtLower => VarState::AtUpper,
             VarState::AtUpper => VarState::AtLower,
             other => other, // free variables never bound-flip (infinite range)
         };
+        self.set_state(col, st);
+    }
+
+    /// `xb −= t·w` over `w`'s nonzeros.
+    fn update_xb(&mut self, t: f64) {
+        for &i in &self.w.nz {
+            let i = i as usize;
+            self.xb[i] -= t * self.w.val[i];
+        }
     }
 
     fn apply_pivot(
@@ -1147,16 +1199,13 @@ impl<'p> Simplex<'p> {
         step: f64,
         to_upper: bool,
     ) -> Result<(), SolveError> {
-        let m = self.m();
-        let pivot = self.w[row];
+        let pivot = self.w.val[row];
         if pivot.abs() < PIVOT_TOL {
             return Err(SolveError::Singular);
         }
 
         // Update basic values and the entering variable's value.
-        for i in 0..m {
-            self.xb[i] -= step * dir * self.w[i];
-        }
+        self.update_xb(step * dir);
         let entering_start = match self.state[col] {
             #[expect(
                 clippy::unreachable,
@@ -1169,25 +1218,19 @@ impl<'p> Simplex<'p> {
 
         // Leaving variable exits at the bound it hit.
         let leaving = self.basis[row] as usize;
-        self.state[leaving] = if to_upper {
-            VarState::AtUpper
+        let (st, bound) = if to_upper {
+            (VarState::AtUpper, self.upper[leaving])
         } else {
-            VarState::AtLower
+            (VarState::AtLower, self.lower[leaving])
         };
-        // Snap exactly onto the bound to stop drift.
-        let snapped = if to_upper {
-            self.upper[leaving]
-        } else {
-            self.lower[leaving]
-        };
+        self.set_state(leaving, st);
         debug_assert!(
-            (self.xb[row] - snapped).abs() < 1e-4,
+            (self.xb[row] - bound).abs() < 1e-4,
             "leaving variable far from its bound"
         );
-        let _ = snapped;
 
         self.basis[row] = col as u32;
-        self.state[col] = VarState::Basic(row as u32);
+        self.set_state(col, VarState::Basic(row as u32));
         self.xb[row] = entering_value;
 
         // Product-form update: B' = B·E with E the identity whose column
@@ -1549,6 +1592,95 @@ mod tests {
             let d = s.cost[j] - s.a.dot_col(j, &s.y);
             assert_eq!(s.d[j].to_bits(), d.to_bits(), "column {j}");
         }
+    }
+
+    /// The pricing rule one column at a time, as the reference for the
+    /// fused [`Simplex::price`]: reduced costs by `dot_col` against
+    /// `s.y`, candidates by state, then Dantzig or Bland.
+    fn reference_price(s: &Simplex, bland: bool) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
+        for j in 0..s.state.len() {
+            let d = s.cost[j] - s.a.dot_col(j, &s.y);
+            let fixed = s.lower[j] >= s.upper[j];
+            let candidate = match s.state[j] {
+                VarState::AtLower if !fixed && d < -TOL => Some((1.0, -d)),
+                VarState::AtUpper if !fixed && d > TOL => Some((-1.0, d)),
+                VarState::FreeZero if d < -TOL => Some((1.0, -d)),
+                VarState::FreeZero if d > TOL => Some((-1.0, d)),
+                _ => None,
+            };
+            let Some((dir, score)) = candidate else {
+                continue;
+            };
+            if bland {
+                return Some((j, dir));
+            }
+            if best.is_none_or(|(_, _, s)| score > s) {
+                best = Some((j, dir, score));
+            }
+        }
+        best.map(|(j, dir, _)| (j, dir))
+    }
+
+    #[test]
+    fn fused_pricing_picks_what_per_column_pricing_picks() {
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        let mut entered = 0;
+        for round in 0..10 {
+            let problems = [
+                seeded_rlspm(&mut rng, 6 + round, 4, 3),
+                seeded_blspm(&mut rng, 8 + round, 4, 3),
+                seeded_sparse(&mut rng, 10 + round, 8 + round),
+            ];
+            for p in &problems {
+                let mut s = Simplex::new(p);
+                // Solved: factors and etas as a real solve leaves them
+                // (phase 1 adds fixed artificials to some).
+                if s.run().is_err() {
+                    continue;
+                }
+                for _ in 0..6 {
+                    for c in s.cost.iter_mut() {
+                        *c = match rng.gen_range(0..4) {
+                            0 => 0.0,
+                            _ => rng.gen_range(-3.0..3.0),
+                        };
+                    }
+                    // Nonbasic columns get random bounds (fixed, free,
+                    // upper-bounded only, boxed) and a random state.
+                    for j in 0..s.state.len() {
+                        if matches!(s.state[j], VarState::Basic(_)) {
+                            continue;
+                        }
+                        (s.lower[j], s.upper[j]) = match rng.gen_range(0..4) {
+                            0 => (1.0, 1.0),
+                            1 => (f64::NEG_INFINITY, f64::INFINITY),
+                            2 => (f64::NEG_INFINITY, 2.0),
+                            _ => (0.0, 3.0),
+                        };
+                        let st = [VarState::AtLower, VarState::AtUpper, VarState::FreeZero]
+                            [rng.gen_range(0..3)];
+                        s.set_state(j, st);
+                    }
+                    for bland in [false, true] {
+                        let got = match s.price(bland) {
+                            PriceStep::Optimal => None,
+                            PriceStep::Enter { col, dir } => Some((col, dir)),
+                        };
+                        assert_eq!(got, reference_price(&s, bland), "bland {bland}");
+                        entered += usize::from(got.is_some());
+                        for j in 0..s.d.len() {
+                            let d = s.cost[j] - s.a.dot_col(j, &s.y);
+                            assert_eq!(s.d[j].to_bits(), d.to_bits(), "column {j}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            entered > 100,
+            "only {entered} pricing calls found a candidate"
+        );
     }
 
     #[test]

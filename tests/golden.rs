@@ -16,7 +16,8 @@
 //! Below the fixture, the LP engine alone is pinned the same way: pivot
 //! counts and objective bits of two synthetic LP families. The two
 //! larger instances run only in release builds (`cargo test --release
-//! --test golden`).
+//! --test golden`), as does one instance of the paper's timing workload
+//! (SUB-B4, K = 400, θ = 8), pinned by its profit bits and pivot total.
 
 use metis_suite::core::{metis, online_metis, MetisConfig, OnlineOptions, SpmInstance};
 use metis_suite::lp::{Problem, Relation, Sense, SolveOptions, VarId};
@@ -127,6 +128,27 @@ fn golden_b4_forty_requests_warm_bits() {
         GOLDEN_ONLINE_WARM_PROFIT_BITS,
         "online warm profit {} moved",
         online.evaluation.profit
+    );
+}
+
+/// One instance of the paper's §V-B1 timing workload: cold `metis` on
+/// SUB-B4 with K = 400 requests of the paper's workload (seed 60) and
+/// θ = 8. Pins the profit's bits (158.56344829425637) and the pivots
+/// summed over every relaxation, so a speed change to the LP that moves
+/// a single pivot or bit of this workload fails here.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
+fn golden_sub_b4_k400_theta8() {
+    let topo = topologies::sub_b4();
+    let requests = generate(&topo, &WorkloadConfig::paper(400, 60));
+    let inst = SpmInstance::new(topo, requests, 12, 3);
+    let run = metis(&inst, &MetisConfig::with_theta(8)).unwrap();
+    let pivots: usize = run.round_trace.iter().map(|t| t.lp_iterations).sum();
+    assert_eq!(
+        (run.evaluation.profit.to_bits(), pivots),
+        (0x4063_d207_c4b7_9a2e, 4327),
+        "(profit bits, pivots) moved; profit {}",
+        run.evaluation.profit
     );
 }
 
