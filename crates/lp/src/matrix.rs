@@ -428,30 +428,68 @@ impl SparseTriangular {
     /// sparse dot product into position `k`.
     fn backward(&self, steps: impl Iterator<Item = usize>, diag: Option<&[f64]>, x: &mut [f64]) {
         for k in steps {
-            let mut acc = x[k];
-            // INDEX: ptr has dim()+1 entries (CSR invariant), so k+1 is in range for k < dim().
-            let (lo, hi) = (self.ptr[k], self.ptr[k + 1]);
-            for (&p, &v) in self.idx[lo..hi].iter().zip(&self.val[lo..hi]) {
-                acc -= v * x[p as usize];
-            }
+            let acc = self.gather_group(k, x[k], x);
             x[k] = match diag {
                 Some(d) => acc / d[k],
                 None => acc,
             };
         }
     }
+
+    /// `acc` less `v·x[p]` for each entry `(p, v)` of group `k`, in
+    /// stored order: one step of [`Self::solve_backward`] before its
+    /// division by the diagonal.
+    pub(crate) fn gather_group(&self, k: usize, mut acc: f64, x: &[f64]) -> f64 {
+        // INDEX: ptr has dim()+1 entries (CSR invariant), so k+1 is in range for k < dim().
+        let (lo, hi) = (self.ptr[k], self.ptr[k + 1]);
+        for (&p, &v) in self.idx[lo..hi].iter().zip(&self.val[lo..hi]) {
+            acc -= v * x[p as usize];
+        }
+        acc
+    }
+
+    /// Step `p` of [`Self::solve_forward`] as a gather over `cols`, this
+    /// factor's [`Pattern::transpose_of`]: `acc` less `v·x[k]` for each
+    /// stored entry `v` at `(k, p)` whose `x[k] != 0.0`, in ascending
+    /// `k`. These are the subtractions the forward scatter makes at
+    /// position `p`, zeros skipped alike and in the same order, so with
+    /// `acc` the right-hand side at `p` the result has the bits `x[p]`
+    /// holds there just before the division by the diagonal.
+    pub(crate) fn gather_transposed(
+        &self,
+        cols: &Pattern,
+        p: usize,
+        mut acc: f64,
+        x: &[f64],
+    ) -> f64 {
+        // INDEX: ptr has dim+1 entries, so p+1 is in range for p < dim.
+        let (lo, hi) = (cols.ptr[p], cols.ptr[p + 1]);
+        for (&k, &at) in cols.idx[lo..hi].iter().zip(&cols.at[lo..hi]) {
+            let xk = x[k as usize];
+            if xk != 0.0 {
+                acc -= self.val[at as usize] * xk;
+            }
+        }
+        acc
+    }
 }
 
 /// The positions of a [`SparseTriangular`] regrouped the other way:
 /// group `p` lists, ascending, every group `k` of the source that holds
-/// position `p`. For the upper factor `U`, stored by rows, these are its
-/// columns' patterns.
+/// position `p`, and where that entry sits in the source's arrays. For
+/// the upper factor `U`, stored by rows, these are its columns, whose
+/// values [`SparseTriangular::gather_transposed`] reads through those
+/// places; for the unit lower factor `L`, stored by columns, they are
+/// its rows' patterns.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Pattern {
     /// Group boundaries, length `dim + 1`.
     ptr: Vec<usize>,
     /// Source group indices, ascending within each group.
     idx: Vec<u32>,
+    /// Each entry's index into the source's `idx`/`val`, parallel to
+    /// `idx`.
+    at: Vec<u32>,
 }
 
 impl Pattern {
@@ -473,11 +511,15 @@ impl Pattern {
         // p's end, so shift every boundary one group up.
         self.idx.clear();
         self.idx.resize(t.idx.len(), 0);
+        self.at.clear();
+        self.at.resize(t.idx.len(), 0);
         for k in 0..m {
-            for &p in t.positions(k) {
-                let at = &mut self.ptr[p as usize];
-                self.idx[*at] = k as u32;
-                *at += 1;
+            // INDEX: ptr has dim+1 entries (CSR invariant), so k+1 is in range for k < dim.
+            for e in t.ptr[k]..t.ptr[k + 1] {
+                let next = &mut self.ptr[t.idx[e] as usize];
+                self.idx[*next] = k as u32;
+                self.at[*next] = e as u32;
+                *next += 1;
             }
         }
         self.ptr.copy_within(0..m, 1);

@@ -28,6 +28,13 @@
 //!   the sorted list of its nonzero rows, and the ratio test, the
 //!   basic-value update and the eta push visit only that list. Every
 //!   value is bit-identical to the dense solve's.
+//! * The duals' LU solve is **incremental** ([`LuFactors::btran_duals`]):
+//!   it redoes only the elimination steps whose inputs changed bits
+//!   since the previous pricing pass, and its output is bit-identical to
+//!   the dense BTRAN, which debug builds check on every pass. A pricing
+//!   pass on a basis and costs already priced (a warm solve's first
+//!   iteration after its dual-feasibility check, the final duals) reuses
+//!   the duals and reduced costs it has.
 //! * Pricing is **Dantzig** over every column: the most violating
 //!   reduced cost enters, earliest index on ties. An automatic switch
 //!   to Bland's rule after a run of degenerate pivots guarantees
@@ -257,7 +264,17 @@ struct Simplex<'p> {
     lu_l_nnz: usize,
     lu_u_nnz: usize,
 
+    /// Whether `y` and `d` are still those of the current basis, factors
+    /// and costs: set by a pricing pass, cleared by every state change
+    /// (pivots included), refactorization and cost change.
+    priced: bool,
+    /// Pricing passes answered from `y` and `d` as they stood.
+    #[cfg(test)]
+    pricing_reused: usize,
+
     // Scratch buffers reused across iterations.
+    /// The duals, from [`Self::compute_duals`]. The only buffer handed to
+    /// [`LuFactors::btran_duals`], which writes only what changed.
     y: Vec<f64>,
     /// The entering direction `B⁻¹aⱼ`, from [`Self::compute_direction`].
     w: SparseVec,
@@ -360,6 +377,9 @@ impl<'p> Simplex<'p> {
             eta_updates: 0,
             lu_l_nnz: 0,
             lu_u_nnz: 0,
+            priced: false,
+            #[cfg(test)]
+            pricing_reused: 0,
             y: vec![0.0; m],
             w: SparseVec::new(m),
             alpha: Vec::new(),
@@ -401,6 +421,7 @@ impl<'p> Simplex<'p> {
     /// Puts column `j` in state `st` and updates its pricing
     /// multipliers from its current bounds.
     fn set_state(&mut self, j: usize, st: VarState) {
+        self.priced = false;
         let fixed = self.lower[j] >= self.upper[j];
         self.movable[j] = match st {
             VarState::AtLower if !fixed => [1.0, 0.0],
@@ -530,6 +551,7 @@ impl<'p> Simplex<'p> {
             // Restore the real objective (zero on artificials).
             self.cost = saved_cost;
             self.cost.resize(n_total + n_art, 0.0);
+            self.priced = false;
         } else {
             self.factorize()?;
         }
@@ -952,8 +974,8 @@ impl<'p> Simplex<'p> {
 
         // Row duals `y = c_Bᵀ B⁻¹` of the final basis, converted back to
         // the problem's own sense (we minimized the negated objective
-        // when maximizing).
-        self.compute_duals();
+        // when maximizing). The last pricing pass saw this basis.
+        self.price_all();
         let mut duals = self.y.clone();
         if self.maximize {
             for d in &mut duals {
@@ -1038,9 +1060,26 @@ impl<'p> Simplex<'p> {
     /// rate at which moving it improves the objective; it is a candidate
     /// when the score exceeds `TOL`, and enters upward when `−dⱼ·up`
     /// does.
+    ///
+    /// When the reduced costs are still current ([`Self::priced`]), the
+    /// pass only scores them.
     fn price(&mut self, bland: bool) -> PriceStep {
+        if self.reuse_pricing() {
+            return self.pick(bland, |dj, _| *dj);
+        }
         self.compute_duals();
         self.at.mul_vec_into(&self.y, &mut self.d);
+        self.priced = true;
+        self.pick(bland, |dj, cj| {
+            let d = cj - *dj;
+            *dj = d;
+            d
+        })
+    }
+
+    /// The scoring half of [`Self::price`], over the reduced costs that
+    /// `reduced` reads from `d` (given `dⱼ` and `cⱼ`).
+    fn pick(&mut self, bland: bool, reduced: impl Fn(&mut f64, f64) -> f64) -> PriceStep {
         debug_assert!(self.d.len() == self.cost.len() && self.d.len() == self.movable.len());
         let mut best_score = TOL;
         let mut best = PriceStep::Optimal;
@@ -1051,8 +1090,7 @@ impl<'p> Simplex<'p> {
             .zip(&self.movable)
             .enumerate()
         {
-            let d = cj - *dj;
-            *dj = d;
+            let d = reduced(dj, cj);
             let (rise, fall) = (-d * up, d * down);
             let score = rise.max(fall);
             if score > best_score {
@@ -1073,20 +1111,61 @@ impl<'p> Simplex<'p> {
             *ci = self.cost[bj as usize];
         }
         self.etas.btran(&mut self.rowbuf);
-        self.lu.btran(&self.rowbuf, &mut self.y, &mut self.lubuf);
+        self.lu.btran_duals(&self.rowbuf, &mut self.y);
+        #[cfg(debug_assertions)]
+        {
+            let mut dense = vec![0.0; self.m()];
+            self.lu.btran(&self.rowbuf, &mut dense, &mut self.lubuf);
+            debug_assert!(
+                same_bits(&self.y, &dense),
+                "incremental duals differ from the dense BTRAN"
+            );
+        }
     }
 
     /// Computes the duals `y = c_Bᵀ B⁻¹` and from them the reduced cost
-    /// `dⱼ = cⱼ − aⱼ·y` of every column into `self.d`. `Aᵀy` is taken by
-    /// rows over the nonzero duals only, and is bit-identical to one
+    /// `dⱼ = cⱼ − aⱼ·y` of every column into `self.d`, unless both are
+    /// still current ([`Self::priced`]). `Aᵀy` is taken by rows over the
+    /// nonzero duals only, and is bit-identical to one
     /// `CscMatrix::dot_col` per column (see
     /// [`CscMatrix::mul_vec_into`]).
     fn price_all(&mut self) {
+        if self.reuse_pricing() {
+            return;
+        }
         self.compute_duals();
         self.at.mul_vec_into(&self.y, &mut self.d);
         for (dj, &cj) in self.d.iter_mut().zip(&self.cost) {
             *dj = cj - *dj;
         }
+        self.priced = true;
+    }
+
+    /// Whether `y` and `d` are still those of the current basis and
+    /// costs, so that a pricing pass can use them as they stand. A
+    /// warm solve prices its restored basis to check dual feasibility,
+    /// and then again in its first dual or primal iteration; the final
+    /// duals are those of the last pricing pass. Debug builds check
+    /// every reuse against a fresh computation.
+    fn reuse_pricing(&mut self) -> bool {
+        if !self.priced {
+            return false;
+        }
+        #[cfg(test)]
+        {
+            self.pricing_reused += 1;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let (y, d) = (self.y.clone(), self.d.clone());
+            self.priced = false;
+            self.price_all();
+            debug_assert!(
+                same_bits(&y, &self.y) && same_bits(&d, &self.d),
+                "reused duals or reduced costs are stale"
+            );
+        }
+        true
     }
 
     /// Row `row` of `B⁻¹A` into `self.alpha`, for the dual simplex
@@ -1104,6 +1183,7 @@ impl<'p> Simplex<'p> {
     /// Rebuilds the LU factorization from the current basis and drops
     /// the accumulated etas.
     fn factorize(&mut self) -> Result<(), SolveError> {
+        self.priced = false;
         self.factored.clear();
         self.lu.factor(&self.a, &self.basis, 1e-12)?;
         self.factored.clone_from(&self.basis);
@@ -1276,6 +1356,12 @@ impl<'p> Simplex<'p> {
         // The eta file is empty; the factors alone are B.
         self.lu.ftran(&resid, &mut self.xb, &mut self.lubuf);
     }
+}
+
+/// Whether `a` and `b` hold the same values, bit for bit.
+#[cfg(debug_assertions)]
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -1970,6 +2056,35 @@ mod tests {
         let cold = q.solve().unwrap();
         assert_close(warm.objective(), cold.objective());
         assert!(q.max_violation(warm.values()) < 1e-6);
+    }
+
+    #[test]
+    fn a_warm_solve_prices_each_basis_once() {
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var(3.0, 0.0, f64::INFINITY);
+        let y = p.add_var(5.0, 0.0, f64::INFINITY);
+        p.add_constraint([(x, 1.0)], Relation::Le, 4.0);
+        p.add_constraint([(y, 2.0)], Relation::Le, 12.0);
+        p.add_constraint([(x, 3.0), (y, 2.0)], Relation::Le, 18.0);
+        // Cold: the final duals are the last pricing pass's.
+        let mut s = Simplex::new(&p);
+        s.run().unwrap();
+        assert_eq!(s.pricing_reused, 1, "cold");
+        let basis = s.into_basis();
+        // Unchanged: the dual-feasibility check prices the restored
+        // basis, and the primal's one pricing pass and the final duals
+        // reuse it.
+        let mut s = Simplex::new(&p);
+        let sol = s.run_from_basis(&basis).unwrap();
+        assert_eq!(sol.stats().iterations, 0);
+        assert_eq!(s.pricing_reused, 2, "unchanged");
+        // Tightened: the dual simplex's first iteration reuses the
+        // check's pass, and the final duals the primal's.
+        p.set_bounds(y, 0.0, 4.0);
+        let mut s = Simplex::new(&p);
+        let sol = s.run_from_basis(&basis).unwrap();
+        assert!(sol.stats().dual_iterations > 0);
+        assert_eq!(s.pricing_reused, 2, "tightened");
     }
 
     #[test]
