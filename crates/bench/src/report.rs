@@ -126,11 +126,12 @@ pub fn phase_timing_table(snapshot: &Snapshot) -> Table {
 pub fn lp_stats_table(snapshot: &Snapshot) -> Table {
     use metis_telemetry::names;
     let mut t = Table::new("LP engine (telemetry counters)", &["metric", "value"]);
-    let counters: [(&str, &str); 6] = [
+    let counters: [(&str, &str); 7] = [
         ("simplex pivots", names::LP_SIMPLEX_ITERATIONS),
         ("phase-1 pivots", names::LP_SIMPLEX_PHASE1),
         ("dual pivots", names::LP_SIMPLEX_DUAL),
         ("bound flips", names::LP_SIMPLEX_BOUND_FLIPS),
+        ("replayed pivots", names::LP_SIMPLEX_REPLAYED),
         ("refactorizations", names::LP_SIMPLEX_REFRESHES),
         ("eta updates", names::LP_LU_ETA_UPDATES),
     ];

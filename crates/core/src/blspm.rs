@@ -817,7 +817,44 @@ mod tests {
         let x_bits = |x: &[Vec<f64>]| x.iter().map(|row| bits(row)).collect::<Vec<_>>();
         assert_eq!(x_bits(&reset.x), x_bits(&fresh.x));
         assert_eq!(reset.revenue.to_bits(), fresh.revenue.to_bits());
-        assert_eq!(reset.stats, fresh.stats);
+        // The reset solve replays the pivot path of the first (cold) one;
+        // every other counter matches the fresh solver's.
+        assert!(reset.stats.replayed > 0);
+        assert_eq!(
+            SolveStats {
+                replayed: 0,
+                ..reset.stats
+            },
+            fresh.stats
+        );
+    }
+
+    #[test]
+    fn cold_resolves_match_a_fresh_solver_bit_for_bit() {
+        // Metis's cold alternation: one solver, its basis dropped before
+        // every solve, over capacities the limiter keeps tightening. Each
+        // cold solve replays what it shares with the previous one.
+        let inst = instance(60, 13);
+        let opts = SolveOptions::default();
+        let edges = inst.topology().num_edges();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let x_bits = |x: &[Vec<f64>]| x.iter().map(|row| bits(row)).collect::<Vec<_>>();
+        let mut solver = BlspmSolver::new(&inst);
+        let mut replayed = 0;
+        for base in [6.0, 4.0, 3.0, 2.5, 2.0, 1.5] {
+            let caps: Vec<f64> = (0..edges)
+                .map(|e| base * (1.0 + (e % 4) as f64 * 0.25))
+                .collect();
+            solver.reset_basis();
+            let got = solver.solve(&caps, &opts).unwrap();
+            let want = BlspmSolver::new(&inst).solve(&caps, &opts).unwrap();
+            assert_eq!(x_bits(&got.x), x_bits(&want.x), "base {base}");
+            assert_eq!(got.revenue.to_bits(), want.revenue.to_bits(), "base {base}");
+            assert_eq!(got.stats.iterations, want.stats.iterations, "base {base}");
+            assert_eq!(want.stats.replayed, 0);
+            replayed += got.stats.replayed;
+        }
+        assert!(replayed > 0, "no cold re-solve replayed a pivot");
     }
 
     #[test]

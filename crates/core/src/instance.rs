@@ -61,6 +61,9 @@ impl SpmInstance {
     /// Fallible [`SpmInstance::new`]: returns the first problem found
     /// instead of panicking.
     ///
+    /// Paths are enumerated only for the ordered pairs that valid
+    /// requests connect, each pair's as [`PathCatalog::build`] lists them.
+    ///
     /// # Errors
     ///
     /// [`InstanceError::InvalidRequest`] for a request whose fields fail
@@ -74,7 +77,16 @@ impl SpmInstance {
         num_slots: usize,
         paths_per_pair: usize,
     ) -> Result<Self, InstanceError> {
-        let catalog = PathCatalog::build(&topo, paths_per_pair, PathMetric::Price);
+        let n = topo.num_nodes();
+        let mut used = vec![false; n * n];
+        for r in requests.iter().filter(|r| r.validate(n, num_slots).is_ok()) {
+            // INDEX: validated endpoints are below n; flat src×dst layout.
+            used[r.src.index() * n + r.dst.index()] = true;
+        }
+        let catalog = PathCatalog::build_where(&topo, paths_per_pair, PathMetric::Price, |s, d| {
+            // INDEX: the catalog asks only for nodes of `topo`.
+            used[s.index() * n + d.index()]
+        });
         Self::try_with_catalog(topo, requests, num_slots, &catalog)
     }
 

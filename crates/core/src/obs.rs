@@ -14,6 +14,7 @@ pub(crate) fn record_lp_stats(tele: &Telemetry, stats: &SolveStats) {
     tele.add(names::LP_SIMPLEX_PHASE1, stats.phase1_iterations as u64);
     tele.add(names::LP_SIMPLEX_DUAL, stats.dual_iterations as u64);
     tele.add(names::LP_SIMPLEX_BOUND_FLIPS, stats.bound_flips as u64);
+    tele.add(names::LP_SIMPLEX_REPLAYED, stats.replayed as u64);
     tele.add(names::LP_SIMPLEX_REFRESHES, stats.refreshes as u64);
     tele.add(names::LP_LU_ETA_UPDATES, stats.eta_updates as u64);
     // nnz of the factors is a size, not a flow: keep the latest value.

@@ -1,9 +1,10 @@
 //! Problem builder: variables, bounds, linear constraints, objective.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::matrix::CscMatrix;
+use crate::simplex::PivotPath;
 
 /// Optimization direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -74,10 +75,26 @@ pub(crate) struct StandardForm {
 ///
 /// Variables carry bounds and an objective coefficient; constraints are
 /// linear expressions compared against a right-hand side. Entries are stored
-/// row-wise during construction. The first solve builds the column-major
-/// standard-form matrix and its transpose and keeps them: later solves,
-/// and clones, reuse them until a variable or constraint is added.
-/// Editing bounds, right-hand sides or objective coefficients keeps them.
+/// row-wise during construction.
+///
+/// A problem caches two things from its solves, and a clone starts with
+/// both:
+///
+/// * The first solve builds the column-major standard-form matrix and its
+///   transpose. Later solves reuse them until a variable or constraint is
+///   added; editing bounds, right-hand sides or objective coefficients
+///   keeps them.
+/// * A cold solve whose phase 2 starts from the slack basis (as it does
+///   when every row is `≤` with a nonnegative right-hand side) records
+///   its **pivot path**: the entering column, direction, pricing rule and
+///   ratio-test outcome of each primal iteration. The next such solve
+///   takes the path's entering columns without a pricing pass for as
+///   long as its own iterations repeat the recorded ones, and prices as
+///   usual from the first that differs. Pricing never reads the
+///   right-hand side, so the replayed pivots and every result are the
+///   ones a solve without the path computes. Only [`Problem::set_rhs`]
+///   keeps the path; adding a variable or constraint and editing bounds
+///   or objective coefficients drop it.
 ///
 /// # Examples
 ///
@@ -104,6 +121,39 @@ pub struct Problem {
     /// `[A | I]` and its transpose, built by the first solve after the
     /// last change to `A` and shared by clones.
     standard: OnceLock<Arc<StandardForm>>,
+    /// The pivot path of the last cold slack-start solve since the last
+    /// change to `A`, the costs or the bounds; clones copy it.
+    pub(crate) path: PathSlot,
+}
+
+/// Where a [`Problem`] keeps its pivot path. Solves take `&Problem`, so
+/// the slot sits behind a lock; every write replaces the whole value.
+#[derive(Default)]
+pub(crate) struct PathSlot(Mutex<Option<Arc<PivotPath>>>);
+
+impl Clone for PathSlot {
+    fn clone(&self) -> Self {
+        PathSlot(Mutex::new(self.get()))
+    }
+}
+
+impl PathSlot {
+    pub(crate) fn get(&self) -> Option<Arc<PivotPath>> {
+        // A write replaces the whole value, so a poisoned lock still
+        // holds a complete path or none.
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    pub(crate) fn set(&self, path: Arc<PivotPath>) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(path);
+    }
+
+    fn clear(&mut self) {
+        *self.0.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+    }
 }
 
 impl Problem {
@@ -152,6 +202,7 @@ impl Problem {
         assert!(lower <= upper, "inverted bounds: [{lower}, {upper}]");
         let id = VarId(self.vars.len() as u32);
         self.standard.take();
+        self.path.clear();
         self.vars.push(VarDef {
             lower,
             upper,
@@ -186,6 +237,7 @@ impl Problem {
     pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
         assert!(!lower.is_nan() && !upper.is_nan(), "NaN variable bound");
         assert!(lower <= upper, "inverted bounds: [{lower}, {upper}]");
+        self.path.clear();
         let v = &mut self.vars[var.index()];
         v.lower = lower;
         v.upper = upper;
@@ -199,6 +251,7 @@ impl Problem {
 
     /// Overwrites the objective coefficient of `var`.
     pub fn set_objective(&mut self, var: VarId, obj: f64) {
+        self.path.clear();
         self.vars[var.index()].obj = obj;
     }
 
@@ -222,6 +275,7 @@ impl Problem {
         assert!(rhs.is_finite(), "non-finite right-hand side {rhs}");
         let row = self.rows.len() as u32;
         self.standard.take();
+        self.path.clear();
         for (v, c) in terms {
             assert!(
                 v.index() < self.vars.len(),
@@ -240,7 +294,9 @@ impl Problem {
     /// Together with [`Problem::solve_with_basis`], this supports
     /// warm-started re-solves of a fixed-structure program whose
     /// right-hand sides drift between rounds (e.g. per-round capacity
-    /// vectors).
+    /// vectors). It is the one edit that keeps everything the problem
+    /// caches: the standard form and the pivot path of the last cold
+    /// slack-start solve, which the next one replays (see [`Problem`]).
     ///
     /// # Panics
     ///

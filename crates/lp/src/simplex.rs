@@ -64,6 +64,18 @@
 //!   RL-SPM relaxation the crash routes every request on its first path
 //!   and sets each charge column to its peak load; BL-SPM starts feasible
 //!   from the slack basis, and transportation-style LPs fall back.
+//! * A cold solve whose phase 2 starts from the slack basis **replays**
+//!   the [`PivotPath`] the previous such solve of the same [`Problem`]
+//!   recorded. Pricing reads only the costs, bounds, column states, the
+//!   basis, its factors and etas, and the Bland flag; none of these
+//!   depends on the right-hand side, which is all that may differ
+//!   between the two solves. So while every earlier step had its
+//!   recorded ratio-test outcome and the Bland flags agree, the recorded
+//!   entering column is the one pricing would pick, and the iteration
+//!   takes it without computing the duals or the reduced costs. FTRAN,
+//!   the ratio test and the updates run as usual; the first outcome that
+//!   differs ends the replay. Debug builds price every replayed step and
+//!   check the choice.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -199,6 +211,25 @@ impl Problem {
     }
 }
 
+/// The primal phase-2 iterations of one cold solve that started from
+/// the slack basis, in order: what a later such solve of the same
+/// problem replays (see [`Problem::set_rhs`]).
+pub(crate) type PivotPath = Vec<Step>;
+
+/// One primal iteration: the entering column pricing chose, under which
+/// rule, and what the ratio test did with it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Step {
+    col: u32,
+    /// Whether the column entered upward (`dir = 1`).
+    up: bool,
+    /// Whether pricing ran under Bland's rule.
+    bland: bool,
+    /// The leaving row and whether it left at its upper bound; `None`
+    /// for a bound flip.
+    leave: Option<(u32, bool)>,
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum VarState {
     Basic(u32),
@@ -209,9 +240,10 @@ enum VarState {
 }
 
 struct Simplex<'p> {
-    /// The problem's cached standard form, which `a` and `at` borrow
-    /// until phase 1 appends artificials.
-    standard: &'p Arc<StandardForm>,
+    /// The problem solved: its cached standard form, which `a` and `at`
+    /// borrow until phase 1 appends artificials, and the pivot path a
+    /// cold slack-start solve replays and records.
+    problem: &'p Problem,
     /// Full standard-form matrix: structural | slacks | artificials.
     /// Borrowed from the problem's cache; owned once phase 1 appends
     /// artificials.
@@ -271,6 +303,14 @@ struct Simplex<'p> {
     /// Pricing passes answered from `y` and `d` as they stood.
     #[cfg(test)]
     pricing_reused: usize,
+
+    /// The path being replayed, while every step so far matched it.
+    replay: Option<Arc<PivotPath>>,
+    /// This solve's own path, recorded when phase 2 starts from the
+    /// slack basis.
+    path: Option<PivotPath>,
+    /// Iterations whose entering column came from `replay`.
+    replayed: usize,
 
     // Scratch buffers reused across iterations.
     /// The duals, from [`Self::compute_duals`]. The only buffer handed to
@@ -346,7 +386,7 @@ impl<'p> Simplex<'p> {
         let rhs: Vec<f64> = problem.rows.iter().map(|r| r.rhs).collect();
 
         Simplex {
-            standard,
+            problem,
             a: Cow::Borrowed(&standard.a),
             at: Cow::Borrowed(&standard.at),
             d: vec![0.0; n + m],
@@ -380,6 +420,9 @@ impl<'p> Simplex<'p> {
             priced: false,
             #[cfg(test)]
             pricing_reused: 0,
+            replay: None,
+            path: None,
+            replayed: 0,
             y: vec![0.0; m],
             w: SparseVec::new(m),
             alpha: Vec::new(),
@@ -467,16 +510,30 @@ impl<'p> Simplex<'p> {
             }
         }
 
-        // A primal-feasible crash basis makes phase 1 unnecessary.
-        if !self.crash(&resid) {
+        // A feasible slack basis skips the crash, `phase1` only factorizes
+        // it, and phase 2 from it replays and records a pivot path.
+        // Otherwise a primal-feasible crash basis makes phase 1
+        // unnecessary.
+        let slack_start = (0..m).all(|i| self.slack_absorbs(i, resid[i]));
+        if slack_start || !self.crash(&resid) {
             self.phase1(&resid)?;
+        }
+        if slack_start {
+            self.replay = self.problem.path.get();
+            self.path = Some(Vec::with_capacity(
+                self.replay.as_ref().map_or(0, |p| p.len()),
+            ));
         }
 
         // --- Phase 2. ---
         self.degenerate_streak = 0;
         self.optimize()?;
 
-        self.extract_solution()
+        let solution = self.extract_solution()?;
+        if let Some(path) = self.path.take() {
+            self.problem.path.set(Arc::new(path));
+        }
+        Ok(solution)
     }
 
     /// Phase 1 from the slack basis: adds one artificial per row whose
@@ -559,11 +616,11 @@ impl<'p> Simplex<'p> {
     }
 
     /// Feasibility crash: tries to replace phase 1 by a primal-feasible
-    /// basis read off the row structure, given the slack basis's row
-    /// residuals `resid`. Returns `true` with the basis factorized and
-    /// `xb` set; returns `false` with `state` and `basis` as they were
-    /// (the slack basis) when the slack basis is already feasible or no
-    /// feasible crash basis was found.
+    /// basis read off the row structure, given the residuals `resid` of
+    /// an infeasible slack basis. Returns `true` with the basis
+    /// factorized and `xb` set; returns `false` with `state` and `basis`
+    /// as they were (the slack basis) when no feasible crash basis was
+    /// found.
     ///
     /// * Pass 1: each row whose slack cannot absorb its residual makes
     ///   basic the lowest-index nonbasic structural column with a nonzero
@@ -582,9 +639,6 @@ impl<'p> Simplex<'p> {
     /// path and makes each charge column basic at its peak load.
     fn crash(&mut self, resid: &[f64]) -> bool {
         let m = self.m();
-        if (0..m).all(|i| self.slack_absorbs(i, resid[i])) {
-            return false;
-        }
         let saved_state = self.state.clone();
         let mut r = resid.to_vec();
 
@@ -735,8 +789,12 @@ impl<'p> Simplex<'p> {
             }
         }
         let fresh = matches!(self.a, Cow::Borrowed(_)) && self.factored == self.basis;
-        let factors = (fresh && self.etas.is_empty())
-            .then(|| (Arc::clone(self.standard), self.lu.without_workspace()));
+        let factors = (fresh && self.etas.is_empty()).then(|| {
+            (
+                Arc::clone(self.problem.standard_form()),
+                self.lu.without_workspace(),
+            )
+        });
         Basis {
             state,
             n_struct: self.n_struct,
@@ -805,7 +863,7 @@ impl<'p> Simplex<'p> {
         self.basis = filled;
         self.xb = vec![0.0; m];
         match &warm.factors {
-            Some((standard, kept)) if Arc::ptr_eq(standard, self.standard) => {
+            Some((standard, kept)) if Arc::ptr_eq(standard, self.problem.standard_form()) => {
                 // `kept` is what factorizing this basis of this matrix
                 // would compute again.
                 self.lu.clone_from(kept);
@@ -990,6 +1048,7 @@ impl<'p> Simplex<'p> {
             refreshes: self.refreshes,
             warm_started: self.warm_started,
             eta_updates: self.eta_updates,
+            replayed: self.replayed,
             lu_l_nnz: self.lu_l_nnz,
             lu_u_nnz: self.lu_u_nnz,
         };
@@ -1019,33 +1078,84 @@ impl<'p> Simplex<'p> {
                 return Err(SolveError::IterationLimit);
             }
             let bland = self.degenerate_streak >= BLAND_AFTER;
-            match self.price(bland) {
-                PriceStep::Optimal => return Ok(()),
-                PriceStep::Enter { col, dir } => {
-                    self.iterations += 1;
-                    self.compute_direction(col);
-                    match self.ratio_test(col, dir) {
-                        Ratio::Unbounded => return Err(SolveError::Unbounded),
-                        Ratio::BoundFlip { step } => {
-                            self.apply_bound_flip(col, dir, step);
-                            self.degenerate_streak = 0;
-                        }
-                        Ratio::Pivot {
-                            row,
-                            step,
-                            to_upper,
-                        } => {
-                            if step <= TOL {
-                                self.degenerate_streak += 1;
-                            } else {
-                                self.degenerate_streak = 0;
-                            }
-                            self.apply_pivot(col, dir, row, step, to_upper)?;
-                        }
-                    }
+            let (col, dir) = match self.replayed_entry(bland) {
+                Some(entry) => entry,
+                None => match self.price(bland) {
+                    PriceStep::Optimal => return Ok(()),
+                    PriceStep::Enter { col, dir } => (col, dir),
+                },
+            };
+            self.iterations += 1;
+            self.compute_direction(col);
+            let leave = match self.ratio_test(col, dir) {
+                Ratio::Unbounded => return Err(SolveError::Unbounded),
+                Ratio::BoundFlip { step } => {
+                    self.apply_bound_flip(col, dir, step);
+                    self.degenerate_streak = 0;
+                    None
                 }
-            }
+                Ratio::Pivot {
+                    row,
+                    step,
+                    to_upper,
+                } => {
+                    if step <= TOL {
+                        self.degenerate_streak += 1;
+                    } else {
+                        self.degenerate_streak = 0;
+                    }
+                    self.apply_pivot(col, dir, row, step, to_upper)?;
+                    Some((row as u32, to_upper))
+                }
+            };
+            self.note_step(Step {
+                col: col as u32,
+                up: dir > 0.0,
+                bland,
+                leave,
+            });
         }
+    }
+
+    /// The entering column and direction of the replayed path's next
+    /// step, when the solve is still on the path and that step was
+    /// priced under the same rule (`bland`). Everything pricing reads is
+    /// then what it was in the recorded solve, so this is its choice.
+    fn replayed_entry(&mut self, bland: bool) -> Option<(usize, f64)> {
+        let step = *self.replay.as_ref()?.get(self.path.as_ref()?.len())?;
+        if step.bland != bland {
+            return None;
+        }
+        self.replayed += 1;
+        let entry = (step.col as usize, if step.up { 1.0 } else { -1.0 });
+        #[cfg(debug_assertions)]
+        {
+            let priced = match self.price(bland) {
+                PriceStep::Optimal => None,
+                PriceStep::Enter { col, dir } => Some((col, dir)),
+            };
+            debug_assert!(
+                priced == Some(entry),
+                "a replayed step enters {entry:?} where pricing picks {priced:?}"
+            );
+        }
+        Some(entry)
+    }
+
+    /// Records one primal iteration on this solve's path, and ends the
+    /// replay unless the replayed path took the same step there.
+    fn note_step(&mut self, step: Step) {
+        let Some(path) = &mut self.path else {
+            return;
+        };
+        if self
+            .replay
+            .as_ref()
+            .is_some_and(|r| r.get(path.len()) != Some(&step))
+        {
+            self.replay = None;
+        }
+        path.push(step);
     }
 
     /// Prices every column and picks an entering one, in one pass that
@@ -2328,6 +2438,151 @@ mod tests {
                 assert_eq!(got.stats(), want.stats());
             }
         }
+    }
+
+    /// `p` without its pivot path: a copy with an edit that changes
+    /// nothing else.
+    fn without_path(p: &Problem) -> Problem {
+        let mut q = p.clone();
+        let v = q.var(0);
+        q.set_objective(v, q.objective_coeff(v));
+        assert!(q.path.get().is_none());
+        q
+    }
+
+    /// `got` and `want` agree bit for bit in values, objective and duals,
+    /// and in every work counter but `replayed`.
+    fn assert_same_solve(got: &Solution, want: &Solution) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.values()), bits(want.values()));
+        assert_eq!(got.objective().to_bits(), want.objective().to_bits());
+        assert_eq!(bits(got.duals().unwrap()), bits(want.duals().unwrap()));
+        let unreplayed = |s: &SolveStats| SolveStats { replayed: 0, ..*s };
+        assert_eq!(unreplayed(got.stats()), unreplayed(want.stats()));
+    }
+
+    #[test]
+    fn cold_resolves_after_rhs_edits_replay_and_match_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        let (mut replayed, mut pivots) = (0, 0);
+        for round in 0..6 {
+            let k = 40 + 10 * round;
+            let mut p = seeded_blspm(&mut rng, k, 6, 4);
+            // Rows `k..` are the capacity rows; tighten them, loosening
+            // one in five, as a limiter's rounds do.
+            for edit in 0..5 {
+                if edit > 0 {
+                    let rhs = p.row_rhs();
+                    for (i, &b) in rhs.iter().enumerate().skip(k) {
+                        let f = match rng.gen_range(0..5) {
+                            0 => rng.gen_range(1.0..1.3),
+                            _ => rng.gen_range(0.6..1.0),
+                        };
+                        p.set_rhs(RowId(i as u32), b * f);
+                    }
+                }
+                let want = without_path(&p).solve().unwrap();
+                let got = p.solve().unwrap();
+                assert_same_solve(&got, &want);
+                assert_eq!(want.stats().replayed, 0);
+                assert_eq!(got.stats().phase1_iterations, 0);
+                if edit == 0 {
+                    assert_eq!(got.stats().replayed, 0, "nothing recorded yet");
+                }
+                assert!(got.stats().replayed <= got.stats().iterations);
+                replayed += got.stats().replayed;
+                pivots += got.stats().iterations;
+            }
+        }
+        assert!(
+            replayed > 0 && replayed < pivots,
+            "{replayed} of {pivots} pivots replayed"
+        );
+    }
+
+    #[test]
+    fn edits_other_than_rhs_drop_the_path() {
+        type Edit = fn(&mut Problem);
+        let edits: [(&str, Edit); 4] = [
+            ("set_bounds", |p| {
+                let v = p.var(0);
+                p.set_bounds(v, 0.0, 0.5);
+            }),
+            ("set_objective", |p| {
+                let v = p.var(0);
+                p.set_objective(v, p.objective_coeff(v) + 1.0);
+            }),
+            ("add_var", |p| {
+                p.add_var(1.0, 0.0, 1.0);
+            }),
+            ("add_constraint", |p| {
+                let v = p.var(0);
+                p.add_constraint([(v, 1.0)], Relation::Le, 0.5);
+            }),
+        ];
+        for (name, edit) in edits {
+            let mut p = seeded_blspm(&mut ChaCha8Rng::seed_from_u64(41), 40, 6, 4);
+            p.solve().unwrap();
+            assert!(p.path.get().is_some(), "{name}");
+            edit(&mut p);
+            assert!(p.path.get().is_none(), "{name}");
+            let s = p.solve().unwrap();
+            assert!(s.stats().iterations > 0, "{name}");
+            assert_eq!(s.stats().replayed, 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn crash_and_phase1_solves_neither_replay_nor_record() {
+        // The crash replaces phase 1 on one copy; the other runs phase 1.
+        for (cap, phase1) in [(f64::INFINITY, false), (1e3, true)] {
+            let p = rlspm_shaped(cap);
+            for _ in 0..2 {
+                let s = p.solve().unwrap();
+                assert_eq!(s.stats().phase1_iterations > 0, phase1);
+                assert_eq!(s.stats().replayed, 0);
+            }
+            assert!(p.path.get().is_none());
+        }
+        // A slack-start path survives a solve that must take phase 1.
+        let mut p = seeded_blspm(&mut ChaCha8Rng::seed_from_u64(42), 40, 6, 4);
+        let first = p.solve().unwrap();
+        let kept = p.path.get().unwrap();
+        let b = p.row_rhs()[0];
+        p.set_rhs(RowId(0), -1.0);
+        assert_eq!(p.solve().unwrap_err(), SolveError::Infeasible);
+        assert!(Arc::ptr_eq(&kept, &p.path.get().unwrap()));
+        p.set_rhs(RowId(0), b);
+        let again = p.solve().unwrap();
+        assert_eq!(again.stats().replayed, first.stats().iterations);
+        assert_same_solve(&again, &first);
+    }
+
+    #[test]
+    fn a_clone_carries_the_path() {
+        let p = seeded_blspm(&mut ChaCha8Rng::seed_from_u64(43), 40, 6, 4);
+        let first = p.solve().unwrap();
+        let q = p.clone();
+        assert!(Arc::ptr_eq(&p.path.get().unwrap(), &q.path.get().unwrap()));
+        // Unchanged, the clone replays every pivot of the first solve.
+        let again = q.solve().unwrap();
+        assert!(first.stats().iterations > 0);
+        assert_eq!(again.stats().replayed, first.stats().iterations);
+        assert_same_solve(&again, &first);
+    }
+
+    #[test]
+    fn a_step_priced_under_the_other_rule_is_not_replayed() {
+        let p = seeded_blspm(&mut ChaCha8Rng::seed_from_u64(44), 40, 6, 4);
+        let first = p.solve().unwrap();
+        let mut flipped = PivotPath::clone(&p.path.get().unwrap());
+        for step in &mut flipped {
+            step.bland = !step.bland;
+        }
+        p.path.set(Arc::new(flipped));
+        let again = p.solve().unwrap();
+        assert_eq!(again.stats().replayed, 0);
+        assert_same_solve(&again, &first);
     }
 
     #[test]

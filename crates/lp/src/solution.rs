@@ -28,6 +28,10 @@ pub struct SolveStats {
     pub warm_started: bool,
     /// Product-form eta updates appended between refactorizations.
     pub eta_updates: usize,
+    /// Primal pivots whose entering column was replayed from the pivot
+    /// path of the problem's previous cold slack-start solve, with no
+    /// pricing pass (see [`Problem`](crate::Problem)).
+    pub replayed: usize,
     /// Nonzeros in the `L` factor of the last refactorization.
     pub lu_l_nnz: usize,
     /// Nonzeros in the `U` factor (diagonal included) of the last

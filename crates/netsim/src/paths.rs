@@ -299,11 +299,23 @@ pub struct PathCatalog {
 impl PathCatalog {
     /// Enumerates up to `k` cheapest loopless paths for every ordered pair.
     pub fn build(topo: &Topology, k: usize, metric: PathMetric) -> Self {
+        Self::build_where(topo, k, metric, |_, _| true)
+    }
+
+    /// [`PathCatalog::build`] for only the ordered pairs `wanted`
+    /// accepts; every other pair lists no path. Each pair's paths do not
+    /// depend on which other pairs are enumerated.
+    pub fn build_where(
+        topo: &Topology,
+        k: usize,
+        metric: PathMetric,
+        wanted: impl Fn(NodeId, NodeId) -> bool,
+    ) -> Self {
         let n = topo.num_nodes();
         let mut sets = vec![Vec::new(); n * n];
         for s in 0..n as u32 {
             for d in 0..n as u32 {
-                if s != d {
+                if s != d && wanted(NodeId(s), NodeId(d)) {
                     sets[(s as usize) * n + d as usize] =
                         k_shortest_paths(topo, NodeId(s), NodeId(d), k, metric);
                 }

@@ -81,6 +81,10 @@ pub mod names {
     pub const LP_SIMPLEX_DUAL: &str = "lp.simplex.dual_iterations";
     /// Counter: bound-flip ratio-test outcomes.
     pub const LP_SIMPLEX_BOUND_FLIPS: &str = "lp.simplex.bound_flips";
+    /// Counter: primal pivots whose entering column a cold slack-start
+    /// solve replayed from the problem's previous such solve, with no
+    /// pricing pass.
+    pub const LP_SIMPLEX_REPLAYED: &str = "lp.simplex.replayed";
     /// Counter: basis refactorizations (a warm start that reuses kept
     /// LU factors does not count).
     pub const LP_SIMPLEX_REFRESHES: &str = "lp.simplex.refactorizations";

@@ -212,3 +212,25 @@ fn declined_requests_cost_nothing() {
     }
     assert!((ev.revenue - expected_revenue).abs() < 1e-9);
 }
+
+#[test]
+fn instance_setup_scales_to_the_largest_random_wan() {
+    // The scenario schema admits random WANs up to `MAX_RANDOM_NODES`.
+    // Setup enumerates paths only for the pairs the requests use, so a
+    // handful of requests is quick at that size; each request gets the
+    // paths Yen's algorithm finds for its own pair.
+    use metis_suite::netsim::{k_shortest_paths, PathMetric};
+    use metis_suite::workload::scenario::MAX_RANDOM_NODES;
+    let topo = topologies::random_wan(MAX_RANDOM_NODES, 1_000, 5);
+    let requests = generate(&topo, &WorkloadConfig::paper(5, 3));
+    let inst = SpmInstance::try_new(topo.clone(), requests, 12, 3).unwrap();
+    assert_eq!(inst.topology().num_nodes(), MAX_RANDOM_NODES as usize);
+    assert_eq!(inst.num_requests(), 5);
+    for (r, paths) in inst.iter() {
+        assert!(!paths.is_empty());
+        assert_eq!(
+            paths,
+            k_shortest_paths(&topo, r.src, r.dst, 3, PathMetric::Price)
+        );
+    }
+}
