@@ -67,13 +67,8 @@ pub fn run(options: &RobustnessOptions) -> Table {
     for (name, topo) in networks() {
         let rows = run_seeds(&options.seeds, |seed| {
             let requests = generate(&topo, &WorkloadConfig::paper(options.k, seed));
-            let instance = SpmInstance::try_with_catalog(
-                topo.clone(),
-                requests,
-                12,
-                &metis_netsim::PathCatalog::build(&topo, 3, metis_netsim::PathMetric::Price),
-            )
-            .expect("generated requests fit the topology");
+            let instance = SpmInstance::try_new(topo.clone(), requests, 12, 3)
+                .expect("generated requests fit the topology");
             let m = metis(&instance, &MetisConfig::with_theta(options.theta)).expect("metis");
             let all = maa(&instance, &vec![true; options.k], &MaaOptions::default()).expect("maa");
             let eco = ecoflow(&instance).evaluate(&instance);

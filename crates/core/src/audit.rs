@@ -4,8 +4,8 @@
 //! them: `profit = Σ v_i − Σ u_e·⌈peak_e⌉` with the peak taken over the
 //! *true* per-edge load. This module re-derives every one of those
 //! quantities from scratch — straight from the instance and the
-//! assignment vector, sharing no code with the incremental
-//! [`LoadMatrix`] peak cache or the solvers — and compares bit-for-bit
+//! assignment vector, sharing no code with [`LoadMatrix`] or the
+//! solvers — and compares bit-for-bit
 //! against what a run reported. Because the reference recomputation
 //! replays the same index-ordered folds the production path uses, any
 //! divergence at all (one bit of profit, one cell of load) is a real
@@ -113,8 +113,8 @@ impl std::fmt::Display for AuditReport {
 
 /// Audits a schedule and its reported [`Evaluation`] against `instance`.
 ///
-/// Re-derives, independently of [`Schedule::load`] and the
-/// [`metis_netsim::LoadMatrix`] peak cache:
+/// Re-derives, independently of [`Schedule::load`] and
+/// [`metis_netsim::LoadMatrix`]:
 ///
 /// * **structure** — assignment length matches the instance;
 /// * **paths** — every accepted request uses a valid candidate-path
@@ -122,7 +122,7 @@ impl std::fmt::Display for AuditReport {
 /// * **windows** — request time windows sit inside the billing cycle;
 /// * **load** — every `[edge][slot]` cell of the reported load matrix,
 ///   recomputed from the assignment alone (bit-exact);
-/// * **peaks** — the per-edge peak cache against a from-scratch scan
+/// * **peaks** — each edge's reported peak against a from-scratch scan
 ///   (bit-exact);
 /// * **accounting** — charged units, revenue, cost, and profit
 ///   (bit-exact), plus the accepted-request count.
@@ -220,7 +220,7 @@ pub fn audit_schedule(
             "load.peak",
             || {
                 format!(
-                    "edge {edge} cached peak {} ≠ from-scratch peak {scan}",
+                    "edge {edge} reported peak {} ≠ from-scratch peak {scan}",
                     load.peak(edge)
                 )
             },
@@ -406,7 +406,7 @@ mod tests {
         let inst = instance();
         let (s, mut ev) = good_run(&inst);
         // Corrupt the load matrix behind the evaluation: extra phantom
-        // traffic inflates one edge's cells and cached peak.
+        // traffic inflates one edge's cells and peak.
         ev.load.add(EdgeId(0), 0, 3, 2.5);
         let rep = audit_schedule(&inst, &s, &ev);
         assert!(

@@ -1,9 +1,12 @@
 //! The service-profit-maximization (SPM) problem instance.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use metis_lp::VarId;
-use metis_netsim::{Path, PathCatalog, PathMetric, Topology};
+use metis_netsim::{k_shortest_paths, NodeId, Path, PathMetric, Topology};
 use metis_workload::{Request, RequestId};
 
 use crate::error::InstanceError;
@@ -31,8 +34,9 @@ pub const DEFAULT_PATHS_PER_PAIR: usize = 3;
 pub struct SpmInstance {
     topo: Topology,
     requests: Vec<Request>,
-    /// Candidate paths per request, cheapest first.
-    paths: Vec<Vec<Path>>,
+    /// Candidate paths per request, cheapest first; requests between the
+    /// same two nodes share one set.
+    paths: Vec<Arc<[Path]>>,
     num_slots: usize,
 }
 
@@ -58,11 +62,12 @@ impl SpmInstance {
         Self::try_new(topo, requests, num_slots, paths_per_pair).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`SpmInstance::new`]: returns the first problem found
-    /// instead of panicking.
+    /// Fallible [`SpmInstance::new`]: returns the first problem found, in
+    /// request order, instead of panicking.
     ///
-    /// Paths are enumerated only for the ordered pairs that valid
-    /// requests connect, each pair's as [`PathCatalog::build`] lists them.
+    /// Paths are enumerated once per ordered pair that a request
+    /// connects, by [`k_shortest_paths`] under [`PathMetric::Price`];
+    /// requests between the same two nodes share that one set.
     ///
     /// # Errors
     ///
@@ -77,34 +82,10 @@ impl SpmInstance {
         num_slots: usize,
         paths_per_pair: usize,
     ) -> Result<Self, InstanceError> {
-        let n = topo.num_nodes();
-        let mut used = vec![false; n * n];
-        for r in requests.iter().filter(|r| r.validate(n, num_slots).is_ok()) {
-            // INDEX: validated endpoints are below n; flat src×dst layout.
-            used[r.src.index() * n + r.dst.index()] = true;
-        }
-        let catalog = PathCatalog::build_where(&topo, paths_per_pair, PathMetric::Price, |s, d| {
-            // INDEX: the catalog asks only for nodes of `topo`.
-            used[s.index() * n + d.index()]
-        });
-        Self::try_with_catalog(topo, requests, num_slots, &catalog)
-    }
-
-    /// Builds an instance reusing a prebuilt [`PathCatalog`] (useful when
-    /// many instances share a topology).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SpmInstance::try_new`].
-    pub fn try_with_catalog(
-        topo: Topology,
-        requests: Vec<Request>,
-        num_slots: usize,
-        catalog: &PathCatalog,
-    ) -> Result<Self, InstanceError> {
         if num_slots < 1 {
             return Err(InstanceError::NoSlots);
         }
+        let mut sets: BTreeMap<(NodeId, NodeId), Arc<[Path]>> = BTreeMap::new();
         let mut paths = Vec::with_capacity(requests.len());
         for r in &requests {
             r.validate(topo.num_nodes(), num_slots)
@@ -112,15 +93,17 @@ impl SpmInstance {
                     id: r.id,
                     reason: e,
                 })?;
-            let ps = catalog.paths(r.src, r.dst);
-            if ps.is_empty() {
+            let set = sets.entry((r.src, r.dst)).or_insert_with(|| {
+                k_shortest_paths(&topo, r.src, r.dst, paths_per_pair, PathMetric::Price).into()
+            });
+            if set.is_empty() {
                 return Err(InstanceError::DisconnectedEndpoints {
                     id: r.id,
                     src: r.src,
                     dst: r.dst,
                 });
             }
-            paths.push(ps.to_vec());
+            paths.push(Arc::clone(set));
         }
         Ok(SpmInstance {
             topo,
@@ -170,9 +153,7 @@ impl SpmInstance {
 
     /// Iterates `(request, candidate paths)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Request, &[Path])> {
-        self.requests
-            .iter()
-            .zip(self.paths.iter().map(|p| p.as_slice()))
+        self.requests.iter().zip(self.paths.iter().map(|p| &p[..]))
     }
 
     /// Sum of all bids: the revenue ceiling `Σ v_i`.
@@ -244,7 +225,7 @@ impl SpmInstance {
             let mut r = self.requests[i].clone();
             r.id = RequestId(new_id as u32);
             requests.push(r);
-            paths.push(self.paths[i].clone());
+            paths.push(Arc::clone(&self.paths[i]));
         }
         Ok(SpmInstance {
             topo: self.topo.clone(),
@@ -258,7 +239,7 @@ impl SpmInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metis_netsim::topologies;
+    use metis_netsim::{topologies, Region};
     use metis_workload::{generate, WorkloadConfig};
 
     fn instance(k: usize) -> SpmInstance {
@@ -290,16 +271,77 @@ mod tests {
     }
 
     #[test]
-    fn try_with_catalog_matches_new() {
+    fn each_pair_enumerates_once_and_shares_its_set() {
         let topo = topologies::sub_b4();
-        let reqs = generate(&topo, &WorkloadConfig::paper(10, 4));
-        let cat = PathCatalog::build(&topo, 3, PathMetric::Price);
-        let a = SpmInstance::new(topo.clone(), reqs.clone(), 12, 3);
-        let b = SpmInstance::try_with_catalog(topo, reqs, 12, &cat).unwrap();
-        for id in 0..10 {
-            let id = RequestId(id);
-            assert_eq!(a.paths(id), b.paths(id));
+        let reqs = generate(&topo, &WorkloadConfig::paper(60, 4));
+        let inst = SpmInstance::new(topo.clone(), reqs, 12, 3);
+        for (r, ps) in inst.iter() {
+            assert_eq!(
+                ps,
+                k_shortest_paths(&topo, r.src, r.dst, 3, PathMetric::Price),
+                "request {}",
+                r.id
+            );
         }
+        // Sixty requests over SUB-B4's thirty ordered pairs repeat a pair.
+        let rs = inst.requests();
+        let (i, j) = (0..rs.len())
+            .flat_map(|i| (i + 1..rs.len()).map(move |j| (i, j)))
+            .find(|&(i, j)| (rs[i].src, rs[i].dst) == (rs[j].src, rs[j].dst))
+            .expect("a repeated pair");
+        let set = |inst: &SpmInstance, k: usize| inst.paths(RequestId(k as u32)).as_ptr();
+        assert!(std::ptr::eq(set(&inst, i), set(&inst, j)));
+        let sub = inst.try_subset(&[j, i]).unwrap();
+        assert!(std::ptr::eq(set(&sub, 0), set(&inst, j)));
+        assert!(std::ptr::eq(set(&sub, 1), set(&inst, i)));
+    }
+
+    #[test]
+    fn first_problem_in_request_order_wins() {
+        // Node `c` has no link, so no path reaches it.
+        let mut b = Topology::builder();
+        let a = b.add_node("a", Region::Europe);
+        let d = b.add_node("d", Region::Asia);
+        let c = b.add_node("c", Region::Europe);
+        b.add_link(a, d, 1.0);
+        let topo = b.build();
+        let request = |id: u32, dst: NodeId| Request {
+            id: RequestId(id),
+            src: a,
+            dst,
+            rate: 0.5,
+            start: 0,
+            end: 3,
+            value: 1.0,
+        };
+        let invalid = |id: u32| Request {
+            end: 99,
+            ..request(id, d)
+        };
+
+        let reqs = vec![request(0, c), invalid(1)];
+        let err = SpmInstance::try_new(topo.clone(), reqs, 12, 3).unwrap_err();
+        assert_eq!(
+            err,
+            InstanceError::DisconnectedEndpoints {
+                id: RequestId(0),
+                src: a,
+                dst: c
+            }
+        );
+
+        let reqs = vec![invalid(0), request(1, c)];
+        let err = SpmInstance::try_new(topo, reqs, 12, 3).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                InstanceError::InvalidRequest {
+                    id: RequestId(0),
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

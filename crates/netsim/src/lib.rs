@@ -7,21 +7,21 @@
 //!
 //! * [`Topology`] — the priced directed graph, with [`topologies::b4`] and
 //!   [`topologies::sub_b4`] matching the paper's evaluation networks;
-//! * [`paths`] — Dijkstra + Yen's k-cheapest loopless paths and the
-//!   all-pairs [`PathCatalog`] used as the candidate sets `P_i`;
+//! * [`paths`] — Dijkstra + Yen's k-cheapest loopless paths, which give
+//!   each DC pair's candidate set `P_i`;
 //! * [`LoadMatrix`] — per-(edge, slot) reservation accounting, peak-based
 //!   integer charging `c_e`, cost, and utilization statistics.
 //!
 //! # Examples
 //!
 //! ```
-//! use metis_netsim::{topologies, LoadMatrix, PathCatalog, PathMetric};
+//! use metis_netsim::{k_shortest_paths, topologies, LoadMatrix, PathMetric};
 //!
 //! let topo = topologies::b4();
-//! let catalog = PathCatalog::build(&topo, 3, PathMetric::Price);
 //! let src = topo.node_ids().next().unwrap();
 //! let dst = topo.node_ids().nth(7).unwrap();
-//! let path = &catalog.paths(src, dst)[0];
+//! let paths = k_shortest_paths(&topo, src, dst, 3, PathMetric::Price);
+//! let path = &paths[0];
 //!
 //! let mut load = LoadMatrix::new(topo.num_edges(), 12);
 //! for &e in path.edges() {
@@ -45,7 +45,7 @@ pub mod topologies;
 
 pub use graph::{Edge, EdgeId, Node, NodeId, Region, Topology, TopologyBuilder};
 pub use load::{ceil_units, LoadMatrix, UtilizationStats, CEIL_EPS};
-pub use paths::{k_shortest_paths, shortest_path, Path, PathCatalog, PathMetric};
+pub use paths::{k_shortest_paths, shortest_path, Path, PathMetric};
 
 /// One unit of bandwidth in Gbps: ISPs sell bandwidth in fixed units of
 /// 10 Gbps in the paper's model.

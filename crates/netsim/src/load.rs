@@ -26,28 +26,12 @@ pub const CEIL_EPS: f64 = 1e-9;
 /// load.add(e, 2, 5, 0.37); // slots 2..=5
 /// assert_eq!(load.charged_units(e), 1);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LoadMatrix {
     num_edges: usize,
     num_slots: usize,
     /// Row-major `[edge][slot]`.
     data: Vec<f64>,
-    /// Cached `max(0, max_t load)` per edge, maintained incrementally by
-    /// [`LoadMatrix::add`]: increments update it in O(interval); a
-    /// decrement that may have lowered the peak rebuilds that edge's
-    /// cache in O(slots). The cache always equals a fresh scan exactly
-    /// (same fold, same float operations), so callers cannot observe it.
-    peaks: Vec<f64>,
-}
-
-/// Cache-blind equality: two matrices are equal iff their dimensions and
-/// per-cell loads are (the peak cache is a pure function of those).
-impl PartialEq for LoadMatrix {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_edges == other.num_edges
-            && self.num_slots == other.num_slots
-            && self.data == other.data
-    }
 }
 
 impl LoadMatrix {
@@ -57,7 +41,6 @@ impl LoadMatrix {
             num_edges,
             num_slots,
             data: vec![0.0; num_edges * num_slots],
-            peaks: vec![0.0; num_edges],
         }
     }
 
@@ -91,48 +74,15 @@ impl LoadMatrix {
         assert!(start <= end, "inverted slot range {start}..={end}");
         assert!(end < self.num_slots, "slot {end} out of range");
         let base = edge.index() * self.num_slots;
-        let mut old_touched_max = f64::NEG_INFINITY;
-        let mut touched_max = f64::NEG_INFINITY;
-        for s in start..=end {
-            let old = self.data[base + s];
-            if old > old_touched_max {
-                old_touched_max = old;
-            }
-            let v = old + amount;
-            self.data[base + s] = v;
-            if v > touched_max {
-                touched_max = v;
-            }
-        }
-        let cached = self.peaks[edge.index()];
-        if amount >= 0.0 {
-            // Untouched slots are unchanged and touched slots only grew,
-            // so the new peak is the old one or the tallest touched slot.
-            if touched_max > cached {
-                self.peaks[edge.index()] = touched_max;
-            }
-        } else if old_touched_max >= cached {
-            // The tallest touched slot reached the cached peak before this
-            // decrement, so the peak may have dropped — rescan this edge.
-            // (When it was strictly below, the peak lives on an untouched
-            // slot or the zero floor and is unchanged.)
-            self.peaks[edge.index()] = scan_peak(&self.data[base..base + self.num_slots]);
+        for v in &mut self.data[base + start..=base + end] {
+            *v += amount;
         }
     }
 
-    /// Removes previously added load (equivalent to `add` of `-amount`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is inverted or out of bounds.
-    pub fn remove(&mut self, edge: EdgeId, start: usize, end: usize, amount: f64) {
-        self.add(edge, start, end, -amount);
-    }
-
-    /// Peak load on `edge` over the billing cycle (clamped below at zero),
-    /// answered from the incrementally-maintained per-edge cache in O(1).
+    /// Peak load on `edge` over the billing cycle, clamped below at zero.
     pub fn peak(&self, edge: EdgeId) -> f64 {
-        self.peaks[edge.index()]
+        let base = edge.index() * self.num_slots;
+        scan_peak(&self.data[base..base + self.num_slots])
     }
 
     /// Mean load on `edge` over the billing cycle.
@@ -200,8 +150,7 @@ impl LoadMatrix {
     }
 }
 
-/// The reference peak fold: `max(0, max over the row)`. The incremental
-/// cache must stay bit-identical to this.
+/// The peak fold: `max(0, max over the row)`.
 fn scan_peak(row: &[f64]) -> f64 {
     row.iter().fold(0.0_f64, |a, &b| a.max(b))
 }
@@ -281,17 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_restores() {
-        let mut l = LoadMatrix::new(1, 4);
-        let e = EdgeId(0);
-        l.add(e, 1, 2, 0.7);
-        l.remove(e, 1, 2, 0.7);
-        for s in 0..4 {
-            assert!(l.get(e, s).abs() < 1e-15);
-        }
-    }
-
-    #[test]
     fn charging_rounds_up() {
         let mut l = LoadMatrix::new(1, 3);
         let e = EdgeId(0);
@@ -357,62 +295,16 @@ mod tests {
         assert!(l.fits(e, 1, 2, 0.3, 1.2));
     }
 
-    /// The peak cache must be indistinguishable from rescanning the row.
-    fn assert_cache_exact(l: &LoadMatrix) {
-        for e in 0..l.num_edges() {
-            let edge = EdgeId(e as u32);
-            let base = e * l.num_slots();
-            let fresh = scan_peak(&l.data[base..base + l.num_slots()]);
-            assert_eq!(l.peak(edge).to_bits(), fresh.to_bits(), "edge {e}");
-        }
-    }
-
-    #[test]
-    fn peak_cache_tracks_adds_and_removes() {
-        let mut l = LoadMatrix::new(2, 8);
-        let e = EdgeId(0);
-        assert_cache_exact(&l);
-        l.add(e, 0, 3, 1.5);
-        assert_cache_exact(&l);
-        l.add(e, 2, 5, 0.75); // new peak at overlap
-        assert_cache_exact(&l);
-        assert_eq!(l.peak(e), 2.25);
-        l.remove(e, 2, 3, 0.75); // removes the peak holder → rescan path
-        assert_cache_exact(&l);
-        assert_eq!(l.peak(e), 1.5);
-        l.remove(e, 4, 5, 0.75); // peak untouched → fast path
-        assert_cache_exact(&l);
-        l.remove(e, 0, 3, 1.5); // back to empty
-        assert_cache_exact(&l);
-        assert_eq!(l.peak(EdgeId(1)), 0.0, "other edge untouched");
-    }
-
     #[test]
     fn peak_clamps_below_at_zero() {
-        // The historical fold starts at 0.0, so all-negative rows still
-        // report a zero peak; the cache must agree.
+        // The fold starts at 0.0, so an all-negative row still reports a
+        // zero peak.
         let mut l = LoadMatrix::new(1, 4);
         let e = EdgeId(0);
         l.add(e, 0, 3, 1.0);
-        l.remove(e, 0, 3, 2.0);
+        l.add(e, 0, 3, -2.0);
         assert_eq!(l.peak(e), 0.0);
-        assert_cache_exact(&l);
         assert_eq!(l.charged_units(e), 0);
-    }
-
-    #[test]
-    fn equality_ignores_construction_order() {
-        // Same loads reached through different add/remove histories (and
-        // hence different cache code paths) compare equal.
-        let mut a = LoadMatrix::new(1, 4);
-        let mut b = LoadMatrix::new(1, 4);
-        let e = EdgeId(0);
-        a.add(e, 0, 3, 1.0);
-        b.add(e, 0, 3, 3.0);
-        b.remove(e, 0, 3, 2.0);
-        // 1.0 vs 3.0 − 2.0: equal within f64 because both are exact.
-        assert_eq!(a, b);
-        assert_eq!(a.peak(e), b.peak(e));
     }
 
     #[test]

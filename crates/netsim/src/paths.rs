@@ -3,8 +3,8 @@
 //! Requests in the Metis model are unsplittable: each accepted request is
 //! pinned to exactly one path from a precomputed candidate set `P_i`. This
 //! module provides Dijkstra shortest paths and Yen's algorithm for the
-//! `k` cheapest loopless paths, plus a [`PathCatalog`] that precomputes the
-//! candidate set for every ordered DC pair.
+//! `k` cheapest loopless paths; a request's `P_i` is the
+//! [`k_shortest_paths`] set of its ordered DC pair.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -275,80 +275,6 @@ pub fn k_shortest_paths(
     found
 }
 
-/// Precomputed candidate path sets `P_i` for every ordered DC pair.
-///
-/// # Examples
-///
-/// ```
-/// use metis_netsim::{topologies, PathCatalog, PathMetric};
-///
-/// let topo = topologies::sub_b4();
-/// let catalog = PathCatalog::build(&topo, 3, PathMetric::Price);
-/// let (src, dst) = (topo.node_ids().next().unwrap(), topo.node_ids().last().unwrap());
-/// assert!(!catalog.paths(src, dst).is_empty());
-/// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PathCatalog {
-    num_nodes: usize,
-    k: usize,
-    metric: PathMetric,
-    /// Indexed by `src * num_nodes + dst`.
-    sets: Vec<Vec<Path>>,
-}
-
-impl PathCatalog {
-    /// Enumerates up to `k` cheapest loopless paths for every ordered pair.
-    pub fn build(topo: &Topology, k: usize, metric: PathMetric) -> Self {
-        Self::build_where(topo, k, metric, |_, _| true)
-    }
-
-    /// [`PathCatalog::build`] for only the ordered pairs `wanted`
-    /// accepts; every other pair lists no path. Each pair's paths do not
-    /// depend on which other pairs are enumerated.
-    pub fn build_where(
-        topo: &Topology,
-        k: usize,
-        metric: PathMetric,
-        wanted: impl Fn(NodeId, NodeId) -> bool,
-    ) -> Self {
-        let n = topo.num_nodes();
-        let mut sets = vec![Vec::new(); n * n];
-        for s in 0..n as u32 {
-            for d in 0..n as u32 {
-                if s != d && wanted(NodeId(s), NodeId(d)) {
-                    sets[(s as usize) * n + d as usize] =
-                        k_shortest_paths(topo, NodeId(s), NodeId(d), k, metric);
-                }
-            }
-        }
-        PathCatalog {
-            num_nodes: n,
-            k,
-            metric,
-            sets,
-        }
-    }
-
-    /// Candidate paths from `src` to `dst`, cheapest first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range.
-    pub fn paths(&self, src: NodeId, dst: NodeId) -> &[Path] {
-        &self.sets[src.index() * self.num_nodes + dst.index()]
-    }
-
-    /// The `k` the catalog was built with.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The metric the catalog was built with.
-    pub fn metric(&self) -> PathMetric {
-        self.metric
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,28 +362,6 @@ mod tests {
         assert!(k_shortest_paths(&t, a, d, 3, PathMetric::Price).is_empty());
         assert!(k_shortest_paths(&t, a, a, 3, PathMetric::Price).is_empty());
         let _ = d;
-    }
-
-    #[test]
-    fn catalog_covers_all_pairs() {
-        let t = square();
-        let cat = PathCatalog::build(&t, 3, PathMetric::Price);
-        for s in t.node_ids() {
-            for d in t.node_ids() {
-                if s == d {
-                    assert!(cat.paths(s, d).is_empty());
-                } else {
-                    assert!(!cat.paths(s, d).is_empty(), "{s}→{d} missing");
-                    // Cheapest-first ordering.
-                    let ps = cat.paths(s, d);
-                    for w in ps.windows(2) {
-                        assert!(w[0].price(&t) <= w[1].price(&t) + 1e-12);
-                    }
-                }
-            }
-        }
-        assert_eq!(cat.k(), 3);
-        assert_eq!(cat.metric(), PathMetric::Price);
     }
 
     #[test]

@@ -86,27 +86,17 @@ proptest! {
     }
 
     #[test]
-    fn load_roundtrip_is_exact(
+    fn load_peak_dominates_mean(
         spans in proptest::collection::vec(
             (0usize..4, 0usize..12, 0usize..12, 0.01f64..2.0), 1..20)
     ) {
         let mut load = LoadMatrix::new(4, 12);
-        let mut applied = Vec::new();
         for (e, a, b, amt) in spans {
             let (start, end) = if a <= b { (a, b) } else { (b, a) };
             load.add(EdgeId(e as u32), start, end, amt);
-            applied.push((e, start, end, amt));
         }
-        // Peak ≥ mean on every edge; cost ≥ 0.
         for e in 0..4u32 {
             prop_assert!(load.peak(EdgeId(e)) + 1e-12 >= load.mean(EdgeId(e)));
-        }
-        // Removing everything restores zero.
-        for (e, start, end, amt) in applied {
-            load.remove(EdgeId(e as u32), start, end, amt);
-        }
-        for e in 0..4u32 {
-            prop_assert!(load.peak(EdgeId(e)).abs() < 1e-9);
         }
     }
 

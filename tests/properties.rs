@@ -13,9 +13,7 @@ use metis_suite::baselines::{amoeba, ecoflow, ecoflow_with, mincost, EcoflowCost
 use metis_suite::core::{
     maa, metis, online_metis, taa, LimiterRule, MaaOptions, MetisConfig, OnlineOptions, SpmInstance,
 };
-use metis_suite::netsim::{
-    ceil_units, units_to_gbps, EdgeId, LoadMatrix, Region, Topology, CEIL_EPS,
-};
+use metis_suite::netsim::{units_to_gbps, EdgeId, LoadMatrix, Region, Topology, CEIL_EPS};
 use metis_suite::workload::{
     generate, AuctionSpec, BurstSpec, DiurnalSpec, FamilySpec, GeoLocalitySpec, Horizon, HoseSpec,
     Request, RequestId, Scenario, TopologySpec, UniformSpec, ValueModel, WorkloadConfig,
@@ -149,63 +147,6 @@ proptest! {
         // The recorded best dominates every completed solve.
         for t in m.round_trace.iter().filter(|t| t.completed) {
             prop_assert!(m.evaluation.profit >= t.profit - 1e-9);
-        }
-    }
-
-    #[test]
-    fn load_matrix_incremental_matches_rebuild(
-        ops in proptest::collection::vec(
-            (0usize..4, 0usize..12, 0usize..12, 0.01f64..3.0, any::<bool>()), 1..40),
-    ) {
-        const EDGES: usize = 4;
-        const SLOTS: usize = 12;
-        let mut live = LoadMatrix::new(EDGES, SLOTS);
-        // Surviving add operations, in application order.
-        let mut surviving: Vec<(usize, usize, usize, f64)> = Vec::new();
-        for (e, a, b, amt, is_remove) in ops {
-            let (start, end) = if a <= b { (a, b) } else { (b, a) };
-            if is_remove && !surviving.is_empty() {
-                // Undo a previously applied add instead of a fresh one.
-                let (pe, ps, pend, pamt) = surviving.swap_remove(e % surviving.len());
-                live.remove(EdgeId(pe as u32), ps, pend, pamt);
-            } else {
-                live.add(EdgeId(e as u32), start, end, amt);
-                surviving.push((e, start, end, amt));
-            }
-
-            // Invariant A (exact): the cached peak is bit-identical to a
-            // scan of the live cells, after every single operation.
-            for edge in 0..EDGES {
-                let id = EdgeId(edge as u32);
-                let scan = (0..SLOTS)
-                    .map(|t| live.get(id, t))
-                    .fold(0.0_f64, f64::max);
-                prop_assert_eq!(
-                    live.peak(id).to_bits(),
-                    scan.to_bits(),
-                    "edge {} cache {} != scan {}",
-                    edge,
-                    live.peak(id),
-                    scan
-                );
-                prop_assert_eq!(live.charged_units(id), ceil_units(scan));
-            }
-        }
-
-        // Invariant B (tolerant): the final state matches a freshly
-        // rebuilt matrix holding only the surviving adds. (Add/remove
-        // pairs cancel only up to float rounding, hence the epsilon.)
-        let mut rebuilt = LoadMatrix::new(EDGES, SLOTS);
-        for &(e, start, end, amt) in &surviving {
-            rebuilt.add(EdgeId(e as u32), start, end, amt);
-        }
-        for edge in 0..EDGES {
-            let id = EdgeId(edge as u32);
-            prop_assert!((live.peak(id) - rebuilt.peak(id)).abs() < 1e-9);
-            prop_assert_eq!(live.charged_units(id), rebuilt.charged_units(id));
-            for t in 0..SLOTS {
-                prop_assert!((live.get(id, t) - rebuilt.get(id, t)).abs() < 1e-9);
-            }
         }
     }
 
