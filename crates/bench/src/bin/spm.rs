@@ -12,8 +12,8 @@ use metis_baselines::{ecoflow, mincost, opt_spm_with_start};
 use metis_bench::report::{convergence_table, lp_stats_table, phase_timing_table};
 use metis_core::{maa, metis_instrumented, FaultPlan, MaaOptions, MetisConfig, SpmInstance};
 use metis_lp::IlpOptions;
+use metis_telemetry::json::{obj, Json};
 use metis_telemetry::{to_prometheus, Telemetry};
-use metis_workload::json::{obj, Json};
 use metis_workload::{
     FamilySpec, Horizon, RequestId, Scenario, TopologySpec, UniformSpec, ValueModel, MAX_REQUESTS,
     SCENARIO_VERSION,

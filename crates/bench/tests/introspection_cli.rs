@@ -9,8 +9,8 @@ use std::io::{BufRead, BufReader, Read, Write as _};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 
+use metis_telemetry::json::Json;
 use metis_telemetry::validate_prometheus;
-use metis_workload::json::Json;
 
 /// Kills the child on scope exit so a failing assertion cannot leak a
 /// parked `--serve` process.

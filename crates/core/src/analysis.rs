@@ -7,8 +7,6 @@
 //! reports per-request attributed profit and per-link economics. The
 //! attribution is exact in aggregate: attributed costs sum to the bill.
 
-use serde::{Deserialize, Serialize};
-
 use metis_netsim::EdgeId;
 use metis_workload::RequestId;
 
@@ -16,7 +14,7 @@ use crate::instance::SpmInstance;
 use crate::schedule::Schedule;
 
 /// Per-request verdict with attributed economics.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequestOutcome {
     /// The request.
     pub id: RequestId,
@@ -32,7 +30,7 @@ pub struct RequestOutcome {
 }
 
 /// Per-link economics.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LinkOutcome {
     /// The directed edge.
     pub edge: EdgeId,
@@ -49,7 +47,7 @@ pub struct LinkOutcome {
 }
 
 /// Full analysis of one schedule.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScheduleAnalysis {
     /// One entry per request, in id order.
     pub requests: Vec<RequestOutcome>,

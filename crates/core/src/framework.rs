@@ -10,8 +10,6 @@
 use std::fmt;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use metis_lp::{SolveError, SolveOptions, SolveStats};
 use metis_telemetry::{names, Telemetry};
 use metis_workload::RequestId;
@@ -70,7 +68,7 @@ impl MetisConfig {
 }
 
 /// Which solver produced an iteration's schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// RL-SPM Solver (MAA).
     Maa,
@@ -96,7 +94,7 @@ impl fmt::Display for Phase {
 /// profit history. Captured unconditionally (it is pure bookkeeping on
 /// values the framework already computes), so results stay bit-identical
 /// with telemetry on or off.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoundTrace {
     /// Alternation round: 0 for the initialization MAA, `1..=θ` after.
     pub round: usize,

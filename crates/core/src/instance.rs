@@ -3,10 +3,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use metis_lp::VarId;
-use metis_netsim::{k_shortest_paths, NodeId, Path, PathMetric, Topology};
+use metis_netsim::{k_shortest_paths, NodeId, Path, Topology};
 use metis_workload::{Request, RequestId};
 
 use crate::error::InstanceError;
@@ -30,7 +28,7 @@ pub const DEFAULT_PATHS_PER_PAIR: usize = 3;
 /// assert_eq!(instance.num_requests(), 20);
 /// assert!(instance.paths(metis_workload::RequestId(0)).len() >= 1);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpmInstance {
     topo: Topology,
     requests: Vec<Request>,
@@ -66,7 +64,7 @@ impl SpmInstance {
     /// request order, instead of panicking.
     ///
     /// Paths are enumerated once per ordered pair that a request
-    /// connects, by [`k_shortest_paths`] under [`PathMetric::Price`];
+    /// connects, by [`k_shortest_paths`] (cheapest first);
     /// requests between the same two nodes share that one set.
     ///
     /// # Errors
@@ -93,9 +91,9 @@ impl SpmInstance {
                     id: r.id,
                     reason: e,
                 })?;
-            let set = sets.entry((r.src, r.dst)).or_insert_with(|| {
-                k_shortest_paths(&topo, r.src, r.dst, paths_per_pair, PathMetric::Price).into()
-            });
+            let set = sets
+                .entry((r.src, r.dst))
+                .or_insert_with(|| k_shortest_paths(&topo, r.src, r.dst, paths_per_pair).into());
             if set.is_empty() {
                 return Err(InstanceError::DisconnectedEndpoints {
                     id: r.id,
@@ -278,7 +276,7 @@ mod tests {
         for (r, ps) in inst.iter() {
             assert_eq!(
                 ps,
-                k_shortest_paths(&topo, r.src, r.dst, 3, PathMetric::Price),
+                k_shortest_paths(&topo, r.src, r.dst, 3),
                 "request {}",
                 r.id
             );

@@ -5,12 +5,10 @@
 //! bandwidth of the link with the minimum average utilization; two
 //! alternative rules are provided for the ablation benchmarks.
 
-use serde::{Deserialize, Serialize};
-
 use metis_netsim::{EdgeId, LoadMatrix, Topology};
 
 /// The capacity-reduction rule `τ`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum LimiterRule {
     /// Reduce by one unit the link whose average utilization
     /// (mean load / capacity) is minimal — the paper's rule.

@@ -1,7 +1,5 @@
 //! Schedules (accept/decline + path assignment) and their evaluation.
 
-use serde::{Deserialize, Serialize};
-
 use metis_netsim::{LoadMatrix, UtilizationStats};
 use metis_workload::RequestId;
 
@@ -12,7 +10,7 @@ use crate::instance::SpmInstance;
 /// `assignment[i] == Some(j)` routes request `i` over its `j`-th candidate
 /// path; `None` declines it. A schedule is only meaningful together with
 /// the [`SpmInstance`] it was built for.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schedule {
     assignment: Vec<Option<u32>>,
 }
@@ -197,7 +195,7 @@ impl std::fmt::Display for CapacityViolation {
 }
 
 /// Economic outcome of a schedule.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Evaluation {
     /// Service revenue `Σ v_i` over accepted requests.
     pub revenue: f64,

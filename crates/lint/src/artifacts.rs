@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use metis_workload::json::Json;
+use metis_telemetry::json::Json;
 
 use crate::scan::{scan, Scan};
 use crate::{collect_files, Diagnostic};

@@ -2,12 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a data center (node) within one [`Topology`].
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -24,9 +20,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of a directed link (edge) within one [`Topology`].
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -47,7 +41,7 @@ impl fmt::Display for EdgeId {
 /// Relative bandwidth prices follow the Cloudflare "bandwidth costs around
 /// the world" breakdown the paper cites: Europe and North America are the
 /// cheapest (1×), Asia roughly 6.5×, Oceania and South America roughly 17×.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Region {
     /// North America (relative price 1.0).
     NorthAmerica,
@@ -73,7 +67,7 @@ impl Region {
 }
 
 /// A data center.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Node {
     /// Human-readable name, e.g. `"DC3"`.
     pub name: String,
@@ -82,7 +76,7 @@ pub struct Node {
 }
 
 /// A directed link between two data centers.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Edge {
     /// Source data center.
     pub from: NodeId,
@@ -112,7 +106,7 @@ pub struct Edge {
 /// assert_eq!(topo.num_nodes(), 2);
 /// assert_eq!(topo.num_edges(), 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Topology {
     nodes: Vec<Node>,
     edges: Vec<Edge>,

@@ -15,12 +15,12 @@
 //! # Examples
 //!
 //! ```
-//! use metis_netsim::{k_shortest_paths, topologies, LoadMatrix, PathMetric};
+//! use metis_netsim::{k_shortest_paths, topologies, LoadMatrix};
 //!
 //! let topo = topologies::b4();
 //! let src = topo.node_ids().next().unwrap();
 //! let dst = topo.node_ids().nth(7).unwrap();
-//! let paths = k_shortest_paths(&topo, src, dst, 3, PathMetric::Price);
+//! let paths = k_shortest_paths(&topo, src, dst, 3);
 //! let path = &paths[0];
 //!
 //! let mut load = LoadMatrix::new(topo.num_edges(), 12);
@@ -45,7 +45,7 @@ pub mod topologies;
 
 pub use graph::{Edge, EdgeId, Node, NodeId, Region, Topology, TopologyBuilder};
 pub use load::{ceil_units, LoadMatrix, UtilizationStats, CEIL_EPS};
-pub use paths::{k_shortest_paths, shortest_path, Path, PathMetric};
+pub use paths::{k_shortest_paths, shortest_path, Path};
 
 /// One unit of bandwidth in Gbps: ISPs sell bandwidth in fixed units of
 /// 10 Gbps in the paper's model.

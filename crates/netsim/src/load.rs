@@ -5,8 +5,6 @@
 //! [`LoadMatrix`] tracks reserved bandwidth per directed edge and slot and
 //! derives charged units, cost, and link-utilization statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{EdgeId, Topology};
 
 /// Tolerance when rounding peak loads up to integer units: loads within
@@ -26,7 +24,7 @@ pub const CEIL_EPS: f64 = 1e-9;
 /// load.add(e, 2, 5, 0.37); // slots 2..=5
 /// assert_eq!(load.charged_units(e), 1);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoadMatrix {
     num_edges: usize,
     num_slots: usize,
@@ -166,7 +164,7 @@ pub fn ceil_units(load: f64) -> u64 {
 }
 
 /// Min / mean / max link utilization, as plotted in Fig. 3c and Fig. 5c.
-#[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct UtilizationStats {
     /// Minimum utilization over links with purchased bandwidth.
     pub min: f64,

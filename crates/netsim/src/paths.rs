@@ -9,32 +9,10 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{EdgeId, NodeId, Topology};
 
-/// How path cost is measured during enumeration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum PathMetric {
-    /// Sum of per-unit bandwidth prices along the path — the natural metric
-    /// for cost-aware scheduling (cheapest paths first).
-    #[default]
-    Price,
-    /// Hop count.
-    Hops,
-}
-
-impl PathMetric {
-    fn edge_cost(self, topo: &Topology, e: EdgeId) -> f64 {
-        match self {
-            PathMetric::Price => topo.price(e),
-            PathMetric::Hops => 1.0,
-        }
-    }
-}
-
 /// A loopless directed path.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Path {
     edges: Vec<EdgeId>,
     nodes: Vec<NodeId>,
@@ -96,14 +74,9 @@ impl Path {
         self.edges.contains(&e)
     }
 
-    /// Total cost under a metric.
-    pub fn cost(&self, topo: &Topology, metric: PathMetric) -> f64 {
-        self.edges.iter().map(|&e| metric.edge_cost(topo, e)).sum()
-    }
-
     /// Sum of per-unit prices along the path.
     pub fn price(&self, topo: &Topology) -> f64 {
-        self.cost(topo, PathMetric::Price)
+        self.edges.iter().map(|&e| topo.price(e)).sum()
     }
 }
 
@@ -136,7 +109,6 @@ fn dijkstra(
     topo: &Topology,
     src: NodeId,
     dst: NodeId,
-    metric: PathMetric,
     banned_edges: &[bool],
     banned_nodes: &[bool],
 ) -> Option<Vec<EdgeId>> {
@@ -164,7 +136,7 @@ fn dijkstra(
             if banned_nodes[to.index()] {
                 continue;
             }
-            let nd = d + metric.edge_cost(topo, e);
+            let nd = d + topo.price(e);
             if nd < dist[to.index()] - 1e-15 {
                 dist[to.index()] = nd;
                 prev[to.index()] = Some(e);
@@ -190,19 +162,13 @@ fn dijkstra(
 }
 
 /// The cheapest path from `src` to `dst`, or `None` if unreachable.
-pub fn shortest_path(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    metric: PathMetric,
-) -> Option<Path> {
+pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> {
     if src == dst {
         return None;
     }
     let banned_e = vec![false; topo.num_edges()];
     let banned_n = vec![false; topo.num_nodes()];
-    dijkstra(topo, src, dst, metric, &banned_e, &banned_n)
-        .map(|edges| Path::from_edges(topo, edges))
+    dijkstra(topo, src, dst, &banned_e, &banned_n).map(|edges| Path::from_edges(topo, edges))
 }
 
 /// Yen's algorithm: up to `k` cheapest loopless paths from `src` to `dst`,
@@ -211,17 +177,11 @@ pub fn shortest_path(
 /// Returns fewer than `k` paths when the graph does not contain that many
 /// loopless alternatives, and an empty vector when `dst` is unreachable or
 /// `src == dst`.
-pub fn k_shortest_paths(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    metric: PathMetric,
-) -> Vec<Path> {
+pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
     if k == 0 || src == dst {
         return Vec::new();
     }
-    let Some(first) = shortest_path(topo, src, dst, metric) else {
+    let Some(first) = shortest_path(topo, src, dst) else {
         return Vec::new();
     };
     let mut found = vec![first];
@@ -248,11 +208,11 @@ pub fn k_shortest_paths(
                 banned_n[nd.index()] = true;
             }
 
-            if let Some(spur) = dijkstra(topo, spur_node, dst, metric, &banned_e, &banned_n) {
+            if let Some(spur) = dijkstra(topo, spur_node, dst, &banned_e, &banned_n) {
                 let mut total: Vec<EdgeId> = root_edges.to_vec();
                 total.extend(spur);
                 let path = Path::from_edges(topo, total);
-                let cost = path.cost(topo, metric);
+                let cost = path.price(topo);
                 let dup = found.iter().any(|p| p.edges() == path.edges())
                     || candidates.iter().any(|(_, e)| *e == path.edges());
                 if !dup {
@@ -297,7 +257,7 @@ mod tests {
     #[test]
     fn shortest_is_cheapest() {
         let t = square();
-        let p = shortest_path(&t, NodeId(0), NodeId(3), PathMetric::Price).unwrap();
+        let p = shortest_path(&t, NodeId(0), NodeId(3)).unwrap();
         assert_eq!(p.len(), 2);
         assert!((p.price(&t) - 2.0).abs() < 1e-12);
         assert_eq!(p.source(), NodeId(0));
@@ -305,16 +265,9 @@ mod tests {
     }
 
     #[test]
-    fn shortest_by_hops_differs() {
-        let t = square();
-        let p = shortest_path(&t, NodeId(0), NodeId(3), PathMetric::Hops).unwrap();
-        assert_eq!(p.len(), 1, "direct link wins on hop count");
-    }
-
-    #[test]
     fn yen_orders_by_cost() {
         let t = square();
-        let ps = k_shortest_paths(&t, NodeId(0), NodeId(3), 5, PathMetric::Price);
+        let ps = k_shortest_paths(&t, NodeId(0), NodeId(3), 5);
         assert_eq!(ps.len(), 3, "exactly three loopless 1→4 paths exist");
         let costs: Vec<f64> = ps.iter().map(|p| p.price(&t)).collect();
         assert!((costs[0] - 2.0).abs() < 1e-12);
@@ -325,7 +278,7 @@ mod tests {
     #[test]
     fn yen_paths_are_loopless_and_distinct() {
         let t = square();
-        let ps = k_shortest_paths(&t, NodeId(0), NodeId(3), 10, PathMetric::Price);
+        let ps = k_shortest_paths(&t, NodeId(0), NodeId(3), 10);
         for p in &ps {
             let mut nodes = p.nodes().to_vec();
             nodes.sort();
@@ -342,12 +295,9 @@ mod tests {
     #[test]
     fn k_limits_result() {
         let t = square();
-        let ps = k_shortest_paths(&t, NodeId(0), NodeId(3), 2, PathMetric::Price);
+        let ps = k_shortest_paths(&t, NodeId(0), NodeId(3), 2);
         assert_eq!(ps.len(), 2);
-        assert_eq!(
-            k_shortest_paths(&t, NodeId(0), NodeId(3), 0, PathMetric::Price).len(),
-            0
-        );
+        assert_eq!(k_shortest_paths(&t, NodeId(0), NodeId(3), 0).len(), 0);
     }
 
     #[test]
@@ -358,9 +308,9 @@ mod tests {
         let d = b.add_node("d", Region::Europe);
         b.add_link(a, c, 1.0);
         let t = b.build();
-        assert!(shortest_path(&t, a, d, PathMetric::Price).is_none());
-        assert!(k_shortest_paths(&t, a, d, 3, PathMetric::Price).is_empty());
-        assert!(k_shortest_paths(&t, a, a, 3, PathMetric::Price).is_empty());
+        assert!(shortest_path(&t, a, d).is_none());
+        assert!(k_shortest_paths(&t, a, d, 3).is_empty());
+        assert!(k_shortest_paths(&t, a, a, 3).is_empty());
         let _ = d;
     }
 

@@ -290,7 +290,7 @@ pub fn random_wan(n: u32, extra_links: usize, seed: u64) -> Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::{k_shortest_paths, PathMetric};
+    use crate::paths::k_shortest_paths;
 
     #[test]
     fn b4_shape_matches_paper() {
@@ -349,7 +349,7 @@ mod tests {
                         continue;
                     }
                     pairs += 1;
-                    let ps = k_shortest_paths(&t, s, d, 3, PathMetric::Price);
+                    let ps = k_shortest_paths(&t, s, d, 3);
                     assert!(!ps.is_empty(), "{s}→{d} unreachable");
                     if ps.len() >= 2 {
                         pairs_with_choice += 1;

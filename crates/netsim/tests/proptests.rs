@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 
 use metis_netsim::{
-    ceil_units, k_shortest_paths, shortest_path, EdgeId, LoadMatrix, NodeId, PathMetric, Region,
-    Topology,
+    ceil_units, k_shortest_paths, shortest_path, EdgeId, LoadMatrix, NodeId, Region, Topology,
 };
 
 /// Random connected topology: a ring plus chords, mixed regions.
@@ -51,8 +50,8 @@ proptest! {
     fn shortest_path_is_minimal_among_yen(topo in arb_topology(), k in 1usize..6) {
         let src = NodeId(0);
         let dst = NodeId((topo.num_nodes() - 1) as u32);
-        let best = shortest_path(&topo, src, dst, PathMetric::Price).unwrap();
-        let all = k_shortest_paths(&topo, src, dst, k, PathMetric::Price);
+        let best = shortest_path(&topo, src, dst).unwrap();
+        let all = k_shortest_paths(&topo, src, dst, k);
         prop_assert!(!all.is_empty());
         prop_assert!((all[0].price(&topo) - best.price(&topo)).abs() < 1e-9);
         // Sorted by cost, loopless, pairwise distinct, endpoints right.
@@ -76,8 +75,8 @@ proptest! {
     fn yen_with_larger_k_extends_prefix(topo in arb_topology()) {
         let src = NodeId(0);
         let dst = NodeId(1);
-        let small = k_shortest_paths(&topo, src, dst, 2, PathMetric::Price);
-        let large = k_shortest_paths(&topo, src, dst, 4, PathMetric::Price);
+        let small = k_shortest_paths(&topo, src, dst, 2);
+        let large = k_shortest_paths(&topo, src, dst, 4);
         // Cost sequence of the smaller call is a prefix of the larger's.
         for (a, b) in small.iter().zip(&large) {
             prop_assert!((a.price(&topo) - b.price(&topo)).abs() < 1e-9);

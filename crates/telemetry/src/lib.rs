@@ -3,6 +3,11 @@
 //! fixed-bucket histograms, bounded series), an event stream for
 //! incidents, and JSON / Prometheus snapshot export.
 //!
+//! The [`json`] module is the workspace's one JSON implementation: the
+//! snapshot and the Chrome trace are built as [`json::Json`] values and
+//! printed through it, and the workload crate parses scenario files
+//! with it. It sits here because this crate depends on nothing.
+//!
 //! # Design constraints
 //!
 //! - **True no-op when disabled.** [`Telemetry::disabled`] carries no
@@ -45,6 +50,7 @@
     )
 )]
 
+pub mod json;
 mod metrics;
 mod prometheus;
 mod serve;

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use crate::metrics::HISTOGRAM_BOUNDS;
-use crate::snapshot::{format_f64, Snapshot};
+use crate::snapshot::Snapshot;
 
 /// Prefix applied to every exported family name.
 const PREFIX: &str = "metis_";
@@ -47,6 +47,24 @@ fn label_value(v: &str) -> String {
     out
 }
 
+/// A sample value: shortest round-trip decimal with an explicit `.0` for
+/// integral values so the token stays typed as a float, and the
+/// exposition format's `+Inf`/`-Inf`/`NaN` for non-finite values.
+fn format_f64(v: f64) -> String {
+    if v.is_nan() {
+        return "NaN".to_string();
+    }
+    if v.is_infinite() {
+        return if v > 0.0 { "+Inf" } else { "-Inf" }.to_string();
+    }
+    let s = format!("{v}");
+    if s.contains(['.', 'e', 'E']) {
+        s
+    } else {
+        format!("{s}.0")
+    }
+}
+
 /// Renders a snapshot in the Prometheus text exposition format.
 ///
 /// Counters and gauges map directly; histograms emit cumulative
@@ -74,9 +92,7 @@ pub fn to_prometheus(snapshot: &Snapshot) -> String {
         let mut cumulative = 0u64;
         for (i, &bucket) in h.buckets.iter().enumerate() {
             cumulative += bucket;
-            let le = HISTOGRAM_BOUNDS
-                .get(i)
-                .map_or_else(|| "+Inf".to_string(), |b| format_f64(*b));
+            let le = format_f64(HISTOGRAM_BOUNDS.get(i).copied().unwrap_or(f64::INFINITY));
             out.push_str(&format!("{f}_bucket{{le=\"{le}\"}} {cumulative}\n"));
         }
         out.push_str(&format!("{f}_sum {}\n", format_f64(h.sum)));
@@ -376,6 +392,34 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn format_f64_keeps_float_tokens() {
+        assert_eq!(format_f64(1.0), "1.0");
+        assert_eq!(format_f64(0.5), "0.5");
+        assert_eq!(format_f64(-3.0), "-3.0");
+        assert_eq!(format_f64(1e-9), "0.000000001");
+        assert_eq!(format_f64(1e25), "10000000000000000000000000.0");
+        assert_eq!(format_f64(f64::INFINITY), "+Inf");
+        assert_eq!(format_f64(f64::NEG_INFINITY), "-Inf");
+        assert_eq!(format_f64(f64::NAN), "NaN");
+    }
+
+    #[test]
+    fn non_finite_values_export_validly() {
+        let t = crate::Telemetry::enabled();
+        t.gauge("g.inf", f64::INFINITY);
+        t.gauge("g.neg", f64::NEG_INFINITY);
+        t.push("s.nan", f64::NAN);
+        t.observe("h.inf", f64::INFINITY);
+        let text = to_prometheus(&t.snapshot().expect("enabled"));
+        validate_prometheus(&text).expect("non-finite values must export valid text");
+        assert!(text.contains("metis_g_inf +Inf\n"));
+        assert!(text.contains("metis_g_neg -Inf\n"));
+        assert!(text.contains("metis_s_nan_last NaN\n"));
+        assert!(text.contains("metis_h_inf_sum +Inf\n"));
+        assert!(text.contains("metis_h_inf_bucket{le=\"+Inf\"} 1\n"));
+    }
 
     #[test]
     fn family_sanitizes_names() {

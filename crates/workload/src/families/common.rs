@@ -3,7 +3,7 @@
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-use metis_netsim::{NodeId, PathMetric, Topology};
+use metis_netsim::{NodeId, Topology};
 
 use crate::generator::ValueModel;
 use crate::request::{Request, RequestId};
@@ -73,7 +73,7 @@ impl PriceCache {
     pub(crate) fn get(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> f64 {
         let idx = src.index() * self.n + dst.index();
         if self.cache[idx].is_none() {
-            let p = metis_netsim::shortest_path(topo, src, dst, PathMetric::Price)
+            let p = metis_netsim::shortest_path(topo, src, dst)
                 .map(|p| p.price(topo))
                 .unwrap_or(0.0);
             self.cache[idx] = Some(p);

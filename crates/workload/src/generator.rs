@@ -13,9 +13,8 @@ use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
-use metis_netsim::{gbps_to_units, NodeId, PathMetric, Topology};
+use metis_netsim::{gbps_to_units, NodeId, Topology};
 
 use crate::request::{Request, RequestId};
 
@@ -23,7 +22,7 @@ use crate::request::{Request, RequestId};
 pub const DEFAULT_SLOTS: usize = 12;
 
 /// How a request's bid `v_i` is derived.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ValueModel {
     /// `v = rate · (duration / T) · cheapest_path_price(src → dst) · m`,
     /// with the markup `m` uniform in `[low, high]`.
@@ -61,7 +60,7 @@ impl Default for ValueModel {
 }
 
 /// Configuration for [`generate`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of requests `K` per billing cycle.
     pub num_requests: usize,
@@ -150,7 +149,7 @@ pub fn generate(topo: &Topology, config: &WorkloadConfig) -> Vec<Request> {
     let mut price_of = |src: NodeId, dst: NodeId| -> f64 {
         let idx = src.index() * n + dst.index();
         if min_price[idx].is_none() {
-            let p = metis_netsim::shortest_path(topo, src, dst, PathMetric::Price)
+            let p = metis_netsim::shortest_path(topo, src, dst)
                 .map(|p| p.price(topo))
                 .unwrap_or(0.0);
             min_price[idx] = Some(p);
@@ -307,7 +306,7 @@ mod tests {
         let below = reqs
             .iter()
             .filter(|r| {
-                let price = metis_netsim::shortest_path(&topo, r.src, r.dst, PathMetric::Price)
+                let price = metis_netsim::shortest_path(&topo, r.src, r.dst)
                     .unwrap()
                     .price(&topo);
                 r.value < r.rate * (r.duration() as f64 / 12.0) * price

@@ -7,7 +7,8 @@
 //!
 //! Beyond the paper's setup, the [`scenario`] module defines versioned
 //! scenario files (`scenarios/*.json`) with a strict validating loader
-//! and four further generator families — population-weighted
+//! (the JSON itself is parsed by `metis_telemetry::json`) and four
+//! further generator families — population-weighted
 //! [geo-locality](GeoLocalitySpec), [diurnal/bursty](DiurnalSpec)
 //! arrivals over multi-cycle horizons, strategic-bid
 //! [auctions](AuctionSpec), and hose-model [virtual clusters](HoseSpec).
@@ -26,7 +27,6 @@
 
 mod families;
 mod generator;
-pub mod json;
 mod request;
 pub mod scenario;
 

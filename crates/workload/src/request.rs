@@ -2,14 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use metis_netsim::NodeId;
 
 /// Identifier of a request within one workload.
-#[derive(
-    Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct RequestId(pub u32);
 
 impl RequestId {
@@ -32,7 +28,7 @@ impl fmt::Display for RequestId {
 /// `src` to `dst` during every slot in `start..=end`, and bids `value` for
 /// it. The provider may decline; if it accepts, the whole rate must be
 /// carried on a single path.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Request {
     /// Identifier (position in the workload).
     pub id: RequestId,

@@ -6,7 +6,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use metis_workload::json::Json;
+use metis_telemetry::json::Json;
 use metis_workload::scenario::Scenario;
 
 /// JSON-ish fragments: structure, literals (some truncated), strings with

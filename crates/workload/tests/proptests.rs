@@ -80,8 +80,7 @@ proptest! {
         for r in &reqs {
             prop_assert!(r.value > 0.0);
             // Bounded by max markup × full-cycle standalone fractional cost.
-            let price = metis_netsim::shortest_path(
-                &topo, r.src, r.dst, metis_netsim::PathMetric::Price)
+            let price = metis_netsim::shortest_path(&topo, r.src, r.dst)
                 .unwrap()
                 .price(&topo);
             let cap = r.rate * (r.duration() as f64 / 12.0) * price * 4.0 + 1e-9;

@@ -219,7 +219,7 @@ fn instance_setup_scales_to_the_largest_random_wan() {
     // Setup enumerates paths only for the pairs the requests use, so a
     // handful of requests is quick at that size; each request gets the
     // paths Yen's algorithm finds for its own pair.
-    use metis_suite::netsim::{k_shortest_paths, PathMetric};
+    use metis_suite::netsim::k_shortest_paths;
     use metis_suite::workload::scenario::MAX_RANDOM_NODES;
     let topo = topologies::random_wan(MAX_RANDOM_NODES, 1_000, 5);
     let requests = generate(&topo, &WorkloadConfig::paper(5, 3));
@@ -228,9 +228,6 @@ fn instance_setup_scales_to_the_largest_random_wan() {
     assert_eq!(inst.num_requests(), 5);
     for (r, paths) in inst.iter() {
         assert!(!paths.is_empty());
-        assert_eq!(
-            paths,
-            k_shortest_paths(&topo, r.src, r.dst, 3, PathMetric::Price)
-        );
+        assert_eq!(paths, k_shortest_paths(&topo, r.src, r.dst, 3));
     }
 }

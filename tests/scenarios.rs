@@ -36,8 +36,8 @@ use metis_suite::core::{
     Phase, SpmInstance,
 };
 use metis_suite::netsim::units_to_gbps;
+use metis_suite::telemetry::json::Json;
 use metis_suite::telemetry::Telemetry;
-use metis_suite::workload::json::Json;
 use metis_suite::workload::{RequestId, Scenario};
 
 /// Tolerance against the pinned golden profits (same tolerance as
