@@ -8,6 +8,8 @@
 //!     --network b4 --requests 200 --seed 7 --theta 8 --compare --json
 //! ```
 
+use std::io::{self, Write};
+
 use metis_baselines::{ecoflow, mincost, opt_spm_with_start};
 use metis_bench::report::{convergence_table, lp_stats_table, phase_timing_table};
 use metis_core::{maa, metis_instrumented, FaultPlan, MaaOptions, MetisConfig, SpmInstance};
@@ -18,6 +20,27 @@ use metis_workload::{
     FamilySpec, Horizon, RequestId, Scenario, TopologySpec, UniformSpec, ValueModel, MAX_REQUESTS,
     SCENARIO_VERSION,
 };
+
+/// `writeln!` to `out` through [`written`].
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        written(writeln!($out, $($arg)*))
+    };
+}
+
+/// Ends the run when a write to stdout failed: quietly with status 0
+/// when the reader has gone away (`spm … | head`), since nobody is left
+/// to read the rest, and with a message and status 1 otherwise.
+fn written(result: io::Result<()>) {
+    match result {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 #[derive(Debug)]
 struct Args {
@@ -125,7 +148,7 @@ fn parse_args() -> Result<Args, String> {
             "--trace-chrome" => args.trace_chrome = Some(value("--trace-chrome")?),
             "--serve" => args.serve = Some(value("--serve")?),
             "--help" | "-h" => {
-                println!("{USAGE}");
+                outln!(io::stdout().lock(), "{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
@@ -321,6 +344,7 @@ fn main() {
     let requests = scenario.generate(&topo);
     let instance = SpmInstance::new(topo, requests, scenario.num_slots(), scenario.paths);
 
+    let mut stdout = io::stdout().lock();
     let want_tele = args.telemetry.is_some()
         || args.telemetry_prometheus.is_some()
         || args.trace_chrome.is_some()
@@ -338,7 +362,7 @@ fn main() {
         .as_ref()
         .map(|addr| match tele.serve(addr.as_str()) {
             Ok(s) => {
-                println!("serving telemetry on http://{}/metrics", s.addr());
+                outln!(stdout, "serving telemetry on http://{}/metrics", s.addr());
                 s
             }
             Err(e) => {
@@ -451,48 +475,69 @@ fn main() {
     };
 
     if args.json {
-        println!("{}", out.to_json().to_pretty());
+        outln!(stdout, "{}", out.to_json().to_pretty());
     } else {
-        println!(
+        outln!(
+            stdout,
             "{} [{}] on {} | K={} seed={} θ={}",
-            out.scenario, out.family, out.network, out.requests, out.seed, out.theta
+            out.scenario,
+            out.family,
+            out.network,
+            out.requests,
+            out.seed,
+            out.theta
         );
-        println!(
+        outln!(
+            stdout,
             "metis: profit {:.2} (revenue {:.2} − cost {:.2}), accepted {}/{}",
-            out.metis.profit, out.metis.revenue, out.metis.cost, out.metis.accepted, out.requests
+            out.metis.profit,
+            out.metis.revenue,
+            out.metis.cost,
+            out.metis.accepted,
+            out.requests
         );
         if out.incidents.failed_rounds > 0 || out.incidents.warm_retries > 0 {
-            println!(
+            outln!(
+                stdout,
                 "incidents: {} failed round(s), {} warm retry(ies) — run degraded but completed",
-                out.incidents.failed_rounds, out.incidents.warm_retries
+                out.incidents.failed_rounds,
+                out.incidents.warm_retries
             );
         }
         if let Some(a) = &out.audit {
             if a.violations.is_empty() {
-                println!("audit: clean ({} checks)", a.checks);
+                outln!(stdout, "audit: clean ({} checks)", a.checks);
             } else {
-                println!(
+                outln!(
+                    stdout,
                     "audit: {} of {} checks VIOLATED:",
                     a.violations.len(),
                     a.checks
                 );
                 for v in &a.violations {
-                    println!("  {v}");
+                    outln!(stdout, "  {v}");
                 }
             }
         }
         for c in &out.comparisons {
-            println!(
+            outln!(
+                stdout,
                 "{:>24}: profit {:>9.2}, accepted {:>5}",
-                c.name, c.profit, c.accepted
+                c.name,
+                c.profit,
+                c.accepted
             );
         }
         let declined = out.decisions.iter().filter(|d| !d.accepted).count();
-        println!("declined {declined} bids; rerun with --json for per-bid routes");
+        outln!(
+            stdout,
+            "declined {declined} bids; rerun with --json for per-bid routes"
+        );
     }
     if args.analyze {
         let analysis = metis_core::analyze(&instance, &result.schedule);
-        println!(
+        outln!(
+            stdout,
             "
 # schedule analysis
 {}",
@@ -522,9 +567,13 @@ fn main() {
             }
         }
         if !args.json {
-            println!("\n{}", phase_timing_table(&snap).render());
-            println!("\n{}", lp_stats_table(&snap).render());
-            println!("\n{}", convergence_table(&result.round_trace).render());
+            outln!(stdout, "\n{}", phase_timing_table(&snap).render());
+            outln!(stdout, "\n{}", lp_stats_table(&snap).render());
+            outln!(
+                stdout,
+                "\n{}",
+                convergence_table(&result.round_trace).render()
+            );
         }
     }
 

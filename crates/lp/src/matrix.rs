@@ -327,27 +327,74 @@ impl SparseTriangular {
         self.ptr.push(self.idx.len());
     }
 
-    /// Replaces every stored position `p` by `map[p]` and sorts each
-    /// group by the new positions (which must be distinct within a
-    /// group), using `buf` as scratch.
-    pub(crate) fn remap_sorted(&mut self, map: &[u32], buf: &mut Vec<(u32, f64)>) {
-        for k in 0..self.dim() {
-            // INDEX: ptr has dim()+1 entries (CSR invariant), so k+1 is in range for k < dim().
-            let (lo, hi) = (self.ptr[k], self.ptr[k + 1]);
-            buf.clear();
-            buf.extend(
-                self.idx[lo..hi]
-                    .iter()
-                    .zip(&self.val[lo..hi])
-                    .map(|(&p, &v)| (map[p as usize], v)),
-            );
-            buf.sort_unstable_by_key(|&(p, _)| p);
-            for (e, &(p, v)) in buf.iter().enumerate() {
-                // INDEX: buf holds the hi − lo entries of this group, so lo + e < hi.
-                self.idx[lo + e] = p;
-                self.val[lo + e] = v;
+    /// Replaces every stored position `p` by `map[p]`, sorts each group
+    /// by the new positions (which must be distinct within a group), and
+    /// rebuilds `cols` as the transpose of the result: group `p` of
+    /// `cols` lists, ascending, the groups holding new position `p`, and
+    /// where each such entry now sits. Two counting sorts do both in
+    /// `O(nnz + dim)`: the entries into buckets by new position, groups
+    /// ascending within each, and back into their groups in bucket
+    /// order. `buf` is scratch for the values between the two.
+    pub(crate) fn remap_sorted(&mut self, map: &[u32], cols: &mut Pattern, buf: &mut Vec<f64>) {
+        let (m, nnz) = (self.dim(), self.nnz());
+        // Each bucket's start, then its cursor while filling, so that it
+        // ends at the next one's start and shifts back one bucket.
+        cols.ptr.clear();
+        cols.ptr.resize(m + 1, 0);
+        for &p in &self.idx {
+            // INDEX: every mapped position is < dim, within ptr's dim + 1 entries.
+            cols.ptr[map[p as usize] as usize + 1] += 1;
+        }
+        for p in 0..m {
+            // INDEX: p + 1 <= dim, within ptr's dim + 1 entries.
+            cols.ptr[p + 1] += cols.ptr[p];
+        }
+        cols.idx.clear();
+        cols.idx.resize(nnz, 0);
+        buf.clear();
+        buf.resize(nnz, 0.0);
+        for k in 0..m {
+            // INDEX: ptr has dim + 1 entries (CSR invariant), so k + 1 is in range for k < dim.
+            for e in self.ptr[k]..self.ptr[k + 1] {
+                let next = &mut cols.ptr[map[self.idx[e] as usize] as usize];
+                cols.idx[*next] = k as u32;
+                buf[*next] = self.val[e];
+                *next += 1;
             }
         }
+        cols.ptr.copy_within(0..m, 1);
+        cols.ptr[0] = 0;
+        // The same for the groups, whose sizes stay as they are.
+        cols.at.clear();
+        cols.at.resize(nnz, 0);
+        for p in 0..m {
+            // INDEX: ptr has dim + 1 entries, so p + 1 is in range for p < dim.
+            let (lo, hi) = (cols.ptr[p], cols.ptr[p + 1]);
+            let bucket = cols.idx[lo..hi].iter().zip(&buf[lo..hi]);
+            for ((&k, &v), at) in bucket.zip(&mut cols.at[lo..hi]) {
+                let next = &mut self.ptr[k as usize];
+                self.idx[*next] = p as u32;
+                self.val[*next] = v;
+                *at = *next as u32;
+                *next += 1;
+            }
+        }
+        self.ptr.copy_within(0..m, 1);
+        self.ptr[0] = 0;
+    }
+
+    /// Whether this factor and `other` store the same entries, bit for
+    /// bit.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn same_bits(&self, other: &Self) -> bool {
+        self.ptr == other.ptr
+            && self.idx == other.idx
+            && self.val.len() == other.val.len()
+            && self
+                .val
+                .iter()
+                .zip(&other.val)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
     /// Number of stored off-diagonal nonzeros.
@@ -448,8 +495,8 @@ impl SparseTriangular {
         acc
     }
 
-    /// Step `p` of [`Self::solve_forward`] as a gather over `cols`, this
-    /// factor's [`Pattern::transpose_of`]: `acc` less `v·x[k]` for each
+    /// Step `p` of [`Self::solve_forward`] as a gather over `cols`, the
+    /// transpose [`Self::remap_sorted`] built: `acc` less `v·x[k]` for each
     /// stored entry `v` at `(k, p)` whose `x[k] != 0.0`, in ascending
     /// `k`. These are the subtractions the forward scatter makes at
     /// position `p`, zeros skipped alike and in the same order, so with
@@ -481,7 +528,7 @@ impl SparseTriangular {
 /// values [`SparseTriangular::gather_transposed`] reads through those
 /// places; for the unit lower factor `L`, stored by columns, they are
 /// its rows' patterns.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Pattern {
     /// Group boundaries, length `dim + 1`.
     ptr: Vec<usize>,
@@ -493,39 +540,6 @@ pub(crate) struct Pattern {
 }
 
 impl Pattern {
-    /// Rebuilds this pattern as the transpose of `t`'s, keeping the
-    /// allocations.
-    pub(crate) fn transpose_of(&mut self, t: &SparseTriangular) {
-        let m = t.dim();
-        self.ptr.clear();
-        self.ptr.resize(m + 1, 0);
-        for &p in &t.idx {
-            // INDEX: every stored position p < dim, within ptr's dim+1 entries.
-            self.ptr[p as usize + 1] += 1;
-        }
-        for p in 0..m {
-            // INDEX: p+1 <= dim, within ptr's dim+1 entries.
-            self.ptr[p + 1] += self.ptr[p];
-        }
-        // Fill with ptr[p] as group p's cursor; afterwards ptr[p] is group
-        // p's end, so shift every boundary one group up.
-        self.idx.clear();
-        self.idx.resize(t.idx.len(), 0);
-        self.at.clear();
-        self.at.resize(t.idx.len(), 0);
-        for k in 0..m {
-            // INDEX: ptr has dim+1 entries (CSR invariant), so k+1 is in range for k < dim.
-            for e in t.ptr[k]..t.ptr[k + 1] {
-                let next = &mut self.ptr[t.idx[e] as usize];
-                self.idx[*next] = k as u32;
-                self.at[*next] = e as u32;
-                *next += 1;
-            }
-        }
-        self.ptr.copy_within(0..m, 1);
-        self.ptr[0] = 0;
-    }
-
     /// Group `p`.
     pub(crate) fn group(&self, p: usize) -> &[u32] {
         // INDEX: ptr has dim+1 entries, so p+1 is in range for p < dim.
@@ -726,6 +740,27 @@ mod tests {
         for (j, o) in out.iter().enumerate() {
             assert_eq!(o.to_bits(), m.dot_col(j, &[2.0, -0.0]).to_bits());
         }
+    }
+
+    #[test]
+    fn remap_sorted_orders_each_group_and_builds_the_transpose() {
+        // Groups by slot; `map` sends slot s to position map[s], and each
+        // group arrives out of position order.
+        let map = [2, 0, 3, 1];
+        let mut t = SparseTriangular::from_groups(vec![
+            vec![(2, 0.5), (0, 1.5), (3, 2.5)],
+            vec![(2, -2.0), (0, -1.0)],
+            vec![(2, 4.0)],
+            vec![],
+        ]);
+        let (mut cols, mut buf) = (Pattern::default(), Vec::new());
+        t.remap_sorted(&map, &mut cols, &mut buf);
+        assert_eq!(t.ptr, [0, 3, 5, 6, 6]);
+        assert_eq!(t.idx, [1, 2, 3, 2, 3, 3]);
+        assert_eq!(t.val, [2.5, 1.5, 0.5, -1.0, -2.0, 4.0]);
+        assert_eq!(cols.ptr, [0, 0, 1, 3, 6]);
+        assert_eq!(cols.idx, [0, 0, 1, 0, 1, 2]);
+        assert_eq!(cols.at, [0, 1, 3, 2, 4, 5]);
     }
 
     #[test]
