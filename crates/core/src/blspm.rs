@@ -86,6 +86,12 @@ struct WalkPlan {
     /// summation order: `term_paths[term_start[e]..term_start[e + 1]]`.
     term_start: Vec<u32>,
     term_paths: Vec<u32>,
+    /// Request `i`'s path `j` is path `req_paths[i] + j` of the instance,
+    /// and path `p`'s dense cells, in the order of its request's
+    /// expectation cells, are `path_cells[path_start[p]..path_start[p + 1]]`.
+    req_paths: Vec<u32>,
+    path_start: Vec<u32>,
+    path_cells: Vec<u32>,
 }
 
 impl WalkPlan {
@@ -95,6 +101,7 @@ impl WalkPlan {
         let mut plan = WalkPlan {
             mask_words: max_paths.unwrap_or(0).div_ceil(64),
             req_expect: vec![0],
+            path_start: vec![0],
             ..WalkPlan::default()
         };
         let mut dense = vec![u32::MAX; instance.topology().num_edges() * slots];
@@ -135,6 +142,16 @@ impl WalkPlan {
                 plan.term_paths.push(j as u32);
             }
             plan.req_expect.push(plan.expect_cells.len() as u32);
+            plan.req_paths.push(plan.path_start.len() as u32 - 1);
+            let expect = first..plan.expect_cells.len();
+            for j in 0..paths.len() {
+                for e in expect.clone() {
+                    if plan.on_path(e, j) {
+                        plan.path_cells.push(plan.expect_cells[e]);
+                    }
+                }
+                plan.path_start.push(plan.path_cells.len() as u32);
+            }
         }
         plan.term_start.push(plan.term_paths.len() as u32);
         plan
@@ -153,10 +170,11 @@ impl WalkPlan {
     }
 
     /// The dense cells request `i`'s path `j` crosses.
-    fn path_cells(&self, i: usize, j: usize) -> impl Iterator<Item = usize> + '_ {
-        self.expect(i)
-            .filter(move |&e| self.on_path(e, j))
-            .map(|e| self.expect_cells[e] as usize)
+    fn path_cells(&self, i: usize, j: usize) -> &[u32] {
+        // INDEX: req_paths has one entry per request, and path_start one
+        // boundary per path plus the final one.
+        let p = self.req_paths[i] as usize + j;
+        &self.path_cells[self.path_start[p] as usize..self.path_start[p + 1] as usize]
     }
 
     /// The paths whose `μ·x̂` terms sum to expectation cell `e`'s `S`.
@@ -379,10 +397,13 @@ fn taa_from_relaxation(
     let mut schedule = Schedule::decline_all(k);
     let fits = |cell_load: &[f64], i: usize, j: usize, rate: f64| {
         plan.path_cells(i, j)
-            .all(|c| cell_load[c] + rate <= cell_caps[c] + 1e-9)
+            .iter()
+            .all(|&c| cell_load[c as usize] + rate <= cell_caps[c as usize] + 1e-9)
     };
 
     // Walk the decision tree level by level (Algorithm 2, lines 4–12).
+    // `scores[j]` is option `j`'s u' at the current level.
+    let mut scores: Vec<Option<f64>> = Vec::new();
     for i in 0..k {
         let req = instance.request(RequestId(i as u32));
         let num_paths = relaxation.x[i].len();
@@ -418,11 +439,12 @@ fn taa_from_relaxation(
                 Some(u)
             }
         };
-        let scores: Vec<Option<f64>> = if threads > 1 && cells.len() >= PARALLEL_EVAL_MIN_CELLS {
-            parallel::run_indexed(num_paths + 1, threads, eval_option)
+        if threads > 1 && cells.len() >= PARALLEL_EVAL_MIN_CELLS {
+            scores = parallel::run_indexed(num_paths + 1, threads, eval_option);
         } else {
-            (0..=num_paths).map(eval_option).collect()
-        };
+            scores.clear();
+            scores.extend((0..=num_paths).map(eval_option));
+        }
 
         // Strict minimum wins, paths scanned first, so ties favor earlier
         // (cheaper) paths and routing beats an equal-score decline.
@@ -461,8 +483,8 @@ fn taa_from_relaxation(
                     total_c += new - old;
                     f_cons[e] = g;
                 }
-                for c in plan.path_cells(i, j) {
-                    cell_load[c] += req.rate;
+                for &c in plan.path_cells(i, j) {
+                    cell_load[c as usize] += req.rate;
                 }
             }
             None => {
@@ -497,8 +519,8 @@ fn taa_from_relaxation(
         let rate = instance.request(RequestId(i as u32)).rate;
         let fit = (0..relaxation.x[i].len()).find(|&j| fits(&cell_load, i, j, rate));
         if let Some(j) = fit {
-            for c in plan.path_cells(i, j) {
-                cell_load[c] += rate;
+            for &c in plan.path_cells(i, j) {
+                cell_load[c as usize] += rate;
             }
             schedule.set(RequestId(i as u32), Some(j));
         }
@@ -905,6 +927,34 @@ mod tests {
             declined_some |= reused.schedule.num_accepted() < 80;
         }
         assert!(declined_some, "some round must decline a request");
+    }
+
+    #[test]
+    fn each_path_lists_the_cells_its_mask_marks() {
+        let mut paths_seen = 0;
+        for (k, seed) in [(80, 11), (150, 3), (1, 7)] {
+            let inst = instance(k, seed);
+            let plan = WalkPlan::new(&inst);
+            for (i, (r, paths)) in inst.iter().enumerate() {
+                for (j, path) in paths.iter().enumerate() {
+                    let masked: Vec<u32> = plan
+                        .expect(i)
+                        .filter(|&e| plan.on_path(e, j))
+                        .map(|e| plan.expect_cells[e])
+                        .collect();
+                    let listed = plan.path_cells(i, j);
+                    assert_eq!(listed, masked, "request {i}, path {j}");
+                    // One cell per (edge, active slot) of the path.
+                    assert_eq!(listed.len(), path.edges().len() * r.duration());
+                    for &c in listed {
+                        let e = plan.cell_edge[c as usize] as usize;
+                        assert!(path.edges().iter().any(|ed| ed.index() == e));
+                    }
+                    paths_seen += 1;
+                }
+            }
+        }
+        assert!(paths_seen > 600, "{paths_seen} paths");
     }
 
     #[test]

@@ -175,21 +175,31 @@ impl SpmInstance {
     pub fn load_rows(&self, xvars: &[Vec<VarId>]) -> Vec<(usize, Vec<(VarId, f64)>)> {
         assert_eq!(xvars.len(), self.requests.len(), "xvars per request");
         let slots = self.num_slots;
-        let mut cells: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); self.topo.num_edges() * slots];
-        for ((r, paths), vars) in self.iter().zip(xvars) {
-            if vars.is_empty() {
-                continue;
-            }
-            assert_eq!(vars.len(), paths.len(), "one column per candidate path");
-            for (path, &x) in paths.iter().zip(vars) {
-                for &e in path.edges() {
-                    for t in r.start..=r.end {
-                        // INDEX: e < num_edges and t ≤ r.end < slots by instance validation; flat edge×slot layout.
-                        cells[e.index() * slots + t].push((x, r.rate));
+        // Calls `f(cell, column, rate)` for every term, in the order the
+        // terms go into their cells: by request, then path.
+        let each_term = |f: &mut dyn FnMut(usize, VarId, f64)| {
+            for ((r, paths), vars) in self.iter().zip(xvars) {
+                if vars.is_empty() {
+                    continue;
+                }
+                assert_eq!(vars.len(), paths.len(), "one column per candidate path");
+                for (path, &x) in paths.iter().zip(vars) {
+                    for &e in path.edges() {
+                        for t in r.start..=r.end {
+                            // Flat edge×slot layout.
+                            f(e.index() * slots + t, x, r.rate);
+                        }
                     }
                 }
             }
-        }
+        };
+        // Count each cell's terms first, so that each cell is allocated
+        // once.
+        let mut sizes = vec![0usize; self.topo.num_edges() * slots];
+        // INDEX: e < num_edges and t ≤ r.end < slots by instance validation.
+        each_term(&mut |cell, _, _| sizes[cell] += 1);
+        let mut cells: Vec<Vec<(VarId, f64)>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        each_term(&mut |cell, x, rate| cells[cell].push((x, rate)));
         cells
             .into_iter()
             .enumerate()

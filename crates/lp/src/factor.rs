@@ -15,9 +15,8 @@
 //! subject to a relative threshold (`|pivot| ≥ 0.1 · max|column|`) for
 //! numerical stability — and then answers both maps with sparse
 //! triangular substitutions. A dense right-hand side costs
-//! `O(nnz(L) + nnz(U) + m)`: the dual simplex's pivot row and the basic
-//! values are such solves, and so is the first duals solve after each
-//! refactorization.
+//! `O(nnz(L) + nnz(U) + m)`: the basic values are such solves, and so is
+//! the first duals solve after each refactorization.
 //!
 //! The pivot direction `w = B⁻¹ a_q` is **hypersparse**: its right-hand
 //! side is one matrix column with a handful of nonzeros, and on the
@@ -46,9 +45,19 @@
 //! the steps of `L`'s row `k`. Each gather applies its terms in the
 //! order the dense scatter does and skips the same zeros, and a step
 //! whose inputs kept their bits keeps its own, so `y` is bit-identical
-//! to the dense [`LuFactors::btran`], which stays for the dual simplex's
-//! pivot row and as the oracle the debug builds check every duals solve
-//! against.
+//! to the dense [`LuFactors::btran`], which stays as the oracle the debug
+//! builds check every duals solve against.
+//!
+//! The dual simplex's row `ρ = B⁻ᵀe_r` is hypersparse too: on the
+//! `online_b4_warm` workload's warm bases it has about 13 nonzeros out
+//! of about 340 rows. [`LuFactors::btran_sparse`] mirrors the sparse FTRAN
+//! with the factors' roles swapped: it closes the steps of its
+//! right-hand side's nonzeros under `U`'s row pattern and runs the
+//! forward substitution of `Uᵀ` (a scatter) over them in ascending
+//! order, then closes the result under `L`'s row pattern and runs `Lᵀ`'s
+//! gathers over it in descending order. Each reached step sees the dense
+//! BTRAN's operations in its order, so every nonzero of `ρ` is
+//! bit-identical to [`LuFactors::btran`]'s.
 //!
 //! Pivot selection is **deterministic**: singleton columns are consumed
 //! smallest-index-first, and the Markowitz scan breaks merit ties by
@@ -81,17 +90,19 @@
 //! third of it building the by-row index, and 20 µs ordering `U`.
 //!
 //! A refactorization allocates nothing per column, row or elimination
-//! step. [`LuFactors`] owns a workspace that every refactorization of a
-//! solve reuses: the by-row index, the active submatrix and the row →
-//! column lists live in flat arenas (a list that outgrows its room moves
-//! to the arena's end), and `L` and `U` are written straight into their
-//! flat arrays. At the end two counting sorts order each factor, one
-//! into buckets by the elimination step of each entry's position and
-//! one back into its groups, and so build `U`'s column patterns and
-//! `L`'s row patterns in the same passes. Buffers grow only when a
-//! basis needs more room than any before it; a workspace that has seen
-//! other bases, or a singular one, gives the same factors as a fresh
-//! one.
+//! step. [`LuFactors`] owns a workspace that every refactorization
+//! reuses, across the solves of one problem too, since a solve leaves
+//! its factors' buffers behind for the next one (see
+//! `crate::simplex::SolveWorkspace`): the by-row index, the active
+//! submatrix and the row → column lists live in flat arenas (a list that
+//! outgrows its room moves to the arena's end), and `L` and `U` are
+//! written straight into their flat arrays. At the end two counting
+//! sorts order each factor, one into buckets by the elimination step of
+//! each entry's position and one back into its groups, and so build
+//! `U`'s column patterns and `L`'s row patterns in the same passes.
+//! Buffers grow only when a basis needs more room than any before it; a
+//! workspace that has seen other bases, or a singular one, gives the
+//! same factors as a fresh one.
 //!
 //! Between refactorizations the basis changes one column per pivot, and
 //! a **product-form** eta file ([`EtaFile`]) absorbs each change: with
@@ -123,7 +134,11 @@ const MARKOWITZ_THRESHOLD: f64 = 0.1;
 /// indices are basis *slots* (positions in the simplex's `basis`
 /// array). [`LuFactors::ftran`] maps row space → slot space,
 /// [`LuFactors::btran`] slot space → row space.
-#[derive(Clone, Debug)]
+///
+/// A clone copies the factors only: it starts with an empty workspace
+/// and a cold duals cache. `clone_from` copies them into this value's
+/// buffers and keeps its workspace, which changes no result.
+#[derive(Debug, Default)]
 pub(crate) struct LuFactors {
     m: usize,
     /// `perm_row[k]` = constraint row eliminated at step `k`.
@@ -133,6 +148,9 @@ pub(crate) struct LuFactors {
     row_step: Vec<u32>,
     /// `perm_col[k]` = basis slot eliminated at step `k`.
     perm_col: Vec<u32>,
+    /// `slot_step[s]` = step at which basis slot `s` is eliminated (the
+    /// inverse of `perm_col`).
+    slot_step: Vec<u32>,
     /// Unit lower factor; group `k` is column `k` (positions `> k`).
     l: SparseTriangular,
     /// Strict upper factor; group `k` is row `k` (positions `> k`).
@@ -176,6 +194,28 @@ impl Clone for DualsCache {
     }
 }
 
+impl Clone for LuFactors {
+    fn clone(&self) -> Self {
+        let mut copy = LuFactors::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.m = src.m;
+        self.perm_row.clone_from(&src.perm_row);
+        self.row_step.clone_from(&src.row_step);
+        self.perm_col.clone_from(&src.perm_col);
+        self.slot_step.clone_from(&src.slot_step);
+        self.l.clone_from(&src.l);
+        self.u.clone_from(&src.u);
+        self.u_cols.clone_from(&src.u_cols);
+        self.l_rows.clone_from(&src.l_rows);
+        self.u_diag.clone_from(&src.u_diag);
+        self.duals.warm = false;
+    }
+}
+
 /// The elimination's working state, kept between refactorizations so
 /// that a refactorization allocates only when some buffer has to grow.
 #[derive(Clone, Debug, Default)]
@@ -198,8 +238,6 @@ struct Workspace {
     col_alive: Vec<bool>,
     /// Singleton columns waiting to pivot, taken smallest slot first.
     pending: BitSet,
-    /// Elimination step of each slot.
-    col_pos: Vec<u32>,
     /// The pivot column without its pivot entry.
     lower: Vec<(u32, f64)>,
     /// One updated column, built by merge.
@@ -309,7 +347,7 @@ impl LuFactors {
             .and_then(|()| self.eliminate(a, basis, abs_tol));
         #[cfg(debug_assertions)]
         {
-            let mut general = LuFactors::identity(0);
+            let mut general = LuFactors::default();
             let want = general.factor_general(a, basis, abs_tol);
             assert_eq!(
                 result, want,
@@ -361,8 +399,8 @@ impl LuFactors {
         self.u.clear();
         self.row_step.clear();
         self.row_step.resize(m, LIVE);
-        self.work.col_pos.clear();
-        self.work.col_pos.resize(m, 0);
+        self.slot_step.clear();
+        self.slot_step.resize(m, 0);
         self.work.col_alive.clear();
         self.work.col_alive.resize(m, true);
     }
@@ -381,6 +419,7 @@ impl LuFactors {
             perm_row,
             row_step,
             perm_col,
+            slot_step,
             l,
             u,
             u_diag,
@@ -393,7 +432,6 @@ impl LuFactors {
             col_live,
             col_alive,
             pending,
-            col_pos,
             ..
         } = work;
         // The basis by rows, by counting sort: count, then fill each
@@ -441,7 +479,7 @@ impl LuFactors {
             let k = perm_col.len() as u32;
             perm_col.push(j as u32);
             perm_row.push(pr as u32);
-            col_pos[j] = k;
+            slot_step[j] = k;
             row_step[pr] = k;
             col_alive[j] = false;
             u_diag.push(pv);
@@ -480,6 +518,7 @@ impl LuFactors {
             perm_row,
             row_step,
             perm_col,
+            slot_step,
             l,
             u,
             u_cols,
@@ -494,7 +533,6 @@ impl LuFactors {
             row_count,
             col_alive,
             pending,
-            col_pos,
             lower,
             merged,
             cands,
@@ -592,7 +630,7 @@ impl LuFactors {
             let (pr, pv) = pivot_col[pe];
             perm_col.push(pj as u32);
             perm_row.push(pr);
-            col_pos[pj] = k as u32;
+            slot_step[pj] = k as u32;
             row_step[pr as usize] = k as u32;
             col_alive[pj] = false;
             u_diag.push(pv);
@@ -679,39 +717,22 @@ impl LuFactors {
         }
 
         l.remap_sorted(row_step, l_rows, sorted);
-        u.remap_sorted(col_pos, u_cols, sorted);
+        u.remap_sorted(slot_step, u_cols, sorted);
         Ok(())
     }
 
-    /// Factors of the `m×m` identity: a placeholder for a solver whose
-    /// basis has not been factorized yet.
-    pub(crate) fn identity(m: usize) -> Self {
-        let mut u = SparseTriangular::from_groups(vec![Vec::new(); m]);
-        let mut u_cols = Pattern::default();
-        // With no entries, no position is mapped.
-        u.remap_sorted(&[], &mut u_cols, &mut Vec::new());
-        LuFactors {
-            m,
-            perm_row: (0..m as u32).collect(),
-            row_step: (0..m as u32).collect(),
-            perm_col: (0..m as u32).collect(),
-            l: u.clone(),
-            u,
-            l_rows: u_cols.clone(),
-            u_cols,
-            u_diag: vec![1.0; m],
-            duals: DualsCache::default(),
-            work: Workspace::default(),
-        }
-    }
-
-    /// These factors without the elimination workspace and the duals
-    /// cache: the part worth keeping once the solve that built them is
-    /// over.
-    pub(crate) fn without_workspace(mut self) -> Self {
-        self.work = Workspace::default();
-        self.duals = DualsCache::default();
-        self
+    /// Moves these factors out, leaving an empty factorization that
+    /// keeps the elimination workspace and the duals cache for the next
+    /// [`Self::factor`]. The factors taken carry neither: they are the
+    /// part worth keeping once the solve that built them is over.
+    pub(crate) fn take_factors(&mut self) -> Self {
+        self.duals.warm = false;
+        let rest = LuFactors {
+            duals: std::mem::take(&mut self.duals),
+            work: std::mem::take(&mut self.work),
+            ..LuFactors::default()
+        };
+        std::mem::replace(self, rest)
     }
 
     /// Nonzeros stored in the `L` factor (off-diagonal).
@@ -754,6 +775,7 @@ impl LuFactors {
     /// Panics if `a` has a row outside the basis dimension or `w` was
     /// made for a smaller one.
     pub(crate) fn ftran_col(&self, a: ColView<'_>, w: &mut SparseVec) {
+        w.clear_for_solve(self.m);
         let SparseVec {
             val,
             nz,
@@ -761,10 +783,6 @@ impl LuFactors {
             seen,
             reach,
         } = w;
-        for &i in nz.iter() {
-            val[i as usize] = 0.0;
-        }
-        nz.clear();
         // Scatter `a` into step space; its steps seed the closure.
         for (r, v) in a.iter() {
             let k = self.row_step[r] as usize;
@@ -793,11 +811,13 @@ impl LuFactors {
 
     /// BTRAN: solves `Bᵀ y = c`, reading `c` in basis-slot space and
     /// writing `y` in constraint-row space. `work` is caller-owned
-    /// scratch of length `m`.
+    /// scratch of length `m`. The dense reference that debug builds check
+    /// [`Self::btran_duals`] and [`Self::btran_sparse`] against.
     ///
     /// # Panics
     ///
     /// Panics if any argument is shorter than the basis dimension.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn btran(&self, c: &[f64], y: &mut [f64], work: &mut [f64]) {
         for k in 0..self.m {
             work[k] = c[self.perm_col[k] as usize];
@@ -809,14 +829,69 @@ impl LuFactors {
         }
     }
 
+    /// Sparse BTRAN: solves `Bᵀ y = c` for a `c` (slot space) whose
+    /// nonzeros all lie at `slots`, into `y` (row space), touching only
+    /// the elimination steps a nonzero can reach. The mirror of
+    /// [`Self::ftran_col`]: it closes the steps of `c`'s nonzeros under
+    /// `U`'s row pattern and runs the forward substitution of `Uᵀ` over
+    /// them in ascending order, then closes the result under `L`'s row
+    /// pattern ([`Pattern`]) and runs `Lᵀ`'s gathers over it in descending
+    /// order. Every nonzero this writes is bit-identical to
+    /// [`Self::btran`]'s; the rows it does not write hold zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot is outside the basis dimension or `y` was made
+    /// for a smaller one.
+    pub(crate) fn btran_sparse(
+        &self,
+        c: &[f64],
+        slots: impl IntoIterator<Item = usize>,
+        y: &mut SparseVec,
+    ) {
+        y.clear_for_solve(self.m);
+        let SparseVec {
+            val,
+            nz,
+            x,
+            seen,
+            reach,
+        } = y;
+        for slot in slots {
+            let k = self.slot_step[slot] as usize;
+            if c[slot] != 0.0 && !seen.contains(k) {
+                x[k] = c[slot];
+                seen.insert(k);
+                reach.push(k as u32);
+            }
+        }
+        close(reach, seen, |k| self.u.positions(k));
+        seen.list(reach);
+        self.u.solve_forward_over(reach, Some(&self.u_diag), x);
+        close(reach, seen, |p| self.l_rows.group(p));
+        seen.drain(reach, |_| true);
+        self.l.solve_backward_over(reach, None, x);
+        for &k in reach.iter() {
+            let k = k as usize;
+            let row = self.perm_row[k] as usize;
+            val[row] = x[k];
+            if x[k] != 0.0 {
+                seen.insert(row);
+            }
+            x[k] = 0.0;
+        }
+        reach.clear();
+        seen.drain(nz, |_| true);
+    }
+
     /// [`Self::btran`] for the simplex duals, redoing only the
     /// elimination steps whose inputs changed bits since the last call
     /// (see the module docs). `y` is bit-identical to [`Self::btran`]'s.
     ///
     /// Each call must pass the same `y` buffer, untouched in between:
     /// a warm call writes only the entries that change. A refactorization
-    /// ([`Self::factor`]), [`Self::without_workspace`] and a clone start
-    /// cold, with one dense solve.
+    /// ([`Self::factor`]), [`Self::take_factors`], a clone and
+    /// `clone_from` start cold, with one dense solve.
     ///
     /// # Panics
     ///
@@ -918,13 +993,6 @@ fn push_bits(w: usize, mut word: u64, out: &mut Vec<u32>, keep: impl Fn(usize) -
 }
 
 impl BitSet {
-    /// The empty set over positions `0..m`.
-    fn new(m: usize) -> Self {
-        BitSet {
-            words: vec![0; m.div_ceil(64)],
-        }
-    }
-
     /// Empties the set and sizes it for positions `0..m`.
     fn reset(&mut self, m: usize) {
         self.words.clear();
@@ -1002,9 +1070,12 @@ impl BitSet {
     }
 }
 
-/// A slot-space vector stored densely but zero outside a short list of
-/// slots: the pivot direction `w`, as [`LuFactors::ftran_col`] and
-/// [`EtaFile::ftran_sparse`] compute it, with the scratch they reuse.
+/// A vector stored densely but zero outside a short list of positions:
+/// the pivot direction `w` (slot space), as [`LuFactors::ftran_col`] and
+/// [`EtaFile::ftran_sparse`] compute it, the dual simplex's BTRAN row
+/// `ρ` (row space), as [`LuFactors::btran_sparse`] computes it, and its
+/// pivot row `α` (column space), as [`CscMatrix::mul_sparse_into`]
+/// scatters it; with the scratch the solves reuse.
 ///
 /// The dense solves write a zero of either sign, `±0.0`, into the
 /// entries no nonzero reaches; the sparse solves leave those entries as
@@ -1014,31 +1085,72 @@ impl BitSet {
 /// only ever have `w`'s entries subtracted from them, which a zero
 /// changes by at most the sign of a zero basic value. Comparisons and
 /// sums with a nonzero do not see that sign.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct SparseVec {
-    /// Values by slot: zero at every slot not in `nz`.
+    /// Values by position: zero at every position not in `nz`.
     pub(crate) val: Vec<f64>,
-    /// The slots whose value is `!= 0.0`, ascending.
+    /// The positions that may be nonzero, ascending: exactly the
+    /// nonzeros after a solve, every position a term reached after a
+    /// product.
     pub(crate) nz: Vec<u32>,
-    /// Step-space values of the LU solve; `+0.0` between solves.
+    /// Step-space values of the LU solves, sized by the first of them
+    /// (a product leaves it empty); `+0.0` between solves.
     x: Vec<f64>,
-    /// The steps (in the LU solve) or slots (in the eta solve) reached
-    /// so far; empty between solves.
+    /// The steps (in the LU solve) or positions (in the eta solve and
+    /// the product) reached so far; empty between solves.
     seen: BitSet,
     /// The steps the LU solve reaches.
     reach: Vec<u32>,
 }
 
 impl SparseVec {
-    /// The zero vector over `m` slots.
+    /// The zero vector over `m` positions.
+    #[cfg(test)]
     pub(crate) fn new(m: usize) -> Self {
-        SparseVec {
-            val: vec![0.0; m],
-            nz: Vec::new(),
-            x: vec![0.0; m],
-            seen: BitSet::new(m),
-            reach: Vec::new(),
+        let mut v = SparseVec::default();
+        v.reset(m);
+        v
+    }
+
+    /// Makes this the zero vector over `m` positions, keeping its
+    /// buffers.
+    pub(crate) fn reset(&mut self, m: usize) {
+        self.val.clear();
+        self.val.resize(m, 0.0);
+        self.nz.clear();
+        self.x.clear();
+        self.seen.reset(m);
+        self.reach.clear();
+    }
+
+    /// Zeroes the listed positions, empties the list, and sizes the
+    /// step-space scratch for an LU solve of dimension `m`.
+    fn clear_for_solve(&mut self, m: usize) {
+        self.clear();
+        if self.x.len() != m {
+            self.x.clear();
+            self.x.resize(m, 0.0);
         }
+    }
+
+    /// Zeroes the listed positions and empties the list.
+    pub(crate) fn clear(&mut self) {
+        for &i in &self.nz {
+            self.val[i as usize] = 0.0;
+        }
+        self.nz.clear();
+    }
+
+    /// Adds `v` to position `i`, which [`Self::list_added`] then lists.
+    pub(crate) fn add(&mut self, i: usize, v: f64) {
+        self.seen.insert(i);
+        self.val[i] += v;
+    }
+
+    /// Lists, ascending, every position [`Self::add`] reached since the
+    /// last [`Self::clear`].
+    pub(crate) fn list_added(&mut self) {
+        self.seen.drain(&mut self.nz, |_| true);
     }
 }
 
@@ -1059,7 +1171,7 @@ const ETA_BLOCK: usize = 4096;
 /// instead raised the anchor benchmark's peak resident memory by about
 /// 0.45 MiB under glibc, whose allocator served each doubled copy from
 /// the heap and kept the old one's pages.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct EtaFile {
     slot: Vec<u32>,
     pivot: Vec<f64>,
@@ -1085,6 +1197,25 @@ impl EtaFile {
         }
     }
 
+    /// Empties the file for a basis of dimension `m`, keeping the blocks
+    /// when their room fits that dimension.
+    pub(crate) fn reset(&mut self, m: usize) {
+        if self.room == ETA_BLOCK.max(m) {
+            self.clear();
+        } else {
+            *self = EtaFile::new(m);
+        }
+    }
+
+    /// Drops all updates and frees every block but the first: what a
+    /// finished solve keeps for the next one. A warm re-solve's few
+    /// pivots fit one block, and the blocks a long cold solve filled
+    /// would otherwise stay allocated for as long as their problem.
+    pub(crate) fn trim(&mut self) {
+        self.clear();
+        self.blocks.truncate(1);
+    }
+
     /// Drops all updates (after a refactorization), keeping the blocks.
     pub(crate) fn clear(&mut self) {
         self.slot.clear();
@@ -1099,6 +1230,12 @@ impl EtaFile {
     /// Whether no update was appended since the last refactorization.
     pub(crate) fn is_empty(&self) -> bool {
         self.slot.is_empty()
+    }
+
+    /// The slot each update replaced, oldest first: the only slots
+    /// [`Self::btran`] writes.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slot.iter().map(|&s| s as usize)
     }
 
     /// The off-pivot entries of the update with span `(b, lo, hi)`.
@@ -1226,7 +1363,7 @@ mod tests {
 
     /// Factors of `basis` from a fresh workspace.
     fn factor(a: &CscMatrix, basis: &[u32]) -> Result<LuFactors, SolveError> {
-        let mut lu = LuFactors::identity(0);
+        let mut lu = LuFactors::default();
         lu.factor(a, basis, 1e-12)?;
         Ok(lu)
     }
@@ -1385,7 +1522,7 @@ mod tests {
     #[test]
     fn reused_workspace_matches_a_fresh_factorization() {
         let mut rng = ChaCha8Rng::seed_from_u64(19);
-        let mut reused = LuFactors::identity(0);
+        let mut reused = LuFactors::default();
         // (m, structural columns, density): sizes grow, shrink and grow
         // again; slack-heavy bases alternate with dense blocks.
         let shapes = [
@@ -1463,7 +1600,7 @@ mod tests {
 
     /// The steps the peel alone takes on `basis`.
     fn peeled_steps(a: &CscMatrix, basis: &[u32]) -> Result<usize, SolveError> {
-        let mut lu = LuFactors::identity(0);
+        let mut lu = LuFactors::default();
         lu.reset(basis.len());
         lu.peel(a, basis, 1e-12)?;
         Ok(lu.perm_col.len())
@@ -1538,12 +1675,12 @@ mod tests {
         doubled[slot] = 66;
         broken.push((b.build(), doubled));
 
-        let mut reused = LuFactors::identity(0);
+        let mut reused = LuFactors::default();
         let (mut handed_over, mut all_peeled, mut singular) = (0, 0, 0);
         for (step, (a, basis)) in bases.iter().chain(&broken).enumerate() {
-            let mut general = LuFactors::identity(0);
+            let mut general = LuFactors::default();
             let want = general.factor_general(a, basis, 1e-12);
-            for lu in [&mut reused, &mut LuFactors::identity(0)] {
+            for lu in [&mut reused, &mut LuFactors::default()] {
                 let got = lu.factor(a, basis, 1e-12);
                 assert_eq!(got, want, "basis {step}");
                 if got.is_ok() {
@@ -1832,10 +1969,17 @@ mod tests {
         // Kept factors, as a basis snapshot holds them.
         let mut kept = lu.clone();
         kept.btran_duals(&c, &mut y);
-        let mut kept = kept.without_workspace();
+        let mut kept = kept.take_factors();
         let mut fresh = vec![0.0; m];
         kept.btran_duals(&c, &mut fresh);
-        assert_same_bits(&fresh, &dense_btran(&kept, &c), "without_workspace");
+        assert_same_bits(&fresh, &dense_btran(&kept, &c), "take_factors");
+        // Factors copied into the warm buffers of another solve.
+        let mut reused = factor(&b, &other).expect("nonsingular");
+        reused.btran_duals(&c, &mut y);
+        reused.clone_from(&lu);
+        let mut fresh = vec![0.0; m];
+        reused.btran_duals(&c, &mut fresh);
+        assert_same_bits(&fresh, &dense_btran(&lu, &c), "clone_from");
         // Another basis with the same input: every dual moves.
         lu.factor(&b, &other, 1e-12).expect("nonsingular");
         lu.btran_duals(&c, &mut y);

@@ -7,9 +7,14 @@
 //! the whole vector `Aᵀy`: `CscMatrix::mul_vec_into` on the transpose
 //! visits only the rows where `yᵢ ≠ 0`, and adds each column's terms in
 //! the order `CscMatrix::dot_col` would, so the result is bit-identical
-//! to one dot product per column.
+//! to one dot product per column. The dual simplex's pivot row `ρᵀA`,
+//! whose `ρ` has a dozen or so nonzeros, goes through
+//! `CscMatrix::mul_sparse_into` instead, which adds the same terms in the
+//! same order but touches only the columns those rows reach.
 
 use std::fmt;
+
+use crate::factor::SparseVec;
 
 /// An immutable sparse matrix in compressed-sparse-column form.
 ///
@@ -26,6 +31,7 @@ pub struct CscMatrix {
 
 impl CscMatrix {
     /// Number of rows.
+    #[cfg(any(test, debug_assertions))]
     pub fn nrows(&self) -> usize {
         self.nrows
     }
@@ -74,7 +80,6 @@ impl CscMatrix {
     /// # Panics
     ///
     /// Panics if `j` is out of range or `y.len() != self.nrows()`.
-    #[cfg(test)]
     pub fn dot_col(&self, j: usize, y: &[f64]) -> f64 {
         assert_eq!(y.len(), self.nrows, "dense vector length mismatch");
         let c = self.col(j);
@@ -203,6 +208,30 @@ impl CscMatrix {
             }
         }
     }
+
+    /// [`Self::mul_vec_into`] for a `v` that is zero outside `v.nz`:
+    /// the same terms added in the same order, but only the entries of
+    /// `out` they reach are zeroed, written and listed in `out.nz`
+    /// (ascending), so the cost is that of the columns `v.nz` names.
+    /// Every listed `out[j]` has the bits `mul_vec_into` gives it; the
+    /// others are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed position is out of range or `out` was made for
+    /// fewer than `self.nrows()` positions.
+    pub(crate) fn mul_sparse_into(&self, v: &SparseVec, out: &mut SparseVec) {
+        out.clear();
+        for &j in &v.nz {
+            let vj = v.val[j as usize];
+            if vj != 0.0 {
+                for (r, a) in self.col(j as usize).iter() {
+                    out.add(r, a * vj);
+                }
+            }
+        }
+        out.list_added();
+    }
 }
 
 /// Sorts one column's `(row, value)` entries by row and appends them to
@@ -276,7 +305,7 @@ impl<'a> ColView<'a> {
 /// variants run the same steps on a caller-given list of positions only
 /// (the positions a sparse right-hand side can reach), so their work is
 /// proportional to that list and the groups it visits.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct SparseTriangular {
     /// Group boundaries, length `m + 1`.
     ptr: Vec<usize>,
@@ -286,11 +315,29 @@ pub struct SparseTriangular {
     val: Vec<f64>,
 }
 
+/// `clone_from` copies into the existing buffers.
+impl Clone for SparseTriangular {
+    fn clone(&self) -> Self {
+        SparseTriangular {
+            ptr: self.ptr.clone(),
+            idx: self.idx.clone(),
+            val: self.val.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.ptr.clone_from(&src.ptr);
+        self.idx.clone_from(&src.idx);
+        self.val.clone_from(&src.val);
+    }
+}
+
 impl SparseTriangular {
     /// Builds a factor from per-step groups of `(position, value)`
     /// entries. Every entry of group `k` must satisfy `position > k`;
     /// groups are stored in the order given (callers sort by position
     /// for reproducible floating-point summation order).
+    #[cfg(test)]
     pub fn from_groups(groups: Vec<Vec<(u32, f64)>>) -> Self {
         let mut ptr = Vec::with_capacity(groups.len() + 1);
         ptr.push(0usize);
@@ -528,7 +575,7 @@ impl SparseTriangular {
 /// values [`SparseTriangular::gather_transposed`] reads through those
 /// places; for the unit lower factor `L`, stored by columns, they are
 /// its rows' patterns.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Pattern {
     /// Group boundaries, length `dim + 1`.
     ptr: Vec<usize>,
@@ -537,6 +584,23 @@ pub(crate) struct Pattern {
     /// Each entry's index into the source's `idx`/`val`, parallel to
     /// `idx`.
     at: Vec<u32>,
+}
+
+/// `clone_from` copies into the existing buffers.
+impl Clone for Pattern {
+    fn clone(&self) -> Self {
+        Pattern {
+            ptr: self.ptr.clone(),
+            idx: self.idx.clone(),
+            at: self.at.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.ptr.clone_from(&src.ptr);
+        self.idx.clone_from(&src.idx);
+        self.at.clone_from(&src.at);
+    }
 }
 
 impl Pattern {

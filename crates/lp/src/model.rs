@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::matrix::CscMatrix;
-use crate::simplex::PivotPath;
+use crate::simplex::{PivotPath, SolveWorkspace};
 
 /// Optimization direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -77,8 +77,8 @@ pub(crate) struct StandardForm {
 /// linear expressions compared against a right-hand side. Entries are stored
 /// row-wise during construction.
 ///
-/// A problem caches two things from its solves, and a clone starts with
-/// both:
+/// A problem caches three things from its solves. A clone starts with
+/// the first two:
 ///
 /// * The first solve builds the column-major standard-form matrix and its
 ///   transpose. Later solves reuse them until a variable or constraint is
@@ -95,6 +95,12 @@ pub(crate) struct StandardForm {
 ///   ones a solve without the path computes. Only [`Problem::set_rhs`]
 ///   keeps the path; adding a variable or constraint and editing bounds
 ///   or objective coefficients drop it.
+/// * Every solve leaves its buffers behind (the factorization's
+///   workspace, an eta block, the solver's per-row and per-column
+///   arrays), and the next solve of the same problem reuses them instead
+///   of allocating its own. They hold no result: each solve clears or
+///   overwrites whatever it reads, so a solve gives the same bits with
+///   them as without. They live as long as the problem.
 ///
 /// # Examples
 ///
@@ -124,6 +130,9 @@ pub struct Problem {
     /// The pivot path of the last cold slack-start solve since the last
     /// change to `A`, the costs or the bounds; clones copy it.
     pub(crate) path: PathSlot,
+    /// The buffers the last solve left behind, for the next one; clones
+    /// start without.
+    pub(crate) workspace: WorkspaceSlot,
 }
 
 /// Where a [`Problem`] keeps its pivot path. Solves take `&Problem`, so
@@ -153,6 +162,29 @@ impl PathSlot {
 
     fn clear(&mut self) {
         *self.0.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+    }
+}
+
+/// Where a [`Problem`] keeps its solve workspace between solves. A
+/// solve takes it out and puts it back when it ends; a solve that finds
+/// the slot empty (the first one, or one running alongside another
+/// solve of the same problem) starts with empty buffers.
+#[derive(Default)]
+pub(crate) struct WorkspaceSlot(Mutex<Option<Box<SolveWorkspace>>>);
+
+impl Clone for WorkspaceSlot {
+    fn clone(&self) -> Self {
+        WorkspaceSlot::default()
+    }
+}
+
+impl WorkspaceSlot {
+    pub(crate) fn take(&self) -> Option<Box<SolveWorkspace>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).take()
+    }
+
+    pub(crate) fn put(&self, workspace: Box<SolveWorkspace>) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(workspace);
     }
 }
 

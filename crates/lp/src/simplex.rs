@@ -48,8 +48,28 @@
 //!   constraint is added; a solve copies them only when phase 1 appends
 //!   artificials. Each column's terms are added in ascending row order, so
 //!   every reduced cost is bit-identical to a per-column dot product.
-//!   The dual simplex takes its pivot row `(B⁻¹A)[r, :]` and reduced
-//!   costs the same way.
+//! * A **dual-simplex iteration works on its pivot row's support**. On
+//!   the RL-SPM/BL-SPM bases `ρ = B⁻ᵀe_r` has a dozen or so nonzeros,
+//!   `ρᵀA` reaches a few dozen columns and half of those can enter. The
+//!   row comes from the eta file's BTRAN and the sparse LU solve
+//!   ([`LuFactors::btran_sparse`]); `α = ρᵀA` is scattered over `ρ`'s
+//!   nonzero rows in ascending order, which zeroes, writes and lists
+//!   only the columns it reaches ([`CscMatrix::mul_sparse_into`]); and
+//!   the ratio test walks those columns in ascending order, computing
+//!   the reduced cost `dⱼ = cⱼ − aⱼ·y` (`CscMatrix::dot_col`,
+//!   bit-identical to the row-wise product) only for a candidate, one
+//!   with `|αⱼ| ≥ PIVOT_TOL`. The duals `y` stay incremental; the first
+//!   iteration after the dual-feasibility check reads the reduced costs
+//!   that check computed. Every value the iteration reads, and so the
+//!   entering column, is the one the dense computation over every column
+//!   gives, which debug builds check on every iteration.
+//! * Each [`Problem`] keeps **one solve workspace** ([`SolveWorkspace`]):
+//!   the LU factorization's elimination workspace and duals cache, an
+//!   eta block, and the per-column and per-row arrays. A solve takes it
+//!   from the problem and puts it back when it ends, so the problem's
+//!   next solve, warm or cold, allocates only what it must grow. Each
+//!   solve sizes and clears what it reads, so results do not depend on
+//!   what the workspace saw before.
 //! * The ratio test is the textbook smallest-ratio rule, ties broken by
 //!   lowest row index.
 //! * A cold solve starts from the slack basis. When some slack cannot
@@ -239,6 +259,39 @@ enum VarState {
     FreeZero,
 }
 
+/// The buffers of one solve that the next solve of the same [`Problem`]
+/// reuses: the LU factorization's elimination workspace and duals cache
+/// (without the factors), the eta file's first block, and the solver's
+/// per-column and per-row arrays. A solve takes them from its problem
+/// ([`Simplex::new`]) and puts them back when it ends (`Simplex`'s
+/// `Drop`); see the fields of [`Simplex`] for what each holds. Nothing
+/// here carries over into a result: `Simplex::new` resizes and clears
+/// every buffer a solve reads before writing it, the eta file starts
+/// empty, and the duals cache starts cold at the solve's first
+/// factorization (or copy of kept factors), so its first duals solve
+/// writes all of `y`.
+#[derive(Debug, Default)]
+pub(crate) struct SolveWorkspace {
+    cost: Vec<f64>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    rhs: Vec<f64>,
+    state: Vec<VarState>,
+    movable: Vec<[f64; 2]>,
+    basis: Vec<u32>,
+    lu: LuFactors,
+    etas: EtaFile,
+    factored: Vec<u32>,
+    xb: Vec<f64>,
+    y: Vec<f64>,
+    w: SparseVec,
+    d: Vec<f64>,
+    alpha: SparseVec,
+    rho: SparseVec,
+    rowbuf: Vec<f64>,
+    lubuf: Vec<f64>,
+}
+
 struct Simplex<'p> {
     /// The problem solved: its cached standard form, which `a` and `at`
     /// borrow until phase 1 appends artificials, and the pivot path a
@@ -322,9 +375,10 @@ struct Simplex<'p> {
     /// [`Self::price_all`].
     d: Vec<f64>,
     /// Dual-simplex pivot row `(B⁻¹A)[r, :]`, from [`Self::pivot_row`],
-    /// and the BTRAN `ρ = B⁻ᵀe_r` it is taken from.
-    alpha: Vec<f64>,
-    rho: Vec<f64>,
+    /// listing the columns it touches, and the BTRAN `ρ = B⁻ᵀe_r` it is
+    /// taken from, listing its nonzero rows.
+    alpha: SparseVec,
+    rho: SparseVec,
     /// Row-space scratch (FTRAN right-hand sides, BTRAN outputs).
     rowbuf: Vec<f64>,
     /// Permuted-space scratch handed to [`LuFactors`] solves.
@@ -351,45 +405,75 @@ enum Ratio {
 }
 
 impl<'p> Simplex<'p> {
+    /// A solver for `problem`, with the buffers its last solve left
+    /// behind (see [`SolveWorkspace`]) sized and cleared for this one.
     fn new(problem: &'p Problem) -> Self {
         let m = problem.num_constraints();
         let n = problem.num_vars();
         let maximize = problem.sense() == Sense::Maximize;
+        let SolveWorkspace {
+            mut cost,
+            mut lower,
+            mut upper,
+            mut rhs,
+            mut state,
+            mut movable,
+            mut basis,
+            lu,
+            mut etas,
+            mut factored,
+            mut xb,
+            mut y,
+            mut w,
+            mut d,
+            mut alpha,
+            mut rho,
+            mut rowbuf,
+            mut lubuf,
+        } = problem.workspace.take().map(|w| *w).unwrap_or_default();
 
         // Structural columns, then one slack per row: a·x + s = b.
         let standard = problem.standard_form();
-        let mut cost: Vec<f64> = problem
-            .vars
-            .iter()
-            .map(|v| if maximize { -v.obj } else { v.obj })
-            .collect();
-        let mut lower: Vec<f64> = problem.vars.iter().map(|v| v.lower).collect();
-        let mut upper: Vec<f64> = problem.vars.iter().map(|v| v.upper).collect();
-
+        cost.clear();
+        lower.clear();
+        upper.clear();
+        for v in &problem.vars {
+            cost.push(if maximize { -v.obj } else { v.obj });
+            lower.push(v.lower);
+            upper.push(v.upper);
+        }
         for row in &problem.rows {
             cost.push(0.0);
-            match row.relation {
-                Relation::Le => {
-                    lower.push(0.0);
-                    upper.push(f64::INFINITY);
-                }
-                Relation::Ge => {
-                    lower.push(f64::NEG_INFINITY);
-                    upper.push(0.0);
-                }
-                Relation::Eq => {
-                    lower.push(0.0);
-                    upper.push(0.0);
-                }
-            }
+            let (lo, up) = match row.relation {
+                Relation::Le => (0.0, f64::INFINITY),
+                Relation::Ge => (f64::NEG_INFINITY, 0.0),
+                Relation::Eq => (0.0, 0.0),
+            };
+            lower.push(lo);
+            upper.push(up);
         }
-        let rhs: Vec<f64> = problem.rows.iter().map(|r| r.rhs).collect();
+        rhs.clear();
+        rhs.extend(problem.rows.iter().map(|r| r.rhs));
+        state.clear();
+        movable.clear();
+        basis.clear();
+        etas.reset(m);
+        factored.clear();
+        for buf in [&mut xb, &mut y, &mut rowbuf, &mut lubuf] {
+            buf.clear();
+            buf.resize(m, 0.0);
+        }
+        d.clear();
+        d.resize(n + m, 0.0);
+        w.reset(m);
+        rho.reset(m);
+        alpha.reset(n + m);
 
         Simplex {
             problem,
             a: Cow::Borrowed(&standard.a),
             at: Cow::Borrowed(&standard.at),
-            d: vec![0.0; n + m],
+            d,
             cost,
             lower,
             upper,
@@ -397,13 +481,13 @@ impl<'p> Simplex<'p> {
             n_struct: n,
             n_slack: m,
             maximize,
-            state: Vec::new(),
-            movable: Vec::new(),
-            basis: Vec::new(),
-            lu: LuFactors::identity(m),
-            etas: EtaFile::new(m),
-            factored: Vec::new(),
-            xb: Vec::new(),
+            state,
+            movable,
+            basis,
+            lu,
+            etas,
+            factored,
+            xb,
             iterations: 0,
             max_iterations: 1000 + 50 * (m + n),
             refresh_every: REFRESH_EVERY,
@@ -423,12 +507,12 @@ impl<'p> Simplex<'p> {
             replay: None,
             path: None,
             replayed: 0,
-            y: vec![0.0; m],
-            w: SparseVec::new(m),
-            alpha: Vec::new(),
-            rho: vec![0.0; m],
-            rowbuf: vec![0.0; m],
-            lubuf: vec![0.0; m],
+            y,
+            w,
+            alpha,
+            rho,
+            rowbuf,
+            lubuf,
         }
     }
 
@@ -475,9 +559,10 @@ impl<'p> Simplex<'p> {
         self.state[j] = st;
     }
 
-    /// Replaces every column's state, through [`Self::set_state`].
-    fn set_states(&mut self, states: Vec<VarState>) {
-        self.state = states;
+    /// Sets every column's pricing multipliers from its state in
+    /// `self.state`, through [`Self::set_state`].
+    fn sync_movable(&mut self) {
+        self.movable.clear();
         self.movable.resize(self.state.len(), [0.0; 2]);
         for j in 0..self.state.len() {
             self.set_state(j, self.state[j]);
@@ -489,17 +574,16 @@ impl<'p> Simplex<'p> {
         let n_total = self.n_struct + self.n_slack;
 
         // --- Initial point: structural vars at a bound, slacks basic. ---
-        let states = (0..n_total)
-            .map(|j| {
-                if j < self.n_struct {
-                    self.initial_state(j)
-                } else {
-                    VarState::Basic((j - self.n_struct) as u32)
-                }
-            })
-            .collect();
-        self.set_states(states);
-        self.basis = (0..m).map(|i| (self.n_struct + i) as u32).collect();
+        for j in 0..n_total {
+            let st = if j < self.n_struct {
+                self.initial_state(j)
+            } else {
+                VarState::Basic((j - self.n_struct) as u32)
+            };
+            self.state.push(st);
+        }
+        self.sync_movable();
+        self.set_slack_basis();
 
         // Row residuals with all structural vars at their resting values.
         let mut resid = self.rhs.clone();
@@ -541,14 +625,12 @@ impl<'p> Simplex<'p> {
     /// is feasible) and minimizes their sum, leaving a feasible basis
     /// for phase 2.
     fn phase1(&mut self, resid: &[f64]) -> Result<(), SolveError> {
-        let m = self.m();
         let n_total = self.n_struct + self.n_slack;
 
         // --- Phase 1: add artificials for rows whose slack can't absorb
         // the residual. ---
         // (row, ±1) of each artificial's unit column.
         let mut arts: Vec<(usize, f64)> = Vec::new();
-        self.xb = vec![0.0; m];
         for (i, &r) in resid.iter().enumerate() {
             let sj = self.n_struct + i;
             let (sl, su) = (self.lower[sj], self.upper[sj]);
@@ -712,7 +794,6 @@ impl<'p> Simplex<'p> {
         }
 
         // Accept only a factorizable, primal-feasible basis.
-        self.xb = vec![0.0; m];
         if self.refactor().is_err() {
             return self.crash_fallback(saved_state);
         }
@@ -764,9 +845,18 @@ impl<'p> Simplex<'p> {
     /// Undoes a rejected crash: restores the slack basis and the saved
     /// `state`. Phase 1 rebuilds `xb` and the factors from those two.
     fn crash_fallback(&mut self, state: Vec<VarState>) -> bool {
-        self.set_states(state);
-        self.basis = (0..self.m()).map(|i| (self.n_struct + i) as u32).collect();
+        self.state = state;
+        self.sync_movable();
+        self.set_slack_basis();
         false
+    }
+
+    /// Makes every row's slack its basic variable.
+    fn set_slack_basis(&mut self) {
+        let ns = self.n_struct;
+        self.basis.clear();
+        self.basis
+            .extend((0..self.n_slack).map(|i| (ns + i) as u32));
     }
 
     /// Snapshots the final basis over structural + slack columns.
@@ -776,8 +866,9 @@ impl<'p> Simplex<'p> {
     ///
     /// The sparse LU factors go with the snapshot when they are a fresh
     /// factorization of exactly this basis: no pivot since the last
-    /// refactorization and no artificial column.
-    fn into_basis(self) -> Basis {
+    /// refactorization and no artificial column. They move out of the
+    /// solver; its workspace stays behind for the problem's next solve.
+    fn into_basis(mut self) -> Basis {
         let nm = self.n_struct + self.n_slack;
         let mut state: Vec<VarState> = self.state[..nm].to_vec();
         for (r, &bj) in self.basis.iter().enumerate() {
@@ -792,7 +883,7 @@ impl<'p> Simplex<'p> {
         let factors = (fresh && self.etas.is_empty()).then(|| {
             (
                 Arc::clone(self.problem.standard_form()),
-                self.lu.without_workspace(),
+                self.lu.take_factors(),
             )
         });
         Basis {
@@ -820,17 +911,20 @@ impl<'p> Simplex<'p> {
         // Restore statuses, reconciling nonbasic states with the current
         // bounds (a tightened bound may have invalidated the old resting
         // side).
-        self.set_states(warm.state.clone());
-        let mut basis: Vec<Option<u32>> = vec![None; m];
+        self.state.clone_from(&warm.state);
+        self.sync_movable();
+        const UNFILLED: u32 = u32::MAX;
+        self.basis.clear();
+        self.basis.resize(m, UNFILLED);
         let mut basic_count = 0;
         for j in 0..nm {
             match self.state[j] {
                 VarState::Basic(r) => {
                     let r = r as usize;
-                    if r >= m || basis[r].is_some() {
+                    if r >= m || self.basis[r] != UNFILLED {
                         return Err(SolveError::Singular);
                     }
-                    basis[r] = Some(j as u32);
+                    self.basis[r] = j as u32;
                     basic_count += 1;
                 }
                 VarState::AtLower if !self.lower[j].is_finite() => {
@@ -855,13 +949,6 @@ impl<'p> Simplex<'p> {
         if basic_count != m {
             return Err(SolveError::Singular);
         }
-        #[expect(
-            clippy::unwrap_used,
-            reason = "basic_count == m above guarantees every slot is filled"
-        )]
-        let filled = basis.into_iter().map(|b| b.unwrap()).collect();
-        self.basis = filled;
-        self.xb = vec![0.0; m];
         match &warm.factors {
             Some((standard, kept)) if Arc::ptr_eq(standard, self.problem.standard_form()) => {
                 // `kept` is what factorizing this basis of this matrix
@@ -955,46 +1042,32 @@ impl<'p> Simplex<'p> {
             };
             let need_up = target > self.xb[row];
 
-            // Reduced costs, and row `row` of `B⁻¹A` for the dual ratio
-            // test.
-            self.price_all();
-            self.pivot_row(row);
-
-            // Entering column: dual ratio test.
-            let mut best: Option<(usize, f64, f64, f64)> = None; // (col, dir, ratio, |alpha|)
-            for j in 0..self.state.len() {
-                let dirs: &[f64] = match self.state[j] {
-                    VarState::Basic(_) => continue,
-                    VarState::AtLower if self.lower[j] >= self.upper[j] => continue,
-                    VarState::AtUpper if self.lower[j] >= self.upper[j] => continue,
-                    VarState::AtLower => &[1.0],
-                    VarState::AtUpper => &[-1.0],
-                    VarState::FreeZero => &[1.0, -1.0],
-                };
-                let (alpha, d) = (self.alpha[j], self.d[j]);
-                if alpha.abs() < PIVOT_TOL {
-                    continue;
-                }
-                for &dir in dirs {
-                    // Moving j by t·dir changes xb[row] by −alpha·dir·t.
-                    let rises = -alpha * dir > 0.0;
-                    if rises != need_up {
-                        continue;
-                    }
-                    // Dual feasibility keeps d·dir ≥ 0 (within tol).
-                    let ratio = (d * dir).max(0.0) / alpha.abs();
-                    let better = match best {
-                        None => true,
-                        Some((_, _, br, ba)) => {
-                            ratio < br - 1e-12 || (ratio < br + 1e-12 && alpha.abs() > ba)
-                        }
-                    };
-                    if better {
-                        best = Some((j, dir, ratio, alpha.abs()));
-                    }
-                }
+            // Row `row` of `B⁻¹A` on its support, and the dual ratio test
+            // over the columns it touches. A candidate's reduced cost is
+            // read from `d` when the dual-feasibility check has just
+            // priced every column, and is computed from the duals
+            // otherwise; `d` then stays stale and `priced` unset.
+            let reuse = self.reuse_pricing();
+            if !reuse {
+                self.compute_duals();
             }
-            let Some((col, dir, _, _)) = best else {
+            self.pivot_row(row);
+            let (a, y, d, cost) = (&self.a, &self.y, &self.d, &self.cost);
+            let entering = self.dual_ratio_test(
+                self.alpha.nz.iter().map(|&j| j as usize),
+                &self.alpha.val,
+                |j| {
+                    if reuse {
+                        d[j]
+                    } else {
+                        cost[j] - a.dot_col(j, y)
+                    }
+                },
+                need_up,
+            );
+            #[cfg(debug_assertions)]
+            self.check_dual_row(row, need_up, entering);
+            let Some((col, dir)) = entering else {
                 // No way to repair this row: the problem is infeasible.
                 return Err(SolveError::Infeasible);
             };
@@ -1010,6 +1083,97 @@ impl<'p> Simplex<'p> {
             }
             self.apply_pivot(col, dir, row, step.max(0.0), at_upper)?;
         }
+    }
+
+    /// The dual simplex's entering column and direction for a leaving
+    /// row whose basic value must rise (`need_up`) or fall, from that
+    /// row of `B⁻¹A` (`alpha`) over the columns `cols`, ascending. A
+    /// candidate is a nonbasic column that can move, with
+    /// `|αⱼ| ≥ PIVOT_TOL`, in a direction that moves the row toward its
+    /// bound; the smallest ratio `max(dⱼ·dir, 0)/|αⱼ|` wins, a ratio within
+    /// `1e-12` of the best wins by a larger `|αⱼ|`, and the earlier column
+    /// on a full tie. `reduced(j)` gives `dⱼ` and is called for
+    /// candidates only. Columns outside `cols` must have `αⱼ = 0`, so
+    /// the columns `α` touches give what every column gives.
+    fn dual_ratio_test(
+        &self,
+        cols: impl Iterator<Item = usize>,
+        alpha: &[f64],
+        reduced: impl Fn(usize) -> f64,
+        need_up: bool,
+    ) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64, f64, f64)> = None; // (col, dir, ratio, |alpha|)
+        for j in cols {
+            let dirs: &[f64] = match self.state[j] {
+                VarState::Basic(_) => continue,
+                VarState::AtLower if self.lower[j] >= self.upper[j] => continue,
+                VarState::AtUpper if self.lower[j] >= self.upper[j] => continue,
+                VarState::AtLower => &[1.0],
+                VarState::AtUpper => &[-1.0],
+                VarState::FreeZero => &[1.0, -1.0],
+            };
+            let alpha = alpha[j];
+            if alpha.abs() < PIVOT_TOL {
+                continue;
+            }
+            let d = reduced(j);
+            for &dir in dirs {
+                // Moving j by t·dir changes xb[row] by −alpha·dir·t.
+                let rises = -alpha * dir > 0.0;
+                if rises != need_up {
+                    continue;
+                }
+                // Dual feasibility keeps d·dir ≥ 0 (within tol).
+                let ratio = (d * dir).max(0.0) / alpha.abs();
+                let better = match best {
+                    None => true,
+                    Some((_, _, br, ba)) => {
+                        ratio < br - 1e-12 || (ratio < br + 1e-12 && alpha.abs() > ba)
+                    }
+                };
+                if better {
+                    best = Some((j, dir, ratio, alpha.abs()));
+                }
+            }
+        }
+        best.map(|(j, dir, _, _)| (j, dir))
+    }
+
+    /// The debug oracle of one dual iteration, given the pivot row of
+    /// `row` and the entering column the ratio test picked from it:
+    /// recomputes the row densely (the eta file's BTRAN and
+    /// [`LuFactors::btran`] for `ρ`, [`CscMatrix::mul_vec_into`] for `α`)
+    /// and every reduced cost from the current duals as
+    /// [`Self::price_all`] does, and asserts that `ρ` and `α` have the
+    /// same bits on their support and are zero elsewhere, and that the
+    /// ratio test over every column picks `entering`.
+    #[cfg(any(test, debug_assertions))]
+    fn check_dual_row(&mut self, row: usize, need_up: bool, entering: Option<(usize, f64)>) {
+        let mut e = vec![0.0; self.m()];
+        e[row] = 1.0;
+        self.etas.btran(&mut e);
+        let mut rho = vec![0.0; self.m()];
+        self.lu.btran(&e, &mut rho, &mut self.lubuf);
+        assert!(
+            same_on_support(&self.rho, &rho),
+            "the sparse BTRAN row differs from the dense one"
+        );
+        let mut alpha = vec![0.0; self.at.nrows()];
+        self.at.mul_vec_into(&rho, &mut alpha);
+        assert!(
+            same_on_support(&self.alpha, &alpha),
+            "the sparse pivot row differs from the dense one"
+        );
+        let mut d = vec![0.0; alpha.len()];
+        self.at.mul_vec_into(&self.y, &mut d);
+        for (dj, &cj) in d.iter_mut().zip(&self.cost) {
+            *dj = cj - *dj;
+        }
+        let full = self.dual_ratio_test(0..alpha.len(), &alpha, |j| d[j], need_up);
+        assert!(
+            full == entering,
+            "the ratio test over every column picks {full:?}, over the row's support {entering:?}"
+        );
     }
 
     /// Reads the structural solution and duals off the final basis.
@@ -1279,15 +1443,17 @@ impl<'p> Simplex<'p> {
     }
 
     /// Row `row` of `B⁻¹A` into `self.alpha`, for the dual simplex
-    /// ratio test: `ρ = B⁻ᵀ e_row` into `self.rho`, then `αⱼ = aⱼ·ρ` by
-    /// rows over the nonzero `ρᵢ`.
+    /// ratio test, on its support: `ρ = B⁻ᵀ e_row` into `self.rho` (the
+    /// eta file's BTRAN, which writes only the slots its updates
+    /// replaced, then the sparse LU solve from those slots), then
+    /// `αⱼ = aⱼ·ρ` scattered by rows over the nonzero `ρᵢ`.
     fn pivot_row(&mut self, row: usize) {
         self.rowbuf.fill(0.0);
         self.rowbuf[row] = 1.0;
         self.etas.btran(&mut self.rowbuf);
-        self.lu.btran(&self.rowbuf, &mut self.rho, &mut self.lubuf);
-        self.alpha.resize(self.at.nrows(), 0.0);
-        self.at.mul_vec_into(&self.rho, &mut self.alpha);
+        let slots = std::iter::once(row).chain(self.etas.slots());
+        self.lu.btran_sparse(&self.rowbuf, slots, &mut self.rho);
+        self.at.mul_sparse_into(&self.rho, &mut self.alpha);
     }
 
     /// Rebuilds the LU factorization from the current basis and drops
@@ -1453,19 +1619,64 @@ impl<'p> Simplex<'p> {
     /// Recomputes the basic values `xb = B⁻¹ (b − N x_N)` from fresh
     /// factors (an empty eta file).
     fn compute_xb(&mut self) {
-        let mut resid = self.rhs.clone();
+        // The residual `b − N x_N`, in `rowbuf`.
+        self.rowbuf.copy_from_slice(&self.rhs);
         for (j, &st) in self.state.iter().enumerate() {
             if matches!(st, VarState::Basic(_)) {
                 continue;
             }
             let v = self.nonbasic_value(j, st);
             if v != 0.0 {
-                self.a.axpy_col(j, -v, &mut resid);
+                self.a.axpy_col(j, -v, &mut self.rowbuf);
             }
         }
         // The eta file is empty; the factors alone are B.
-        self.lu.ftran(&resid, &mut self.xb, &mut self.lubuf);
+        self.lu.ftran(&self.rowbuf, &mut self.xb, &mut self.lubuf);
     }
+}
+
+/// Puts the solve's buffers back on its problem for the next solve.
+impl Drop for Simplex<'_> {
+    fn drop(&mut self) {
+        use std::mem::take;
+        // The factors and all but one eta block are freed: each solve
+        // factorizes (or copies a basis's factors) before it reads them,
+        // and a long cold solve's factors and etas would otherwise stay
+        // allocated for as long as the problem.
+        self.etas.trim();
+        drop(self.lu.take_factors());
+        self.problem.workspace.put(Box::new(SolveWorkspace {
+            cost: take(&mut self.cost),
+            lower: take(&mut self.lower),
+            upper: take(&mut self.upper),
+            rhs: take(&mut self.rhs),
+            state: take(&mut self.state),
+            movable: take(&mut self.movable),
+            basis: take(&mut self.basis),
+            lu: take(&mut self.lu),
+            etas: take(&mut self.etas),
+            factored: take(&mut self.factored),
+            xb: take(&mut self.xb),
+            y: take(&mut self.y),
+            w: take(&mut self.w),
+            d: take(&mut self.d),
+            alpha: take(&mut self.alpha),
+            rho: take(&mut self.rho),
+            rowbuf: take(&mut self.rowbuf),
+            lubuf: take(&mut self.lubuf),
+        }));
+    }
+}
+
+/// Whether the sparse vector `sparse` lists all its nonzeros and has
+/// the bits of `dense` wherever either is nonzero.
+#[cfg(any(test, debug_assertions))]
+fn same_on_support(sparse: &SparseVec, dense: &[f64]) -> bool {
+    sparse.val.len() == dense.len()
+        && sparse.val.iter().zip(dense).enumerate().all(|(i, (s, d))| {
+            (*s == 0.0 && *d == 0.0)
+                || (s.to_bits() == d.to_bits() && sparse.nz.binary_search(&(i as u32)).is_ok())
+        })
 }
 
 /// Whether `a` and `b` hold the same values, bit for bit.
@@ -2188,6 +2399,7 @@ mod tests {
         let sol = s.run_from_basis(&basis).unwrap();
         assert_eq!(sol.stats().iterations, 0);
         assert_eq!(s.pricing_reused, 2, "unchanged");
+        drop(s);
         // Tightened: the dual simplex's first iteration reuses the
         // check's pass, and the final duals the primal's.
         p.set_bounds(y, 0.0, 4.0);
@@ -2583,6 +2795,157 @@ mod tests {
         let again = p.solve().unwrap();
         assert_eq!(again.stats().replayed, 0);
         assert_same_solve(&again, &first);
+    }
+
+    /// Tightens three random bounds and scales three random right-hand
+    /// sides by 0.6–1.1, the edits between warm re-solves.
+    fn tighten(rng: &mut ChaCha8Rng, p: &mut Problem) {
+        let (n, m) = (p.num_vars(), p.num_constraints());
+        for _ in 0..3 {
+            let v = p.var(rng.gen_range(0..n));
+            let (lo, up) = p.bounds(v);
+            if up.is_finite() {
+                p.set_bounds(v, lo, lo + (up - lo) * rng.gen_range(0.5..1.0));
+            }
+            let i = rng.gen_range(0..m);
+            p.set_rhs(RowId(i as u32), p.row_rhs()[i] * rng.gen_range(0.6..1.1));
+        }
+    }
+
+    /// Checks the pivot row of every row of `s`'s basis, for both
+    /// directions of the leaving variable, against the dense row and the
+    /// ratio test over every column ([`Simplex::check_dual_row`]), with
+    /// the reduced costs computed from the duals as every dual iteration
+    /// but a solve's first computes them. Returns how many of these ratio
+    /// tests found an entering column.
+    fn check_every_dual_row(s: &mut Simplex) -> usize {
+        s.compute_duals();
+        let mut entered = 0;
+        for row in 0..s.m() {
+            s.pivot_row(row);
+            for need_up in [false, true] {
+                let entering = s.dual_ratio_test(
+                    s.alpha.nz.iter().map(|&j| j as usize),
+                    &s.alpha.val,
+                    |j| s.cost[j] - s.a.dot_col(j, &s.y),
+                    need_up,
+                );
+                s.check_dual_row(row, need_up, entering);
+                entered += usize::from(entering.is_some());
+            }
+        }
+        entered
+    }
+
+    #[test]
+    fn the_pivot_row_on_its_support_matches_the_dense_row() {
+        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        let opts = SolveOptions::default();
+        let (mut dual_pivots, mut with_etas, mut entered) = (0, 0, 0);
+        for round in 0..6 {
+            let problems = [
+                seeded_rlspm(&mut rng, 20 + 4 * round, 5, 4),
+                seeded_blspm(&mut rng, 30 + 4 * round, 5, 4),
+                seeded_sparse(&mut rng, 16 + round, 12 + round),
+            ];
+            for mut p in problems {
+                let Ok((_, mut basis)) = p.solve_with_basis(&opts, None) else {
+                    continue;
+                };
+                for _ in 0..5 {
+                    tighten(&mut rng, &mut p);
+                    let mut s = Simplex::new(&p);
+                    let Ok(sol) = s.run_from_basis(&basis) else {
+                        break;
+                    };
+                    dual_pivots += sol.stats().dual_iterations;
+                    with_etas += usize::from(!s.etas.is_empty());
+                    entered += check_every_dual_row(&mut s);
+                    basis = s.into_basis();
+                }
+            }
+        }
+        assert!(
+            dual_pivots > 80 && with_etas > 30 && entered > 3000,
+            "{dual_pivots} dual pivots, {with_etas} solves ending with etas, \
+             {entered} ratio tests entering"
+        );
+    }
+
+    /// The address of `p`'s kept `d` buffer, if it keeps a workspace.
+    fn kept_buffer(p: &Problem) -> Option<*const f64> {
+        let work = p.workspace.take()?;
+        let at = work.d.as_ptr();
+        p.workspace.put(work);
+        Some(at)
+    }
+
+    #[test]
+    fn a_reused_workspace_gives_the_bits_of_a_fresh_one() {
+        type Edit = fn(&mut Problem, &mut ChaCha8Rng);
+        // Rows `..40` are the per-request rows, the rest capacity rows.
+        let edits: [(&str, Edit); 9] = [
+            ("cold", |_, _| {}),
+            ("rhs", |p, rng| tighten(rng, p)),
+            ("bounds", |p, rng| {
+                for _ in 0..4 {
+                    let v = p.var(rng.gen_range(0..p.num_vars()));
+                    p.set_bounds(v, 0.0, rng.gen_range(0.0..0.5));
+                }
+            }),
+            ("flipped objective", |p, _| {
+                // The optimal basis is no longer dual-feasible: the warm
+                // attempt fails and the solve falls back cold.
+                for j in 0..p.num_vars() {
+                    let v = p.var(j);
+                    p.set_objective(v, -p.objective_coeff(v));
+                }
+            }),
+            ("restored objective", |p, _| {
+                for j in 0..p.num_vars() {
+                    let v = p.var(j);
+                    p.set_objective(v, -p.objective_coeff(v));
+                }
+            }),
+            ("infeasible", |p, _| p.set_rhs(RowId(0), -1.0)),
+            ("feasible again", |p, _| p.set_rhs(RowId(0), 1.0)),
+            ("another row", |p, _| {
+                let terms: Vec<_> = (0..6).map(|j| (p.var(j), 1.0)).collect();
+                p.add_constraint(terms, Relation::Le, 0.5);
+            }),
+            ("another column", |p, _| {
+                let x = p.add_var(4.0, 0.0, 1.0);
+                p.add_constraint([(x, 1.0), (p.var(0), 1.0)], Relation::Le, 1.0);
+            }),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(34);
+        let opts = SolveOptions::default();
+        let mut p = seeded_blspm(&mut rng, 40, 6, 4);
+        let mut basis: Option<Basis> = None;
+        let (mut warm, mut fell_back, mut reused) = (0, 0, 0);
+        for (name, edit) in edits {
+            edit(&mut p, &mut rng);
+            let before = kept_buffer(&p);
+            // A clone starts with an empty workspace.
+            let fresh = p.clone();
+            assert!(kept_buffer(&fresh).is_none());
+            let got = p.solve_with_basis(&opts, basis.as_ref());
+            let want = fresh.solve_with_basis(&opts, basis.as_ref());
+            match (got, want) {
+                (Ok((got, next)), Ok((want, _))) => {
+                    assert_same_solve(&got, &want);
+                    warm += usize::from(got.stats().warm_started);
+                    fell_back += usize::from(basis.is_some() && !got.stats().warm_started);
+                    basis = Some(next);
+                }
+                (got, want) => assert_eq!(got.map(|_| ()), want.map(|_| ()), "{name}"),
+            }
+            reused += usize::from(before.is_some() && before == kept_buffer(&p));
+        }
+        assert!(
+            warm >= 3 && fell_back >= 3 && reused >= 6,
+            "{warm} warm, {fell_back} fell back cold, {reused} reused buffers"
+        );
     }
 
     #[test]

@@ -17,11 +17,17 @@
 //! counts and objective bits of two synthetic LP families. The two
 //! larger instances run only in release builds (`cargo test --release
 //! --test golden`), as does one instance of the paper's timing workload
-//! (SUB-B4, K = 400, θ = 8), pinned by its profit bits and pivot total.
+//! (SUB-B4, K = 400, θ = 8), pinned by its profit bits and pivot total,
+//! and one call of the warm online workload (B4, K = 400, four epochs),
+//! pinned by its profit bits, accepted count and LP work counters.
 
-use metis_suite::core::{metis, online_metis, MetisConfig, OnlineOptions, SpmInstance};
+use metis_suite::core::{
+    metis, online_metis, online_metis_instrumented, FaultPlan, MetisConfig, OnlineOptions,
+    ParallelConfig, SpmInstance,
+};
 use metis_suite::lp::{Problem, Relation, Sense, SolveOptions, VarId};
 use metis_suite::netsim::topologies;
+use metis_suite::telemetry::{names, Telemetry};
 use metis_suite::workload::{generate, ValueModel, WorkloadConfig};
 
 const K: usize = 40;
@@ -148,6 +154,49 @@ fn golden_sub_b4_k400_theta8() {
         (run.evaluation.profit.to_bits(), pivots),
         (0x4063_d207_c4b7_9a2e, 4327),
         "(profit bits, pivots) moved; profit {}",
+        run.evaluation.profit
+    );
+}
+
+/// One call of the warm online workload the benchmark times
+/// (`online_b4_warm`): `online_metis` over four epochs on B4 with K = 400
+/// requests of the paper's workload (seed 241; seed 240's profit is 0)
+/// and θ = 8, every re-solve warm-started. Pins the profit's bits
+/// (37.213454825508734), the accepted count, and the simplex iterations,
+/// dual-simplex iterations and refactorizations summed over every
+/// relaxation, so a change that only makes warm re-solves cheaper must
+/// leave every pivot and refactorization of this call where it was.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug builds; run with --release")]
+fn golden_online_b4_k400_warm() {
+    let topo = topologies::b4();
+    let requests = generate(&topo, &WorkloadConfig::paper(400, 241));
+    let inst = SpmInstance::new(topo, requests, 12, 3);
+    let options = OnlineOptions {
+        epochs: 4,
+        metis: MetisConfig {
+            warm_start: true,
+            parallel: ParallelConfig { threads: 1 },
+            ..MetisConfig::with_theta(8)
+        },
+    };
+    let tele = Telemetry::enabled();
+    let run = online_metis_instrumented(&inst, &options, &FaultPlan::none(), &tele).unwrap();
+    let snapshot = tele.snapshot().unwrap();
+    let counters = [
+        names::LP_SIMPLEX_ITERATIONS,
+        names::LP_SIMPLEX_DUAL,
+        names::LP_SIMPLEX_REFRESHES,
+    ]
+    .map(|name| snapshot.counter(name));
+    assert_eq!(
+        (
+            run.evaluation.profit.to_bits(),
+            run.evaluation.accepted,
+            counters
+        ),
+        (0x4042_9b52_7cdb_5de0, 92, [818, 345, 46]),
+        "(profit bits, accepted, [iterations, dual iterations, refactorizations]) moved; profit {}",
         run.evaluation.profit
     );
 }
