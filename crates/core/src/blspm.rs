@@ -366,10 +366,17 @@ fn taa_from_relaxation(
         r_term *= f;
     }
 
-    // Constraint terms C_k = e^{−t_k·c̃_k} Π_i f_cons_{i,k}.
-    let mut c_term: Vec<f64> = cell_caps
+    // Constraint terms C_k = e^{−t_k·c̃_k} Π_i f_cons_{i,k}; the cells
+    // of one edge share its capacity, so each edge's exponential is
+    // computed once.
+    let edge_term: Vec<f64> = capacities
         .iter()
         .map(|&c| (-t_k * c / r_scale).exp())
+        .collect();
+    let mut c_term: Vec<f64> = plan
+        .cell_edge
+        .iter()
+        .map(|&e| edge_term[e as usize])
         .collect();
     // `f_cons[e]`: the current factor of expectation cell `e`'s request
     // in that cell, initially 1 + S·(a_i − 1) with S = μ Σ_{j crossing} x̂_ij.
@@ -402,70 +409,90 @@ fn taa_from_relaxation(
     };
 
     // Walk the decision tree level by level (Algorithm 2, lines 4–12).
-    // `scores[j]` is option `j`'s u' at the current level.
+    // At the current level `fit[j]` says whether path `j` fits,
+    // `scores[j]` is option `j`'s u', and `shift_on[k]` and `shift_off[k]`
+    // are the changes C·(g/f − 1) of the k-th expectation cell with
+    // g = a_i and g = 1.
+    let mut fit: Vec<bool> = Vec::new();
     let mut scores: Vec<Option<f64>> = Vec::new();
+    let mut shift_on: Vec<f64> = Vec::new();
+    let mut shift_off: Vec<f64> = Vec::new();
     for i in 0..k {
         let req = instance.request(RequestId(i as u32));
         let num_paths = relaxation.x[i].len();
         let cells = plan.expect(i);
 
-        // Evaluate u' for each candidate branch. Option `j < num_paths`
-        // routes on path j (`None` when it would overload a cell); option
-        // `num_paths` declines. Every evaluation reads only the estimator
-        // state frozen at this level, so the branches can be scored on
-        // worker threads with bit-identical results.
-        let eval_option = |opt: usize| -> Option<f64> {
-            if opt < num_paths {
-                // Hard feasibility: every cell on the path must fit.
-                if !fits(&cell_load, i, opt, req.rate) {
+        // Hard feasibility: option `j < num_paths` routes on path j only
+        // when every cell on the path fits. When no path fits, declining
+        // is the only option, and no score is needed to take it.
+        fit.clear();
+        fit.extend((0..num_paths).map(|j| fits(&cell_load, i, j, req.rate)));
+        let chosen = if fit.contains(&true) {
+            // Cells in the expectation set change factor: to a_i on the
+            // chosen path's cells, to 1 elsewhere. Every path cell is in
+            // the expectation set, which is the paths' union.
+            shift_on.clear();
+            shift_off.clear();
+            for e in cells.clone() {
+                let c = c_term[plan.expect_cells[e] as usize];
+                shift_on.push(c * (a_exp[i] / f_cons[e] - 1.0));
+                shift_off.push(c * (1.0 / f_cons[e] - 1.0));
+            }
+
+            // Evaluate u' = R·(g_rev/f_rev) + total_C + Σ_{k affected}
+            // C_k·(g/f − 1) for each candidate branch: `None` for a path
+            // that does not fit, and option `num_paths` declines (g_rev = 1,
+            // every g = 1). Every evaluation reads only the estimator
+            // state frozen at this level, so the branches can be scored on
+            // worker threads with bit-identical results.
+            let eval_option = |opt: usize| -> Option<f64> {
+                let route = opt < num_paths;
+                if route && !fit[opt] {
                     return None;
                 }
-                // u' = R·(g_rev/f_rev) + total_C + Σ_{k affected} C_k·(g/f − 1).
-                let mut u = r_term * (rev_assign[i] / f_rev[i]) + total_c;
-                // Cells in the expectation set change factor: to a_i on
-                // this path's cells, to 1 elsewhere. Every path cell is
-                // in the expectation set, which is the paths' union.
-                for e in cells.clone() {
-                    let g = if plan.on_path(e, opt) { a_exp[i] } else { 1.0 };
-                    u += c_term[plan.expect_cells[e] as usize] * (g / f_cons[e] - 1.0);
+                let g_rev = if route { rev_assign[i] } else { 1.0 };
+                let mut u = r_term * (g_rev / f_rev[i]) + total_c;
+                for (e, (&on, &off)) in cells.clone().zip(shift_on.iter().zip(&shift_off)) {
+                    u += if route && plan.on_path(e, opt) {
+                        on
+                    } else {
+                        off
+                    };
                 }
                 Some(u)
+            };
+            if threads > 1 && cells.len() >= PARALLEL_EVAL_MIN_CELLS {
+                scores = parallel::run_indexed(num_paths + 1, threads, eval_option);
             } else {
-                // Decline: g_rev = 1, every g = 1.
-                let mut u = r_term * (1.0 / f_rev[i]) + total_c;
-                for e in cells.clone() {
-                    u += c_term[plan.expect_cells[e] as usize] * (1.0 / f_cons[e] - 1.0);
-                }
-                Some(u)
+                scores.clear();
+                scores.extend((0..=num_paths).map(eval_option));
             }
-        };
-        if threads > 1 && cells.len() >= PARALLEL_EVAL_MIN_CELLS {
-            scores = parallel::run_indexed(num_paths + 1, threads, eval_option);
-        } else {
-            scores.clear();
-            scores.extend((0..=num_paths).map(eval_option));
-        }
 
-        // Strict minimum wins, paths scanned first, so ties favor earlier
-        // (cheaper) paths and routing beats an equal-score decline.
-        let mut best_u = f64::INFINITY;
-        let mut chosen: Option<usize> = None;
-        for (j, score) in scores[..num_paths].iter().enumerate() {
-            if let Some(u) = *score {
-                if u < best_u {
-                    best_u = u;
-                    chosen = Some(j);
+            // Strict minimum wins, paths scanned first, so ties favor
+            // earlier (cheaper) paths and routing beats an equal-score
+            // decline.
+            let mut best_u = f64::INFINITY;
+            let mut chosen: Option<usize> = None;
+            for (j, score) in scores[..num_paths].iter().enumerate() {
+                if let Some(u) = *score {
+                    if u < best_u {
+                        best_u = u;
+                        chosen = Some(j);
+                    }
                 }
             }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "the loop above unconditionally scores the decline option"
-        )]
-        let decline_u = scores[num_paths].expect("decline always evaluates");
-        if decline_u < best_u {
-            chosen = None;
-        }
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop above unconditionally scores the decline option"
+            )]
+            let decline_u = scores[num_paths].expect("decline always evaluates");
+            if decline_u < best_u {
+                chosen = None;
+            }
+            chosen
+        } else {
+            None
+        };
 
         // Apply the chosen branch.
         match chosen {

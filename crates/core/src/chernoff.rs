@@ -46,15 +46,7 @@ pub fn chernoff_delta(m: f64, x: f64) -> f64 {
             return f64::INFINITY;
         }
     }
-    let mut lo = 0.0;
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if ln_chernoff_bound(m, mid) > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
+    let (lo, hi) = bisect(0.0, hi, |mid| ln_chernoff_bound(m, mid) > target);
     0.5 * (lo + hi)
 }
 
@@ -80,7 +72,7 @@ pub fn select_mu(c: f64, t_slots: usize, n_edges: usize) -> Option<f64> {
     if ok(1.0 - 1e-9) {
         return Some(1.0 - 1e-9);
     }
-    let mut lo = 1e-12;
+    let lo = 1e-12;
     if !ok(lo) {
         // Even a vanishing μ fails: capacity is too small relative to the
         // constraint count, so no scaling factor satisfies inequality (6).
@@ -88,20 +80,34 @@ pub fn select_mu(c: f64, t_slots: usize, n_edges: usize) -> Option<f64> {
         // guarantee it does not have.
         return None;
     }
-    let mut hi = 1.0 - 1e-9;
+    let (lo, _) = bisect(lo, 1.0 - 1e-9, ok);
+    Some(lo)
+}
+
+/// Up to 200 bisection steps on `[lo, hi]`, where `raise(lo)` holds and
+/// `raise(hi)` does not: each step moves `lo` to the midpoint when
+/// `raise` holds there and `hi` otherwise. It stops once the midpoint
+/// rounds to `lo` or `hi`. From then on every step would keep both
+/// bounds, so the result has the bits the full 200 steps give.
+fn bisect(mut lo: f64, mut hi: f64, raise: impl Fn(f64) -> bool) -> (f64, f64) {
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if ok(mid) {
+        if mid.to_bits() == lo.to_bits() || mid.to_bits() == hi.to_bits() {
+            break;
+        }
+        if raise(mid) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    Some(lo)
+    (lo, hi)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
 
     #[test]
@@ -172,6 +178,81 @@ mod tests {
     fn mu_none_without_capacity() {
         assert!(select_mu(0.0, 12, 38).is_none());
         assert!(select_mu(-1.0, 12, 38).is_none());
+    }
+
+    /// [`bisect`] without the early exit: all 200 steps, every time.
+    fn bisect_all_steps(mut lo: f64, mut hi: f64, raise: impl Fn(f64) -> bool) -> (f64, f64) {
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if raise(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo, hi)
+    }
+
+    #[test]
+    fn bisections_stop_at_their_fixed_point_with_the_bits_of_all_steps() {
+        // `chernoff_delta`'s search over a sweep of (m, x): the same
+        // bracket, then both bisections from it.
+        let mut checked = 0;
+        let mut fewest = usize::MAX;
+        for m in [1e-6, 1e-3, 0.05, 0.3, 1.0, 2.5, 7.0, 40.0, 300.0, 1e4] {
+            for x in [1e-12, 1e-6, 1e-3, 0.01, 0.2, 1.0 / 39.0, 0.5, 0.9, 0.999] {
+                let target = f64::ln(x);
+                let mut hi = 1.0;
+                while ln_chernoff_bound(m, hi) > target && hi <= 1e12 {
+                    hi *= 2.0;
+                }
+                if hi > 1e12 {
+                    assert!(chernoff_delta(m, x).is_infinite());
+                    continue;
+                }
+                let raise = |mid| ln_chernoff_bound(m, mid) > target;
+                let (lo_a, hi_a) = bisect_all_steps(0.0, hi, raise);
+                let calls = Cell::new(0);
+                let (lo_b, hi_b) = bisect(0.0, hi, |mid| {
+                    calls.set(calls.get() + 1);
+                    raise(mid)
+                });
+                assert_eq!(
+                    (lo_a.to_bits(), hi_a.to_bits()),
+                    (lo_b.to_bits(), hi_b.to_bits()),
+                    "delta: m = {m}, x = {x}"
+                );
+                let d = chernoff_delta(m, x);
+                assert_eq!(d.to_bits(), (0.5 * (lo_a + hi_a)).to_bits());
+                fewest = fewest.min(calls.get());
+                checked += 1;
+            }
+        }
+        assert!(checked > 60, "only {checked} finite deltas");
+        assert!(fewest < 100, "the bisection ran {fewest} steps or more");
+        // `select_mu`'s search over a sweep of (c, T, N).
+        checked = 0;
+        for c in [0.24, 0.3, 0.5, 1.0, 2.0, 3.7, 10.0, 50.0, 400.0] {
+            for t in [1, 6, 12, 48] {
+                for n in [1, 12, 38, 200] {
+                    let target = (1.0 / (t as f64 * (n as f64 + 1.0))).ln();
+                    let ok = |mu: f64| ln_chernoff_bound(mu * c, (1.0 - mu) / mu) < target;
+                    if ok(1.0 - 1e-9) || !ok(1e-12) {
+                        continue;
+                    }
+                    let (lo_a, hi_a) = bisect_all_steps(1e-12, 1.0 - 1e-9, ok);
+                    let (lo_b, hi_b) = bisect(1e-12, 1.0 - 1e-9, ok);
+                    assert_eq!(
+                        (lo_a.to_bits(), hi_a.to_bits()),
+                        (lo_b.to_bits(), hi_b.to_bits()),
+                        "mu: c = {c}, T = {t}, N = {n}"
+                    );
+                    assert_eq!(select_mu(c, t, n).map(f64::to_bits), Some(lo_a.to_bits()));
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 60, "only {checked} bisected mus");
     }
 
     #[test]

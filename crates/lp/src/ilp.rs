@@ -421,6 +421,19 @@ mod tests {
     }
 
     #[test]
+    fn a_start_with_nan_in_a_continuous_variable_is_ignored() {
+        // A start with y = NaN is integral in x but is no feasible
+        // point, so it must not become the incumbent.
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_int_var(3.0, 0.0, 3.2);
+        let y = p.add_var(2.0, 0.0, f64::INFINITY);
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 4.5);
+        let s = solve_ilp_with_start(&p, &IlpOptions::default(), Some(&[3.0, f64::NAN])).unwrap();
+        assert_close(s.objective(), 12.0);
+        assert_close(s.value(y), 1.5);
+    }
+
+    #[test]
     fn infeasible_integrality() {
         // 0.4 <= x <= 0.6, x integer → infeasible.
         let mut p = Problem::new(Sense::Minimize);

@@ -392,30 +392,23 @@ impl Problem {
     }
 
     /// Maximum constraint violation of an assignment (0 when feasible),
-    /// ignoring integrality.
+    /// ignoring integrality: the largest row residual or bound excursion
+    /// that [`crate::certify`] would report. A NaN activity or value
+    /// counts as an infinite violation.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.num_vars()`.
     pub fn max_violation(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.vars.len());
-        let mut act = vec![0.0; self.rows.len()];
-        for &(r, c, v) in &self.entries {
-            act[r as usize] += v * x[c as usize];
-        }
-        let mut worst: f64 = 0.0;
-        for (row, a) in self.rows.iter().zip(&act) {
-            let viol = match row.relation {
-                Relation::Le => a - row.rhs,
-                Relation::Ge => row.rhs - a,
-                Relation::Eq => (a - row.rhs).abs(),
-            };
-            worst = worst.max(viol);
-        }
-        for (v, &xi) in self.vars.iter().zip(x) {
-            worst = worst.max(v.lower - xi).max(xi - v.upper);
-        }
-        worst
+        let (rows, bounds) = crate::verify::residuals(self, x);
+        rows.max(bounds)
+    }
+
+    /// Whether a solve has built the standard form since the last change
+    /// to `A`.
+    #[cfg(test)]
+    pub(crate) fn has_standard_form(&self) -> bool {
+        self.standard.get().is_some()
     }
 
     /// The standard-form matrix `[A | I]` and its transpose, built in

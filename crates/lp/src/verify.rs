@@ -6,8 +6,10 @@
 //! [`Problem`] alone, everything a [`Solution`] claims — row activities,
 //! bound satisfaction, and the objective value — and compares against
 //! the reported figures. It shares no state with the solver: the row
-//! activities are accumulated straight from the entry list, so a bug in
-//! the solver's incremental basis updates cannot also hide in the check.
+//! activities are accumulated in one pass over the problem's own
+//! `(row, col, coeff)` entries, never from the solver's cached standard
+//! form, so a bug in the solver cannot also hide in the check.
+//! [`Problem::max_violation`] reads the same pass.
 //!
 //! Certification runs automatically after every solve under
 //! `debug_assertions` or when [`SolveOptions::verify`] is set (which
@@ -72,29 +74,7 @@ impl std::fmt::Display for Certificate {
 /// [`verify`] for the `Result` form.
 pub fn certify(problem: &Problem, solution: &Solution, tol: f64) -> Certificate {
     let x = solution.values();
-    let mut activity = vec![0.0; problem.num_constraints()];
-    for (col, entries) in problem.entries_by_column().iter().enumerate() {
-        let xi = x[col];
-        for &(row, coeff) in entries {
-            activity[row] += coeff * xi;
-        }
-    }
-    let mut max_row_residual: f64 = 0.0;
-    let relations = problem.row_relations();
-    let rhs = problem.row_rhs();
-    for ((a, rel), b) in activity.iter().zip(&relations).zip(&rhs) {
-        let residual = match rel {
-            Relation::Le => a - b,
-            Relation::Ge => b - a,
-            Relation::Eq => (a - b).abs(),
-        };
-        max_row_residual = max_row_residual.max(residual);
-    }
-    let mut max_bound_violation: f64 = 0.0;
-    for (i, &xi) in x.iter().enumerate() {
-        let (lo, up) = problem.bounds(problem.var(i));
-        max_bound_violation = max_bound_violation.max(lo - xi).max(xi - up);
-    }
+    let (max_row_residual, max_bound_violation) = residuals(problem, x);
     Certificate {
         max_row_residual,
         max_bound_violation,
@@ -102,6 +82,46 @@ pub fn certify(problem: &Problem, solution: &Solution, tol: f64) -> Certificate 
         recomputed_objective: problem.eval_objective(x),
         tol,
     }
+}
+
+/// The largest row residual of `x` in the violating direction and its
+/// largest excursion outside the variable bounds, each `0.0` when none
+/// is violated, from one pass over the problem's `(row, col, coeff)`
+/// entries. A NaN activity or value counts as an infinite violation.
+///
+/// # Panics
+///
+/// Panics if `x.len() != problem.num_vars()`.
+pub(crate) fn residuals(problem: &Problem, x: &[f64]) -> (f64, f64) {
+    assert_eq!(x.len(), problem.vars.len());
+    let mut activity = vec![0.0; problem.rows.len()];
+    for &(r, c, v) in &problem.entries {
+        activity[r as usize] += v * x[c as usize];
+    }
+    let rows = problem
+        .rows
+        .iter()
+        .zip(&activity)
+        .map(|(row, &a)| match row.relation {
+            Relation::Le => a - row.rhs,
+            Relation::Ge => row.rhs - a,
+            Relation::Eq => (a - row.rhs).abs(),
+        });
+    let bounds = problem
+        .vars
+        .iter()
+        .zip(x)
+        .map(|(v, &xi)| (v.lower - xi).max(xi - v.upper));
+    (worst(rows), worst(bounds))
+}
+
+/// The largest of `violations` and `0.0`, with NaN counted as infinite
+/// (`f64::max` would drop it).
+fn worst(violations: impl Iterator<Item = f64>) -> f64 {
+    violations.fold(
+        0.0,
+        |w, v| if v.is_nan() { f64::INFINITY } else { w.max(v) },
+    )
 }
 
 /// [`certify`] with a `Result` verdict, for use on solver return paths.
@@ -187,6 +207,85 @@ mod tests {
         assert!(!cert.accepted());
         assert!(cert.max_row_residual <= 1e-9, "point itself is feasible");
         assert!((cert.objective_gap() - 1.0).abs() < 1e-12);
+    }
+
+    /// `certify`'s `(row residual, bound violation)`, as bits.
+    fn residual_bits(p: &Problem, x: [f64; 3]) -> (u64, u64) {
+        let cert = certify(p, &claimed(x.to_vec(), 0.0), 1e-6);
+        (
+            cert.max_row_residual.to_bits(),
+            cert.max_bound_violation.to_bits(),
+        )
+    }
+
+    #[test]
+    fn reports_the_residuals_worked_out_by_hand() {
+        // x ∈ [0, 4], y ∈ [0, 10], z ∈ [−1, 1];
+        //   r0: x + 2y + x + 0·z ≤ 10   (x twice, an explicit zero)
+        //   r1: y − z ≥ 3
+        //   r2: x + z = 2
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var(1.0, 0.0, 4.0);
+        let y = p.add_var(2.0, 0.0, 10.0);
+        let z = p.add_var(-3.0, -1.0, 1.0);
+        p.add_constraint([(x, 1.0), (y, 2.0), (x, 1.0), (z, 0.0)], Relation::Le, 10.0);
+        p.add_constraint([(y, 1.0), (z, -1.0)], Relation::Ge, 3.0);
+        p.add_constraint([(x, 1.0), (z, 1.0)], Relation::Eq, 2.0);
+        // Each point with its residuals (r0, r1, r2) and bound excursion.
+        let cases = [
+            // (10, 3, 2): every row holds with equality.
+            ([1.0, 4.0, 1.0], 0.0, 0.0),
+            // (12, 3, 3): x counts twice in r0.
+            ([2.0, 4.0, 1.0], 2.0, 0.0),
+            // (5, 0.5, 2): r1 short by 2.5; r0's slack does not count.
+            ([1.0, 1.5, 1.0], 2.5, 0.0),
+            // (9, 4.5, 0): r2 short by 2, r1 over-satisfied.
+            ([0.5, 4.0, -0.5], 2.0, 0.0),
+            // (10, 2.5, 2.5): z above its upper bound by 0.5.
+            ([1.0, 4.0, 1.5], 0.5, 0.5),
+            // (7.5, 3, 0.75): x below its lower bound by 0.25.
+            ([-0.25, 4.0, 1.0], 1.25, 0.25),
+        ];
+        for (point, row, bound) in cases {
+            assert_eq!(
+                residual_bits(&p, point),
+                (f64::to_bits(row), f64::to_bits(bound)),
+                "at {point:?}"
+            );
+        }
+        let cert = certify(&p, &claimed(vec![1.0, 4.0, 1.0], 6.0), 1e-6);
+        assert!(cert.accepted(), "{cert}");
+        assert_eq!(cert.recomputed_objective.to_bits(), 6.0_f64.to_bits());
+        assert_eq!(
+            p.max_violation(&[-0.25, 4.0, 1.0]).to_bits(),
+            1.25_f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn a_nan_point_is_infinitely_violated() {
+        let p = toy();
+        for x in [[f64::NAN, 0.0], [0.0, f64::NAN]] {
+            let cert = certify(&p, &claimed(x.to_vec(), 0.0), 1e-6);
+            assert!(!cert.accepted());
+            assert_eq!(cert.max_row_residual, f64::INFINITY, "at {x:?}");
+            assert_eq!(cert.max_bound_violation, f64::INFINITY, "at {x:?}");
+            assert_eq!(p.max_violation(&x), f64::INFINITY, "at {x:?}");
+        }
+    }
+
+    #[test]
+    fn certifying_reads_no_solver_state() {
+        // The check must not build (or read) the solver's cached
+        // standard form: it works from the problem statement alone.
+        let p = toy();
+        let cert = certify(&p, &claimed(vec![2.0, 6.0], 36.0), 1e-6);
+        assert!(cert.accepted(), "{cert}");
+        assert!(!p.has_standard_form());
+        assert!(verify(&p, &claimed(vec![100.0, 0.0], 300.0), 1e-6).is_err());
+        assert!(!p.has_standard_form());
+        p.solve().unwrap();
+        assert!(p.has_standard_form(), "a solve builds it");
     }
 
     #[test]
