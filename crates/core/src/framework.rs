@@ -43,7 +43,10 @@ pub struct MetisConfig {
     /// round; without this flag each solve first drops the kept basis and
     /// starts cold. Off by default: warm and cold runs reach the same LP
     /// optima, but may pick different tied vertices and therefore
-    /// different (equally valid) schedules.
+    /// different (equally valid) schedules. A cold solve depends on its
+    /// input alone, so a cold run that asks MAA again for the acceptance
+    /// mask of its last MAA step reuses that step and spends 0 pivots on
+    /// it; a warm run always solves.
     pub warm_start: bool,
     /// MAA's rounding options.
     pub maa: MaaOptions,
@@ -114,7 +117,9 @@ pub struct RoundTrace {
     /// rounds that declined everything rather than scale without a
     /// guarantee.
     pub mu: Option<f64>,
-    /// Simplex pivots spent on this invocation's LP relaxation.
+    /// Simplex pivots spent on this invocation's LP relaxation: 0 for a
+    /// cold run's MAA step reused because TAA handed back the mask the
+    /// last MAA step solved (see [`MetisConfig::warm_start`]).
     pub lp_iterations: usize,
     /// Whether that LP reoptimized from a prior basis.
     pub warm_started: bool,
@@ -329,28 +334,16 @@ pub fn metis_instrumented(
     };
     // One program per phase for the whole run; a cold solve only drops
     // the kept basis.
-    let mut rl_solver = RlspmSolver::new(instance);
-    let mut bl_solver = BlspmSolver::new(instance);
-    let mut run_maa = |accepted: &[bool], cold: bool| {
-        if cold || !config.warm_start {
-            rl_solver.reset_basis();
-        }
-        maa_instrumented(
-            instance,
-            accepted,
-            &config.maa,
-            &lp,
-            threads,
-            &mut rl_solver,
-            tele,
-        )
-        .map(|m| Step {
-            schedule: m.schedule,
-            evaluation: m.evaluation,
-            stats: m.relaxation.stats,
-            mu: None,
-        })
+    let mut maa = MaaStage {
+        instance,
+        config,
+        lp,
+        threads,
+        tele,
+        solver: RlspmSolver::new(instance),
+        last: None,
     };
+    let mut bl_solver = BlspmSolver::new(instance);
     let mut run_taa = |caps: &[f64], cold: bool| {
         if cold || !config.warm_start {
             bl_solver.reset_basis();
@@ -427,14 +420,15 @@ pub fn metis_instrumented(
 
             // RL-SPM Solver: minimize cost for the accepted set. On failure
             // only the budget refinement is skipped.
-            if let Some(m) = run.step(Phase::Maa, round, None, |cold| run_maa(&accepted, cold)) {
+            if let Some(m) = run.step(Phase::Maa, round, None, |cold| maa.solve(&accepted, cold)) {
                 if round == 0 {
-                    caps = m.evaluation.charged;
+                    caps.clone_from(&m.evaluation.charged);
                 } else {
                     for (c, &m_c) in caps.iter_mut().zip(&m.evaluation.charged) {
                         *c = c.min(m_c);
                     }
                 }
+                maa.keep(&accepted, m);
             }
             false
         };
@@ -473,6 +467,114 @@ pub fn metis_instrumented(
         round_trace: trace,
         audit,
     })
+}
+
+/// MAA's side of the alternation: the run's RL-SPM program and, in a
+/// cold run, the last successful step with the mask it solved.
+///
+/// A cold RL-SPM solve depends on the mask alone: the solve sets every
+/// `y` bound from it, starts from the crash basis, replays no pivot path
+/// and carries nothing over in its workspace, and MAA's rounding is
+/// seeded per trial, not per round. So when TAA hands back the mask the
+/// kept step solved, that step is the answer again, with no LP work. A
+/// warm solve's vertex depends on its start basis, so warm runs keep
+/// nothing.
+struct MaaStage<'a> {
+    instance: &'a SpmInstance,
+    config: &'a MetisConfig,
+    lp: SolveOptions,
+    threads: usize,
+    tele: &'a Telemetry,
+    solver: RlspmSolver,
+    last: Option<(Vec<bool>, Step)>,
+}
+
+impl MaaStage<'_> {
+    /// MAA on `accepted`: the kept step again, with zero [`SolveStats`],
+    /// when it solved `accepted`; otherwise a relaxation solve (cold
+    /// unless the run is warm and `cold` is false) and its rounding.
+    fn solve(&mut self, accepted: &[bool], cold: bool) -> Result<Step, SolveError> {
+        if let Some((_, step)) = self.last.as_ref().filter(|(mask, _)| mask == accepted) {
+            #[cfg(debug_assertions)]
+            assert_reuse_is_exact(
+                self.instance,
+                accepted,
+                &self.config.maa,
+                &self.lp,
+                self.threads,
+                &mut self.solver,
+                step,
+            );
+            return Ok(Step {
+                schedule: step.schedule.clone(),
+                evaluation: step.evaluation.clone(),
+                stats: SolveStats::default(),
+                mu: None,
+            });
+        }
+        if cold || !self.config.warm_start {
+            self.solver.reset_basis();
+        }
+        maa_instrumented(
+            self.instance,
+            accepted,
+            &self.config.maa,
+            &self.lp,
+            self.threads,
+            &mut self.solver,
+            self.tele,
+        )
+        .map(|m| Step {
+            schedule: m.schedule,
+            evaluation: m.evaluation,
+            stats: m.relaxation.stats,
+            mu: None,
+        })
+    }
+
+    /// Keeps `step`, what [`MaaStage::solve`] returned for `accepted`,
+    /// for the next solve of the same mask. Cold runs only.
+    fn keep(&mut self, accepted: &[bool], step: Step) {
+        if !self.config.warm_start {
+            self.last = Some((accepted.to_vec(), step));
+        }
+    }
+}
+
+/// Checks a reused MAA step against the cold solve and rounding it
+/// stands for, run on the run's own solver with telemetry off.
+#[cfg(debug_assertions)]
+fn assert_reuse_is_exact(
+    instance: &SpmInstance,
+    accepted: &[bool],
+    options: &MaaOptions,
+    lp: &SolveOptions,
+    threads: usize,
+    solver: &mut RlspmSolver,
+    reused: &Step,
+) {
+    solver.reset_basis();
+    let fresh = maa_instrumented(
+        instance,
+        accepted,
+        options,
+        lp,
+        threads,
+        solver,
+        &Telemetry::disabled(),
+    );
+    let same = |a: &[f64], b: &[f64]| {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    assert!(
+        fresh.is_ok_and(|m| {
+            let (e, r) = (&m.evaluation, &reused.evaluation);
+            m.schedule == reused.schedule
+                && same(&[e.profit, e.cost], &[r.profit, r.cost])
+                && same(&e.charged, &r.charged)
+        }),
+        "a reused MAA step differs from the cold solve of its mask"
+    );
 }
 
 /// One solver invocation's output, common to both phases.
@@ -859,6 +961,108 @@ mod tests {
         assert_eq!(failed[0].lp_iterations, 0);
         let attributed: usize = res.round_trace.iter().map(|t| t.incidents).sum();
         assert_eq!(attributed, res.incidents.len());
+    }
+
+    /// A step the stage hands back for a mask it kept is, bit for bit,
+    /// what `maa` computes for that mask on a fresh solver, even after
+    /// the stage's solver has solved other masks.
+    #[test]
+    fn reused_maa_step_matches_a_fresh_maa() {
+        let inst = instance(30, 1);
+        let cfg = MetisConfig::with_theta(6);
+        let tele = Telemetry::disabled();
+        let mut stage = MaaStage {
+            instance: &inst,
+            config: &cfg,
+            lp: SolveOptions::default(),
+            threads: 1,
+            tele: &tele,
+            solver: RlspmSolver::new(&inst),
+            last: None,
+        };
+        let all = vec![true; 30];
+        let mut some = all.clone();
+        some[4] = false;
+        some[17] = false;
+        let first = stage.solve(&all, false).unwrap();
+        stage.keep(&all, first);
+        let other = stage.solve(&some, false).unwrap();
+        assert!(other.stats.iterations > 0, "a new mask is solved");
+        stage.keep(&some, other);
+        let reused = stage.solve(&some, false).unwrap();
+        assert_eq!(reused.stats, SolveStats::default());
+
+        let fresh = maa(&inst, &some, &cfg.maa).unwrap();
+        assert_eq!(reused.schedule, fresh.schedule);
+        assert_eq!(reused.evaluation, fresh.evaluation);
+        let bits = |e: &Evaluation| {
+            [e.revenue, e.cost, e.profit]
+                .iter()
+                .chain(&e.charged)
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&reused.evaluation), bits(&fresh.evaluation));
+    }
+
+    /// `instance(30, 1)` with θ = 6 reuses one cold MAA step: its third
+    /// MAA attempt, in round 2.
+    fn reusing_run() -> (SpmInstance, MetisConfig) {
+        (instance(30, 1), MetisConfig::with_theta(6))
+    }
+
+    #[test]
+    fn a_fault_on_a_reused_maa_attempt_still_fails_that_round() {
+        let (inst, cfg) = reusing_run();
+        let clean = metis(&inst, &cfg).unwrap();
+        let maa_entries: Vec<_> = clean
+            .round_trace
+            .iter()
+            .filter(|t| t.phase == Phase::Maa)
+            .collect();
+        assert!(maa_entries[2].completed && maa_entries[2].lp_iterations == 0);
+        assert_eq!(maa_entries[2].round, 2);
+
+        let faults = FaultPlan::none().fail_at_with(Phase::Maa, 2, SolveError::Singular);
+        let res = metis_instrumented(&inst, &cfg, &faults, &Telemetry::disabled()).unwrap();
+        assert_eq!(
+            res.incidents,
+            vec![Incident::SolveFailed {
+                phase: Phase::Maa,
+                round: 2,
+                error: SolveError::Singular,
+            }]
+        );
+        let failed: Vec<_> = res.round_trace.iter().filter(|t| !t.completed).collect();
+        assert_eq!(failed.len(), 1);
+        assert_eq!((failed[0].phase, failed[0].round), (Phase::Maa, 2));
+        assert_eq!(res.rounds, cfg.theta, "the run goes on");
+        assert!(res.round_trace.iter().any(|t| t.round > 2 && t.completed));
+    }
+
+    #[test]
+    fn reused_steps_open_no_relaxation_span() {
+        let (inst, cold) = reusing_run();
+        for warm_start in [false, true] {
+            let cfg = MetisConfig { warm_start, ..cold };
+            let tele = Telemetry::enabled();
+            let res = metis_instrumented(&inst, &cfg, &FaultPlan::none(), &tele).unwrap();
+            let s = tele.snapshot().expect("enabled handle snapshots");
+            let spans = |name| s.span(name).map_or(0, |span| span.count as usize);
+            let maa = || res.round_trace.iter().filter(|t| t.phase == Phase::Maa);
+            let maa_entries = maa().count();
+            // Only cold runs reuse; a warm re-solve may also take 0 pivots.
+            let reused = if warm_start {
+                0
+            } else {
+                maa()
+                    .filter(|t| t.round > 0 && t.lp_iterations == 0)
+                    .count()
+            };
+            assert!(warm_start || reused > 0);
+            assert_eq!(spans(names::SPAN_MAA_RELAX), maa_entries - reused);
+            assert_eq!(spans(names::SPAN_MAA_ROUNDING), maa_entries - reused);
+        }
     }
 
     #[test]

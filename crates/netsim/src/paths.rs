@@ -102,63 +102,86 @@ impl Ord for HeapItem {
     }
 }
 
-/// Dijkstra shortest path with per-edge and per-node exclusions.
-///
-/// Returns `None` when `dst` is unreachable.
-fn dijkstra(
-    topo: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    banned_edges: &[bool],
-    banned_nodes: &[bool],
-) -> Option<Vec<EdgeId>> {
-    let n = topo.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<EdgeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    heap.push(HeapItem {
-        dist: 0.0,
-        node: src.0,
-    });
-    while let Some(HeapItem { dist: d, node }) = heap.pop() {
-        if d > dist[node as usize] {
-            continue;
+/// Dijkstra's buffers, reused by every search of one
+/// [`k_shortest_paths`] call.
+struct Search {
+    dist: Vec<f64>,
+    prev: Vec<Option<EdgeId>>,
+    heap: BinaryHeap<HeapItem>,
+    /// Edges and nodes a search may not use. Yen's algorithm sets them
+    /// before each spur search and clears them after it.
+    banned_edges: Vec<bool>,
+    banned_nodes: Vec<bool>,
+    /// The last successful search's path, in order.
+    path: Vec<EdgeId>,
+}
+
+impl Search {
+    fn new(topo: &Topology) -> Self {
+        Search {
+            dist: vec![f64::INFINITY; topo.num_nodes()],
+            prev: vec![None; topo.num_nodes()],
+            heap: BinaryHeap::new(),
+            banned_edges: vec![false; topo.num_edges()],
+            banned_nodes: vec![false; topo.num_nodes()],
+            path: Vec::new(),
         }
-        if node == dst.0 {
-            break;
-        }
-        for &e in topo.out_edges(NodeId(node)) {
-            if banned_edges[e.index()] {
+    }
+
+    /// Dijkstra shortest path from `src` to `dst` around the banned edges
+    /// and nodes, left in `self.path`. Returns `false` when `dst` is
+    /// unreachable.
+    fn run(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> bool {
+        let (dist, prev, heap) = (&mut self.dist, &mut self.prev, &mut self.heap);
+        dist.fill(f64::INFINITY);
+        prev.fill(None);
+        heap.clear();
+        dist[src.index()] = 0.0;
+        heap.push(HeapItem {
+            dist: 0.0,
+            node: src.0,
+        });
+        while let Some(HeapItem { dist: d, node }) = heap.pop() {
+            if d > dist[node as usize] {
                 continue;
             }
-            let to = topo.edge(e).to;
-            if banned_nodes[to.index()] {
-                continue;
+            if node == dst.0 {
+                break;
             }
-            let nd = d + topo.price(e);
-            if nd < dist[to.index()] - 1e-15 {
-                dist[to.index()] = nd;
-                prev[to.index()] = Some(e);
-                heap.push(HeapItem {
-                    dist: nd,
-                    node: to.0,
-                });
+            for &e in topo.out_edges(NodeId(node)) {
+                if self.banned_edges[e.index()] {
+                    continue;
+                }
+                let to = topo.edge(e).to;
+                if self.banned_nodes[to.index()] {
+                    continue;
+                }
+                let nd = d + topo.price(e);
+                if nd < dist[to.index()] - 1e-15 {
+                    dist[to.index()] = nd;
+                    prev[to.index()] = Some(e);
+                    heap.push(HeapItem {
+                        dist: nd,
+                        node: to.0,
+                    });
+                }
             }
         }
+        if dist[dst.index()].is_infinite() {
+            return false;
+        }
+        self.path.clear();
+        let mut cur = dst;
+        while cur != src {
+            let Some(e) = prev[cur.index()] else {
+                return false;
+            };
+            self.path.push(e);
+            cur = topo.edge(e).from;
+        }
+        self.path.reverse();
+        true
     }
-    if dist[dst.index()].is_infinite() {
-        return None;
-    }
-    let mut edges = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let e = prev[cur.index()]?;
-        edges.push(e);
-        cur = topo.edge(e).from;
-    }
-    edges.reverse();
-    Some(edges)
 }
 
 /// The cheapest path from `src` to `dst`, or `None` if unreachable.
@@ -166,9 +189,10 @@ pub fn shortest_path(topo: &Topology, src: NodeId, dst: NodeId) -> Option<Path> 
     if src == dst {
         return None;
     }
-    let banned_e = vec![false; topo.num_edges()];
-    let banned_n = vec![false; topo.num_nodes()];
-    dijkstra(topo, src, dst, &banned_e, &banned_n).map(|edges| Path::from_edges(topo, edges))
+    let mut search = Search::new(topo);
+    search
+        .run(topo, src, dst)
+        .then(|| Path::from_edges(topo, search.path))
 }
 
 /// Yen's algorithm: up to `k` cheapest loopless paths from `src` to `dst`,
@@ -181,43 +205,54 @@ pub fn k_shortest_paths(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> 
     if k == 0 || src == dst {
         return Vec::new();
     }
-    let Some(first) = shortest_path(topo, src, dst) else {
+    let mut search = Search::new(topo);
+    if !search.run(topo, src, dst) {
         return Vec::new();
-    };
-    let mut found = vec![first];
+    }
+    let mut found = vec![Path::from_edges(topo, search.path.clone())];
     // Candidate pool: (cost, edge list). Linear scan is fine at WAN scale.
     let mut candidates: Vec<(f64, Vec<EdgeId>)> = Vec::new();
 
     while found.len() < k {
-        let last = found.last().unwrap().clone();
+        let last = &found[found.len() - 1];
         for spur_idx in 0..last.len() {
-            let spur_node = last.nodes()[spur_idx];
-            let root_edges = &last.edges()[..spur_idx];
-
-            let mut banned_e = vec![false; topo.num_edges()];
-            let mut banned_n = vec![false; topo.num_nodes()];
+            let root = &last.edges()[..spur_idx];
+            let root_nodes = &last.nodes()[..spur_idx];
             // Ban edges that would recreate an already-found path sharing
-            // this root.
-            for p in &found {
-                if p.len() > spur_idx && p.edges()[..spur_idx] == *root_edges {
-                    banned_e[p.edges()[spur_idx].index()] = true;
-                }
+            // this root, and the root's nodes (the spur node excepted) to
+            // keep paths loopless.
+            let sharing = |p: &&Path| p.len() > spur_idx && p.edges()[..spur_idx] == *root;
+            for p in found.iter().filter(sharing) {
+                search.banned_edges[p.edges()[spur_idx].index()] = true;
             }
-            // Ban root nodes (except the spur node) to keep paths loopless.
-            for &nd in &last.nodes()[..spur_idx] {
-                banned_n[nd.index()] = true;
+            for nd in root_nodes {
+                search.banned_nodes[nd.index()] = true;
+            }
+            let reached = search.run(topo, last.nodes()[spur_idx], dst);
+            for p in found.iter().filter(sharing) {
+                search.banned_edges[p.edges()[spur_idx].index()] = false;
+            }
+            for nd in root_nodes {
+                search.banned_nodes[nd.index()] = false;
+            }
+            if !reached {
+                continue;
             }
 
-            if let Some(spur) = dijkstra(topo, spur_node, dst, &banned_e, &banned_n) {
-                let mut total: Vec<EdgeId> = root_edges.to_vec();
-                total.extend(spur);
-                let path = Path::from_edges(topo, total);
-                let cost = path.price(topo);
-                let dup = found.iter().any(|p| p.edges() == path.edges())
-                    || candidates.iter().any(|(_, e)| *e == path.edges());
-                if !dup {
-                    candidates.push((cost, path.edges().to_vec()));
-                }
+            // The candidate is `root` followed by the spur path.
+            let spur = &search.path;
+            let is_candidate = |e: &[EdgeId]| {
+                e.len() == spur_idx + spur.len()
+                    && e[..spur_idx] == *root
+                    && e[spur_idx..] == **spur
+            };
+            let dup = found.iter().any(|p| is_candidate(p.edges()))
+                || candidates.iter().any(|(_, e)| is_candidate(e));
+            if !dup {
+                let total = || root.iter().chain(spur.iter());
+                // `Path::price`'s summation order.
+                let cost = total().map(|&e| topo.price(e)).sum();
+                candidates.push((cost, total().copied().collect()));
             }
         }
         if candidates.is_empty() {
@@ -323,6 +358,46 @@ mod tests {
         assert_eq!(p.nodes(), &[NodeId(0), NodeId(1), NodeId(3)]);
         assert!(p.contains_edge(e01));
         assert!(!p.is_empty());
+    }
+
+    /// FNV-1a over every ordered pair's `k_shortest_paths` edge lists,
+    /// for each `k` in `1..=4`, on the named topologies and two seeded
+    /// random WANs. The pinned value is the enumeration before Yen's
+    /// algorithm reused one workspace per call, so any change in the
+    /// paths, their order or their tie-breaking shows.
+    #[test]
+    fn yen_paths_match_the_pinned_digest() {
+        use crate::topologies;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |x: u64| {
+            for byte in x.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for topo in [
+            topologies::b4(),
+            topologies::sub_b4(),
+            topologies::abilene(),
+            topologies::geant(),
+            topologies::random_wan(10, 6, 42),
+            topologies::random_wan(16, 10, 43),
+        ] {
+            for k in 1..=4 {
+                for src in topo.node_ids() {
+                    for dst in topo.node_ids() {
+                        let paths = k_shortest_paths(&topo, src, dst, k);
+                        mix(paths.len() as u64);
+                        for p in &paths {
+                            mix(p.len() as u64);
+                            for e in p.edges() {
+                                mix(e.index() as u64);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0x3517_6c9e_c6d6_88f8, "digest {h:#018x}");
     }
 
     #[test]

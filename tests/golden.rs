@@ -46,6 +46,11 @@ const GOLDEN_WARM_ACCEPTED: usize = 35;
 
 const TOL: f64 = 1e-6;
 
+/// Simplex iterations of every round of the cold pipeline, in order
+/// (MAA, TAA, MAA, …). The two zeros are MAA steps of rounds 1 and 5,
+/// where TAA returned the set the previous MAA had just solved, so the
+/// run reused that step instead of re-solving the same program.
+const GOLDEN_COLD_LP_ITERATIONS: [usize; 13] = [35, 45, 0, 47, 33, 46, 35, 48, 33, 50, 0, 50, 33];
 /// Bit pattern of the warm pipeline's profit (15.297028551237261).
 const GOLDEN_WARM_PROFIT_BITS: u64 = 0x402e_9814_2053_15a8;
 /// Simplex iterations of every round of the warm pipeline, in order
@@ -88,6 +93,8 @@ fn golden_b4_forty_requests() {
         cold.evaluation.profit
     );
     assert_eq!(cold.evaluation.accepted, GOLDEN_ACCEPTED);
+    let iterations: Vec<usize> = cold.round_trace.iter().map(|t| t.lp_iterations).collect();
+    assert_eq!(iterations, GOLDEN_COLD_LP_ITERATIONS);
     assert!(
         (warm.evaluation.profit - GOLDEN_WARM_PROFIT).abs() <= TOL,
         "warm profit {} != pinned {GOLDEN_WARM_PROFIT}",
